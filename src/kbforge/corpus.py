@@ -18,7 +18,7 @@ class CorpusError(Exception):
     """Malformed sentence or corpus file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     index: int
     surface: str
@@ -26,7 +26,7 @@ class Token:
     dep_head: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     start: int
     end: int          # inclusive
@@ -42,7 +42,7 @@ class Span:
         return not (self.end < other.start or other.end < self.start)
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     id: str
     tokens: list[Token]

@@ -31,7 +31,7 @@ class GenerationRound:
     recognizer: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bag:
     subject: str
     object: str

@@ -24,7 +24,7 @@ class UnknownEntityError(KBError):
     """An operation referenced an entity id that is not in the KB."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     id: str
     canonical_name: str
@@ -41,7 +41,7 @@ class Entity:
             object.__setattr__(self, "aliases", (self.canonical_name,) + tuple(self.aliases))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triple:
     subject: str
     relation: str

@@ -19,7 +19,7 @@ class LinkError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     span: Span
     entities: list[str]
@@ -32,7 +32,7 @@ class Candidate:
             raise LinkError("duplicate candidate entities")
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkDecision:
     span: Span
     entity: str

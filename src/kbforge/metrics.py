@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkEvalItem:
     sentence_id: str
     start: int

@@ -6,6 +6,7 @@ from .autograd import (
     conv1d,
     gather_rows,
     grad_enabled,
+    lstm_sequence,
     matmul,
     max_pool_range,
     mean,

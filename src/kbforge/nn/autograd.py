@@ -80,7 +80,7 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed needs a scalar output")
             seed = np.ones_like(self.data)
-        # iterative topological order; LSTM tapes overflow recursion otherwise
+        # iterative topological order; deep tapes overflow recursion otherwise
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -330,6 +330,85 @@ def max_pool_range(a, start: int, end: int) -> Tensor:
         return (full,)
 
     return _node(out, (a,), back)
+
+
+def lstm_sequence(x, wx, wh, b, reverse: bool = False) -> Tensor:
+    """One LSTM direction over the columns of a (d_in, n) input, recorded
+    as a single tape node. wx is (4h, d_in), wh is (4h, h), b is (4h, 1),
+    gate blocks in the order input, forget, candidate, output; the state
+    starts at zero. Output is (h, n): column t is the hidden state after
+    step t, and with reverse=True the steps run from the last column to
+    the first.
+
+    The input projection of every step is one matmul; the backward is
+    hand-written backpropagation through time that collects the gate
+    pre-activation gradients column by column and then forms the weight,
+    bias and input gradients as whole-matrix products."""
+    x, wx, wh, b = (_wrap(t) for t in (x, wx, wh, b))
+    d_in, n = x.shape
+    hd = wh.shape[1]
+    if wx.shape != (4 * hd, d_in) or wh.shape != (4 * hd, hd) or b.shape != (4 * hd, 1):
+        raise ValueError(f"lstm_sequence shapes x{x.shape} wx{wx.shape} "
+                         f"wh{wh.shape} b{b.shape} do not fit")
+    steps = range(n - 1, -1, -1) if reverse else range(n)
+    zx = (wx.data @ x.data).T                 # (n, 4h): row t feeds step t
+    bias = b.data[:, 0]
+    dt = zx.dtype
+    acts = np.empty((n, 4 * hd), dtype=dt)    # sigmoid i, f, o and tanh g
+    cells = np.empty((n, hd), dtype=dt)
+    tanh_c = np.empty((n, hd), dtype=dt)
+    hs = np.empty((n, hd), dtype=dt)
+    h = np.zeros(hd, dtype=dt)
+    c = np.zeros(hd, dtype=dt)
+    for t in steps:
+        z = zx[t] + wh.data @ h + bias
+        a = acts[t]
+        a[:] = 1.0 / (1.0 + np.exp(-z))
+        a[2 * hd:3 * hd] = np.tanh(z[2 * hd:3 * hd])
+        c = a[hd:2 * hd] * c + a[:hd] * a[2 * hd:3 * hd]
+        cells[t] = c
+        tanh_c[t] = np.tanh(c)
+        h = hs[t] = a[3 * hd:] * tanh_c[t]
+
+    def shifted(states):
+        """Row t holds the state step t started from."""
+        prev = np.zeros_like(states)
+        if reverse:
+            prev[:-1] = states[1:]
+        else:
+            prev[1:] = states[:-1]
+        return prev
+
+    def back(g):
+        # elementwise products associate as the chain rule through the
+        # per-step cell would, so only the batched matrix products round
+        # differently from a step-by-step tape
+        gate_i, gate_f = acts[:, :hd], acts[:, hd:2 * hd]
+        gate_g, gate_o = acts[:, 2 * hd:3 * hd], acts[:, 3 * hd:]
+        c_prev = shifted(cells)
+        one_m_i, one_m_f, one_m_o = 1.0 - gate_i, 1.0 - gate_f, 1.0 - gate_o
+        one_m_g2 = 1.0 - gate_g * gate_g
+        one_m_tc2 = 1.0 - tanh_c * tanh_c
+        g_rows = g.T
+        dz = np.empty((n, 4 * hd), dtype=dt)
+        dh_next = np.zeros(hd, dtype=dt)
+        dc_next = np.zeros(hd, dtype=dt)
+        for t in reversed(steps):
+            dh = g_rows[t] + dh_next
+            dc = dh * gate_o[t] * one_m_tc2[t] + dc_next
+            z = dz[t]
+            z[:hd] = dc * gate_g[t] * gate_i[t] * one_m_i[t]
+            z[hd:2 * hd] = dc * c_prev[t] * gate_f[t] * one_m_f[t]
+            z[2 * hd:3 * hd] = dc * gate_i[t] * one_m_g2[t]
+            z[3 * hd:] = dh * tanh_c[t] * gate_o[t] * one_m_o[t]
+            dc_next = dc * gate_f[t]
+            dh_next = wh.data.T @ z
+        return ((dz @ wx.data).T if x.requires_grad else None,
+                dz.T @ x.data.T,
+                dz.T @ shifted(hs),
+                dz.sum(axis=0).reshape(b.shape))
+
+    return _node(hs.T, (x, wx, wh, b), back)
 
 
 def gather_rows(emb, indices) -> Tensor:

@@ -1,5 +1,5 @@
 """Layer modules built on the autograd tape: affine, two-layer scorers,
-LSTM cell + bidirectional runner, and a graph-convolution layer.
+an LSTM direction's weights + bidirectional runner, and a graph-convolution layer.
 
 Every module exposes parameters() for the optimizer and checkpointing, and
 takes an explicit np.random.Generator so construction is seed-deterministic.
@@ -51,25 +51,17 @@ class TwoLayerScorer:
 
 
 class LSTMCell:
+    """Holds the weights of one LSTM direction; ag.lstm_sequence runs them.
+    Gate blocks of wx, wh and b are ordered input, forget, candidate,
+    output."""
+
     def __init__(self, in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
-        self.hidden_dim = hidden_dim
         dt = dtype or ag.DEFAULT_DTYPE
         self.wx = Parameter(glorot(rng, (4 * hidden_dim, in_dim), in_dim, hidden_dim, dtype), f"{name}.wx")
         self.wh = Parameter(glorot(rng, (4 * hidden_dim, hidden_dim), hidden_dim, hidden_dim, dtype), f"{name}.wh")
         bias = np.zeros((4 * hidden_dim, 1), dtype=dt)
         bias[hidden_dim:2 * hidden_dim] = 1.0  # forget gate open at start
         self.b = Parameter(bias, f"{name}.b")
-
-    def __call__(self, x, h, c):
-        hd = self.hidden_dim
-        gates = ag.add(ag.add(ag.matmul(self.wx, x), ag.matmul(self.wh, h)), self.b)
-        i = ag.sigmoid(ag.narrow(gates, 0, 0, hd))
-        f = ag.sigmoid(ag.narrow(gates, 0, hd, hd))
-        g = ag.tanh(ag.narrow(gates, 0, 2 * hd, hd))
-        o = ag.sigmoid(ag.narrow(gates, 0, 3 * hd, hd))
-        c_next = ag.add(ag.mul(f, c), ag.mul(i, g))
-        h_next = ag.mul(o, ag.tanh(c_next))
-        return h_next, c_next
 
     def parameters(self):
         return [self.wx, self.wh, self.b]
@@ -81,33 +73,20 @@ class BiLSTM:
     last forward / last backward hidden state as a (2*hidden, 1) column."""
 
     def __init__(self, in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
-        self.in_dim = in_dim
-        self.hidden_dim = hidden_dim
-        self.dtype = dtype or ag.DEFAULT_DTYPE
         self.fwd = LSTMCell(in_dim, hidden_dim, rng, f"{name}.fwd", dtype)
         self.bwd = LSTMCell(in_dim, hidden_dim, rng, f"{name}.bwd", dtype)
 
-    def _run_direction(self, cols, cell):
-        zeros = np.zeros((self.hidden_dim, 1), dtype=self.dtype)
-        h, c = Tensor(zeros), Tensor(zeros)
-        states = []
-        for x in cols:
-            h, c = cell(x, h, c)
-            states.append(h)
-        return states
-
     def __call__(self, x):
-        n = x.shape[1]
-        cols = [ag.narrow(x, 1, t, 1) for t in range(n)]
-        f_states = self._run_direction(cols, self.fwd)
-        b_states = self._run_direction(list(reversed(cols)), self.bwd)
-        b_states.reverse()
-        self._last_final = ag.concat([f_states[-1], b_states[0]], axis=0)
-        per_token = [ag.concat([f_states[t], b_states[t]], axis=0) for t in range(n)]
-        return ag.concat(per_token, axis=1)
+        fwd, bwd = self.fwd, self.bwd
+        self._last = (ag.lstm_sequence(x, fwd.wx, fwd.wh, fwd.b),
+                      ag.lstm_sequence(x, bwd.wx, bwd.wh, bwd.b, reverse=True))
+        return ag.concat(self._last, axis=0)
 
     def final_states(self):
-        return self._last_final
+        f_states, b_states = self._last
+        n = f_states.shape[1]
+        return ag.concat([ag.narrow(f_states, 1, n - 1, 1),
+                          ag.narrow(b_states, 1, 0, 1)], axis=0)
 
     def parameters(self):
         return self.fwd.parameters() + self.bwd.parameters()

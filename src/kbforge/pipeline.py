@@ -348,8 +348,8 @@ class PipelineRunner:
                                          self.cfg.el)
             nn.save_checkpoint(ckpt, model.parameters(), {"trained": True})
 
-        self._run_stage("el", [self.out / "linked.jsonl", self.out / "embeddings.vec"],
-                        self.cfg.el, [ckpt], build)
+        self._run_stage("el", [self.out / "linked.jsonl", self.out / "embeddings.vec"]
+                        + self._kb_inputs(), self.cfg.el, [ckpt], build)
         if "el_model" not in self._mem:
             model = ContextLinkerModel(self.embeddings(), self.cfg.el)
             meta, tensors = nn.load_checkpoint(ckpt)
@@ -446,7 +446,9 @@ class PipelineRunner:
 
         self._run_stage("link", [self.cfg.corpus_path, self.out / "embeddings.vec",
                                  self.out / "el.ckpt"] + self._kb_inputs(),
-                        self.cfg.el, [linked_path, eval_path], build)
+                        {"el": dataclasses.asdict(self.cfg.el),
+                         "count_multiplicity": self.cfg.bootstrap.count_multiplicity},
+                        [linked_path, eval_path], build)
         if "final_linked" not in self._mem:
             items = []
             with open(eval_path, encoding="utf-8") as fh:

@@ -380,7 +380,7 @@ def train_re(bags: list[Bag], sentences_by_id: dict[str, Sentence],
 
 # -- triple validation and extraction -----------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtractedTriple:
     subject: str
     relation: str

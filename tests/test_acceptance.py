@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kbforge
 from gradcheck import gradcheck
 from kbforge import nn
 from kbforge.corpus import Sentence, Span, ingest_corpus
@@ -356,6 +357,10 @@ def test_reruns_are_byte_identical_across_processes(capsys, full_run,
     # let the child pick its own string-hash seed: iteration-order bugs
     # are invisible when both runs share one
     env.pop("PYTHONHASHSEED", None)
+    # the child imports the same kbforge as this process, found however the
+    # suite found it (installed, PYTHONPATH, or pytest's pythonpath setting)
+    src = str(Path(kbforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "kbforge.cli", "run-all", "--config", str(cfg_b)],
         capture_output=True, text=True, env=env, timeout=600)

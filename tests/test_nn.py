@@ -1,5 +1,11 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbforge import nn
 from kbforge.nn import (
@@ -16,6 +22,7 @@ from kbforge.nn import (
     save_checkpoint,
 )
 from kbforge.nn import autograd as ag
+from kbforge.nn.checkpoint import MAGIC
 
 from gradcheck import gradcheck
 
@@ -208,6 +215,89 @@ def test_bilstm_gradient():
         assert gradcheck(loss, [x] + net.parameters()) < 1e-4
 
 
+def stepwise_lstm(x, wx, wh, b, reverse=False):
+    """Reference LSTM direction composed step by step from tape primitives:
+    the per-token cell that lstm_sequence replaces."""
+    hd = wh.shape[1]
+    n = x.shape[1]
+    h = c = Tensor(np.zeros((hd, 1)), dtype=F64)
+    states = [None] * n
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        xt = ag.narrow(x, 1, t, 1)
+        gates = ag.add(ag.add(ag.matmul(wx, xt), ag.matmul(wh, h)), b)
+        i = ag.sigmoid(ag.narrow(gates, 0, 0, hd))
+        f = ag.sigmoid(ag.narrow(gates, 0, hd, hd))
+        g = ag.tanh(ag.narrow(gates, 0, 2 * hd, hd))
+        o = ag.sigmoid(ag.narrow(gates, 0, 3 * hd, hd))
+        c = ag.add(ag.mul(f, c), ag.mul(i, g))
+        h = states[t] = ag.mul(o, ag.tanh(c))
+    return ag.concat(states, axis=1)
+
+
+def lstm_leaves(rng, d_in, hd, n):
+    return (t64(rng, (d_in, n)), t64(rng, (4 * hd, d_in)),
+            t64(rng, (4 * hd, hd)), t64(rng, (4 * hd, 1)))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_matches_stepwise_cell(reverse):
+    rng = np.random.default_rng(3)
+    for n in range(1, 13):
+        leaves = lstm_leaves(rng, 3, 2, n)
+        weight = rng.standard_normal((2, n))
+        results = []
+        for run in (ag.lstm_sequence, stepwise_lstm):
+            for leaf in leaves:
+                leaf.grad = None
+            out = run(*leaves, reverse=reverse)
+            ag.tsum(ag.mul(out, weight)).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        assert results[0][0].shape == (2, n)
+        for fused, reference in zip(*results):
+            np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_lstm_sequence_gradient(reverse, n):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        leaves = lstm_leaves(rng, 3, 2, n)
+        weight = rng.standard_normal((2, n))
+
+        def loss():
+            out = ag.lstm_sequence(*leaves, reverse=reverse)
+            return ag.tsum(ag.mul(ag.mul(out, out), weight))
+
+        assert gradcheck(loss, list(leaves)) < 1e-4
+
+
+def test_lstm_sequence_rejects_mismatched_shapes():
+    rng = np.random.default_rng(0)
+    x, wx, wh, b = lstm_leaves(rng, 3, 2, 4)
+    with pytest.raises(ValueError):
+        ag.lstm_sequence(x, wx, wh, t64(rng, (4, 1)))
+
+
+def test_bilstm_tape_size_independent_of_length():
+    def tape_nodes(out):
+        seen, stack = {id(out)}, [out]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return len(seen)
+
+    rng = np.random.default_rng(0)
+    net = BiLSTM(3, 2, rng, "t", dtype=F64)
+    sizes = []
+    for n in (3, 30):
+        out = net(t64(rng, (3, n)))
+        sizes.append((tape_nodes(out), tape_nodes(net.final_states())))
+    assert sizes[0] == sizes[1]
+
+
 def test_gcn_layer_gradient():
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -344,6 +434,74 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    header = json.dumps({"meta": {}, "tensors": [
+        {"dtype": "float32", "name": "w", "shape": [1]}]}, sort_keys=True).encode()
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(b"KBFC\x01" + struct.pack("<Q", len(header)) + header
+                     + np.zeros(1, dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match="unsupported version"):
+        load_checkpoint(path)
+
+
+def sealed(body: bytes) -> bytes:
+    """A file whose CRC trailer matches ``body``, however malformed."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("header,payload", [
+    (b"{not json", b""),
+    (b"\xff\xfe", b""),
+    (b'{"meta": {}}', b""),
+    (b'{"meta": {}, "tensors": [{"dtype": "int8", "name": "w", "shape": [1]}]}', b"\0"),
+    (b'{"meta": {}, "tensors": [{"dtype": "float32", "name": "w", "shape": [2]}]}',
+     b"\0" * 4),
+    (b'{"meta": {}, "tensors": [{"dtype": "float32", "name": "w", "shape": [-1]}]}',
+     b"\0" * 4),
+    (b'{"meta": {}, "tensors": [{"dtype": "float32", "name": "w", "shape": "ab"}]}', b""),
+    (b'{"meta": {}, "tensors": ["w"]}', b""),
+])
+def test_checkpoint_malformed_body_with_valid_crc(tmp_path, header, payload):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(sealed(MAGIC + struct.pack("<Q", len(header)) + header + payload))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def ckpt_blob(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    path = tmp_path_factory.mktemp("ckpt") / "two.ckpt"
+    save_checkpoint(path, [Parameter(rng.standard_normal((3, 2)).astype(np.float32), "b.w"),
+                           Parameter(rng.standard_normal((4, 1)), "a.v")],
+                    meta={"trained": True})
+    return path.read_bytes(), path.parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checkpoint_truncation_raises_checkpoint_error(ckpt_blob, data):
+    blob, folder = ckpt_blob
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    path = folder / "truncated.ckpt"
+    path.write_bytes(blob[:cut])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checkpoint_bit_flip_raises_checkpoint_error(ckpt_blob, data):
+    blob, folder = ckpt_blob
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+    flipped = bytearray(blob)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    path = folder / "flipped.ckpt"
+    path.write_bytes(bytes(flipped))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 

@@ -35,6 +35,7 @@ dim = 8
 epochs = 1
 
 [bootstrap]
+count_multiplicity = {count_multiplicity}
 max_rounds = 2
 knn_k = 0
 classifier_epochs = 1
@@ -62,10 +63,12 @@ def tiny_fixture(tmp_path_factory):
     return d
 
 
-def write_tiny_config(tiny_fixture, out_dir, re_epochs=1, name=None):
+def write_tiny_config(tiny_fixture, out_dir, re_epochs=1, name=None,
+                      count_multiplicity="no"):
     path = out_dir.parent / f"{name or out_dir.name}.ini"
     path.write_text(TINY_TEMPLATE.format(fix=tiny_fixture, out=out_dir,
-                                         re_epochs=re_epochs))
+                                         re_epochs=re_epochs,
+                                         count_multiplicity=count_multiplicity))
     return path
 
 
@@ -175,6 +178,19 @@ def test_config_edit_invalidates_only_downstream(tiny_run):
     original = PipelineRunner(load_config(tiny_run["cfg_path"]))
     original.evaluate()
     assert original.stage_ran["re"]
+
+
+def test_count_multiplicity_edit_reruns_link(tiny_run):
+    # the link stage's sub-graph step reads bootstrap.count_multiplicity
+    cfg_path = write_tiny_config(tiny_run["fixture"], tiny_run["out"],
+                                 count_multiplicity="yes", name="multiplicity")
+    runner = PipelineRunner(load_config(cfg_path))
+    runner.evaluate()
+    assert not runner.stage_ran["embeddings"]
+    assert runner.stage_ran["link"]
+    original = PipelineRunner(load_config(tiny_run["cfg_path"]))
+    original.evaluate()
+    assert original.stage_ran["link"]
 
 
 def test_stage_outputs_exist(tiny_run):
