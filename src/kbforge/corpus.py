@@ -7,6 +7,7 @@ in parallel without coordination.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,15 +130,25 @@ def sentence_from_record(rec: dict) -> Sentence:
         heads = _chain_heads(len(words))
     if len(pos) != len(words) or len(heads) != len(words):
         raise CorpusError(f"sentence {sid!r}: pos/heads length mismatch")
+    # a corpus repeats few distinct words, tags and span labels many times:
+    # intern them so each is held once
+    try:
+        words, pos = list(map(sys.intern, words)), list(map(sys.intern, pos))
+    except TypeError:
+        raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None
     tokens = [Token(i, w, pos[i], heads[i]) for i, w in enumerate(words)]
     sent = Sentence(sid, tokens)
     for raw_span in rec.get("spans") or []:
         start, end = raw_span["start"], raw_span["end"]
         if not (0 <= start <= end < len(words)):
             raise CorpusError(f"sentence {sid!r}: span [{start},{end}] out of range")
-        sent.spans.append(Span(start, end, sent.surface(start, end),
-                               raw_span.get("type"), raw_span.get("entity"),
-                               raw_span.get("method")))
+        typ, entity, method = raw_span.get("type"), raw_span.get("entity"), raw_span.get("method")
+        try:
+            sent.spans.append(Span(start, end, sys.intern(sent.surface(start, end)),
+                                   typ and sys.intern(typ), entity and sys.intern(entity),
+                                   method and sys.intern(method)))
+        except TypeError:
+            raise CorpusError(f"sentence {sid!r}: span labels must be strings") from None
     validate_sentence(sent)
     return sent
 
@@ -222,7 +233,7 @@ def longest_ngram_match(sentence: Sentence, gazetteer: Gazetteer) -> list[Span]:
         for width in range(min(gazetteer.max_ngram, n - pos), 0, -1):
             surface = sentence.surface(pos, pos + width - 1)
             if surface in gazetteer:
-                out.append(Span(pos, pos + width - 1, surface))
+                out.append(Span(pos, pos + width - 1, sys.intern(surface)))
                 pos += width
                 matched = True
                 break

@@ -4,11 +4,13 @@ from .autograd import (
     add,
     concat,
     conv1d,
-    gather_rows,
+    embed_columns,
     grad_enabled,
     lstm_sequence,
     matmul,
+    matmul_blocks,
     max_pool_range,
+    max_pool_segments,
     mean,
     mul,
     narrow,
@@ -16,9 +18,11 @@ from .autograd import (
     relu,
     reshape,
     scale,
+    segment_sum,
     sigmoid,
     softmax,
     sub,
+    take,
     tanh,
     transpose,
     tsum,

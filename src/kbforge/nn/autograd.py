@@ -153,6 +153,20 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+# The sequence ops (conv1d, lstm_sequence, matmul_blocks, segment_sum, and
+# softmax along its axis) take the columns of a (d, n) input as one or more
+# sequences laid side by side: ``lengths`` (default: one sequence of all n
+# columns) gives each sequence's column count, in column order.
+
+def _lengths(lengths, n: int) -> np.ndarray:
+    """The lengths as an integer array, checked to be positive and to
+    cover n."""
+    sizes = np.array([n] if lengths is None else lengths, dtype=np.int64).reshape(-1)
+    if not len(sizes) or sizes.min() < 1 or sizes.sum() != n:
+        raise ValueError(f"sequence lengths {sizes.tolist()} do not split {n} columns")
+    return sizes
+
+
 # -- arithmetic -------------------------------------------------------------
 
 def add(a, b) -> Tensor:
@@ -182,7 +196,8 @@ def scale(a, c: float) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+                 lambda g: (g @ b.data.T if a.requires_grad else None,
+                            a.data.T @ g if b.requires_grad else None))
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -260,39 +275,46 @@ def relu(a) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a, axis: int = -1, lengths=None) -> Tensor:
+    """Softmax along ``axis``. With ``lengths`` that axis is cut into
+    consecutive segments of those lengths, each normalised on its own."""
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    lengths = _lengths(lengths, a.shape[axis])
+    starts = lengths.cumsum() - lengths
+
+    def per_segment(ufunc, v):
+        return np.repeat(ufunc.reduceat(v, starts, axis=axis), lengths, axis=axis)
+
+    e = np.exp(a.data - per_segment(np.maximum, a.data))
+    out = e / per_segment(np.add, e)
 
     def back(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
+        return ((g - per_segment(np.add, g * out)) * out,)
 
     return _node(out, (a,), back)
 
 
 # -- structured ops ----------------------------------------------------------
 
-def conv1d(x, w, b=None) -> Tensor:
+def conv1d(x, w, b=None, lengths=None) -> Tensor:
     """Same-length 1-D convolution. x is (d_in, n), w is (d_out, d_in, k),
-    optional bias (d_out, 1); output (d_out, n) with zero padding."""
+    optional bias (d_out, 1); output (d_out, n). Each sequence is zero
+    padded on its own, so no window reaches across a sequence boundary."""
     x, w = _wrap(x), _wrap(w)
     d_in, n = x.shape
     d_out, d_in_w, k = w.shape
     if d_in_w != d_in:
         raise ValueError(f"conv1d channel mismatch: {d_in_w} vs {d_in}")
-    if n < 1 or k > n + 2 * (k // 2):
-        raise ValueError(f"window {k} cannot cover padded length-{n} input")
+    # every sequence gets (k - 1) // 2 zero columns before it and k // 2
+    # after it: where[c] is the padded position of input column c, and
+    # taps[j, c] the padded column that tap j of output column c reads
+    lengths = _lengths(lengths, n)
     pad_l = (k - 1) // 2
-    pad_r = k // 2
-    xp = np.zeros((d_in, n + pad_l + pad_r), dtype=x.data.dtype)
-    xp[:, pad_l:pad_l + n] = x.data
-    cols3 = np.empty((d_in, k, n), dtype=x.data.dtype)
-    for j in range(k):
-        cols3[:, j, :] = xp[:, j:j + n]
-    cols = cols3.reshape(d_in * k, n)
+    where = np.arange(n) + pad_l + (k - 1) * np.repeat(np.arange(len(lengths)), lengths)
+    taps = where - pad_l + np.arange(k)[:, None]
+    xp = np.zeros((d_in, n + (k - 1) * len(lengths)), dtype=x.data.dtype)
+    xp[:, where] = x.data
+    cols = xp[:, taps].reshape(d_in * k, n)
     w2 = w.data.reshape(d_out, d_in * k)
     out = w2 @ cols
 
@@ -301,8 +323,8 @@ def conv1d(x, w, b=None) -> Tensor:
         gcols = (w2.T @ g).reshape(d_in, k, n)
         gxp = np.zeros_like(xp)
         for j in range(k):
-            gxp[:, j:j + n] += gcols[:, j, :]
-        return (gxp[:, pad_l:pad_l + n], gw)
+            gxp[:, taps[j]] += gcols[:, j, :]
+        return (gxp[:, where], gw)
 
     conv = _node(out, (x, w), back)
     if b is None:
@@ -310,91 +332,174 @@ def conv1d(x, w, b=None) -> Tensor:
     return add(conv, b)
 
 
+def matmul_blocks(x, blocks, lengths=None) -> Tensor:
+    """Multiplies each sequence's columns of a (d, n) input by its own
+    square matrix. blocks is a constant (B, m, m) array, m at least the
+    longest sequence; the columns of sequence b times
+    blocks[b, :lengths[b], :lengths[b]] are its output columns. This is the
+    product with a block-diagonal (n, n) matrix, in memory and work that
+    grow linearly with B rather than with n squared."""
+    x = _wrap(x)
+    d, n = x.shape
+    lengths = _lengths(lengths, n)
+    count, m = len(lengths), blocks.shape[-1]
+    if blocks.shape != (count, m, m) or lengths.max() > m:
+        raise ValueError(f"blocks {blocks.shape} do not fit sequence lengths "
+                         f"{lengths.tolist()}")
+    owner = np.repeat(np.arange(count), lengths)
+    slot = np.arange(n) + owner * m - (lengths.cumsum() - lengths)[owner]
+
+    def padded(cols):
+        """(B, d, m): sequence b's columns, zero past its length."""
+        out = np.zeros((cols.shape[0], count * m), dtype=cols.dtype)
+        out[:, slot] = cols
+        return out.reshape(-1, count, m).transpose(1, 0, 2)
+
+    def unpadded(stack):
+        return stack.transpose(1, 0, 2).reshape(-1, count * m)[:, slot]
+
+    return _node(unpadded(padded(x.data) @ blocks), (x,),
+                 lambda g: (unpadded(padded(g) @ blocks.transpose(0, 2, 1)),))
+
+
+def segment_sum(a, lengths=None) -> Tensor:
+    """Sums of each sequence's columns of a (d, n) tensor: (d, B)."""
+    a = _wrap(a)
+    lengths = _lengths(lengths, a.shape[1])
+    return _node(np.add.reduceat(a.data, lengths.cumsum() - lengths, axis=1), (a,),
+                 lambda g: (np.repeat(g, lengths, axis=1),))
+
+
+def max_pool_segments(a, starts, ends) -> Tensor:
+    """Column-wise maxima of a (d, n) tensor over inclusive column ranges.
+    starts and ends are (r, m) integer arrays; the result is (r*d, m), and
+    its row block i, column c is the max over columns starts[i, c] ..
+    ends[i, c]. Ranges may overlap. An empty range (start > end) pools to
+    zeros and passes no gradient."""
+    a = _wrap(a)
+    d, n = a.shape
+    starts, ends = np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+    r, m = starts.shape
+    empty = starts > ends
+    bad = ~empty & ((starts < 0) | (ends >= n))
+    if bad.any():
+        i, c = np.argwhere(bad)[0]
+        raise ValueError(f"pool range [{starts[i, c]},{ends[i, c]}] outside 0..{n - 1}")
+    cols = starts[..., None] + np.arange(max(int((ends - starts).max()) + 1, 1))
+    past = cols > ends[..., None]
+    window = a.data[:, np.where(past, 0, cols)]            # (d, r, m, widest range)
+    window[:, past] = -np.inf
+    out = window.max(axis=-1)
+    out[:, empty] = 0.0
+
+    def back(g):
+        keep = ~empty
+        src = (starts + window.argmax(axis=-1))[:, keep]   # column of each max
+        full = np.zeros_like(a.data)
+        np.add.at(full, (np.arange(d)[:, None], src),
+                  g.reshape(r, d, m).transpose(1, 0, 2)[:, keep])
+        return (full,)
+
+    return _node(out.transpose(1, 0, 2).reshape(r * d, m), (a,), back)
+
+
 def max_pool_range(a, start: int, end: int) -> Tensor:
     """Column-wise max over the inclusive column range [start, end] of a
     (d, n) tensor; result is (d, 1). An empty range pools to zeros and
     passes no gradient."""
-    a = _wrap(a)
-    d, n = a.shape
-    if start > end:
-        return Tensor(np.zeros((d, 1), dtype=a.data.dtype))
-    if start < 0 or end >= n:
-        raise ValueError(f"pool range [{start},{end}] outside 0..{n - 1}")
-    window = a.data[:, start:end + 1]
-    arg = window.argmax(axis=1)
-    out = window[np.arange(d), arg].reshape(d, 1)
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[np.arange(d), start + arg] = g[:, 0]
-        return (full,)
-
-    return _node(out, (a,), back)
+    return max_pool_segments(a, [[start]], [[end]])
 
 
-def lstm_sequence(x, wx, wh, b, reverse: bool = False) -> Tensor:
-    """One LSTM direction over the columns of a (d_in, n) input, recorded
-    as a single tape node. wx is (4h, d_in), wh is (4h, h), b is (4h, 1),
-    gate blocks in the order input, forget, candidate, output; the state
-    starts at zero. Output is (h, n): column t is the hidden state after
-    step t, and with reverse=True the steps run from the last column to
-    the first.
+def _schedule(sizes: np.ndarray, reverse: bool):
+    """How sequences of these lengths, side by side, step together: the
+    number of steps, the batch shape ((B,), or () for a single sequence),
+    cols[t, s], the column that sequence s reads at step t (0, unused, once
+    it has ended), step_of[c], the flat (t, s) index of the step that reads
+    column c, and running[t, s], whether sequence s still runs at step t. A
+    single sequence runs unbatched: its cols and step_of are one slice in
+    step order, and running is True."""
+    if len(sizes) == 1:
+        order = slice(None, None, -1 if reverse else 1)
+        return int(sizes[0]), (), order, order, True
+    firsts = sizes.cumsum() - sizes
+    steps = np.arange(sizes.max())[:, None]
+    running = steps < sizes
+    cols = (firsts + (sizes - 1 - steps if reverse else steps)) * running
+    step_of = np.empty(sizes.sum(), dtype=np.int64)
+    step_of[cols[running]] = np.flatnonzero(running)
+    return len(steps), (len(sizes),), cols, step_of, running
 
-    The input projection of every step is one matmul; the backward is
-    hand-written backpropagation through time that collects the gate
-    pre-activation gradients column by column and then forms the weight,
-    bias and input gradients as whole-matrix products."""
+
+def lstm_sequence(x, wx, wh, b, reverse: bool = False, lengths=None) -> Tensor:
+    """One LSTM direction over each sequence in the columns of a (d_in, n)
+    input, recorded as a single tape node. wx is (4h, d_in), wh is (4h, h),
+    b is (4h, 1), gate blocks in the order input, forget, candidate,
+    output; every sequence's state starts at zero. Output is (h, n): column
+    c is the hidden state after the step that read column c. With
+    reverse=True each sequence is read from its own last column to its
+    first.
+
+    All B sequences step together, one (4h, h) @ (h, B) product per step.
+    A sequence that has ended runs on until the longest one ends; those
+    extra steps are never read and pass no gradient. The input projection
+    of every step is one matmul; the backward is hand-written
+    backpropagation through time that collects the gate pre-activation
+    gradients step by step and then forms the weight, bias and input
+    gradients as whole-matrix products."""
     x, wx, wh, b = (_wrap(t) for t in (x, wx, wh, b))
     d_in, n = x.shape
     hd = wh.shape[1]
     if wx.shape != (4 * hd, d_in) or wh.shape != (4 * hd, hd) or b.shape != (4 * hd, 1):
         raise ValueError(f"lstm_sequence shapes x{x.shape} wx{wx.shape} "
                          f"wh{wh.shape} b{b.shape} do not fit")
-    steps = range(n - 1, -1, -1) if reverse else range(n)
-    zx = (wx.data @ x.data).T                 # (n, 4h): row t feeds step t
-    bias = b.data[:, 0]
+    T, batch, cols, step_of, running = _schedule(_lengths(lengths, n), reverse)
+    zx = (wx.data @ x.data)[:, cols]          # (4h, T, *batch)
+    bias = b.data.reshape((4 * hd,) + (1,) * len(batch))
     dt = zx.dtype
-    acts = np.empty((n, 4 * hd), dtype=dt)    # sigmoid i, f, o and tanh g
-    cells = np.empty((n, hd), dtype=dt)
-    tanh_c = np.empty((n, hd), dtype=dt)
-    hs = np.empty((n, hd), dtype=dt)
-    h = np.zeros(hd, dtype=dt)
-    c = np.zeros(hd, dtype=dt)
-    for t in steps:
-        z = zx[t] + wh.data @ h + bias
+    acts = np.empty((T, 4 * hd) + batch, dtype=dt)   # sigmoid i, f, o and tanh g
+    cells = np.empty((T, hd) + batch, dtype=dt)
+    tanh_c = np.empty((T, hd) + batch, dtype=dt)
+    hs = np.empty((T, hd) + batch, dtype=dt)
+    h = c = np.zeros((hd,) + batch, dtype=dt)
+    for t in range(T):
+        z = zx[:, t] + wh.data @ h + bias
         a = acts[t]
         a[:] = 1.0 / (1.0 + np.exp(-z))
         a[2 * hd:3 * hd] = np.tanh(z[2 * hd:3 * hd])
-        c = a[hd:2 * hd] * c + a[:hd] * a[2 * hd:3 * hd]
-        cells[t] = c
+        c = cells[t] = a[hd:2 * hd] * c + a[:hd] * a[2 * hd:3 * hd]
         tanh_c[t] = np.tanh(c)
         h = hs[t] = a[3 * hd:] * tanh_c[t]
+
+    def by_column(per_step):
+        """(n, rows) array whose row c is the (T, rows, *batch) per-step
+        value of the step that read column c."""
+        rows = per_step.swapaxes(1, -1).reshape(-1, per_step.shape[1])[step_of]
+        # a single reverse sequence gives a reversed view; in it the weight
+        # and bias sums would add the rows in another order and round apart
+        return np.ascontiguousarray(rows)
 
     def shifted(states):
         """Row t holds the state step t started from."""
         prev = np.zeros_like(states)
-        if reverse:
-            prev[:-1] = states[1:]
-        else:
-            prev[1:] = states[:-1]
+        prev[1:] = states[:-1]
         return prev
 
     def back(g):
         # elementwise products associate as the chain rule through the
         # per-step cell would, so only the batched matrix products round
         # differently from a step-by-step tape
+        g = g[:, cols] * running
         gate_i, gate_f = acts[:, :hd], acts[:, hd:2 * hd]
         gate_g, gate_o = acts[:, 2 * hd:3 * hd], acts[:, 3 * hd:]
         c_prev = shifted(cells)
         one_m_i, one_m_f, one_m_o = 1.0 - gate_i, 1.0 - gate_f, 1.0 - gate_o
         one_m_g2 = 1.0 - gate_g * gate_g
         one_m_tc2 = 1.0 - tanh_c * tanh_c
-        g_rows = g.T
-        dz = np.empty((n, 4 * hd), dtype=dt)
-        dh_next = np.zeros(hd, dtype=dt)
-        dc_next = np.zeros(hd, dtype=dt)
-        for t in reversed(steps):
-            dh = g_rows[t] + dh_next
+        dz = np.empty_like(acts)
+        dh_next = np.zeros((hd,) + batch, dtype=dt)
+        dc_next = np.zeros((hd,) + batch, dtype=dt)
+        for t in reversed(range(T)):
+            dh = g[:, t] + dh_next
             dc = dh * gate_o[t] * one_m_tc2[t] + dc_next
             z = dz[t]
             z[:hd] = dc * gate_g[t] * gate_i[t] * one_m_i[t]
@@ -403,23 +508,45 @@ def lstm_sequence(x, wx, wh, b, reverse: bool = False) -> Tensor:
             z[3 * hd:] = dh * tanh_c[t] * gate_o[t] * one_m_o[t]
             dc_next = dc * gate_f[t]
             dh_next = wh.data.T @ z
+        dz = by_column(dz)
         return ((dz @ wx.data).T if x.requires_grad else None,
                 dz.T @ x.data.T,
-                dz.T @ shifted(hs),
+                dz.T @ by_column(shifted(hs)),
                 dz.sum(axis=0).reshape(b.shape))
 
-    return _node(hs.T, (x, wx, wh, b), back)
+    return _node(by_column(hs).T, (x, wx, wh, b), back)
 
 
-def gather_rows(emb, indices) -> Tensor:
-    """Row lookup into a (vocab, d) matrix; backward scatter-adds, so
-    repeated indices accumulate."""
-    emb = _wrap(emb)
+def take(a, indices, axis: int = 0) -> Tensor:
+    """Slices of ``a`` at ``indices`` along ``axis``; backward scatter-adds,
+    so repeated indices accumulate."""
+    a = _wrap(a)
     idx = np.asarray(indices, dtype=np.int64)
+    where = (slice(None),) * axis + (idx,)
 
     def back(g):
-        full = np.zeros_like(emb.data)
-        np.add.at(full, idx, g)
+        full = np.zeros_like(a.data)
+        np.add.at(full, where, g)
         return (full,)
 
-    return _node(emb.data[idx], (emb,), back)
+    return _node(a.data[where], (a,), back)
+
+
+def embed_columns(tables, indices) -> Tensor:
+    """Looks up one row of each (vocab_i, d_i) table per column: column c
+    of the (sum of d_i, n) result stacks row indices[i][c] of every table
+    i. Backward scatter-adds, so repeated indices accumulate."""
+    tables = [_wrap(t) for t in tables]
+    idx = [np.asarray(i, dtype=np.int64) for i in indices]
+    splits = np.cumsum([t.shape[1] for t in tables])[:-1]
+
+    def back(g):
+        grads = []
+        for t, i, part in zip(tables, idx, np.split(g, splits, axis=0)):
+            full = np.zeros_like(t.data)
+            np.add.at(full, i, part.T)
+            grads.append(full)
+        return tuple(grads)
+
+    return _node(np.concatenate([t.data[i] for t, i in zip(tables, idx)], axis=1).T,
+                 tables, back)

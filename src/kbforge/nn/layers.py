@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Parameter, Tensor
+from .autograd import Parameter
 
 
 def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=None):
@@ -68,18 +68,21 @@ class LSTMCell:
 
 
 class BiLSTM:
-    """Runs both directions over the columns of a (d_in, n) tensor. Output
-    is (2*hidden, n); final_states() of the last run gives the concatenated
-    last forward / last backward hidden state as a (2*hidden, 1) column."""
+    """Runs both directions over the columns of a (d_in, n) tensor, which
+    hold one sequence or, with ``lengths``, several side by side. Output is
+    (2*hidden, n); final_states() of the last single-sequence run gives the
+    concatenated last forward / last backward hidden state as a
+    (2*hidden, 1) column."""
 
     def __init__(self, in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
         self.fwd = LSTMCell(in_dim, hidden_dim, rng, f"{name}.fwd", dtype)
         self.bwd = LSTMCell(in_dim, hidden_dim, rng, f"{name}.bwd", dtype)
 
-    def __call__(self, x):
+    def __call__(self, x, lengths=None):
         fwd, bwd = self.fwd, self.bwd
-        self._last = (ag.lstm_sequence(x, fwd.wx, fwd.wh, fwd.b),
-                      ag.lstm_sequence(x, bwd.wx, bwd.wh, bwd.b, reverse=True))
+        self._last = (ag.lstm_sequence(x, fwd.wx, fwd.wh, fwd.b, lengths=lengths),
+                      ag.lstm_sequence(x, bwd.wx, bwd.wh, bwd.b, reverse=True,
+                                       lengths=lengths))
         return ag.concat(self._last, axis=0)
 
     def final_states(self):
@@ -94,15 +97,17 @@ class BiLSTM:
 
 class GCNLayer:
     """h_i = relu(sum_j A_hat[i,j] * W h_j + b) over node columns; A_hat is
-    expected symmetric (normalized adjacency with self-loops)."""
+    expected symmetric (normalized adjacency with self-loops). A_hat is
+    one graph's (n, n) adjacency or, for graphs side by side whose node
+    counts ``lengths`` gives, the (B, m, m) stack of their adjacencies
+    (see ag.matmul_blocks)."""
 
     def __init__(self, dim: int, rng, name: str, dtype=None):
         self.lin = Linear(dim, dim, rng, name, dtype)
 
-    def __call__(self, h, a_hat):
-        if a_hat.shape[0] != h.shape[1]:
-            raise ValueError(f"adjacency {a_hat.shape} does not match {h.shape[1]} nodes")
-        mixed = ag.matmul(ag.matmul(self.lin.w, h), Tensor(a_hat))
+    def __call__(self, h, a_hat, lengths=None):
+        blocks = a_hat[None] if a_hat.ndim == 2 else a_hat
+        mixed = ag.matmul_blocks(ag.matmul(self.lin.w, h), blocks, lengths)
         return ag.relu(ag.add(mixed, self.lin.b))
 
     def parameters(self):

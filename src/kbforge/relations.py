@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn
 from .corpus import Sentence, Span, sdp_adjacency, shortest_dependency_path
-from .datagen import Bag
+from .datagen import Bag, collect_pair_sentences
 from .kb import UNTYPED, KnowledgeBase, Triple, build_fact_type_templates
 
 NO_SPAN_TYPE = "O"
@@ -39,7 +39,6 @@ class REConfig:
     learning_rate: float = 5e-3
     epochs: int = 5
     seed: int = 0
-    gate_softmax_axis: str = "tokens"
     sdp_anchor: str = "last"
     sdp_include_internal: bool = True
     freeze_word_vectors: bool = False
@@ -54,21 +53,16 @@ class REConfig:
             raise ValueError("down_weight must be positive")
         if self.hidden % 2:
             raise ValueError("hidden must be even (split across LSTM directions)")
-        if self.gate_softmax_axis != "tokens":
-            raise ValueError("only token-axis gate softmax is implemented")
 
     @property
     def token_dim(self) -> int:
         return self.word_dim + 3 * self.pos_dim + self.type_dim + self.tag_dim
 
 
-def span_distance(token_index: int, span: Span) -> int:
-    """Signed token distance to a span: 0 inside, negative left of it."""
-    if token_index < span.start:
-        return token_index - span.start
-    if token_index > span.end:
-        return token_index - span.end
-    return 0
+def span_distance(token_index, start, end):
+    """Signed token distance to the span [start, end]: 0 inside, negative
+    left of it. Elementwise on arrays."""
+    return token_index - np.minimum(np.maximum(token_index, start), end)
 
 
 def segment_anchors(subject_span: Span, object_span: Span) -> tuple[int, int, int]:
@@ -171,108 +165,129 @@ class REModel:
         return params
 
     # -- encoding ------------------------------------------------------------
+    #
+    # A bag of B (sentence, subject span, object span) instances is encoded
+    # in one pass: the token columns of its sentences lie side by side in a
+    # (d, N) input, ``lengths`` gives each sentence's token count, and every
+    # layer returns one column per sentence.
 
-    def encode_tokens(self, sentence: Sentence, subject_span: Span,
-                      object_span: Span) -> nn.Tensor:
-        if subject_span.overlaps(object_span):
-            raise RelationError("subject and object spans overlap")
+    def encode_tokens(self, instances: list[tuple[Sentence, Span, Span]]) -> nn.Tensor:
+        """(token_dim, N) token columns of the bag's sentences. A column
+        stacks the embeddings of the token's word, its distance to the
+        subject, to the object and to the nearest other linked span, its
+        span type and its POS tag."""
         cfg = self.cfg
-        n = len(sentence.tokens)
-        others = [sp for sp in sentence.spans
-                  if sp is not subject_span and sp is not object_span and sp.linked]
-
-        word_idx, p1_idx, p2_idx, p3_idx, ty_idx, tag_idx = [], [], [], [], [], []
-        span_type_at = {}
-        for sp in sentence.spans:
-            for t in range(sp.start, sp.end + 1):
-                span_type_at[t] = sp.span_type or UNTYPED
-        for tok in sentence.tokens:
-            word_idx.append(self.word_index.get(tok.surface, 0))
-            d1 = np.clip(span_distance(tok.index, subject_span), -cfg.max_pos, cfg.max_pos)
-            d2 = np.clip(span_distance(tok.index, object_span), -cfg.max_pos, cfg.max_pos)
-            p1_idx.append(int(d1) + cfg.max_pos)
-            p2_idx.append(int(d2) + cfg.max_pos)
+        lengths = np.array([len(s.tokens) for s, _, _ in instances])
+        first = np.cumsum(lengths) - lengths
+        owner = np.repeat(np.arange(len(instances)), lengths)
+        at = np.arange(len(owner)) - first[owner]       # index in its sentence
+        bounds = np.empty((4, len(instances)), dtype=np.int64)
+        nearest = np.full(len(owner), -1)                # -1: no other linked span
+        types = np.full(len(owner), self.type_index.get(NO_SPAN_TYPE, 0))
+        for b, (sentence, subj, obj) in enumerate(instances):
+            if subj.overlaps(obj):
+                raise RelationError("subject and object spans overlap")
+            bounds[:, b] = subj.start, subj.end, obj.start, obj.end
+            mine = slice(first[b], first[b] + lengths[b])
+            others = [np.abs(span_distance(at[mine], sp.start, sp.end))
+                      for sp in sentence.spans
+                      if sp.linked and sp is not subj and sp is not obj]
             if others:
-                d3 = min(abs(span_distance(tok.index, sp)) for sp in others)
-                d3 = min(d3, cfg.max_pos)
-            else:
-                d3 = -1
-            p3_idx.append(d3 + 1)
-            ty_idx.append(self.type_index.get(span_type_at.get(tok.index, NO_SPAN_TYPE), 0))
-            tag_idx.append(self.tag_index.get(tok.pos_tag, 0))
-
-        blocks = [
-            nn.gather_rows(self.emb_word, word_idx),
-            nn.gather_rows(self.emb_pos1, p1_idx),
-            nn.gather_rows(self.emb_pos2, p2_idx),
-            nn.gather_rows(self.emb_pos3, p3_idx),
-            nn.gather_rows(self.emb_type, ty_idx),
-            nn.gather_rows(self.emb_tag, tag_idx),
-        ]
-        x = nn.transpose(nn.concat(blocks, axis=1))
-        assert x.shape == (cfg.token_dim, n)
+                nearest[mine] = np.minimum(np.min(others, axis=0), cfg.max_pos)
+            for sp in sentence.spans:
+                types[first[b] + sp.start:first[b] + sp.end + 1] = \
+                    self.type_index.get(sp.span_type or UNTYPED, 0)
+        to_pair = span_distance(at, bounds[[0, 2]][:, owner], bounds[[1, 3]][:, owner])
+        positions = np.minimum(np.maximum(to_pair, -cfg.max_pos), cfg.max_pos) + cfg.max_pos
+        tokens = [tok for s, _, _ in instances for tok in s.tokens]
+        x = nn.embed_columns(
+            [self.emb_word, self.emb_pos1, self.emb_pos2, self.emb_pos3, self.emb_type,
+             self.emb_tag],
+            [[self.word_index.get(tok.surface, 0) for tok in tokens], positions[0],
+             positions[1], nearest + 1, types,
+             [self.tag_index.get(tok.pos_tag, 0) for tok in tokens]])
+        assert x.shape == (cfg.token_dim, len(tokens))
         return x
 
-    def pcnn_encode(self, x: nn.Tensor, i: int, j: int) -> nn.Tensor:
-        """Three-segment max-pooled convolution; segments split at the
-        0-based anchors as [0,i), [i,j), [j,n)."""
-        if not 0 <= i < j:
-            raise RelationError(f"anchors must satisfy 0 <= i < j, got {i},{j}")
-        n = x.shape[1]
-        h = nn.conv1d(x, self.conv_w, self.conv_b)
-        segs = [nn.max_pool_range(h, 0, i - 1),
-                nn.max_pool_range(h, i, j - 1),
-                nn.max_pool_range(h, j, n - 1)]
-        out = nn.tanh(nn.concat(segs, axis=0))
-        assert out.shape == (3 * self.cfg.hidden, 1)
+    def pcnn_encode(self, x: nn.Tensor, lengths, anchors) -> nn.Tensor:
+        """Three-segment max-pooled convolution per sentence; the segments
+        of a sentence split at its 0-based anchors (i, j) as [0,i), [i,j),
+        [j,n)."""
+        lengths = np.asarray(lengths)
+        if any(not 0 <= i < j < n for (i, j), n in zip(anchors, lengths)):
+            raise RelationError(f"anchors must satisfy 0 <= i < j < n, got {anchors} "
+                                f"for lengths {lengths.tolist()}")
+        first = np.cumsum(lengths) - lengths
+        i, j = first + np.array(anchors).T
+        h = nn.conv1d(x, self.conv_w, self.conv_b, lengths)
+        out = nn.tanh(nn.max_pool_segments(h, [first, i, j],
+                                           [i - 1, j - 1, first + lengths - 1]))
+        assert out.shape == (3 * self.cfg.hidden, len(lengths))
         return out
 
-    def _sdp_matrix(self, sentence: Sentence, subject_span: Span,
-                    object_span: Span) -> np.ndarray:
-        path = shortest_dependency_path(sentence, subject_span, object_span,
-                                        self.cfg.sdp_anchor)
-        keep = list(path)
-        if self.cfg.sdp_include_internal:
-            keep += list(range(subject_span.start, subject_span.end + 1))
-            keep += list(range(object_span.start, object_span.end + 1))
-        return sdp_adjacency(sentence, keep).astype(self.dtype)
+    def _sdp_matrix(self, instances: list[tuple[Sentence, Span, Span]]) -> np.ndarray:
+        """(B, m, m) stack of each sentence's normalized adjacency over its
+        shortest dependency path, m the longest sentence's token count;
+        block b is zero past its sentence's tokens."""
+        m = max(len(sentence.tokens) for sentence, _, _ in instances)
+        a_hat = np.zeros((len(instances), m, m), dtype=self.dtype)
+        for block, (sentence, subject_span, object_span) in zip(a_hat, instances):
+            keep = shortest_dependency_path(sentence, subject_span, object_span,
+                                            self.cfg.sdp_anchor)
+            if self.cfg.sdp_include_internal:
+                keep += list(range(subject_span.start, subject_span.end + 1))
+                keep += list(range(object_span.start, object_span.end + 1))
+            n = len(sentence.tokens)
+            block[:n, :n] = sdp_adjacency(sentence, keep)
+        return a_hat
 
-    def cgcn_encode(self, x: nn.Tensor, a_hat: np.ndarray, subject_span: Span,
-                    object_span: Span) -> nn.Tensor:
-        n = x.shape[1]
-        if a_hat.shape != (n, n):
-            raise RelationError(f"adjacency {a_hat.shape} for {n} tokens")
-        h = self.lstm(x)
+    def cgcn_encode(self, x: nn.Tensor, a_hat: np.ndarray, lengths,
+                    spans: list[tuple[Span, Span]]) -> nn.Tensor:
+        """BiLSTM, then GCN over each sentence's adjacency block of a_hat
+        (see _sdp_matrix), then per sentence the max over all its tokens,
+        its subject span and its object span."""
+        lengths = np.asarray(lengths)
+        if a_hat.shape != (len(lengths),) + (max(lengths),) * 2:
+            raise RelationError(f"adjacency {a_hat.shape} for sentence lengths "
+                                f"{lengths.tolist()}")
+        h = self.lstm(x, lengths)
         for layer in self.gcn:
-            h = layer(h, a_hat)
-        pools = [nn.max_pool_range(h, 0, n - 1),
-                 nn.max_pool_range(h, subject_span.start, subject_span.end),
-                 nn.max_pool_range(h, object_span.start, object_span.end)]
-        out = nn.tanh(nn.concat(pools, axis=0))
-        assert out.shape == (3 * self.cfg.hidden, 1)
+            h = layer(h, a_hat, lengths)
+        first = np.cumsum(lengths) - lengths
+        subj, obj = (first + np.array([[sp.start for sp in part], [sp.end for sp in part]])
+                     for part in zip(*spans))
+        out = nn.tanh(nn.max_pool_segments(h, [first, subj[0], obj[0]],
+                                           [first + lengths - 1, subj[1], obj[1]]))
+        assert out.shape == (3 * self.cfg.hidden, len(lengths))
         return out
 
-    def selective_gate(self, x: nn.Tensor) -> nn.Tensor:
+    def selective_gate(self, x: nn.Tensor, lengths=None) -> nn.Tensor:
+        """Per sentence: attention over its own tokens, then the gate MLP;
+        (6h, B)."""
         q = nn.add(nn.matmul(self.att_w2,
                              nn.relu(nn.add(nn.matmul(self.att_w1, x), self.att_b1))),
                    self.att_b2)
-        p = nn.softmax(q, axis=1)
-        s_att = nn.tsum(nn.mul(p, x), axis=1, keepdims=True)
-        s_att = nn.matmul(self.att_proj, s_att)
+        p = nn.softmax(q, axis=1, lengths=lengths)
+        s_att = nn.matmul(self.att_proj, nn.segment_sum(nn.mul(p, x), lengths))
         hidden = nn.relu(nn.add(nn.matmul(self.gate_w1, s_att), self.gate_b1))
         gate = nn.sigmoid(nn.add(nn.matmul(self.gate_w2, hidden), self.gate_b2))
-        assert gate.shape == (6 * self.cfg.hidden, 1)
+        assert gate.shape == (6 * self.cfg.hidden, 1 if lengths is None else len(lengths))
         return gate
 
-    def encode_sentence(self, sentence: Sentence, subject_span: Span,
-                        object_span: Span) -> tuple[nn.Tensor, nn.Tensor, int]:
-        x = self.encode_tokens(sentence, subject_span, object_span)
-        i, j, direction = segment_anchors(subject_span, object_span)
-        s_pcnn = self.pcnn_encode(x, i, j)
-        a_hat = self._sdp_matrix(sentence, subject_span, object_span)
-        s_gcn = self.cgcn_encode(x, a_hat, subject_span, object_span)
+    def encode_bag(self, instances: list[tuple[Sentence, Span, Span]]
+                   ) -> tuple[nn.Tensor, nn.Tensor, list[int]]:
+        """Sentence vectors (6h, B) and gates (6h, B), one column per
+        instance in the given order, and each instance's direction flag."""
+        if not instances:
+            raise RelationError("cannot encode an empty bag")
+        lengths = [len(sentence.tokens) for sentence, _, _ in instances]
+        x = self.encode_tokens(instances)
+        anchors = [segment_anchors(subj, obj) for _, subj, obj in instances]
+        s_pcnn = self.pcnn_encode(x, lengths, [(i, j) for i, j, _ in anchors])
+        s_gcn = self.cgcn_encode(x, self._sdp_matrix(instances), lengths,
+                                 [(subj, obj) for _, subj, obj in instances])
         s = nn.concat([s_pcnn, s_gcn], axis=0)
-        return s, self.selective_gate(x), direction
+        return s, self.selective_gate(x, lengths), [d for _, _, d in anchors]
 
     def predict_from_bag_vector(self, v: nn.Tensor, direction: float) -> nn.Tensor:
         d = nn.Tensor(np.array([[direction]], dtype=self.dtype))
@@ -283,10 +298,13 @@ class REModel:
         return scores
 
     def forward_bag(self, instances: list[tuple[Sentence, Span, Span]]) -> nn.Tensor:
-        encoded = [self.encode_sentence(*inst) for inst in instances]
-        v = aggregate_bag([(s, g) for s, g, _ in encoded])
-        direction = float(np.mean([d for _, _, d in encoded]))
-        return self.predict_from_bag_vector(v, direction)
+        """Relation scores of a bag. The instances are encoded in a
+        canonical order, so any permutation of the bag scores bit-identically."""
+        ordered = sorted(instances, key=lambda inst: (
+            inst[0].id, inst[1].start, inst[1].end, inst[2].start, inst[2].end))
+        s, g, directions = self.encode_bag(ordered)
+        return self.predict_from_bag_vector(aggregate_bag(s, g),
+                                            float(np.mean(directions)))
 
     def predict(self, instances: list[tuple[Sentence, Span, Span]]
                 ) -> tuple[np.ndarray, set[str]]:
@@ -298,17 +316,15 @@ class REModel:
         return scores, predicted
 
 
-def aggregate_bag(pairs: list[tuple[nn.Tensor, nn.Tensor]]) -> nn.Tensor:
-    """v = sum of gate-weighted sentence vectors. Terms are summed in byte
-    order of their values, so any permutation of the bag gives a
-    bit-identical result."""
-    if not pairs:
+def aggregate_bag(s: nn.Tensor, g: nn.Tensor) -> nn.Tensor:
+    """v = sum over the bag's columns of gate times sentence vector. Columns
+    are summed in byte order of their values, so any permutation of the
+    bag's columns gives a bit-identical result."""
+    if not s.shape[1]:
         raise RelationError("cannot aggregate an empty bag")
-    ordered = sorted(pairs, key=lambda sg: sg[0].data.tobytes() + sg[1].data.tobytes())
-    total = nn.mul(ordered[0][1], ordered[0][0])
-    for s, g in ordered[1:]:
-        total = nn.add(total, nn.mul(g, s))
-    return total
+    order = sorted(range(s.shape[1]),
+                   key=lambda c: s.data[:, c].tobytes() + g.data[:, c].tobytes())
+    return nn.tsum(nn.take(nn.mul(g, s), order, axis=1), axis=1, keepdims=True)
 
 
 def sliding_margin_loss(scores: nn.Tensor, labels: np.ndarray, threshold: nn.Tensor,
@@ -417,22 +433,14 @@ def extract(corpus: list[Sentence], kb: KnowledgeBase, model: REModel,
         template = build_fact_type_templates(kb)
     entity_types = {e: kb.entity_type(e) for e in kb.entities}
     sentences_by_id = {s.id: s for s in corpus}
-    pairs: dict[tuple[str, str], list[str]] = {}
-    for sentence in corpus:
-        linked = sorted({sp.linked for sp in sentence.spans if sp.linked})
-        for s in linked:
-            for o in linked:
-                if s != o:
-                    pairs.setdefault((s, o), []).append(sentence.id)
+    pairs = collect_pair_sentences(corpus)
 
     accepted: list[ExtractedTriple] = []
     for (s, o) in sorted(pairs):
-        sids = pairs[(s, o)]
-        bag = Bag(s, o, (), tuple(sids))
-        scores, predicted = model.predict(bag_instances(bag, sentences_by_id))
+        sids = tuple(pairs[(s, o)])
+        scores, predicted = model.predict(bag_instances(Bag(s, o, (), sids), sentences_by_id))
         for rel in sorted(predicted):
-            t = ExtractedTriple(s, rel, o, float(scores[model.rel_index[rel]]),
-                                tuple(sids))
+            t = ExtractedTriple(s, rel, o, float(scores[model.rel_index[rel]]), sids)
             ok, reason = validate_triple(t.triple(), entity_types, template)
             if ok:
                 accepted.append(t)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,22 @@ def test_record_round_trip():
     assert [t.surface for t in back.tokens] == [t.surface for t in s.tokens]
     assert back.spans[0].linked == "e2"
     assert back.spans[0].method == "subgraph"
+
+
+def test_records_share_interned_strings_and_reject_non_strings():
+    rec = {"id": "a", "tokens": ["Tony", "met", "Tony"], "pos": ["NN", "VB", "NN"],
+           "spans": [{"start": 0, "end": 0, "type": "person", "entity": "e1",
+                      "method": "subgraph"}]}
+    a = sentence_from_record(json.loads(json.dumps(rec)))
+    b = sentence_from_record(json.loads(json.dumps(dict(rec, id="b"))))
+    assert a.tokens[0].surface is b.tokens[2].surface
+    assert a.tokens[0].pos_tag is b.tokens[0].pos_tag
+    assert a.spans[0].linked is b.spans[0].linked
+    assert a.spans[0].span_type is b.spans[0].span_type
+    for bad in (dict(rec, tokens=["Tony", 7, "Tony"]), dict(rec, pos=["NN", None, "NN"]),
+                dict(rec, spans=[{"start": 0, "end": 0, "entity": 3}])):
+        with pytest.raises(CorpusError, match="must be strings"):
+            sentence_from_record(bad)
 
 
 def test_corpus_file_round_trip(tmp_path):

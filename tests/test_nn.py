@@ -80,14 +80,27 @@ def test_relu_gradient_away_from_kink():
         assert gradcheck(lambda: ag.tsum(ag.relu(x)), [x]) < 1e-4
 
 
-def test_gather_rows_gradient_scatter_adds():
+def test_take_gradient_scatter_adds():
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        emb = t64(rng, (6, 3))
+        emb = t64(rng, (6, 6))
         idx = np.array([0, 2, 2, 5])
-        assert gradcheck(lambda: ag.tsum(ag.mul(ag.gather_rows(emb, idx),
-                                                ag.gather_rows(emb, idx))),
-                         [emb]) < 1e-4
+        for axis in (0, 1):
+            assert gradcheck(lambda: ag.tsum(ag.mul(ag.take(emb, idx, axis),
+                                                    ag.take(emb, idx, axis))),
+                             [emb]) < 1e-4
+
+
+def test_embed_columns_stacks_rows_and_scatter_adds():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        a, b = t64(rng, (6, 3)), t64(rng, (4, 2))
+        ia, ib = np.array([0, 2, 2, 5, 1]), np.array([3, 3, 0, 1, 3])
+        out = ag.embed_columns([a, b], [ia, ib])
+        assert np.array_equal(out.data, np.concatenate([a.data[ia], b.data[ib]], axis=1).T)
+        assert gradcheck(lambda: ag.tsum(ag.mul(ag.embed_columns([a, b], [ia, ib]),
+                                                ag.embed_columns([a, b], [ia, ib]))),
+                         [a, b]) < 1e-4
 
 
 def test_concat_gradient():
@@ -279,6 +292,171 @@ def test_lstm_sequence_rejects_mismatched_shapes():
         ag.lstm_sequence(x, wx, wh, t64(rng, (4, 1)))
 
 
+# -- several sequences side by side ------------------------------------------------
+
+def split_columns(t, lengths):
+    """The per-sequence column blocks of a (d, n) tensor, as fresh leaves."""
+    firsts = np.cumsum(lengths) - lengths
+    return [Tensor(t.data[:, f:f + n].copy(), requires_grad=True, dtype=F64)
+            for f, n in zip(firsts, lengths)]
+
+
+def grads_of(run, leaves, weight):
+    for leaf in leaves:
+        leaf.grad = None
+    out = run(*leaves)
+    ag.tsum(ag.mul(out, weight)).backward()
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_batch_equals_each_sequence_alone(reverse):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        lengths = [int(k) for k in rng.integers(1, 9, size=int(rng.integers(1, 6)))]
+        leaves = lstm_leaves(rng, 3, 2, sum(lengths))
+        weight = rng.standard_normal((2, sum(lengths)))
+        out, grads = grads_of(lambda *t: ag.lstm_sequence(*t, reverse=reverse,
+                                                            lengths=lengths),
+                              leaves, weight)
+        firsts = np.cumsum(lengths) - lengths
+        weight_grads = [np.zeros_like(g) for g in grads[1:]]
+        for f, n, x in zip(firsts, lengths, split_columns(leaves[0], lengths)):
+            one, one_grads = grads_of(lambda *t: ag.lstm_sequence(*t, reverse=reverse),
+                                      [x, *leaves[1:]], weight[:, f:f + n])
+            np.testing.assert_allclose(out[:, f:f + n], one, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grads[0][:, f:f + n], one_grads[0], rtol=0, atol=1e-12)
+            for total, g in zip(weight_grads, one_grads[1:]):
+                total += g
+        for got, want in zip(grads[1:], weight_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_gradient_unequal_lengths(reverse):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        lengths = [3, 1, 5, 2]
+        leaves = lstm_leaves(rng, 3, 2, sum(lengths))
+        weight = rng.standard_normal((2, sum(lengths)))
+
+        def loss():
+            out = ag.lstm_sequence(*leaves, reverse=reverse, lengths=lengths)
+            return ag.tsum(ag.mul(ag.mul(out, out), weight))
+
+        assert gradcheck(loss, list(leaves)) < 1e-4
+
+
+def test_sequence_ops_reject_lengths_that_do_not_split_the_columns():
+    rng = np.random.default_rng(0)
+    x, wx, wh, b = lstm_leaves(rng, 3, 2, 5)
+    for lengths in ([2, 2], [2, 4], [5, 0], []):
+        with pytest.raises(ValueError):
+            ag.lstm_sequence(x, wx, wh, b, lengths=lengths)
+        with pytest.raises(ValueError):
+            ag.conv1d(x, t64(rng, (2, 3, 3)), lengths=lengths)
+        with pytest.raises(ValueError):
+            ag.softmax(x, axis=1, lengths=lengths)
+        with pytest.raises(ValueError):
+            ag.segment_sum(x, lengths)
+        with pytest.raises(ValueError):
+            ag.matmul_blocks(x, np.zeros((max(len(lengths), 1), 5, 5)), lengths)
+
+
+def test_conv1d_batch_equals_each_sequence_alone():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        lengths = [int(k) for k in rng.integers(1, 7, size=int(rng.integers(1, 5)))]
+        x, w, b = t64(rng, (3, sum(lengths))), t64(rng, (2, 3, 3)), t64(rng, (2, 1))
+        weight = rng.standard_normal((2, sum(lengths)))
+        out, grads = grads_of(lambda *t: ag.conv1d(*t, lengths=lengths), [x, w, b], weight)
+        firsts = np.cumsum(lengths) - lengths
+        for f, n, part in zip(firsts, lengths, split_columns(x, lengths)):
+            one, one_grads = grads_of(ag.conv1d, [part, w, b], weight[:, f:f + n])
+            np.testing.assert_allclose(out[:, f:f + n], one, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(grads[0][:, f:f + n], one_grads[0], rtol=0, atol=1e-12)
+
+        def loss():
+            c = ag.conv1d(x, w, b, lengths=lengths)
+            return ag.tsum(ag.mul(ag.mul(c, c), weight))
+
+        assert gradcheck(loss, [x, w, b]) < 1e-4
+
+
+def test_softmax_per_segment():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        lengths = [4, 1, 3]
+        x = t64(rng, (3, 8))
+        out = ag.softmax(x, axis=1, lengths=lengths).data
+        firsts = np.cumsum(lengths) - lengths
+        for f, n in zip(firsts, lengths):
+            np.testing.assert_allclose(
+                out[:, f:f + n], ag.softmax(Tensor(x.data[:, f:f + n]), axis=1).data,
+                rtol=0, atol=1e-15)
+        weight = rng.standard_normal((3, 8))
+        assert gradcheck(lambda: ag.tsum(ag.mul(ag.softmax(x, axis=1, lengths=lengths),
+                                                weight)), [x]) < 1e-4
+
+
+def test_segment_sum_per_segment():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        lengths = [4, 1, 3]
+        x = t64(rng, (3, 8))
+        out = ag.segment_sum(x, lengths).data
+        firsts = np.cumsum(lengths) - lengths
+        for c, (f, n) in enumerate(zip(firsts, lengths)):
+            np.testing.assert_allclose(out[:, c], x.data[:, f:f + n].sum(axis=1),
+                                       rtol=0, atol=1e-15)
+        weight = rng.standard_normal((3, 3))
+        assert gradcheck(lambda: ag.tsum(ag.mul(ag.segment_sum(x, lengths), weight)),
+                         [x]) < 1e-4
+
+
+def test_matmul_blocks_equals_block_diagonal_product():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        lengths = [int(k) for k in rng.integers(1, 7, size=int(rng.integers(1, 5)))]
+        n, m = sum(lengths), max(lengths) + int(rng.integers(0, 2))
+        blocks = rng.standard_normal((len(lengths), m, m))
+        dense = np.zeros((n, n))
+        for f, k, block in zip(np.cumsum(lengths) - lengths, lengths, blocks):
+            dense[f:f + k, f:f + k] = block[:k, :k]
+        x = t64(rng, (3, n))
+        np.testing.assert_allclose(ag.matmul_blocks(x, blocks, lengths).data, x.data @ dense,
+                                   rtol=0, atol=1e-12)
+        weight = rng.standard_normal((3, n))
+        assert gradcheck(lambda: ag.tsum(ag.mul(ag.matmul_blocks(x, blocks, lengths),
+                                                weight)), [x]) < 1e-4
+
+
+def test_max_pool_segments_matches_ranges_and_routes_gradient():
+    # overlapping ranges, an empty one, and ranges ending at either edge
+    starts = [[0, 2, 5], [1, 3, 0], [4, 6, 2]]
+    ends = [[7, 4, 4], [1, 6, 7], [4, 7, 2]]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = t64(rng, (3, 8))
+        out = ag.max_pool_segments(x, starts, ends)
+        assert out.shape == (9, 3)
+        for i in range(3):
+            for c in range(3):
+                want = ag.max_pool_range(x, starts[i][c], ends[i][c]).data[:, 0]
+                assert np.array_equal(out.data[3 * i:3 * i + 3, c], want)
+        assert np.all(out.data[:3, 2] == 0.0)        # the empty range [5, 4]
+        weight = rng.standard_normal((9, 3))
+        assert gradcheck(lambda: ag.tsum(ag.mul(ag.max_pool_segments(x, starts, ends),
+                                                weight)), [x]) < 1e-4
+
+
+def test_max_pool_segments_rejects_ranges_outside_the_input():
+    x = t64(np.random.default_rng(0), (2, 4))
+    for start, end in ((-1, 2), (1, 4)):
+        with pytest.raises(ValueError):
+            ag.max_pool_segments(x, [[0, start]], [[1, end]])
+
+
 def test_bilstm_tape_size_independent_of_length():
     def tape_nodes(out):
         seen, stack = {id(out)}, [out]
@@ -311,6 +489,21 @@ def test_gcn_layer_gradient():
             return ag.tsum(ag.mul(out, out))
 
         assert gradcheck(loss, [h] + layer.parameters()) < 1e-4
+
+
+def test_gcn_layer_graphs_side_by_side_equal_each_graph_alone():
+    rng = np.random.default_rng(0)
+    layer = GCNLayer(3, rng, "g", dtype=F64)
+    lengths = [2, 5, 3]
+    blocks = np.zeros((3, 5, 5))
+    for block, n in zip(blocks, lengths):
+        raw = np.abs(rng.standard_normal((n, n))) + np.eye(n)
+        block[:n, :n] = (raw + raw.T) / 2
+    h = t64(rng, (3, sum(lengths)))
+    out = layer(h, blocks, lengths).data
+    for f, n, block in zip(np.cumsum(lengths) - lengths, lengths, blocks):
+        one = layer(Tensor(h.data[:, f:f + n]), block[:n, :n]).data
+        np.testing.assert_allclose(out[:, f:f + n], one, rtol=0, atol=1e-12)
 
 
 def test_gcn_rejects_mismatched_adjacency():

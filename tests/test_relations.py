@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbforge import nn
 from kbforge.corpus import Sentence, Span, Token
@@ -73,12 +77,12 @@ def reversed_sentence(sid="s1"):
 
 
 def test_span_distance_sign_convention():
-    sp = Span(3, 5, "x y z")
-    assert span_distance(0, sp) == -3
-    assert span_distance(3, sp) == 0
-    assert span_distance(4, sp) == 0
-    assert span_distance(5, sp) == 0
-    assert span_distance(8, sp) == 3
+    assert span_distance(0, 3, 5) == -3
+    assert span_distance(3, 3, 5) == 0
+    assert span_distance(4, 3, 5) == 0
+    assert span_distance(5, 3, 5) == 0
+    assert span_distance(8, 3, 5) == 3
+    assert span_distance(np.arange(9), 3, 5).tolist() == [-3, -2, -1, 0, 0, 0, 1, 2, 3]
 
 
 def test_segment_anchors_orientation():
@@ -96,8 +100,6 @@ def test_config_validation():
         tiny_cfg(hidden=5)
     with pytest.raises(ValueError):
         tiny_cfg(down_weight=0.0)
-    with pytest.raises(ValueError):
-        tiny_cfg(gate_softmax_axis="channels")
 
 
 # -- encoders -----------------------------------------------------------------
@@ -106,17 +108,17 @@ def test_config_validation():
 def test_encode_tokens_shape_and_overlap_guard():
     m = tiny_model()
     s, subj, obj = pair_sentence()
-    x = m.encode_tokens(s, subj, obj)
+    x = m.encode_tokens([(s, subj, obj)])
     assert x.shape == (m.cfg.token_dim, 3)
     with pytest.raises(RelationError):
-        m.encode_tokens(s, subj, Span(0, 1, "Tony knows"))
+        m.encode_tokens([(s, subj, Span(0, 1, "Tony knows"))])
 
 
 def test_pcnn_leading_anchor_zeroes_first_segment():
     m = tiny_model()
     s, subj, obj = pair_sentence()
-    x = m.encode_tokens(s, subj, obj)
-    out = m.pcnn_encode(x, 0, 2)
+    x = m.encode_tokens([(s, subj, obj)])
+    out = m.pcnn_encode(x, [3], [(0, 2)])
     h = m.cfg.hidden
     assert out.shape == (3 * h, 1)
     assert np.all(out.data[:h] == 0.0)          # empty [0,-1] segment
@@ -126,28 +128,128 @@ def test_pcnn_leading_anchor_zeroes_first_segment():
 def test_pcnn_rejects_bad_anchors():
     m = tiny_model()
     s, subj, obj = pair_sentence()
-    x = m.encode_tokens(s, subj, obj)
+    x = m.encode_tokens([(s, subj, obj)])
     for i, j in ((2, 2), (3, 1), (-1, 2)):
         with pytest.raises(RelationError):
-            m.pcnn_encode(x, i, j)
+            m.pcnn_encode(x, [3], [(i, j)])
 
 
 def test_encode_sentence_direction_flag():
     m = tiny_model()
-    s, subj, obj = pair_sentence()
-    _, _, direction = m.encode_sentence(s, subj, obj)
-    assert direction == 0
-    s2, subj2, obj2 = reversed_sentence()
-    _, _, direction2 = m.encode_sentence(s2, subj2, obj2)
-    assert direction2 == 1
+    _, _, directions = m.encode_bag([pair_sentence(), reversed_sentence()])
+    assert directions == [0, 1]
 
 
 def test_cgcn_rejects_mismatched_adjacency():
     m = tiny_model()
     s, subj, obj = pair_sentence()
-    x = m.encode_tokens(s, subj, obj)
+    x = m.encode_tokens([(s, subj, obj)])
     with pytest.raises(RelationError):
-        m.cgcn_encode(x, np.eye(5, dtype=np.float32), subj, obj)
+        m.cgcn_encode(x, np.eye(5, dtype=np.float32), [3], [(subj, obj)])
+
+
+# -- bag batching -------------------------------------------------------------
+
+
+@st.composite
+def instances(draw, sid):
+    """A sentence of 2-12 tokens with a random dependency tree and 2-4
+    non-overlapping spans, at least two of them linked, and a
+    (sentence, subject, object) pair of distinct linked spans."""
+    n = draw(st.integers(2, 12))
+    words = draw(st.lists(st.sampled_from(["Tony", "knows", "Pepper", "Mark", "zzz"]),
+                          min_size=n, max_size=n))
+    tags = draw(st.lists(st.sampled_from(["N", "V", "X"]), min_size=n, max_size=n))
+    root = draw(st.integers(0, n - 1))
+    order = draw(st.permutations(range(n)))
+    order.remove(root)
+    order.insert(0, root)
+    heads = [0] * n
+    heads[root] = -1
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))]
+    sentence = mk_sentence(words, heads, sid, tags)
+    starts = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=min(n, 4))))
+    for k, start in enumerate(starts):
+        room = (starts[k + 1] if k + 1 < len(starts) else n) - start
+        end = start + draw(st.integers(0, min(room, 3) - 1))
+        linked = f"e{k}" if k < 2 or draw(st.booleans()) else None
+        sentence.spans.append(Span(start, end, sentence.surface(start, end),
+                                   draw(st.sampled_from(["person", "suit", None])), linked))
+    linked = [sp for sp in sentence.spans if sp.linked]
+    subj, obj = draw(st.permutations(linked))[:2]
+    return sentence, subj, obj
+
+
+@st.composite
+def bags(draw):
+    size = draw(st.integers(1, 6))
+    return [draw(instances(f"s{i}")) for i in range(size)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bags())
+def test_batched_sentence_encoding_equals_bag_of_one(bag):
+    model = tiny_model(dtype=np.float64)
+    s, g, directions = model.encode_bag(bag)
+    assert s.shape == g.shape == (6 * model.cfg.hidden, len(bag))
+    for b, inst in enumerate(bag):
+        s1, g1, d1 = model.encode_bag([inst])
+        np.testing.assert_allclose(s.data[:, b], s1.data[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.data[:, b], g1.data[:, 0], rtol=0, atol=1e-12)
+        assert directions[b] == d1[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(bags(), st.randoms(use_true_random=False))
+def test_forward_bag_bit_identical_under_permutation(bag, random):
+    model = tiny_model()
+    shuffled = random.sample(bag, len(bag))
+    assert model.forward_bag(shuffled).data.tobytes() == model.forward_bag(bag).data.tobytes()
+
+
+def test_large_bag_memory_grows_linearly():
+    # 500 sentences of 12 tokens: a dense adjacency over the bag's 6,000
+    # tokens alone would take 144 MB in float32
+    model = tiny_model()
+    bag = []
+    for i in range(500):
+        s = mk_sentence(["Tony", "knows", "Pepper"] * 4, [1, -1, 1] + [1] * 9, f"s{i}")
+        subj = Span(0, 0, "Tony", "person", linked="e1")
+        obj = Span(2, 2, "Pepper", "person", linked="e2")
+        s.spans = [subj, obj]
+        bag.append((s, subj, obj))
+    assert model._sdp_matrix(bag).shape == (500, 12, 12)
+    labels = np.array([1.0, 0.0])
+    tracemalloc.start()
+    try:
+        loss = sliding_margin_loss(model.forward_bag(bag), labels, model.threshold,
+                                   model.cfg.margin, model.cfg.down_weight)
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
+def test_training_step_tape_size_independent_of_bag_size():
+    def tape_nodes(loss):
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return len(seen)
+
+    model = tiny_model()
+    pool = [pair_sentence(f"p{i}") if i % 2 else reversed_sentence(f"p{i}") for i in range(8)]
+    sizes = []
+    for bag in (pool[:1], pool):
+        loss = sliding_margin_loss(model.forward_bag(bag), np.array([1.0, 0.0]),
+                                   model.threshold, model.cfg.margin, model.cfg.down_weight)
+        sizes.append(tape_nodes(loss))
+    assert sizes[0] == sizes[1]
 
 
 # -- loss ---------------------------------------------------------------------
@@ -216,19 +318,19 @@ def test_loss_gradient_reaches_threshold():
 
 def test_aggregate_bag_permutation_invariant_to_the_bit():
     rng = np.random.default_rng(0)
-    pairs = [(nn.Tensor(rng.standard_normal((6, 1)).astype(np.float32)),
-              nn.Tensor(rng.uniform(0, 1, (6, 1)).astype(np.float32)))
-             for _ in range(5)]
-    base = aggregate_bag(pairs).data.tobytes()
+    s = rng.standard_normal((6, 9)).astype(np.float32)
+    g = rng.uniform(0, 1, (6, 9)).astype(np.float32)
+    base = aggregate_bag(nn.Tensor(s), nn.Tensor(g)).data.tobytes()
     for seed in range(6):
-        perm = np.random.default_rng(seed).permutation(len(pairs))
-        shuffled = [pairs[i] for i in perm]
-        assert aggregate_bag(shuffled).data.tobytes() == base
+        perm = np.random.default_rng(seed).permutation(s.shape[1])
+        assert aggregate_bag(nn.Tensor(s[:, perm]), nn.Tensor(g[:, perm])).data.tobytes() == base
 
 
 def test_aggregate_bag_rejects_empty():
     with pytest.raises(RelationError):
-        aggregate_bag([])
+        aggregate_bag(nn.Tensor(np.zeros((6, 0))), nn.Tensor(np.zeros((6, 0))))
+    with pytest.raises(RelationError):
+        tiny_model().forward_bag([])
 
 
 def test_bag_instances_requires_linked_spans():
