@@ -121,6 +121,9 @@ def sentence_from_record(rec: dict) -> Sentence:
     sid = rec.get("id")
     if not sid:
         raise CorpusError("sentence record without an id")
+    if not isinstance(sid, str):
+        raise CorpusError(f"sentence id {sid!r} is not a string")
+    sid = sys.intern(sid)  # every artifact that names the sentence repeats it
     words = rec.get("tokens")
     if not words:
         raise CorpusError(f"sentence {sid!r}: no tokens")

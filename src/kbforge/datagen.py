@@ -5,6 +5,7 @@ multi-instance multi-label bags.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,8 +194,10 @@ def load_bags(path) -> list[Bag]:
                 continue
             try:
                 rec = json.loads(line)
-                bags.append(Bag(rec["subject"], rec["object"],
-                                tuple(rec["labels"]), tuple(rec["sentences"])))
-            except (json.JSONDecodeError, KeyError) as exc:
+                # ids repeat across bags, splits and the corpus: hold each once
+                bags.append(Bag(sys.intern(rec["subject"]), sys.intern(rec["object"]),
+                                tuple(map(sys.intern, rec["labels"])),
+                                tuple(map(sys.intern, rec["sentences"]))))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataGenError(f"{path}:{lineno}: bad bag record ({exc})") from None
     return bags

@@ -114,6 +114,11 @@ def load_table(path) -> EmbeddingTable:
 
 # -- negative sampling -------------------------------------------------------
 
+# Pairs per block in _sgd_pairs: the work that does not depend on earlier
+# updates is done a block at a time, which bounds the memory it takes.
+SGD_BLOCK = 256
+
+
 class _NegativeSampler:
     """unigram^0.75 sampler over one namespace's row indices."""
 
@@ -126,31 +131,48 @@ class _NegativeSampler:
             total = weights.sum()
         self.cum = np.cumsum(weights / total)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        picks = np.searchsorted(self.cum, rng.random(n), side="right")
+    def pick(self, uniforms: np.ndarray) -> np.ndarray:
+        """The rows drawn by uniforms in [0, 1), elementwise."""
+        picks = np.searchsorted(self.cum, uniforms, side="right")
         return self.rows[np.minimum(picks, len(self.rows) - 1)]
 
 
 def _sgd_pairs(vectors, ctx, centers, contexts, samplers_for, rng, k, lr_schedule, loss_out):
     """One pass of negative-sampling SGD over (center, context) pairs.
     ``samplers_for`` maps a context row to its namespace sampler. Updates
-    vectors/ctx in place; appends per-pair losses to loss_out."""
-    for center, context in zip(centers, contexts):
-        lr = next(lr_schedule)
-        negs = samplers_for(context).draw(rng, k)
-        rows = np.concatenate(([context], negs))
-        labels = np.zeros(len(rows))
-        labels[0] = 1.0
-        w = vectors[center].astype(np.float64)
-        c = ctx[rows].astype(np.float64)
-        scores = 1.0 / (1.0 + np.exp(-(c @ w)))
+    vectors/ctx in place; appends per-pair losses to loss_out.
+
+    Each pair's update reads what the pairs before it wrote, so updates run
+    one pair at a time. The rest is done per block of SGD_BLOCK pairs: the
+    learning rates, the negatives (one ``rng.random((n, k))`` call, the same
+    stream as n calls of k) and the losses. Results are bit-identical to
+    drawing and scoring pair by pair."""
+    labels = np.zeros(k + 1)
+    labels[0] = 1.0
+    for lo in range(0, len(centers), SGD_BLOCK):
+        block_contexts = contexts[lo:lo + SGD_BLOCK]
+        n = len(block_contexts)
+        lrs = [next(lr_schedule) for _ in range(n)]
+        uniforms = rng.random((n, k))
+        rows = np.empty((n, k + 1), dtype=np.int64)
+        rows[:, 0] = block_contexts
+        samplers = [samplers_for(row) for row in block_contexts]
+        for sampler in dict.fromkeys(samplers):
+            mine = np.array([s is sampler for s in samplers])
+            rows[mine, 1:] = sampler.pick(uniforms[mine])
+        scores = np.empty((n, k + 1))
+        for j, center in enumerate(centers[lo:lo + n]):
+            lr, pair_rows = lrs[j], rows[j]
+            w = vectors[center].astype(np.float64)
+            c = ctx[pair_rows].astype(np.float64)
+            s = scores[j] = 1.0 / (1.0 + np.exp(-(c @ w)))
+            g = s - labels
+            grad_w = g @ c
+            np.add.at(ctx, pair_rows, (-lr * np.outer(g, w)).astype(ctx.dtype))
+            vectors[center] -= (lr * grad_w).astype(vectors.dtype)
         # clamp keeps log finite when a score saturates
         p = np.clip(np.where(labels > 0, scores, 1.0 - scores), 1e-10, 1.0)
-        loss_out.append(float(-np.log(p).sum()))
-        g = scores - labels
-        grad_w = g @ c
-        np.add.at(ctx, rows, (-lr * np.outer(g, w)).astype(ctx.dtype))
-        vectors[center] -= (lr * grad_w).astype(vectors.dtype)
+        loss_out.extend((-np.log(p).sum(axis=1)).tolist())
 
 
 class _LrSchedule:

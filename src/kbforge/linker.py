@@ -103,7 +103,7 @@ class TrainableSpanClassifier:
             for start in range(n - width + 1):
                 yield start, start + width - 1
 
-    def _prob(self, idx: list[int]) -> float:
+    def _prob(self, idx) -> float:
         z = self.weights[idx].sum() + self.bias
         return 1.0 / (1.0 + np.exp(-z))
 
@@ -112,17 +112,18 @@ class TrainableSpanClassifier:
         if not gold_lens:
             raise LinkError("no labeled spans to train the span classifier on")
         self.max_span_len = max(gold_lens)
-        items: list[tuple[list[int], float]] = []
+        # features as index arrays, built once rather than on every step
+        items: list[tuple[np.ndarray, float]] = []
         for sentence in corpus:
             gold = {(sp.start, sp.end) for sp in sentence.spans}
             for se in sorted(gold):
-                items.append((self._features(sentence, *se), 1.0))
+                items.append((np.array(self._features(sentence, *se)), 1.0))
             negs = [se for se in self._ngrams(sentence) if se not in gold]
             if len(negs) > self.negatives_per_sentence:
                 picks = rng.choice(len(negs), size=self.negatives_per_sentence, replace=False)
                 negs = [negs[i] for i in sorted(picks)]
             for se in negs:
-                items.append((self._features(sentence, *se), 0.0))
+                items.append((np.array(self._features(sentence, *se)), 0.0))
         for _ in range(self.epochs):
             for i in rng.permutation(len(items)):
                 idx, y = items[i]

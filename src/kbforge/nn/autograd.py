@@ -72,7 +72,15 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            data = self.data
+            if (type(g) is np.ndarray and data.ndim and g.shape == data.shape
+                    and g.strides == data.strides and g.dtype == data.dtype):
+                # a fresh array, never g itself, laid out like zeros_like(data)
+                # (the layout decides how later products round); 0.0 + g turns
+                # -0.0 into +0.0 exactly as a zero-filled buffer plus g does
+                self.grad = g + data.dtype.type(0)
+                return
+            self.grad = np.zeros_like(data)
         self.grad += g
 
     def backward(self, seed=None) -> None:

@@ -16,6 +16,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -454,9 +455,10 @@ class PipelineRunner:
             with open(eval_path, encoding="utf-8") as fh:
                 for line in fh:
                     rec = json.loads(line)
-                    items.append(LinkEvalItem(rec["sentence"], rec["start"],
-                                              rec["end"], rec["method"],
-                                              rec["entity"], tuple(rec["ranking"])))
+                    items.append(LinkEvalItem(sys.intern(rec["sentence"]), rec["start"],
+                                              rec["end"], sys.intern(rec["method"]),
+                                              sys.intern(rec["entity"]),
+                                              tuple(map(sys.intern, rec["ranking"]))))
             self._mem["final_linked"] = (ingest_corpus(linked_path), items)
         return self._mem["final_linked"]
 
@@ -484,8 +486,9 @@ class PipelineRunner:
             with open(triples_path, encoding="utf-8") as fh:
                 for line in fh:
                     s, r, o, conf, sids = line.rstrip("\n").split("\t")
-                    accepted.append(ExtractedTriple(s, r, o, float(conf),
-                                                    tuple(sids.split(",")) if sids else ()))
+                    accepted.append(ExtractedTriple(
+                        sys.intern(s), sys.intern(r), sys.intern(o), float(conf),
+                        tuple(map(sys.intern, sids.split(","))) if sids else ()))
             rejected = []
             with open(rejected_path, encoding="utf-8") as fh:
                 for line in fh:

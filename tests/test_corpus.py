@@ -116,6 +116,15 @@ def test_corpus_file_round_trip(tmp_path):
     assert loaded[0].surface(0, 4) == "Tony Stark visited New York"
 
 
+def test_two_ingests_share_id_strings(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_corpus([toy_sentence()], path)
+    first, second = ingest_corpus(path), ingest_corpus(path)
+    assert first[0].id == "s1" and first[0].id is second[0].id
+    with pytest.raises(CorpusError, match="not a string"):
+        sentence_from_record({"id": 7, "tokens": ["x"]})
+
+
 def test_ingest_rejects_duplicate_ids(tmp_path):
     s = toy_sentence()
     path = tmp_path / "c.jsonl"

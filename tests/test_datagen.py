@@ -238,6 +238,18 @@ def test_bags_round_trip(tmp_path):
     assert load_bags(path) == bags
 
 
+def test_loaded_bags_share_id_strings(tmp_path):
+    path = tmp_path / "bags.jsonl"
+    save_bags([Bag("e1", "e2", ("r1",), ("s1",)), Bag("e2", "e1", ("r1",), ("s1",))], path)
+    (a, b), (c, _) = load_bags(path), load_bags(path)
+    assert a.subject is b.object is c.subject
+    assert a.labels[0] is b.labels[0] is c.labels[0]
+    assert a.sentence_ids[0] is b.sentence_ids[0] is c.sentence_ids[0]
+    path.write_text('{"subject": 1, "object": "e2", "labels": [], "sentences": []}\n')
+    with pytest.raises(DataGenError, match=r"bags\.jsonl:1"):
+        load_bags(path)
+
+
 def test_load_bags_reports_line_numbers(tmp_path):
     path = tmp_path / "bags.jsonl"
     path.write_text('{"subject": "e1", "object": "e2", "labels": [], "sentences": []}\n'

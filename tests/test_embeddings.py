@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kbforge import embeddings
 from kbforge.corpus import Sentence, Span, Token
 from kbforge.embeddings import (
+    SGD_BLOCK,
     EmbeddingError,
     EmbeddingTable,
     SkipGramConfig,
@@ -156,6 +160,83 @@ def test_joint_embeddings_deterministic():
     t1 = train_joint_embeddings(sents, kb, node, cfg)
     t2 = train_joint_embeddings(sents, kb, node, cfg)
     assert np.array_equal(t1.vectors, t2.vectors)
+
+
+# -- block-sampled SGD --------------------------------------------------------
+
+def reference_sgd_pairs(vectors, ctx, centers, contexts, samplers_for, rng, k,
+                        lr_schedule, loss_out):
+    """Negative-sampling SGD drawing, updating and scoring one pair at a
+    time: what the block version must reproduce bit for bit."""
+    for center, context in zip(centers, contexts):
+        lr = next(lr_schedule)
+        negs = samplers_for(context).pick(rng.random(k))
+        rows = np.concatenate(([context], negs))
+        labels = np.zeros(len(rows))
+        labels[0] = 1.0
+        w = vectors[center].astype(np.float64)
+        c = ctx[rows].astype(np.float64)
+        scores = 1.0 / (1.0 + np.exp(-(c @ w)))
+        p = np.clip(np.where(labels > 0, scores, 1.0 - scores), 1e-10, 1.0)
+        loss_out.append(float(-np.log(p).sum()))
+        g = scores - labels
+        grad_w = g @ c
+        np.add.at(ctx, rows, (-lr * np.outer(g, w)).astype(ctx.dtype))
+        vectors[center] -= (lr * grad_w).astype(vectors.dtype)
+
+
+def run_both_sgd(seed, n_words, n_entities, dim, n_pairs, k):
+    """Runs reference and block SGD on the same inputs; words and entities
+    get their own samplers, as in joint training. Returns both outcomes."""
+    gen = np.random.default_rng(seed)
+    rows = n_words + n_entities
+    vectors = init_vectors(gen, rows, dim)
+    ctx = gen.normal(0.0, 0.3, (rows, dim)).astype(np.float32)
+    word_sampler = embeddings._NegativeSampler(np.arange(n_words),
+                                               gen.integers(1, 50, n_words))
+    ent_sampler = embeddings._NegativeSampler(np.arange(n_words, rows),
+                                              gen.integers(1, 5, n_entities))
+
+    def samplers_for(row):
+        return ent_sampler if row >= n_words else word_sampler
+
+    pairs = gen.integers(0, rows, (n_pairs, 2))
+    outcomes = []
+    for sgd in (reference_sgd_pairs, embeddings._sgd_pairs):
+        v, c = vectors.copy(), ctx.copy()
+        rng = np.random.Generator(np.random.PCG64(seed))
+        schedule = embeddings._LrSchedule(0.05, n_pairs)
+        losses = []
+        sgd(v, c, pairs[:, 0], pairs[:, 1], samplers_for, rng, k, schedule, losses)
+        outcomes.append((v, c, losses, rng.bit_generator.state, schedule.step))
+    return outcomes
+
+
+def assert_same_sgd(ref, blocked):
+    assert ref[0].tobytes() == blocked[0].tobytes()
+    assert ref[1].tobytes() == blocked[1].tobytes()
+    assert ref[2] == blocked[2]
+    assert ref[3] == blocked[3]
+    assert ref[4] == blocked[4]
+
+
+def test_block_sgd_is_bit_identical_to_pair_by_pair_sgd():
+    # 3 entity rows and k=10 make every entity-context pair repeat a row;
+    # 400 word rows leave most word pairs distinct
+    n_pairs = 2 * SGD_BLOCK + 37
+    ref, blocked = run_both_sgd(5, n_words=400, n_entities=3, dim=16,
+                                n_pairs=n_pairs, k=10)
+    assert len(ref[2]) == n_pairs
+    assert_same_sgd(ref, blocked)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), n_words=st.integers(1, 60),
+       n_entities=st.integers(1, 20), dim=st.integers(1, 12),
+       n_pairs=st.integers(0, 2 * SGD_BLOCK + 3), k=st.integers(1, 12))
+def test_block_sgd_matches_pair_by_pair_sgd_at_any_size(seed, n_words, n_entities,
+                                                        dim, n_pairs, k):
+    assert_same_sgd(*run_both_sgd(seed, n_words, n_entities, dim, n_pairs, k))
 
 
 # -- nearest-neighbour candidates ---------------------------------------------

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from kbforge.corpus import Sentence, Span, Token
+from kbforge.corpus import Sentence, Span, Token, ingest_corpus
+from kbforge.datagen import BootstrapConfig, _extract_once
 from kbforge.embeddings import EmbeddingTable, entity_symbol
-from kbforge.kb import Entity, KnowledgeBase, Triple
+from kbforge.kb import Entity, KnowledgeBase, Triple, load_kb
 from kbforge.linker import (
     Candidate,
     ContextLinkerModel,
     ELConfig,
     GazetteerRecognizer,
     LinkError,
+    TrainableSpanClassifier,
     generate_candidates,
     hinge_loss,
     link,
@@ -332,3 +334,48 @@ def test_link_falls_back_to_context_ranking():
     assert got[0].entity in {"e1", "e2"}
     scores = model.score_candidates(sent, got[0].span, ["e1", "e2"])
     assert got[0].score == pytest.approx(max(scores), abs=1e-7)
+
+
+# -- span classifier ------------------------------------------------------------
+
+
+def reference_span_train(clf, corpus, rng):
+    """TrainableSpanClassifier.train converting each item's feature list to
+    an index on every step: what the trainer must reproduce bit for bit."""
+    clf.max_span_len = max(sp.end - sp.start + 1 for s in corpus for sp in s.spans)
+    items = []
+    for sentence in corpus:
+        gold = {(sp.start, sp.end) for sp in sentence.spans}
+        for se in sorted(gold):
+            items.append((clf._features(sentence, *se), 1.0))
+        negs = [se for se in clf._ngrams(sentence) if se not in gold]
+        if len(negs) > clf.negatives_per_sentence:
+            picks = rng.choice(len(negs), size=clf.negatives_per_sentence, replace=False)
+            negs = [negs[i] for i in sorted(picks)]
+        for se in negs:
+            items.append((clf._features(sentence, *se), 0.0))
+    for _ in range(clf.epochs):
+        for i in rng.permutation(len(items)):
+            idx, y = items[i]
+            z = clf.weights[idx].sum() + clf.bias
+            g = 1.0 / (1.0 + np.exp(-z)) - y
+            clf.weights[idx] -= clf.lr * g
+            clf.bias -= clf.lr * g
+    clf.trained = True
+
+
+@pytest.mark.parametrize("feature_dim", [4096, 16])
+def test_span_classifier_training_matches_per_step_conversion(fixture_dir, feature_dim):
+    # 16 buckets make features of one span collide (repeated indexes)
+    kb = load_kb(fixture_dir / "entities.tsv", fixture_dir / "triples.tsv")
+    raw = ingest_corpus(fixture_dir / "corpus.jsonl")[:300]
+    corpus = _extract_once(raw, kb, None, GazetteerRecognizer(kb), BootstrapConfig(knn_k=0))
+    assert corpus
+    trained, reference = (TrainableSpanClassifier(kb, feature_dim, epochs=3) for _ in "ab")
+    rng_a, rng_b = (np.random.Generator(np.random.PCG64(2)) for _ in "ab")
+    trained.train(corpus, rng_a)
+    reference_span_train(reference, corpus, rng_b)
+    assert trained.weights.tobytes() == reference.weights.tobytes()
+    assert trained.bias == reference.bias
+    assert trained.max_span_len == reference.max_span_len
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -587,6 +587,100 @@ def test_adam_treats_missing_grad_as_zero():
     assert p.data[0, 0] == pytest.approx(1.0)
 
 
+class ReferenceAdam:
+    """Adam updating one parameter at a time: what the flat-buffer
+    optimizer must reproduce bit for bit."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.eps = list(params), lr, eps
+        self.beta1, self.beta2, self.t = beta1, beta2, 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+ADAM_SHAPES = ((3, 4), (5,), (2, 3, 2), (1, 1), (7, 1), (4, 6))
+
+
+def twin_params(rng, dtypes):
+    arrays = [rng.standard_normal(s).astype(d) for s, d in zip(ADAM_SHAPES, dtypes)]
+    return ([Parameter(a.copy(), f"p{i}") for i, a in enumerate(arrays)],
+            [Parameter(a.copy(), f"p{i}") for i, a in enumerate(arrays)])
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32,) * 6,
+                                    (np.float32, F64, np.float32, F64, F64, np.float32)])
+def test_fused_adam_is_bit_identical_to_per_parameter_adam(dtypes):
+    rng = np.random.default_rng(3)
+    fused_params, ref_params = twin_params(rng, dtypes)
+    fused, ref = Adam(fused_params, lr=0.01), ReferenceAdam(ref_params, lr=0.01)
+    for step in range(50):
+        if step == 20:
+            # rebinds every p.data to a new array, as loading a checkpoint does
+            tensors = {p.name: rng.standard_normal(p.data.shape) for p in ref_params}
+            restore_parameters(fused_params, tensors)
+            restore_parameters(ref_params, tensors)
+        for i, (a, b) in enumerate(zip(fused_params, ref_params)):
+            if (step + i) % 4 == 0:
+                a.grad = b.grad = None
+            else:
+                g = rng.standard_normal(a.data.shape) * 10.0 ** rng.integers(-6, 3)
+                g[rng.random(g.shape) < 0.1] = -0.0
+                a.grad, b.grad = g.astype(a.data.dtype), g.astype(b.data.dtype)
+        fused.step()
+        ref.step()
+        for a, b in zip(fused_params, ref_params):
+            assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes(), (step, a.name)
+
+
+def test_fused_adam_names_the_first_nonfinite_parameter_and_changes_nothing():
+    rng = np.random.default_rng(4)
+    params, _ = twin_params(rng, (np.float32,) * 6)
+    opt = Adam(params)
+    for p in params:
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    before = [p.data.copy() for p in params]
+    params[1].grad[0] = np.nan
+    params[3].grad[0, 0] = np.inf
+    with pytest.raises(GradientError, match="p1"):
+        opt.step()
+    assert opt.t == 1
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+
+
+def test_first_gradient_is_a_fresh_array_laid_out_like_the_data():
+    x = Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True)
+    g = np.array([[-0.0, 1.0], [2.0, -3.0]], dtype=np.float32)
+    x._accumulate(g)
+    assert x.grad is not g and x.grad.dtype == np.float32
+    assert np.signbit(x.grad).tolist() == [[False, False], [False, True]]
+    g[0, 1] = 5.0
+    x._accumulate(g)
+    assert x.grad.tolist() == [[0.0, 6.0], [4.0, -6.0]]
+    # broadcasting and casting still go through a zero-filled buffer
+    y = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+    y._accumulate(np.ones((1, 3)))
+    assert y.grad.dtype == np.float32 and y.grad.tolist() == [[1.0] * 3] * 2
+    # a transposed gradient lands in a buffer with the data's layout
+    z = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
+    z._accumulate(np.arange(6, dtype=np.float32).reshape(2, 3).T)
+    assert z.grad.flags.c_contiguous
+    assert z.grad.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+
+
 # -- checkpointing ----------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):

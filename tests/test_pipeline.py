@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -191,6 +192,21 @@ def test_count_multiplicity_edit_reruns_link(tiny_run):
     original = PipelineRunner(load_config(tiny_run["cfg_path"]))
     original.evaluate()
     assert original.stage_ran["link"]
+
+
+def test_reloaded_artifacts_hold_interned_ids(tiny_run):
+    # a fresh runner reads every artifact back from disk
+    runner = PipelineRunner(load_config(tiny_run["cfg_path"]))
+    linked, items = runner.link_corpus()
+    accepted, _ = runner.extracted()
+    assert items and accepted
+    ids = [s.id for s in runner.corpus() + linked]
+    ids += [x for it in items for x in (it.sentence_id, it.method, it.entity, *it.ranking)]
+    ids += [x for bag in runner.bags()["all"]
+            for x in (bag.subject, bag.object, *bag.labels, *bag.sentence_ids)]
+    ids += [x for t in accepted
+            for x in (t.subject, t.relation, t.object, *t.sentence_ids)]
+    assert all(x is sys.intern(x) for x in ids)
 
 
 def test_stage_outputs_exist(tiny_run):
