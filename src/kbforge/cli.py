@@ -7,10 +7,9 @@ cached artifacts from earlier invocations with the same config and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .kb import build_fact_type_templates, load_kb
+from .kb import KBError, Triple, build_fact_type_templates, read_rows
 from .pipeline import PipelineError, PipelineRunner, load_config
 from .relations import validate_triple
 from .synth import SynthConfig, generate_fixture
@@ -21,9 +20,6 @@ def _add_common(parser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the global seed")
     parser.add_argument("--out", default=None, help="artifact directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; execution is "
-                             "single-threaded so runs stay reproducible")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _runner(args) -> PipelineRunner:
-    cfg = load_config(args.config, seed=args.seed, out_dir=args.out,
-                      threads=args.threads)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
     return PipelineRunner(cfg)
 
 
@@ -72,7 +67,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except PipelineError as exc:
+    except (PipelineError, KBError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -81,8 +76,7 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "synth":
-        cfg = load_config(args.config, seed=args.seed, out_dir=args.out,
-                          threads=args.threads)
+        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         synth = SynthConfig(entities=args.entities, types=args.types,
                             relations=args.relations,
                             triples_per_relation=args.triples_per_relation,
@@ -114,20 +108,13 @@ def _dispatch(args) -> int:
         templates = build_fact_type_templates(kb)
         entity_types = {e: kb.entity_type(e) for e in kb.entities}
         accepted = rejected = 0
-        with open(args.triples, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                from .kb import Triple
-                triple = Triple(parts[0], parts[1], parts[2])
-                ok, reason = validate_triple(triple, entity_types, templates)
-                if ok:
-                    accepted += 1
-                else:
-                    rejected += 1
-                    print(f"reject\t{parts[0]}\t{parts[1]}\t{parts[2]}\t{reason}")
+        for _, fields in read_rows(args.triples, 3):
+            ok, reason = validate_triple(Triple(*fields), entity_types, templates)
+            if ok:
+                accepted += 1
+            else:
+                rejected += 1
+                print("reject\t" + "\t".join(fields) + f"\t{reason}")
         print(f"accepted\t{accepted}")
         print(f"rejected\t{rejected}")
         return 0

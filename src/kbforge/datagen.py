@@ -10,15 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Sentence, Span
+from .corpus import Sentence
 from .embeddings import EmbeddingTable
 from .kb import KnowledgeBase
-from .linker import (
-    GazetteerRecognizer,
-    TrainableSpanClassifier,
-    generate_candidates,
-    subgraph_link,
-)
+from .linker import GazetteerRecognizer, TrainableSpanClassifier, link_sentence
+# unused here, but bench/test_bench.py patches it at this import site
+from .linker import subgraph_link  # noqa: F401
 
 
 class DataGenError(Exception):
@@ -69,23 +66,11 @@ def _extract_once(raw_corpus: list[Sentence], kb: KnowledgeBase,
     entity."""
     kept: list[Sentence] = []
     for sentence in raw_corpus:
-        spans = recognizer.recognize(sentence)
-        cands = []
-        for sp in spans:
-            c = generate_candidates(sp, kb, table, cfg.knn_k)
-            if c is not None:
-                cands.append(c)
-        decisions = subgraph_link(cands, kb, cfg.count_multiplicity)
-        linked_spans: list[Span] = []
-        for cand, decision in zip(cands, decisions):
-            if decision is None:
-                continue
-            sp = cand.span
-            linked_spans.append(Span(sp.start, sp.end, sp.surface,
-                                     kb.entity_type(decision.entity),
-                                     decision.entity, "subgraph"))
-        if len(linked_spans) >= 2:
-            kept.append(Sentence(sentence.id, sentence.tokens, linked_spans))
+        linked = [d.span for d in link_sentence(sentence, kb, recognizer, table, cfg.knn_k,
+                                                count_multiplicity=cfg.count_multiplicity)
+                  if d is not None]
+        if len(linked) >= 2:
+            kept.append(Sentence(sentence.id, sentence.tokens, linked))
     return kept
 
 

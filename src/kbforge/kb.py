@@ -169,6 +169,24 @@ def build_fact_type_templates(kb: KnowledgeBase) -> dict[str, tuple[frozenset[st
     return {r: (frozenset(subj[r]), frozenset(obj[r])) for r in sorted(subj)}
 
 
+def read_rows(path, columns: int) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of every non-empty row of a TSV file. A row
+    without exactly ``columns`` fields raises KBLoadError citing the file
+    and the line."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != columns:
+                raise KBLoadError(f"{path}:{lineno}: expected {columns} tab-separated "
+                                  f"fields, found {len(fields)}")
+            rows.append((lineno, fields))
+    return rows
+
+
 def load_kb(entity_file, triple_file, allow_reflexive=False, directed_connections=False) -> KnowledgeBase:
     """Load a KB from the two TSV files.
 
@@ -196,22 +214,14 @@ def load_kb(entity_file, triple_file, allow_reflexive=False, directed_connection
                 raise KBLoadError(f"{entity_file}:{lineno}: {exc}") from None
 
     triples: list[Triple] = []
-    with open(triple_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise KBLoadError(f"{triple_file}:{lineno}: expected subject<TAB>relation<TAB>object")
-            s, r, o = cols
-            if s not in seen:
-                raise KBLoadError(f"{triple_file}:{lineno}: unknown entity id {s!r}")
-            if o not in seen:
-                raise KBLoadError(f"{triple_file}:{lineno}: unknown entity id {o!r}")
-            if s == o and not allow_reflexive:
-                raise KBLoadError(f"{triple_file}:{lineno}: reflexive triple {s!r} -> {o!r}")
-            triples.append(Triple(s, r, o))
+    for lineno, (s, r, o) in read_rows(triple_file, 3):
+        if s not in seen:
+            raise KBLoadError(f"{triple_file}:{lineno}: unknown entity id {s!r}")
+        if o not in seen:
+            raise KBLoadError(f"{triple_file}:{lineno}: unknown entity id {o!r}")
+        if s == o and not allow_reflexive:
+            raise KBLoadError(f"{triple_file}:{lineno}: reflexive triple {s!r} -> {o!r}")
+        triples.append(Triple(s, r, o))
 
     return KnowledgeBase(entities, triples, allow_reflexive=allow_reflexive,
                          directed_connections=directed_connections)

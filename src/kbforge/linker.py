@@ -5,7 +5,7 @@ then a neural context ranker for whatever the first step leaves open.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ class LinkDecision:
     entity: str
     method: str  # subgraph | context
     score: float
+    ranking: tuple[str, ...] = ()  # context decisions: candidates by descending score
 
 
 def _span_type(kb: KnowledgeBase, surface: str) -> str:
@@ -259,16 +260,14 @@ class ContextLinkerModel:
         x = nn.concat([v_c, self._span_vec(span), self._entity_vec(entity)], axis=0)
         return self.scorer(x)
 
-    def score_candidates(self, sentence: Sentence, span: Span,
+    def score_candidates(self, v_c: nn.Tensor, span: Span,
                          entities: list[str]) -> list[float]:
+        """Scores of ``entities`` for ``span``, given its sentence's context
+        vector ``v_c`` from ``_context_vec``."""
         if not self.trained:
             raise LinkError("context linker used before training")
         with nn.no_grad():
-            v_c = self._context_vec(sentence)
             return [self._score(v_c, span, e).item() for e in entities]
-
-    def context_score(self, sentence: Sentence, span: Span, entity: str) -> float:
-        return self.score_candidates(sentence, span, [entity])[0]
 
 
 def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
@@ -324,25 +323,46 @@ def hinge_loss(s: float, s_neg: float, margin: float) -> float:
     return max(0.0, s_neg - s + margin)
 
 
+def link_sentence(sentence: Sentence, kb: KnowledgeBase, recognizer,
+                  table: EmbeddingTable | None, knn_k: int,
+                  model: ContextLinkerModel | None = None,
+                  count_multiplicity: bool = False) -> list[LinkDecision | None]:
+    """recognize -> candidates -> sub-graph step, then, only when ``model``
+    is given, the context step for the spans the sub-graph step leaves open
+    (None for each of them otherwise). Spans with no candidates yield no
+    entry. A decision's span is the recognized span linked to its entity,
+    typed by the KB and tagged with the method that chose it."""
+    cands = [c for c in (generate_candidates(sp, kb, table, knn_k)
+                         for sp in recognizer.recognize(sentence)) if c is not None]
+    v_c = None
+    out: list[LinkDecision | None] = []
+    for cand, decision in zip(cands, subgraph_link(cands, kb, count_multiplicity)):
+        if decision is not None:
+            entity, method, score, ranking = decision.entity, "subgraph", decision.score, ()
+        elif model is not None:
+            if v_c is None:
+                # one encoding serves every open span of the sentence
+                with nn.no_grad():
+                    v_c = model._context_vec(sentence)
+            scores = model.score_candidates(v_c, cand.span, cand.entities)
+            ranked = sorted(zip(cand.entities, scores), key=lambda p: (-p[1], p[0]))
+            (entity, score), method = ranked[0], "context"
+            ranking = tuple(e for e, _ in ranked)
+        else:
+            out.append(None)
+            continue
+        sp = cand.span
+        out.append(LinkDecision(Span(sp.start, sp.end, sp.surface, kb.entity_type(entity),
+                                     entity, method), entity, method, score, ranking))
+    return out
+
+
 def link(sentence: Sentence, kb: KnowledgeBase, table: EmbeddingTable | None,
          model: ContextLinkerModel | None, recognizer, knn_k: int = 10) -> list[LinkDecision]:
-    """recognize -> candidates -> subgraph step -> context step for leftovers.
-    Spans with no candidates yield no decision; the context model is only
-    touched when the sub-graph step leaves something open."""
-    spans = recognizer.recognize(sentence)
-    cands = []
-    for sp in spans:
-        c = generate_candidates(sp, kb, table, knn_k)
-        if c is not None:
-            cands.append(c)
-    decisions = subgraph_link(cands, kb)
-    out: list[LinkDecision] = []
-    for cand, decision in zip(cands, decisions):
-        if decision is None:
-            if model is None:
-                raise LinkError("context step needed but no trained model supplied")
-            scores = model.score_candidates(sentence, cand.span, cand.entities)
-            ranked = sorted(zip(cand.entities, scores), key=lambda p: (-p[1], p[0]))
-            decision = LinkDecision(cand.span, ranked[0][0], "context", ranked[0][1])
-        out.append(decision)
-    return out
+    """``link_sentence`` that must decide every span: the context model is
+    only touched when the sub-graph step leaves something open, and a span
+    left open without one raises LinkError."""
+    decisions = link_sentence(sentence, kb, recognizer, table, knn_k, model)
+    if any(d is None for d in decisions):
+        raise LinkError("context step needed but no trained model supplied")
+    return decisions

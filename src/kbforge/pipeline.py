@@ -2,12 +2,10 @@
 
 Stages: ingest -> node+joint embeddings -> bootstrap -> context-linker
 training -> bag generation -> relation model training -> full-corpus linking
--> extraction -> validation -> enrichment -> evaluation. Each stage hashes
-its input files plus its config subsection; a matching hash with artifacts
-on disk skips the work, so a config edit only invalidates downstream stages.
-
-Everything runs single-threaded; the --threads flag is accepted and recorded
-but execution stays sequential, which is what makes reruns byte-identical.
+-> extraction -> validation -> enrichment -> evaluation. ``STAGES`` declares
+each stage's input files, config slice and outputs. A stage hashes its input
+files plus its config slice; a matching hash with artifacts on disk skips
+the work, so a config edit only invalidates downstream stages.
 """
 
 from __future__ import annotations
@@ -17,14 +15,14 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import nn
-from .corpus import Sentence, Span, ingest_corpus, write_corpus
+from .corpus import Sentence, ingest_corpus, write_corpus
 from .datagen import (
+    Bag,
     BootstrapConfig,
     DistantSupervisionConfig,
     bootstrap_linked_corpus,
@@ -42,16 +40,16 @@ from .embeddings import (
     train_joint_embeddings,
     train_node_embeddings,
 )
-from .kb import KnowledgeBase, Triple, build_fact_type_templates, load_kb
+from .kb import KnowledgeBase, Triple, load_kb, read_rows, save_triples
 from .linker import (
     ContextLinkerModel,
     ELConfig,
     GazetteerRecognizer,
-    LinkDecision,
-    generate_candidates,
-    subgraph_link,
+    link_sentence,
     train_context_linker,
 )
+# unused here, but bench/test_bench.py patches it at this import site
+from .linker import subgraph_link  # noqa: F401
 from .metrics import (
     LinkEvalItem,
     MetricsReport,
@@ -62,6 +60,7 @@ from .metrics import (
 from .relations import (
     ExtractedTriple,
     REConfig,
+    REModel,
     bag_instances,
     extract,
     load_model,
@@ -130,7 +129,6 @@ class PipelineConfig:
     gold_triples_path: str = ""
     out_dir: str = "out"
     seed: int = 0
-    threads: int = 1
     embeddings: SkipGramConfig = field(default_factory=SkipGramConfig)
     bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
     el: ELConfig = field(default_factory=ELConfig)
@@ -165,7 +163,7 @@ def _apply_section(obj, section) -> None:
         setattr(obj, key, value)
 
 
-def load_config(path=None, seed=None, out_dir=None, threads=None) -> PipelineConfig:
+def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is not None:
         parser = configparser.ConfigParser()
@@ -183,7 +181,6 @@ def load_config(path=None, seed=None, out_dir=None, threads=None) -> PipelineCon
         if parser.has_section("pipeline"):
             s = parser["pipeline"]
             cfg.seed = s.getint("seed", cfg.seed)
-            cfg.threads = s.getint("threads", cfg.threads)
         for name, sub in (("embeddings", cfg.embeddings), ("bootstrap", cfg.bootstrap),
                           ("el", cfg.el), ("ds", cfg.ds), ("re", cfg.re)):
             if parser.has_section(name):
@@ -196,8 +193,6 @@ def load_config(path=None, seed=None, out_dir=None, threads=None) -> PipelineCon
         cfg.seed = seed
     if out_dir is not None:
         cfg.out_dir = out_dir
-    if threads is not None:
-        cfg.threads = threads
     cfg.reseed()
     return cfg
 
@@ -216,10 +211,235 @@ def _cfg_digest(obj) -> str:
     return json.dumps(obj, sort_keys=True, default=str)
 
 
+# -- stage builders and loaders ------------------------------------------------
+# A builder writes its stage's output files; a loader reads them back into
+# what the runner's accessor returns. Both take the runner and the output
+# paths in the order the stage table declares them.
+
+
+def _build_embeddings(r: PipelineRunner, vec) -> None:
+    """Node vectors from KB neighborhoods, then joint word+entity training
+    over a provisional sub-graph-linked pass of the corpus (sub-graph
+    decisions never depend on vectors, so this is sound)."""
+    kb = r.kb()
+    node = train_node_embeddings(kb, r.cfg.embeddings)
+    recognizer = GazetteerRecognizer(kb)
+    provisional = [Sentence(s.id, s.tokens,
+                            [d.span for d in link_sentence(s, kb, recognizer, None, 0)
+                             if d is not None])
+                   for s in r.corpus()]
+    save_table(train_joint_embeddings(provisional, kb, node, r.cfg.embeddings), vec)
+
+
+def _build_bootstrap(r: PipelineRunner, linked, report) -> None:
+    corpus, rounds = bootstrap_linked_corpus(r.corpus(), r.kb(), r.embeddings(),
+                                             r.cfg.bootstrap)
+    write_corpus(corpus, linked)
+    write_generation_report(rounds, report)
+
+
+def _load_bootstrap(r: PipelineRunner, linked, report):
+    return ingest_corpus(linked), json.loads(report.read_text())["rounds"]
+
+
+def _build_el(r: PipelineRunner, ckpt) -> None:
+    model = train_context_linker(r.bootstrap()[0], r.kb(), r.embeddings(), r.cfg.el)
+    nn.save_checkpoint(ckpt, model.parameters(), {"trained": True})
+
+
+def _load_el(r: PipelineRunner, ckpt) -> ContextLinkerModel:
+    model = ContextLinkerModel(r.embeddings(), r.cfg.el)
+    meta, tensors = nn.load_checkpoint(ckpt)
+    nn.restore_parameters(model.parameters(), tensors)
+    model.trained = bool(meta["trained"])
+    return model
+
+
+BAG_SPLITS = ("all", "train", "valid", "test")
+
+
+def _build_bags(r: PipelineRunner, *paths) -> None:
+    all_bags = distant_supervision(r.bootstrap()[0], r.kb(), r.cfg.ds)
+    splits = (all_bags,) + split_dataset(all_bags, r.cfg.split, r.cfg.ds.seed + 1)
+    for subset, path in zip(splits, paths):
+        save_bags(subset, path)
+
+
+def _build_re(r: PipelineRunner, ckpt) -> None:
+    sentences_by_id = {s.id: s for s in r.bootstrap()[0]}
+    save_model(train_re(r.bags()["train"], sentences_by_id, r.kb(), r.cfg.re), ckpt)
+
+
+def _build_link(r: PipelineRunner, linked, evals) -> None:
+    """Link the whole corpus with both steps; also emit the per-span
+    evaluation records (method, decision, candidate ranking)."""
+    kb, table, model = r.kb(), r.embeddings(), r.el_model()
+    recognizer = GazetteerRecognizer(kb)
+    out_sentences = []
+    records = []
+    for sentence in r.corpus():
+        decisions = link_sentence(sentence, kb, recognizer, table, r.cfg.el.knn_k, model,
+                                  r.cfg.bootstrap.count_multiplicity)
+        out_sentences.append(Sentence(sentence.id, sentence.tokens,
+                                      [d.span for d in decisions]))
+        records += [{"sentence": sentence.id, "start": d.span.start, "end": d.span.end,
+                     "method": d.method, "entity": d.entity, "ranking": list(d.ranking)}
+                    for d in decisions]
+    write_corpus(out_sentences, linked)
+    with open(evals, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _load_link(r: PipelineRunner, linked, evals):
+    items = []
+    with open(evals, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            items.append(LinkEvalItem(sys.intern(rec["sentence"]), rec["start"],
+                                      rec["end"], sys.intern(rec["method"]),
+                                      sys.intern(rec["entity"]),
+                                      tuple(map(sys.intern, rec["ranking"]))))
+    return ingest_corpus(linked), items
+
+
+def _build_extract(r: PipelineRunner, accepted_path, rejected_path) -> None:
+    rejected = []
+    accepted = extract(r.link_corpus()[0], r.kb(), r.re_model(), rejected_log=rejected)
+    save_extracted_triples(accepted, accepted_path)
+    with open(rejected_path, "w", encoding="utf-8") as fh:
+        for t, reason in rejected:
+            fh.write(f"{t.subject}\t{t.relation}\t{t.object}\t{reason}\n")
+
+
+def _load_extract(r: PipelineRunner, accepted_path, rejected_path):
+    accepted = [ExtractedTriple(sys.intern(s), sys.intern(rel), sys.intern(o), float(conf),
+                                tuple(map(sys.intern, sids.split(","))) if sids else ())
+                for _, (s, rel, o, conf, sids) in read_rows(accepted_path, 5)]
+    rejected = [(Triple(s, rel, o), reason)
+                for _, (s, rel, o, reason) in read_rows(rejected_path, 4)]
+    return accepted, rejected
+
+
+def _build_enrich(r: PipelineRunner, path, added_path) -> None:
+    kb = load_kb(r.cfg.entities_path, r.cfg.triples_path)
+    by_triple = {}
+    for t in r.extracted()[0]:
+        if t.triple() not in kb and t.subject != t.object:
+            prev = by_triple.get(t.triple())
+            sids = set(t.sentence_ids) | (set(prev) if prev else set())
+            by_triple[t.triple()] = tuple(sorted(sids))
+    kb.add_triples(sorted(by_triple))
+    save_triples(kb, path)
+    with open(added_path, "w", encoding="utf-8") as fh:
+        for t in sorted(by_triple):
+            sids = ",".join(by_triple[t])
+            fh.write(f"{t.subject}\t{t.relation}\t{t.object}\t{sids}\n")
+
+
+def _load_enrich(r: PipelineRunner, path, added_path) -> int:
+    """Number of triples the enrichment added to the KB."""
+    return len(read_rows(path, 3)) - r.kb().triple_count
+
+
+def _build_evaluate(r: PipelineRunner, metrics_path) -> None:
+    _, items = r.link_corpus()
+    linked, rounds = r.bootstrap()
+    report = MetricsReport()
+    report.rounds = rounds
+
+    if r.cfg.gold_links_path:
+        report.el = eval_entity_linker(items, load_gold_links(r.cfg.gold_links_path))
+
+    model = r.re_model()
+    bags = r.bags()
+    sentences_by_id = {s.id: s for s in linked}
+    if bags["test"]:
+        predictions = [model.predict(bag_instances(bag, sentences_by_id))[1]
+                       for bag in bags["test"]]
+        report.re = eval_relation_extractor(predictions,
+                                             [set(b.labels) for b in bags["test"]])
+
+    accepted, rejected = r.extracted()
+    kb = r.kb()
+    truth = {(t.subject, t.relation, t.object) for t in kb.iter_triples()}
+    if r.cfg.gold_triples_path:
+        truth |= load_gold_triples(r.cfg.gold_triples_path)
+    report.triple_precision = triple_precision(
+        [(t.subject, t.relation, t.object) for t in accepted], truth)
+
+    report.counts = {
+        "sentences": len(r.corpus()),
+        "kb_entities": len(kb.entities),
+        "kb_triples": kb.triple_count,
+        "bootstrap_sentences": len(linked),
+        "bags_total": len(bags["all"]),
+        "bags_train": len(bags["train"]),
+        "bags_valid": len(bags["valid"]),
+        "bags_test": len(bags["test"]),
+        "linked_spans": len(items),
+        "extracted_accepted": len(accepted),
+        "extracted_rejected": len(rejected),
+        "enriched_added": r.enriched(),
+    }
+    metrics_path.write_text(report.to_json())
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One cached stage. ``inputs`` are source names (see ``SOURCES``) or
+    artifact names in the out dir; each artifact input makes the stage that
+    outputs it upstream of this one. The cache key hashes the inputs in the
+    order given, then ``config(cfg)`` and the global seed."""
+    name: str
+    inputs: tuple[str, ...]
+    config: Callable[[PipelineConfig], object]
+    outputs: tuple[str, ...]
+    build: Callable[..., None]
+    load: Callable[..., object]
+
+
+# input files named by the config rather than by the out dir
+SOURCES = ("entities", "triples", "corpus", "gold_links", "gold_triples")
+_KB = ("entities", "triples")
+_BAGS = tuple(f"bags_{name}.jsonl" for name in BAG_SPLITS)
+
+STAGES = {stage.name: stage for stage in (
+    Stage("embeddings", _KB + ("corpus",), lambda c: c.embeddings,
+          ("embeddings.vec",), _build_embeddings, lambda r, vec: load_table(vec)),
+    Stage("bootstrap", _KB + ("corpus", "embeddings.vec"), lambda c: c.bootstrap,
+          ("linked.jsonl", "rounds.json"), _build_bootstrap, _load_bootstrap),
+    Stage("el", ("linked.jsonl", "embeddings.vec") + _KB, lambda c: c.el,
+          ("el.ckpt",), _build_el, _load_el),
+    Stage("bags", ("linked.jsonl",) + _KB,
+          lambda c: {"ds": dataclasses.asdict(c.ds), "split": list(c.split)},
+          _BAGS, _build_bags,
+          lambda r, *paths: {name: load_bags(p) for name, p in zip(BAG_SPLITS, paths)}),
+    Stage("re", ("bags_train.jsonl", "linked.jsonl") + _KB, lambda c: c.re,
+          ("re.ckpt",), _build_re, lambda r, ckpt: load_model(ckpt)),
+    Stage("link", ("corpus", "embeddings.vec", "el.ckpt") + _KB,
+          lambda c: {"el": dataclasses.asdict(c.el),
+                     "count_multiplicity": c.bootstrap.count_multiplicity},
+          ("final_linked.jsonl", "link_eval.jsonl"), _build_link, _load_link),
+    Stage("extract", ("final_linked.jsonl", "re.ckpt") + _KB, lambda c: {},
+          ("extracted.tsv", "rejected.tsv"), _build_extract, _load_extract),
+    Stage("enrich", ("extracted.tsv",) + _KB, lambda c: {},
+          ("enriched_triples.tsv", "enriched_added.tsv"), _build_enrich, _load_enrich),
+    Stage("evaluate",
+          ("final_linked.jsonl", "link_eval.jsonl", "linked.jsonl", "rounds.json",
+           "re.ckpt") + _BAGS + ("extracted.tsv", "rejected.tsv", "enriched_triples.tsv")
+          + _KB + ("corpus", "gold_links", "gold_triples"),
+          lambda c: {}, ("metrics.json",), _build_evaluate,
+          lambda r, path: MetricsReport(**json.loads(path.read_text()))),
+)}
+PRODUCER = {out: stage.name for stage in STAGES.values() for out in stage.outputs}
+
+
 class PipelineRunner:
-    """Owns the artifact directory and the stage graph. Stage methods are
-    idempotent: they return cached results when inputs and config are
-    unchanged."""
+    """Owns the artifact directory and ensures the stages of ``STAGES``:
+    each accessor returns its stage's loaded outputs, building them first
+    (upstream stages included) unless the cache holds them for the same
+    inputs and config. A runner ensures each stage at most once."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
@@ -230,6 +450,7 @@ class PipelineRunner:
         if self._manifest_path.exists():
             self._manifest = json.loads(self._manifest_path.read_text())
         self._mem: dict[str, object] = {}
+        # stage -> whether this runner built it (False: cache hit)
         self.stage_ran: dict[str, bool] = {}
 
     # -- cache plumbing -------------------------------------------------------
@@ -237,7 +458,8 @@ class PipelineRunner:
     def _key(self, input_files, subcfg) -> str:
         h = hashlib.sha256()
         for f in input_files:
-            h.update(_hash_file(f).encode())
+            # an optional source left unconfigured hashes as a marker
+            h.update(_hash_file(f).encode() if f else b"-")
         h.update(_cfg_digest(subcfg).encode())
         h.update(str(self.cfg.seed).encode())
         return h.hexdigest()
@@ -255,8 +477,7 @@ class PipelineRunner:
     def _run_stage(self, stage: str, input_files, subcfg, outputs, builder):
         key = self._key(input_files, subcfg)
         if self._fresh(stage, key, outputs):
-            # a repeat ensure-call must not erase this session's "ran" flag
-            self.stage_ran.setdefault(stage, False)
+            self.stage_ran[stage] = False
             return
         try:
             builder()
@@ -268,7 +489,23 @@ class PipelineRunner:
         self._record(stage, key, outputs)
         self.stage_ran[stage] = True
 
-    # -- stages ---------------------------------------------------------------
+    def _ensure(self, name: str):
+        """The loaded outputs of stage ``name``, after ensuring it and,
+        first, every stage that outputs one of its inputs."""
+        stage = STAGES[name]
+        outputs = [self.out / o for o in stage.outputs]
+        if name not in self.stage_ran:
+            for upstream in dict.fromkeys(PRODUCER[i] for i in stage.inputs if i in PRODUCER):
+                self._ensure(upstream)
+            inputs = [getattr(self.cfg, f"{i}_path") if i in SOURCES else self.out / i
+                      for i in stage.inputs]
+            self._run_stage(name, inputs, stage.config(self.cfg), outputs,
+                            lambda: stage.build(self, *outputs))
+        if name not in self._mem:
+            self._mem[name] = stage.load(self, *outputs)
+        return self._mem[name]
+
+    # -- accessors ------------------------------------------------------------
 
     def kb(self) -> KnowledgeBase:
         if "kb" not in self._mem:
@@ -284,296 +521,32 @@ class PipelineRunner:
             self._mem["corpus"] = ingest_corpus(self.cfg.corpus_path)
         return self._mem["corpus"]
 
-    def _kb_inputs(self):
-        return [self.cfg.entities_path, self.cfg.triples_path]
-
     def embeddings(self) -> EmbeddingTable:
-        """Node vectors from KB neighborhoods, then joint word+entity
-        training over a provisional sub-graph-linked pass of the corpus
-        (sub-graph decisions never depend on vectors, so this is sound)."""
-        out_path = self.out / "embeddings.vec"
-
-        def build():
-            kb = self.kb()
-            node = train_node_embeddings(kb, self.cfg.embeddings)
-            provisional: list[Sentence] = []
-            recognizer = GazetteerRecognizer(kb)
-            for sentence in self.corpus():
-                spans = recognizer.recognize(sentence)
-                cands = [c for c in (generate_candidates(sp, kb, None, 0)
-                                     for sp in spans) if c is not None]
-                linked = []
-                for cand, decision in zip(cands, subgraph_link(cands, kb)):
-                    if decision is not None:
-                        sp = cand.span
-                        linked.append(Span(sp.start, sp.end, sp.surface,
-                                           kb.entity_type(decision.entity),
-                                           decision.entity, "subgraph"))
-                provisional.append(Sentence(sentence.id, sentence.tokens, linked))
-            table = train_joint_embeddings(provisional, kb, node, self.cfg.embeddings)
-            save_table(table, out_path)
-
-        self._run_stage("embeddings", self._kb_inputs() + [self.cfg.corpus_path],
-                        self.cfg.embeddings, [out_path], build)
-        if "table" not in self._mem:
-            self._mem["table"] = load_table(out_path)
-        return self._mem["table"]
+        return self._ensure("embeddings")
 
     def bootstrap(self) -> tuple[list[Sentence], list]:
-        linked_path = self.out / "linked.jsonl"
-        report_path = self.out / "rounds.json"
-        self.embeddings()
-
-        def build():
-            corpus, rounds = bootstrap_linked_corpus(
-                self.corpus(), self.kb(), self.embeddings(), self.cfg.bootstrap)
-            write_corpus(corpus, linked_path)
-            write_generation_report(rounds, report_path)
-
-        self._run_stage("bootstrap",
-                        self._kb_inputs() + [self.cfg.corpus_path,
-                                             self.out / "embeddings.vec"],
-                        self.cfg.bootstrap, [linked_path, report_path], build)
-        if "bootstrap" not in self._mem:
-            rounds = json.loads(report_path.read_text())["rounds"]
-            self._mem["bootstrap"] = (ingest_corpus(linked_path), rounds)
-        return self._mem["bootstrap"]
+        return self._ensure("bootstrap")
 
     def el_model(self) -> ContextLinkerModel:
-        ckpt = self.out / "el.ckpt"
-        self.bootstrap()
+        return self._ensure("el")
 
-        def build():
-            linked, _ = self.bootstrap()
-            model = train_context_linker(linked, self.kb(), self.embeddings(),
-                                         self.cfg.el)
-            nn.save_checkpoint(ckpt, model.parameters(), {"trained": True})
+    def bags(self) -> dict[str, list[Bag]]:
+        return self._ensure("bags")
 
-        self._run_stage("el", [self.out / "linked.jsonl", self.out / "embeddings.vec"]
-                        + self._kb_inputs(), self.cfg.el, [ckpt], build)
-        if "el_model" not in self._mem:
-            model = ContextLinkerModel(self.embeddings(), self.cfg.el)
-            meta, tensors = nn.load_checkpoint(ckpt)
-            nn.restore_parameters(model.parameters(), tensors)
-            model.trained = bool(meta["trained"])
-            self._mem["el_model"] = model
-        return self._mem["el_model"]
+    def re_model(self) -> REModel:
+        return self._ensure("re")
 
-    def bags(self):
-        paths = {name: self.out / f"bags_{name}.jsonl"
-                 for name in ("all", "train", "valid", "test")}
-        self.bootstrap()
+    def link_corpus(self) -> tuple[list[Sentence], list[LinkEvalItem]]:
+        return self._ensure("link")
 
-        def build():
-            linked, _ = self.bootstrap()
-            all_bags = distant_supervision(linked, self.kb(), self.cfg.ds)
-            train, valid, test = split_dataset(all_bags, self.cfg.split,
-                                               self.cfg.ds.seed + 1)
-            for name, subset in (("all", all_bags), ("train", train),
-                                 ("valid", valid), ("test", test)):
-                save_bags(subset, paths[name])
+    def extracted(self) -> tuple[list[ExtractedTriple], list[tuple[Triple, str]]]:
+        return self._ensure("extract")
 
-        self._run_stage("bags", [self.out / "linked.jsonl"] + self._kb_inputs(),
-                        {"ds": dataclasses.asdict(self.cfg.ds),
-                         "split": list(self.cfg.split)},
-                        list(paths.values()), build)
-        if "bags" not in self._mem:
-            self._mem["bags"] = {name: load_bags(p) for name, p in paths.items()}
-        return self._mem["bags"]
-
-    def re_model(self):
-        ckpt = self.out / "re.ckpt"
-        self.bags()
-
-        def build():
-            linked, _ = self.bootstrap()
-            sentences_by_id = {s.id: s for s in linked}
-            model = train_re(self.bags()["train"], sentences_by_id, self.kb(),
-                             self.cfg.re)
-            save_model(model, ckpt)
-
-        self._run_stage("re", [self.out / "bags_train.jsonl",
-                               self.out / "linked.jsonl"] + self._kb_inputs(),
-                        self.cfg.re, [ckpt], build)
-        if "re_model" not in self._mem:
-            self._mem["re_model"] = load_model(ckpt)
-        return self._mem["re_model"]
-
-    def link_corpus(self):
-        """Link the whole corpus with both steps; also emit the per-span
-        evaluation records (method, decision, candidate ranking)."""
-        linked_path = self.out / "final_linked.jsonl"
-        eval_path = self.out / "link_eval.jsonl"
-        self.el_model()
-
-        def build():
-            kb = self.kb()
-            table = self.embeddings()
-            model = self.el_model()
-            recognizer = GazetteerRecognizer(kb)
-            out_sentences = []
-            records = []
-            for sentence in self.corpus():
-                spans = recognizer.recognize(sentence)
-                cands = [c for c in (generate_candidates(sp, kb, table,
-                                                         self.cfg.el.knn_k)
-                                     for sp in spans) if c is not None]
-                decisions = subgraph_link(cands, kb, self.cfg.bootstrap.count_multiplicity)
-                linked_spans = []
-                for cand, decision in zip(cands, decisions):
-                    sp = cand.span
-                    if decision is not None:
-                        ranking = ()
-                    else:
-                        scores = model.score_candidates(sentence, sp, cand.entities)
-                        ranked = sorted(zip(cand.entities, scores),
-                                        key=lambda p: (-p[1], p[0]))
-                        ranking = tuple(e for e, _ in ranked)
-                        decision = LinkDecision(sp, ranked[0][0], "context",
-                                                ranked[0][1])
-                    linked_spans.append(Span(sp.start, sp.end, sp.surface,
-                                             kb.entity_type(decision.entity),
-                                             decision.entity, decision.method))
-                    records.append({"sentence": sentence.id, "start": sp.start,
-                                    "end": sp.end, "method": decision.method,
-                                    "entity": decision.entity,
-                                    "ranking": list(ranking)})
-                out_sentences.append(Sentence(sentence.id, sentence.tokens,
-                                              linked_spans))
-            write_corpus(out_sentences, linked_path)
-            with open(eval_path, "w", encoding="utf-8") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-        self._run_stage("link", [self.cfg.corpus_path, self.out / "embeddings.vec",
-                                 self.out / "el.ckpt"] + self._kb_inputs(),
-                        {"el": dataclasses.asdict(self.cfg.el),
-                         "count_multiplicity": self.cfg.bootstrap.count_multiplicity},
-                        [linked_path, eval_path], build)
-        if "final_linked" not in self._mem:
-            items = []
-            with open(eval_path, encoding="utf-8") as fh:
-                for line in fh:
-                    rec = json.loads(line)
-                    items.append(LinkEvalItem(sys.intern(rec["sentence"]), rec["start"],
-                                              rec["end"], sys.intern(rec["method"]),
-                                              sys.intern(rec["entity"]),
-                                              tuple(map(sys.intern, rec["ranking"]))))
-            self._mem["final_linked"] = (ingest_corpus(linked_path), items)
-        return self._mem["final_linked"]
-
-    def extracted(self):
-        triples_path = self.out / "extracted.tsv"
-        rejected_path = self.out / "rejected.tsv"
-        self.link_corpus()
-        self.re_model()
-
-        def build():
-            corpus, _ = self.link_corpus()
-            rejected = []
-            accepted = extract(corpus, self.kb(), self.re_model(),
-                               rejected_log=rejected)
-            save_extracted_triples(accepted, triples_path)
-            with open(rejected_path, "w", encoding="utf-8") as fh:
-                for t, reason in rejected:
-                    fh.write(f"{t.subject}\t{t.relation}\t{t.object}\t{reason}\n")
-
-        self._run_stage("extract", [self.out / "final_linked.jsonl",
-                                    self.out / "re.ckpt"] + self._kb_inputs(),
-                        {}, [triples_path, rejected_path], build)
-        if "extracted" not in self._mem:
-            accepted = []
-            with open(triples_path, encoding="utf-8") as fh:
-                for line in fh:
-                    s, r, o, conf, sids = line.rstrip("\n").split("\t")
-                    accepted.append(ExtractedTriple(
-                        sys.intern(s), sys.intern(r), sys.intern(o), float(conf),
-                        tuple(map(sys.intern, sids.split(","))) if sids else ()))
-            rejected = []
-            with open(rejected_path, encoding="utf-8") as fh:
-                for line in fh:
-                    s, r, o, reason = line.rstrip("\n").split("\t")
-                    rejected.append((Triple(s, r, o), reason))
-            self._mem["extracted"] = (accepted, rejected)
-        return self._mem["extracted"]
-
-    def enriched(self):
-        path = self.out / "enriched_triples.tsv"
-        added_path = self.out / "enriched_added.tsv"
-        self.extracted()
-
-        def build():
-            kb = load_kb(self.cfg.entities_path, self.cfg.triples_path)
-            accepted, _ = self.extracted()
-            by_triple = {}
-            for t in accepted:
-                if t.triple() not in kb and t.subject != t.object:
-                    prev = by_triple.get(t.triple())
-                    sids = set(t.sentence_ids) | (set(prev) if prev else set())
-                    by_triple[t.triple()] = tuple(sorted(sids))
-            added = kb.add_triples(sorted(by_triple))
-            self._mem["enriched_added"] = added
-            with open(path, "w", encoding="utf-8") as fh:
-                for t in kb.iter_triples():
-                    fh.write(f"{t.subject}\t{t.relation}\t{t.object}\n")
-            with open(added_path, "w", encoding="utf-8") as fh:
-                for t in sorted(by_triple):
-                    sids = ",".join(by_triple[t])
-                    fh.write(f"{t.subject}\t{t.relation}\t{t.object}\t{sids}\n")
-
-        self._run_stage("enrich", [self.out / "extracted.tsv"] + self._kb_inputs(),
-                        {}, [path, added_path], build)
-        if "enriched_added" not in self._mem:
-            base = self.kb().triple_count
-            with open(path, encoding="utf-8") as fh:
-                total = sum(1 for line in fh if line.strip())
-            self._mem["enriched_added"] = total - base
-        return self._mem["enriched_added"]
+    def enriched(self) -> int:
+        return self._ensure("enrich")
 
     def evaluate(self) -> MetricsReport:
-        metrics_path = self.out / "metrics.json"
-        corpus, items = self.link_corpus()
-        _, rounds = self.bootstrap()
-        report = MetricsReport()
-        report.rounds = rounds
-
-        if self.cfg.gold_links_path:
-            gold = load_gold_links(self.cfg.gold_links_path)
-            report.el = eval_entity_linker(items, gold)
-
-        model = self.re_model()
-        test = self.bags()["test"]
-        linked, _ = self.bootstrap()
-        sentences_by_id = {s.id: s for s in linked}
-        if test:
-            predictions = [model.predict(bag_instances(bag, sentences_by_id))[1]
-                           for bag in test]
-            report.re = eval_relation_extractor(predictions,
-                                                 [set(b.labels) for b in test])
-
-        accepted, rejected = self.extracted()
-        truth = {(t.subject, t.relation, t.object) for t in self.kb().iter_triples()}
-        if self.cfg.gold_triples_path:
-            truth |= load_gold_triples(self.cfg.gold_triples_path)
-        report.triple_precision = triple_precision(
-            [(t.subject, t.relation, t.object) for t in accepted], truth)
-
-        report.counts = {
-            "sentences": len(self.corpus()),
-            "kb_entities": len(self.kb().entities),
-            "kb_triples": self.kb().triple_count,
-            "bootstrap_sentences": len(linked),
-            "bags_total": len(self.bags()["all"]),
-            "bags_train": len(self.bags()["train"]),
-            "bags_valid": len(self.bags()["valid"]),
-            "bags_test": len(self.bags()["test"]),
-            "linked_spans": len(items),
-            "extracted_accepted": len(accepted),
-            "extracted_rejected": len(rejected),
-            "enriched_added": self.enriched(),
-        }
-        metrics_path.write_text(report.to_json())
-        return report
+        return self._ensure("evaluate")
 
 
 def run_pipeline(cfg: PipelineConfig) -> MetricsReport:

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Sentence, Span, Token, validate_sentence
+from .kb import read_rows
 
 GIVENS = ["Ben", "Kia", "Mori", "Tala", "Rafe", "Una", "Velo", "Sera", "Dain",
           "Lio", "Mara", "Oren", "Pia", "Quin", "Rua", "Sil", "Tovo", "Vena",
@@ -249,23 +250,9 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
 
 
 def load_gold_links(path) -> dict[tuple[str, int, int], str]:
-    gold = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sid, start, end, eid = line.split("\t")
-            gold[(sid, int(start), int(end))] = eid
-    return gold
+    return {(sid, int(start), int(end)): eid
+            for _, (sid, start, end, eid) in read_rows(path, 4)}
 
 
 def load_gold_triples(path) -> set[tuple[str, str, str]]:
-    out = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                s, r, o = line.split("\t")
-                out.add((s, r, o))
-    return out
+    return {tuple(fields) for _, fields in read_rows(path, 3)}

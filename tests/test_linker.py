@@ -15,6 +15,7 @@ from kbforge.linker import (
     generate_candidates,
     hinge_loss,
     link,
+    link_sentence,
     subgraph_link,
     train_context_linker,
 )
@@ -247,8 +248,9 @@ def test_context_model_untrained_raises():
     kb = stark_kb()
     table = small_table(["Stark"], ["e1", "e2", "e3"])
     model = ContextLinkerModel(table, ELConfig(hidden=4, mlp_hidden=8))
+    v_c = model._context_vec(mk_sentence(["Stark"]))
     with pytest.raises(LinkError):
-        model.score_candidates(mk_sentence(["Stark"]), span_at(0, "Stark"), ["e1"])
+        model.score_candidates(v_c, span_at(0, "Stark"), ["e1"])
 
 
 def test_train_requires_linked_spans():
@@ -281,13 +283,10 @@ def test_context_scores_are_pure_and_bounded():
     table, model = trained_model()
     sent = mk_sentence(["Stark", "met", "Pepper"])
     sp = span_at(0, "Stark")
-    a = model.score_candidates(sent, sp, ["e1", "e2"])
-    b = model.score_candidates(sent, sp, ["e1", "e2"])
+    a = model.score_candidates(model._context_vec(sent), sp, ["e1", "e2"])
+    b = model.score_candidates(model._context_vec(sent), sp, ["e1", "e2"])
     assert a == b
     assert all(0.0 < s < 1.0 for s in a)
-    # batch scoring agrees with one-at-a-time scoring
-    assert a[0] == pytest.approx(model.context_score(sent, sp, "e1"), abs=1e-7)
-    assert a[1] == pytest.approx(model.context_score(sent, sp, "e2"), abs=1e-7)
 
 
 def test_training_runs_singleton_candidate_negative_path():
@@ -332,8 +331,34 @@ def test_link_falls_back_to_context_ranking():
     assert len(got) == 1
     assert got[0].method == "context"
     assert got[0].entity in {"e1", "e2"}
-    scores = model.score_candidates(sent, got[0].span, ["e1", "e2"])
+    scores = model.score_candidates(model._context_vec(sent), got[0].span, ["e1", "e2"])
     assert got[0].score == pytest.approx(max(scores), abs=1e-7)
+    assert got[0].ranking[0] == got[0].entity and sorted(got[0].ranking) == ["e1", "e2"]
+
+
+def test_link_sentence_encodes_each_sentence_once(monkeypatch):
+    # two "Stark" spans with no connected candidate pair: both stay open
+    kb = stark_kb()
+    table, model = trained_model(kb)
+    sent = mk_sentence(["Stark", "built", "Stark"])
+    assert subgraph_link([generate_candidates(sp, kb, None, 0)
+                          for sp in GazetteerRecognizer(kb).recognize(sent)], kb) == [None, None]
+    encode = ContextLinkerModel._context_vec
+    calls = []
+
+    def counting(self, sentence):
+        calls.append(sentence.id)
+        return encode(self, sentence)
+
+    monkeypatch.setattr(ContextLinkerModel, "_context_vec", counting)
+    got = link_sentence(sent, kb, GazetteerRecognizer(kb), table, 0, model)
+    assert len(calls) == 1
+    assert [d.method for d in got] == ["context", "context"]
+    # bit-identical to scoring each span on its own encoding
+    for d in got:
+        scores = model.score_candidates(encode(model, sent), d.span, ["e1", "e2"])
+        assert d.score == max(scores)
+    assert link_sentence(sent, kb, GazetteerRecognizer(kb), table, 0) == [None, None]
 
 
 # -- span classifier ------------------------------------------------------------

@@ -1,10 +1,20 @@
 import json
+import shutil
 import sys
 
 import pytest
 
 from kbforge import cli
+from kbforge.datagen import BootstrapConfig, _extract_once
 from kbforge.kb import load_kb
+from kbforge.linker import (
+    GazetteerRecognizer,
+    LinkError,
+    generate_candidates,
+    link,
+    subgraph_link,
+)
+from kbforge.nn import no_grad
 from kbforge.pipeline import (
     BenchmarkError,
     PipelineError,
@@ -15,7 +25,7 @@ from kbforge.pipeline import (
 from kbforge.synth import SynthConfig, generate_fixture
 
 STAGES = ("embeddings", "bootstrap", "el", "bags", "re", "link", "extract",
-          "enrich")
+          "enrich", "evaluate")
 
 TINY_SYNTH = SynthConfig(entities=30, types=3, relations=3,
                          triples_per_relation=6, sentences_per_triple=2,
@@ -109,7 +119,7 @@ def test_config_file_sections(tmp_path):
                  "[split]\ntrain = 0.7\nvalid = 0.2\ntest = 0.1\n")
     cfg = load_config(p)
     assert cfg.entities_path == "e.tsv" and cfg.out_dir == "art"
-    assert cfg.seed == 9 and cfg.threads == 2
+    assert cfg.seed == 9
     assert cfg.embeddings.dim == 32
     assert cfg.bootstrap.count_multiplicity is True
     assert cfg.el.margin == 0.25
@@ -124,8 +134,8 @@ def test_config_file_sections(tmp_path):
 def test_cli_overrides_beat_file(tmp_path):
     p = tmp_path / "c.ini"
     p.write_text("[pipeline]\nseed = 9\n[paths]\nout_dir = art\n")
-    cfg = load_config(p, seed=3, out_dir="elsewhere", threads=4)
-    assert cfg.seed == 3 and cfg.out_dir == "elsewhere" and cfg.threads == 4
+    cfg = load_config(p, seed=3, out_dir="elsewhere")
+    assert cfg.seed == 3 and cfg.out_dir == "elsewhere"
     assert cfg.embeddings.seed == 4
 
 
@@ -192,6 +202,118 @@ def test_count_multiplicity_edit_reruns_link(tiny_run):
     original = PipelineRunner(load_config(tiny_run["cfg_path"]))
     original.evaluate()
     assert original.stage_ran["link"]
+
+
+def rerun_on_copy(tiny_run, tmp_path, edit):
+    """Evaluate with the config text passed through ``edit``, on a copy of
+    the built out dir so the shared one stays as built."""
+    out = tmp_path / "artifacts"
+    shutil.copytree(tiny_run["out"], out)
+    cfg_path = write_tiny_config(tiny_run["fixture"], out)
+    cfg_path.write_text(edit(cfg_path.read_text()))
+    runner = PipelineRunner(load_config(cfg_path))
+    runner.evaluate()
+    return runner, out
+
+
+# stages whose inputs are, transitively, outputs of the key stage
+DOWNSTREAM = {
+    "embeddings": set(STAGES) - {"embeddings"},
+    "bootstrap": set(STAGES) - {"embeddings", "bootstrap"},
+    "el": {"link", "extract", "enrich", "evaluate"},
+    "bags": {"re", "extract", "enrich", "evaluate"},
+    "re": {"extract", "enrich", "evaluate"},
+}
+
+
+@pytest.mark.parametrize("stage, section, line", [
+    ("embeddings", "[embeddings]", "learning_rate = 0.04"),
+    ("bootstrap", "[bootstrap]", "classifier_lr = 0.4"),
+    ("el", "[el]", "margin = 0.25"),
+    ("bags", "[ds]", "na_ratio = 0.5"),
+    ("bags", "[split]", "train = 0.7\nvalid = 0.2\ntest = 0.1"),
+    ("re", "[re]", "margin = 0.2"),
+])
+def test_config_slice_edit_reruns_only_that_stage_and_downstream(
+        tiny_run, tmp_path, stage, section, line):
+    def edit(text):
+        if section not in text:
+            text += f"\n{section}\n"
+        return text.replace(f"{section}\n", f"{section}\n{line}\n")
+
+    runner, _ = rerun_on_copy(tiny_run, tmp_path, edit)
+    assert set(runner.stage_ran) == set(STAGES)
+    assert runner.stage_ran[stage]
+    ran = {s for s, flag in runner.stage_ran.items() if flag}
+    assert ran <= {stage} | DOWNSTREAM[stage]
+
+
+def test_gold_edit_reruns_only_evaluate(tiny_run, tmp_path):
+    gold = tmp_path / "gold_links.tsv"
+    rows = (tiny_run["fixture"] / "gold_links.tsv").read_text().splitlines(keepends=True)
+    gold.write_text("".join(rows[: len(rows) // 2]))
+    runner, out = rerun_on_copy(
+        tiny_run, tmp_path,
+        lambda text: text.replace(f"{tiny_run['fixture']}/gold_links.tsv", str(gold)))
+    assert runner.stage_ran == {s: s == "evaluate" for s in STAGES}
+    assert (out / "metrics.json").read_text() != tiny_run["report"].to_json()
+    assert runner.evaluate().el["coverage"] != tiny_run["report"].el["coverage"]
+
+
+def test_link_sentence_keeps_each_former_callers_contract(tiny_run):
+    runner = PipelineRunner(load_config(tiny_run["cfg_path"]))
+    kb, table, model = runner.kb(), runner.embeddings(), runner.el_model()
+    recognizer = GazetteerRecognizer(kb)
+    corpus = runner.corpus()
+
+    def subgraph_step(sentence, multiplicity=False):
+        """recognize -> candidates -> sub-graph link, as each caller wrote it"""
+        cands = [c for c in (generate_candidates(sp, kb, None, 0)
+                             for sp in recognizer.recognize(sentence)) if c is not None]
+        return cands, subgraph_link(cands, kb, multiplicity)
+
+    def spans(sentence):
+        return [(sp.start, sp.end, sp.surface, sp.span_type, sp.linked, sp.method)
+                for sp in sentence.spans]
+
+    # data generation: undecided spans dropped, sentences with >= 2 links kept
+    for multiplicity in (False, True):
+        want = []
+        for sentence in corpus:
+            cands, decisions = subgraph_step(sentence, multiplicity)
+            linked = [(c.span.start, c.span.end, c.span.surface, kb.entity_type(d.entity),
+                       d.entity, "subgraph") for c, d in zip(cands, decisions) if d]
+            if len(linked) >= 2:
+                want.append((sentence.id, linked))
+        got = _extract_once(corpus, kb, None, recognizer,
+                            BootstrapConfig(knn_k=0, count_multiplicity=multiplicity))
+        assert [(s.id, spans(s)) for s in got] == want
+
+    # full linking: the context model ranks what the sub-graph step leaves
+    # open, with scores equal to encoding the sentence for each span
+    open_spans = 0
+    for sentence in corpus:
+        cands, decisions = subgraph_step(sentence)
+        want = []
+        for cand, decision in zip(cands, decisions):
+            if decision is None:
+                with no_grad():
+                    v_c = model._context_vec(sentence)
+                scores = model.score_candidates(v_c, cand.span, cand.entities)
+                ranked = sorted(zip(cand.entities, scores), key=lambda p: (-p[1], p[0]))
+                want.append((ranked[0][0], "context", ranked[0][1],
+                             tuple(e for e, _ in ranked)))
+            else:
+                want.append((decision.entity, "subgraph", decision.score, ()))
+        got = link(sentence, kb, None, model, recognizer, knn_k=0)
+        assert [(d.entity, d.method, d.score, d.ranking) for d in got] == want
+        open_spans += decisions.count(None)
+        if None in decisions:
+            with pytest.raises(LinkError):
+                link(sentence, kb, None, None, recognizer, knn_k=0)
+        else:
+            assert link(sentence, kb, None, None, recognizer, knn_k=0) == got
+    assert open_spans
 
 
 def test_reloaded_artifacts_hold_interned_ids(tiny_run):
@@ -286,6 +408,19 @@ def test_cli_validate(tiny_run, tmp_path, capsys):
     reasons = {line.split("\t")[-1] for line in lines
                if line.startswith("reject\t")}
     assert reasons == {"unknown-relation", "subject-type"}
+
+
+@pytest.mark.parametrize("rows, where", [("e1\tr\te2\ne1\tr\n", ":2:"), (None, "")])
+def test_cli_validate_bad_triples_file_is_an_error(tiny_run, tmp_path, capsys,
+                                                    rows, where):
+    bad = tmp_path / "probe.tsv"
+    if rows is not None:
+        bad.write_text(rows)
+    rc, stdout, stderr = run_cli(capsys, "validate", "--config",
+                                 str(tiny_run["cfg_path"]), "--triples", str(bad))
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("error:") and f"{bad}{where}" in stderr
 
 
 def test_cli_run_all_emits_metrics_json(tiny_run, capsys):
