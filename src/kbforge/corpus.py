@@ -1,7 +1,6 @@
 """Tokenized, parsed sentences: ingestion, gazetteer matching, dependency paths.
 
-All operations here are pure value transforms; sentences can be mapped over
-in parallel without coordination.
+All operations here are pure value transforms.
 """
 
 from __future__ import annotations

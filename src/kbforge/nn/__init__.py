@@ -16,7 +16,6 @@ from .autograd import (
     narrow,
     no_grad,
     relu,
-    reshape,
     scale,
     segment_sum,
     sigmoid,
@@ -24,10 +23,9 @@ from .autograd import (
     sub,
     take,
     tanh,
-    transpose,
     tsum,
 )
 from .checkpoint import CheckpointError, load_checkpoint, restore_parameters, save_checkpoint
-from .layers import BiLSTM, GCNLayer, Linear, LSTMCell, TwoLayerScorer, affine, glorot
-from .numeric import max_relative_error, numeric_gradient
+from .layers import BiLSTM, GCNLayer, Linear, TwoLayerScorer, glorot
+from .numeric import numeric_gradient
 from .optim import Adam, GradientError

@@ -112,22 +112,6 @@ class Tensor:
                 if parent.requires_grad and g is not None:
                     parent._accumulate(g)
 
-    # operator sugar; keeps call sites readable
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class Parameter(Tensor):
     __slots__ = ("name",)
@@ -206,22 +190,6 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b),
                  lambda g: (g @ b.data.T if a.requires_grad else None,
                             a.data.T @ g if b.requires_grad else None))
-
-
-def transpose(a, axes=None) -> Tensor:
-    a = _wrap(a)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = np.argsort(axes)
-    return _node(np.transpose(a.data, axes), (a,),
-                 lambda g: (np.transpose(g, inverse),))
-
-
-def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
-    old = a.shape
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

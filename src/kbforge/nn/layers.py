@@ -1,5 +1,5 @@
-"""Layer modules built on the autograd tape: affine, two-layer scorers,
-an LSTM direction's weights + bidirectional runner, and a graph-convolution layer.
+"""Layer modules built on the autograd tape: an affine layer, a two-layer
+scorer, a bidirectional LSTM and a graph-convolution layer.
 
 Every module exposes parameters() for the optimizer and checkpointing, and
 takes an explicit np.random.Generator so construction is seed-deterministic.
@@ -19,17 +19,13 @@ def glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype=Non
     return arr.astype(dtype or ag.DEFAULT_DTYPE)
 
 
-def affine(x, w, b):
-    return ag.add(ag.matmul(w, x), b)
-
-
 class Linear:
     def __init__(self, in_dim: int, out_dim: int, rng, name: str, dtype=None):
         self.w = Parameter(glorot(rng, (out_dim, in_dim), in_dim, out_dim, dtype), f"{name}.w")
         self.b = Parameter(np.zeros((out_dim, 1), dtype=dtype or ag.DEFAULT_DTYPE), f"{name}.b")
 
     def __call__(self, x):
-        return affine(x, self.w, self.b)
+        return ag.add(ag.matmul(self.w, x), self.b)
 
     def parameters(self):
         return [self.w, self.b]
@@ -50,21 +46,14 @@ class TwoLayerScorer:
         return self.l1.parameters() + self.l2.parameters()
 
 
-class LSTMCell:
-    """Holds the weights of one LSTM direction; ag.lstm_sequence runs them.
-    Gate blocks of wx, wh and b are ordered input, forget, candidate,
-    output."""
-
-    def __init__(self, in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
-        dt = dtype or ag.DEFAULT_DTYPE
-        self.wx = Parameter(glorot(rng, (4 * hidden_dim, in_dim), in_dim, hidden_dim, dtype), f"{name}.wx")
-        self.wh = Parameter(glorot(rng, (4 * hidden_dim, hidden_dim), hidden_dim, hidden_dim, dtype), f"{name}.wh")
-        bias = np.zeros((4 * hidden_dim, 1), dtype=dt)
-        bias[hidden_dim:2 * hidden_dim] = 1.0  # forget gate open at start
-        self.b = Parameter(bias, f"{name}.b")
-
-    def parameters(self):
-        return [self.wx, self.wh, self.b]
+def _lstm_weights(in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
+    """(wx, wh, b) of one LSTM direction, as ag.lstm_sequence takes them.
+    Gate blocks are ordered input, forget, candidate, output."""
+    wx = Parameter(glorot(rng, (4 * hidden_dim, in_dim), in_dim, hidden_dim, dtype), f"{name}.wx")
+    wh = Parameter(glorot(rng, (4 * hidden_dim, hidden_dim), hidden_dim, hidden_dim, dtype), f"{name}.wh")
+    bias = np.zeros((4 * hidden_dim, 1), dtype=dtype or ag.DEFAULT_DTYPE)
+    bias[hidden_dim:2 * hidden_dim] = 1.0  # forget gate open at start
+    return wx, wh, Parameter(bias, f"{name}.b")
 
 
 class BiLSTM:
@@ -75,14 +64,12 @@ class BiLSTM:
     (2*hidden, 1) column."""
 
     def __init__(self, in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
-        self.fwd = LSTMCell(in_dim, hidden_dim, rng, f"{name}.fwd", dtype)
-        self.bwd = LSTMCell(in_dim, hidden_dim, rng, f"{name}.bwd", dtype)
+        self.fwd = _lstm_weights(in_dim, hidden_dim, rng, f"{name}.fwd", dtype)
+        self.bwd = _lstm_weights(in_dim, hidden_dim, rng, f"{name}.bwd", dtype)
 
     def __call__(self, x, lengths=None):
-        fwd, bwd = self.fwd, self.bwd
-        self._last = (ag.lstm_sequence(x, fwd.wx, fwd.wh, fwd.b, lengths=lengths),
-                      ag.lstm_sequence(x, bwd.wx, bwd.wh, bwd.b, reverse=True,
-                                       lengths=lengths))
+        self._last = (ag.lstm_sequence(x, *self.fwd, lengths=lengths),
+                      ag.lstm_sequence(x, *self.bwd, reverse=True, lengths=lengths))
         return ag.concat(self._last, axis=0)
 
     def final_states(self):
@@ -92,7 +79,7 @@ class BiLSTM:
                           ag.narrow(b_states, 1, 0, 1)], axis=0)
 
     def parameters(self):
-        return self.fwd.parameters() + self.bwd.parameters()
+        return [*self.fwd, *self.bwd]
 
 
 class GCNLayer:

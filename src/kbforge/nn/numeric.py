@@ -25,7 +25,3 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         it.iternext()
     return grad
 
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -248,8 +248,10 @@ def _build_el(r: PipelineRunner, ckpt) -> None:
 
 
 def _load_el(r: PipelineRunner, ckpt) -> ContextLinkerModel:
-    model = ContextLinkerModel(r.embeddings(), r.cfg.el)
     meta, tensors = nn.load_checkpoint(ckpt)
+    if "trained" not in meta:
+        raise nn.CheckpointError(f"{ckpt}: meta lacks key 'trained'")
+    model = ContextLinkerModel(r.embeddings(), r.cfg.el)
     nn.restore_parameters(model.parameters(), tensors)
     model.trained = bool(meta["trained"])
     return model
@@ -439,7 +441,8 @@ class PipelineRunner:
     """Owns the artifact directory and ensures the stages of ``STAGES``:
     each accessor returns its stage's loaded outputs, building them first
     (upstream stages included) unless the cache holds them for the same
-    inputs and config. A runner ensures each stage at most once."""
+    inputs and config. A runner ensures each stage at most once, and loads
+    a stage's outputs only when its accessor is called."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
@@ -450,17 +453,25 @@ class PipelineRunner:
         if self._manifest_path.exists():
             self._manifest = json.loads(self._manifest_path.read_text())
         self._mem: dict[str, object] = {}
+        # file -> sha256; a file is hashed only after the stage that writes
+        # it has been ensured, and a runner ensures each stage once
+        self._hashes: dict[object, str] = {}
         # stage -> whether this runner built it (False: cache hit)
         self.stage_ran: dict[str, bool] = {}
 
     # -- cache plumbing -------------------------------------------------------
 
-    def _key(self, input_files, subcfg) -> str:
+    def _key(self, stage: Stage) -> str:
         h = hashlib.sha256()
-        for f in input_files:
+        for name in stage.inputs:
+            f = getattr(self.cfg, f"{name}_path") if name in SOURCES else self.out / name
+            if f and f not in self._hashes:
+                if not Path(f).exists():
+                    raise PipelineError(f"stage {stage.name}: input {name} not found: {f}")
+                self._hashes[f] = _hash_file(f)
             # an optional source left unconfigured hashes as a marker
-            h.update(_hash_file(f).encode() if f else b"-")
-        h.update(_cfg_digest(subcfg).encode())
+            h.update(self._hashes[f].encode() if f else b"-")
+        h.update(_cfg_digest(stage.config(self.cfg)).encode())
         h.update(str(self.cfg.seed).encode())
         return h.hexdigest()
 
@@ -474,35 +485,36 @@ class PipelineRunner:
         self._manifest_path.write_text(json.dumps(self._manifest, sort_keys=True,
                                                   indent=2) + "\n")
 
-    def _run_stage(self, stage: str, input_files, subcfg, outputs, builder):
-        key = self._key(input_files, subcfg)
-        if self._fresh(stage, key, outputs):
-            self.stage_ran[stage] = False
+    def _ensure(self, name: str) -> None:
+        """Ensure stage ``name``: first every stage that outputs one of its
+        inputs, then this one, which builds unless the cache holds its
+        outputs for the same key. Loads nothing."""
+        if name in self.stage_ran:
+            return
+        stage = STAGES[name]
+        for upstream in dict.fromkeys(PRODUCER[i] for i in stage.inputs if i in PRODUCER):
+            self._ensure(upstream)
+        outputs = [self.out / o for o in stage.outputs]
+        key = self._key(stage)
+        if self._fresh(name, key, outputs):
+            self.stage_ran[name] = False
             return
         try:
-            builder()
+            stage.build(self, *outputs)
         except Exception as exc:
-            raise PipelineError(f"stage {stage}: {exc}") from exc
-        missing = [str(p) for p in outputs if not Path(p).exists()]
+            raise PipelineError(f"stage {name}: {exc}") from exc
+        missing = [str(p) for p in outputs if not p.exists()]
         if missing:
-            raise PipelineError(f"stage {stage} did not produce {missing}")
-        self._record(stage, key, outputs)
-        self.stage_ran[stage] = True
+            raise PipelineError(f"stage {name} did not produce {missing}")
+        self._record(name, key, outputs)
+        self.stage_ran[name] = True
 
-    def _ensure(self, name: str):
-        """The loaded outputs of stage ``name``, after ensuring it and,
-        first, every stage that outputs one of its inputs."""
-        stage = STAGES[name]
-        outputs = [self.out / o for o in stage.outputs]
-        if name not in self.stage_ran:
-            for upstream in dict.fromkeys(PRODUCER[i] for i in stage.inputs if i in PRODUCER):
-                self._ensure(upstream)
-            inputs = [getattr(self.cfg, f"{i}_path") if i in SOURCES else self.out / i
-                      for i in stage.inputs]
-            self._run_stage(name, inputs, stage.config(self.cfg), outputs,
-                            lambda: stage.build(self, *outputs))
+    def _loaded(self, name: str):
+        """The loaded outputs of stage ``name``, ensured first."""
+        self._ensure(name)
         if name not in self._mem:
-            self._mem[name] = stage.load(self, *outputs)
+            stage = STAGES[name]
+            self._mem[name] = stage.load(self, *(self.out / o for o in stage.outputs))
         return self._mem[name]
 
     # -- accessors ------------------------------------------------------------
@@ -522,31 +534,31 @@ class PipelineRunner:
         return self._mem["corpus"]
 
     def embeddings(self) -> EmbeddingTable:
-        return self._ensure("embeddings")
+        return self._loaded("embeddings")
 
     def bootstrap(self) -> tuple[list[Sentence], list]:
-        return self._ensure("bootstrap")
+        return self._loaded("bootstrap")
 
     def el_model(self) -> ContextLinkerModel:
-        return self._ensure("el")
+        return self._loaded("el")
 
     def bags(self) -> dict[str, list[Bag]]:
-        return self._ensure("bags")
+        return self._loaded("bags")
 
     def re_model(self) -> REModel:
-        return self._ensure("re")
+        return self._loaded("re")
 
     def link_corpus(self) -> tuple[list[Sentence], list[LinkEvalItem]]:
-        return self._ensure("link")
+        return self._loaded("link")
 
     def extracted(self) -> tuple[list[ExtractedTriple], list[tuple[Triple, str]]]:
-        return self._ensure("extract")
+        return self._loaded("extract")
 
     def enriched(self) -> int:
-        return self._ensure("enrich")
+        return self._loaded("enrich")
 
     def evaluate(self) -> MetricsReport:
-        return self._ensure("evaluate")
+        return self._loaded("evaluate")
 
 
 def run_pipeline(cfg: PipelineConfig) -> MetricsReport:

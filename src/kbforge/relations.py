@@ -41,7 +41,6 @@ class REConfig:
     seed: int = 0
     sdp_anchor: str = "last"
     sdp_include_internal: bool = True
-    freeze_word_vectors: bool = False
 
     def __post_init__(self):
         dims = (self.word_dim, self.pos_dim, self.type_dim, self.tag_dim, self.hidden)
@@ -77,8 +76,7 @@ def segment_anchors(subject_span: Span, object_span: Span) -> tuple[int, int, in
 
 class REModel:
     def __init__(self, cfg: REConfig, relations: list[str], word_vocab: list[str],
-                 type_vocab: list[str], tag_vocab: list[str],
-                 word_vectors: dict[str, np.ndarray] | None = None, dtype=None):
+                 type_vocab: list[str], tag_vocab: list[str], dtype=None):
         if not relations:
             raise RelationError("relation vocabulary is empty")
         self.cfg = cfg
@@ -91,54 +89,35 @@ class REModel:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
         d_e, d_h = cfg.token_dim, cfg.hidden
-        self.word_frozen = word_vectors is not None and cfg.freeze_word_vectors
 
         def table(name, rows, dim):
             return nn.Parameter(
                 rng.uniform(-0.5 / dim, 0.5 / dim, (rows, dim)).astype(self.dtype), name)
 
         self.emb_word = table("re.emb.word", len(self.word_index), cfg.word_dim)
-        if word_vectors is not None:
-            for word, row in self.word_index.items():
-                vec = word_vectors.get(word)
-                if vec is not None:
-                    if vec.shape != (cfg.word_dim,):
-                        raise RelationError(f"pretrained vector for {word!r} has "
-                                            f"shape {vec.shape}, want ({cfg.word_dim},)")
-                    self.emb_word.data[row] = vec.astype(self.dtype)
         self.emb_pos1 = table("re.emb.pos1", 2 * cfg.max_pos + 1, cfg.pos_dim)
         self.emb_pos2 = table("re.emb.pos2", 2 * cfg.max_pos + 1, cfg.pos_dim)
         self.emb_pos3 = table("re.emb.pos3", cfg.max_pos + 2, cfg.pos_dim)
         self.emb_type = table("re.emb.type", len(self.type_index), cfg.type_dim)
         self.emb_tag = table("re.emb.tag", len(self.tag_index), cfg.tag_dim)
 
-        g = lambda shape, fi, fo, name: nn.Parameter(
-            nn.glorot(rng, shape, fi, fo, self.dtype), name)
-        zeros = lambda shape, name: nn.Parameter(np.zeros(shape, dtype=self.dtype), name)
-
         self.conv_w = nn.Parameter(
             nn.glorot(rng, (d_h, d_e, cfg.conv_width), d_e * cfg.conv_width, d_h, self.dtype),
             "re.conv.w")
-        self.conv_b = zeros((d_h, 1), "re.conv.b")
+        self.conv_b = nn.Parameter(np.zeros((d_h, 1), dtype=self.dtype), "re.conv.b")
 
         self.lstm = nn.BiLSTM(d_e, d_h // 2, rng, "re.lstm", self.dtype)
         self.gcn = [nn.GCNLayer(d_h, rng, f"re.gcn{l}", self.dtype)
                     for l in range(cfg.gcn_layers)]
 
-        self.att_w1 = g((d_e, d_e), d_e, d_e, "re.att.w1")
-        self.att_b1 = zeros((d_e, 1), "re.att.b1")
-        self.att_w2 = g((d_e, d_e), d_e, d_e, "re.att.w2")
-        self.att_b2 = zeros((d_e, 1), "re.att.b2")
-        self.att_proj = g((d_h, d_e), d_e, d_h, "re.att.proj")
-        self.gate_w1 = g((d_h, d_h), d_h, d_h, "re.gate.w1")
-        self.gate_b1 = zeros((d_h, 1), "re.gate.b1")
-        self.gate_w2 = g((6 * d_h, d_h), d_h, 6 * d_h, "re.gate.w2")
-        self.gate_b2 = zeros((6 * d_h, 1), "re.gate.b2")
-
-        self.out_w1 = g((3 * d_h, 6 * d_h + 1), 6 * d_h + 1, 3 * d_h, "re.out.w1")
-        self.out_b1 = zeros((3 * d_h, 1), "re.out.b1")
-        self.out_w2 = g((len(relations), 3 * d_h), 3 * d_h, len(relations), "re.out.w2")
-        self.out_b2 = zeros((len(relations), 1), "re.out.b2")
+        # each layer draws its initial weights from rng as it is built
+        self.att1 = nn.Linear(d_e, d_e, rng, "re.att.l1", self.dtype)
+        self.att2 = nn.Linear(d_e, d_e, rng, "re.att.l2", self.dtype)
+        self.att_proj = nn.Parameter(nn.glorot(rng, (d_h, d_e), d_e, d_h, self.dtype),
+                                     "re.att.proj")
+        self.gate = nn.TwoLayerScorer(d_h, d_h, 6 * d_h, rng, "re.gate", self.dtype)
+        self.head = nn.TwoLayerScorer(6 * d_h + 1, 3 * d_h, len(relations), rng, "re.out",
+                                      self.dtype)
         self.threshold = nn.Parameter(
             np.full((1, 1), cfg.threshold_init, dtype=self.dtype), "re.threshold")
         self.trained = False
@@ -153,16 +132,13 @@ class REModel:
         return index
 
     def parameters(self):
-        params = [] if self.word_frozen else [self.emb_word]
-        params += [self.emb_pos1, self.emb_pos2, self.emb_pos3, self.emb_type,
-                   self.emb_tag, self.conv_w, self.conv_b]
+        params = [self.emb_word, self.emb_pos1, self.emb_pos2, self.emb_pos3,
+                  self.emb_type, self.emb_tag, self.conv_w, self.conv_b]
         params += self.lstm.parameters()
         for layer in self.gcn:
             params += layer.parameters()
-        params += [self.att_w1, self.att_b1, self.att_w2, self.att_b2, self.att_proj,
-                   self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2,
-                   self.out_w1, self.out_b1, self.out_w2, self.out_b2, self.threshold]
-        return params
+        return (params + self.att1.parameters() + self.att2.parameters() + [self.att_proj]
+                + self.gate.parameters() + self.head.parameters() + [self.threshold])
 
     # -- encoding ------------------------------------------------------------
     #
@@ -264,13 +240,9 @@ class REModel:
     def selective_gate(self, x: nn.Tensor, lengths=None) -> nn.Tensor:
         """Per sentence: attention over its own tokens, then the gate MLP;
         (6h, B)."""
-        q = nn.add(nn.matmul(self.att_w2,
-                             nn.relu(nn.add(nn.matmul(self.att_w1, x), self.att_b1))),
-                   self.att_b2)
-        p = nn.softmax(q, axis=1, lengths=lengths)
+        p = nn.softmax(self.att2(nn.relu(self.att1(x))), axis=1, lengths=lengths)
         s_att = nn.matmul(self.att_proj, nn.segment_sum(nn.mul(p, x), lengths))
-        hidden = nn.relu(nn.add(nn.matmul(self.gate_w1, s_att), self.gate_b1))
-        gate = nn.sigmoid(nn.add(nn.matmul(self.gate_w2, hidden), self.gate_b2))
+        gate = self.gate(s_att)
         assert gate.shape == (6 * self.cfg.hidden, 1 if lengths is None else len(lengths))
         return gate
 
@@ -291,9 +263,7 @@ class REModel:
 
     def predict_from_bag_vector(self, v: nn.Tensor, direction: float) -> nn.Tensor:
         d = nn.Tensor(np.array([[direction]], dtype=self.dtype))
-        z = nn.concat([v, d], axis=0)
-        hidden = nn.relu(nn.add(nn.matmul(self.out_w1, z), self.out_b1))
-        scores = nn.sigmoid(nn.add(nn.matmul(self.out_w2, hidden), self.out_b2))
+        scores = self.head(nn.concat([v, d], axis=0))
         assert scores.shape == (len(self.relations), 1)
         return scores
 
@@ -359,14 +329,13 @@ def bag_instances(bag: Bag, sentences_by_id: dict[str, Sentence]
 
 
 def train_re(bags: list[Bag], sentences_by_id: dict[str, Sentence],
-             kb: KnowledgeBase, cfg: REConfig,
-             word_vectors: dict[str, np.ndarray] | None = None) -> REModel:
+             kb: KnowledgeBase, cfg: REConfig) -> REModel:
     if not bags:
         raise RelationError("no bags to train on")
     word_vocab = sorted({t.surface for s in sentences_by_id.values() for t in s.tokens})
     tag_vocab = sorted({t.pos_tag for s in sentences_by_id.values() for t in s.tokens})
     type_vocab = sorted(set(kb.types) | {UNTYPED, NO_SPAN_TYPE})
-    model = REModel(cfg, kb.relations, word_vocab, type_vocab, tag_vocab, word_vectors)
+    model = REModel(cfg, kb.relations, word_vocab, type_vocab, tag_vocab)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     opt = nn.Adam(model.parameters(), lr=cfg.learning_rate)
@@ -465,18 +434,23 @@ def save_model(model: REModel, path) -> None:
         "tag_vocab": [w for w, _ in sorted(model.tag_index.items(), key=lambda p: p[1])],
         "trained": model.trained,
     }
-    nn.save_checkpoint(path, model.parameters() + ([model.emb_word] if model.word_frozen else []),
-                       meta)
+    nn.save_checkpoint(path, model.parameters(), meta)
 
 
 def load_model(path) -> REModel:
+    """The model save_model wrote; CheckpointError names the path and the
+    meta key for a checkpoint whose meta does not fit REModel."""
     meta, tensors = nn.load_checkpoint(path)
-    cfg = REConfig(**meta["config"])
-    vocab = [w for w in meta["word_vocab"] if w != UNK]
-    types = [w for w in meta["type_vocab"] if w != UNK]
-    tags = [w for w in meta["tag_vocab"] if w != UNK]
-    model = REModel(cfg, meta["relations"], vocab, types, tags)
-    nn.restore_parameters(model.parameters() if not model.word_frozen
-                          else model.parameters() + [model.emb_word], tensors)
-    model.trained = bool(meta["trained"])
+    try:
+        config, relations, trained = meta["config"], meta["relations"], meta["trained"]
+        vocabs = [[w for w in meta[key] if w != UNK]
+                  for key in ("word_vocab", "type_vocab", "tag_vocab")]
+    except KeyError as exc:
+        raise nn.CheckpointError(f"{path}: meta lacks key {exc}") from exc
+    unknown = sorted(set(config) - set(REConfig.__dataclass_fields__))
+    if unknown:
+        raise nn.CheckpointError(f"{path}: meta config has unknown key {unknown[0]!r}")
+    model = REModel(REConfig(**config), relations, *vocabs)
+    nn.restore_parameters(model.parameters(), tensors)
+    model.trained = bool(trained)
     return model

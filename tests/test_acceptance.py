@@ -174,15 +174,14 @@ def component_points():
         model = fresh_model(seed)
         x = leaf(rng, (d_e, n), "x")
         fn = weighted_sum(lambda: model.selective_gate(x), rng)
-        return fn, [x, model.att_w1, model.att_b1, model.att_w2, model.att_b2,
-                    model.att_proj, model.gate_w1, model.gate_b1,
-                    model.gate_w2, model.gate_b2]
+        return fn, ([x] + model.att1.parameters() + model.att2.parameters()
+                    + [model.att_proj] + model.gate.parameters())
 
     def out_mlp(rng, seed):
         model = fresh_model(seed)
         v = leaf(rng, (6 * d_h, 1), "v")
         fn = weighted_sum(lambda: model.predict_from_bag_vector(v, 1.0), rng)
-        return fn, [v, model.out_w1, model.out_b1, model.out_w2, model.out_b2]
+        return fn, [v] + model.head.parameters()
 
     def margin_loss(rng):
         raw = rng.uniform(0.0, 1.0, size=(4, 1))

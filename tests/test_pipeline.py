@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import re
 import shutil
 import sys
 
 import pytest
 
-from kbforge import cli
+from kbforge import cli, nn, pipeline
 from kbforge.datagen import BootstrapConfig, _extract_once
 from kbforge.kb import load_kb
 from kbforge.linker import (
@@ -15,6 +17,7 @@ from kbforge.linker import (
     subgraph_link,
 )
 from kbforge.nn import no_grad
+from kbforge.relations import load_model
 from kbforge.pipeline import (
     BenchmarkError,
     PipelineError,
@@ -202,6 +205,56 @@ def test_count_multiplicity_edit_reruns_link(tiny_run):
     original = PipelineRunner(load_config(tiny_run["cfg_path"]))
     original.evaluate()
     assert original.stage_ran["link"]
+
+
+def test_warm_evaluate_loads_only_what_it_returns(tiny_run, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a warm evaluate loaded an upstream artifact")
+
+    for name, stage in pipeline.STAGES.items():
+        if name != "evaluate":
+            monkeypatch.setitem(pipeline.STAGES, name, dataclasses.replace(stage, load=refuse))
+    monkeypatch.setattr(pipeline, "load_kb", refuse)
+    monkeypatch.setattr(pipeline, "ingest_corpus", refuse)
+    runner = PipelineRunner(load_config(tiny_run["cfg_path"]))
+    assert runner.evaluate().to_json() == tiny_run["report"].to_json()
+    assert {s: False for s in STAGES} == runner.stage_ran
+
+
+def test_warm_evaluate_hashes_each_input_file_once(tiny_run, monkeypatch):
+    hashed = []
+    real = pipeline._hash_file
+    monkeypatch.setattr(pipeline, "_hash_file",
+                        lambda path: hashed.append(str(path)) or real(path))
+    PipelineRunner(load_config(tiny_run["cfg_path"])).evaluate()
+    inputs = {i for stage in pipeline.STAGES.values() for i in stage.inputs}
+    assert len(hashed) == len(set(hashed)) == len(inputs)
+
+
+def test_missing_configured_input_names_stage_and_input(tiny_run, tmp_path):
+    cfg = load_config(tiny_run["cfg_path"], out_dir=str(tmp_path / "out"))
+    cfg.corpus_path = str(tmp_path / "absent.jsonl")
+    with pytest.raises(PipelineError, match="stage embeddings: input corpus not found"):
+        PipelineRunner(cfg).evaluate()
+
+
+@pytest.mark.parametrize("ckpt, edit, key", [
+    # an re.ckpt written before REConfig lost freeze_word_vectors
+    ("re.ckpt", lambda meta: meta["config"].update(freeze_word_vectors=False),
+     "freeze_word_vectors"),
+    ("re.ckpt", lambda meta: meta.pop("relations"), "relations"),
+    ("el.ckpt", lambda meta: meta.pop("trained"), "trained"),
+], ids=["re-unknown-config-key", "re-no-relations", "el-no-trained"])
+def test_checkpoint_meta_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp_path,
+                                                                 ckpt, edit, key):
+    meta, tensors = nn.load_checkpoint(tiny_run["out"] / ckpt)
+    edit(meta)
+    forged = tmp_path / ckpt
+    nn.save_checkpoint(forged, tensors, meta)
+    load = (load_model if ckpt == "re.ckpt"
+            else lambda path: pipeline._load_el(tiny_run["runner"], path))
+    with pytest.raises(nn.CheckpointError, match=f"{re.escape(str(forged))}.*'{key}'"):
+        load(forged)
 
 
 def rerun_on_copy(tiny_run, tmp_path, edit):

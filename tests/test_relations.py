@@ -362,6 +362,18 @@ def test_full_model_gradients_float64():
     assert err < 1e-4
 
 
+def test_parameter_names_and_order_are_pinned():
+    # Adam's flat buffer is laid out in this order, and re.ckpt stores these names
+    assert [p.name for p in tiny_model().parameters()] == [
+        "re.emb.word", "re.emb.pos1", "re.emb.pos2", "re.emb.pos3", "re.emb.type",
+        "re.emb.tag", "re.conv.w", "re.conv.b",
+        "re.lstm.fwd.wx", "re.lstm.fwd.wh", "re.lstm.fwd.b",
+        "re.lstm.bwd.wx", "re.lstm.bwd.wh", "re.lstm.bwd.b", "re.gcn0.w", "re.gcn0.b",
+        "re.att.l1.w", "re.att.l1.b", "re.att.l2.w", "re.att.l2.b", "re.att.proj",
+        "re.gate.l1.w", "re.gate.l1.b", "re.gate.l2.w", "re.gate.l2.b",
+        "re.out.l1.w", "re.out.l1.b", "re.out.l2.w", "re.out.l2.b", "re.threshold"]
+
+
 # -- prediction and extraction ------------------------------------------------
 
 
