@@ -35,9 +35,6 @@ class Span:
     linked: str | None = None
     method: str | None = None
 
-    def covers(self, index: int) -> bool:
-        return self.start <= index <= self.end
-
     def overlaps(self, other: "Span") -> bool:
         return not (self.end < other.start or other.end < self.start)
 
@@ -99,23 +96,6 @@ def validate_sentence(sentence: Sentence) -> None:
         prev = sp
 
 
-def _chain_heads(n: int) -> list[int]:
-    # token i heads token i+1; token 0 is root
-    return [-1] + list(range(n - 1))
-
-
-def fallback_parse(raw: str, sentence_id: str = "s0") -> Sentence:
-    """Whitespace tokens, UNK tags, left-headed chain dependency."""
-    parts = raw.split()
-    if not parts:
-        raise CorpusError("empty or whitespace-only input")
-    heads = _chain_heads(len(parts))
-    tokens = [Token(i, w, "UNK", heads[i]) for i, w in enumerate(parts)]
-    sent = Sentence(sentence_id, tokens)
-    validate_sentence(sent)
-    return sent
-
-
 def sentence_from_record(rec: dict) -> Sentence:
     sid = rec.get("id")
     if not sid:
@@ -129,7 +109,8 @@ def sentence_from_record(rec: dict) -> Sentence:
     pos = rec.get("pos") or ["UNK"] * len(words)
     heads = rec.get("heads")
     if heads is None:
-        heads = _chain_heads(len(words))
+        # token i heads token i+1; token 0 is root
+        heads = [-1] + list(range(len(words) - 1))
     if len(pos) != len(words) or len(heads) != len(words):
         raise CorpusError(f"sentence {sid!r}: pos/heads length mismatch")
     # a corpus repeats few distinct words, tags and span labels many times:
@@ -200,33 +181,23 @@ def write_corpus(sentences, path) -> None:
 # -- gazetteer matching ---------------------------------------------------
 
 class Gazetteer:
-    """Surface -> candidate entity ids, built solely from KB aliases."""
+    """The alias surfaces of a KB, and the most tokens any of them has."""
 
-    def __init__(self, entries: dict[str, frozenset[str]], lowercase: bool = False):
-        self.lowercase = lowercase
-        self._index = {self._key(a): ids for a, ids in entries.items()}
-        self.max_ngram = max((len(a.split()) for a in entries), default=1)
-
-    def _key(self, surface: str) -> str:
-        return surface.lower() if self.lowercase else surface
-
-    def lookup(self, surface: str) -> frozenset[str]:
-        return self._index.get(self._key(surface), frozenset())
+    def __init__(self, aliases):
+        self._aliases = frozenset(aliases)
+        self.max_ngram = max((len(a.split()) for a in self._aliases), default=1)
 
     def __contains__(self, surface: str) -> bool:
-        return self._key(surface) in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
+        return surface in self._aliases
 
 
-def build_gazetteer(kb: KnowledgeBase, lowercase: bool = False) -> Gazetteer:
-    return Gazetteer(dict(kb.alias_items()), lowercase=lowercase)
+def build_gazetteer(kb: KnowledgeBase) -> Gazetteer:
+    return Gazetteer(alias for alias, _ in kb.alias_items())
 
 
 def longest_ngram_match(sentence: Sentence, gazetteer: Gazetteer) -> list[Span]:
     """Greedy left-to-right leftmost-longest alias matching; returned spans
-    never overlap. Candidate entities for a span are gazetteer.lookup(surface)."""
+    never overlap."""
     n = len(sentence.tokens)
     out: list[Span] = []
     pos = 0
@@ -246,17 +217,9 @@ def longest_ngram_match(sentence: Sentence, gazetteer: Gazetteer) -> list[Span]:
 
 # -- dependency paths ------------------------------------------------------
 
-def anchor_token(span: Span, anchor: str = "last") -> int:
-    if anchor == "first":
-        return span.start
-    if anchor == "last":
-        return span.end
-    raise ValueError(f"unknown anchor convention {anchor!r}")
-
-
-def shortest_dependency_path(sentence: Sentence, a: Span, b: Span, anchor: str = "last") -> list[int]:
-    """Unique tree path between the anchor tokens of the two spans, both
-    anchors included, ordered from a's anchor to b's."""
+def shortest_dependency_path(sentence: Sentence, a: Span, b: Span) -> list[int]:
+    """Unique tree path between the last tokens of the two spans, both
+    included, ordered from a's last token to b's."""
     if a.overlaps(b):
         raise CorpusError(f"sentence {sentence.id!r}: spans overlap, no dependency path")
     heads = sentence.heads()
@@ -267,8 +230,8 @@ def shortest_dependency_path(sentence: Sentence, a: Span, b: Span, anchor: str =
             out.append(heads[out[-1]])
         return out
 
-    ca = chain(anchor_token(a, anchor))
-    cb = chain(anchor_token(b, anchor))
+    ca = chain(a.end)
+    cb = chain(b.end)
     pos_in_a = {t: i for i, t in enumerate(ca)}
     lca = None
     b_prefix: list[int] = []

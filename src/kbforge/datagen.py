@@ -36,16 +36,12 @@ class Bag:
     labels: tuple[str, ...]       # sorted; empty = NA
     sentence_ids: tuple[str, ...]
 
-    def is_na(self) -> bool:
-        return not self.labels
-
 
 @dataclass
 class BootstrapConfig:
     max_rounds: int = 3
     knn_k: int = 10
     seed: int = 0
-    count_multiplicity: bool = False
     classifier_feature_dim: int = 4096
     classifier_lr: float = 0.5
     classifier_epochs: int = 5
@@ -66,8 +62,7 @@ def _extract_once(raw_corpus: list[Sentence], kb: KnowledgeBase,
     entity."""
     kept: list[Sentence] = []
     for sentence in raw_corpus:
-        linked = [d.span for d in link_sentence(sentence, kb, recognizer, table, cfg.knn_k,
-                                                count_multiplicity=cfg.count_multiplicity)
+        linked = [d.span for d in link_sentence(sentence, kb, recognizer, table, cfg.knn_k)
                   if d is not None]
         if len(linked) >= 2:
             kept.append(Sentence(sentence.id, sentence.tokens, linked))

@@ -38,7 +38,6 @@ class SkipGramConfig:
     negatives: int = 10
     window: int = 3
     seed: int = 0
-    interleave_kb_objective: bool = True
 
     def __post_init__(self):
         if self.dim <= 0 or self.negatives < 1 or self.window < 1:
@@ -46,7 +45,7 @@ class SkipGramConfig:
 
 
 class EmbeddingTable:
-    def __init__(self, symbols: list[str], vectors: np.ndarray, counts: dict[str, int]):
+    def __init__(self, symbols: list[str], vectors: np.ndarray):
         if len(symbols) != len(set(symbols)):
             raise EmbeddingError("duplicate symbols")
         for s in symbols:
@@ -59,7 +58,6 @@ class EmbeddingTable:
             raise EmbeddingError("vector row count does not match vocabulary")
         if not np.all(np.isfinite(self.vectors)):
             raise EmbeddingError("non-finite vector entries")
-        self.counts = dict(counts)
         self.epoch_losses: list[float] = []
 
     @property
@@ -109,7 +107,7 @@ def load_table(path) -> EmbeddingTable:
                 raise EmbeddingError(f"{path}: row {i} has wrong arity")
             symbols.append(parts[0])
             rows[i] = [float(x) for x in parts[1:]]
-    return EmbeddingTable(symbols, rows, {s: 1 for s in symbols})
+    return EmbeddingTable(symbols, rows)
 
 
 # -- negative sampling -------------------------------------------------------
@@ -200,7 +198,7 @@ def train_node_embeddings(kb: KnowledgeBase, cfg: SkipGramConfig) -> EmbeddingTa
     ids = sorted(kb.entities)
     symbols = [entity_symbol(e) for e in ids]
     counts = {entity_symbol(e): max(len(kb.neighbors(e)), 1) for e in ids}
-    table = EmbeddingTable(symbols, init_vectors(rng, len(symbols), cfg.dim), counts)
+    table = EmbeddingTable(symbols, init_vectors(rng, len(symbols), cfg.dim))
 
     pairs = _kb_pair_rows(kb, table.index)
     if len(pairs) == 0 or cfg.epochs == 0:
@@ -260,7 +258,7 @@ def train_joint_embeddings(sentences, kb: KnowledgeBase, init: EmbeddingTable,
     # +1 keeps never-linked entities reachable as negatives
     counts = dict(word_counts)
     counts.update({s: ent_counts.get(s, 0) + 1 for s in ent_symbols})
-    table = EmbeddingTable(symbols, vectors, counts)
+    table = EmbeddingTable(symbols, vectors)
 
     idx = table.index
     word_rows = np.array([idx[s] for s in word_symbols], dtype=np.int64)
@@ -284,8 +282,7 @@ def train_joint_embeddings(sentences, kb: KnowledgeBase, init: EmbeddingTable,
                     text_pairs.append((center, rows[j]))
     text_pairs = np.asarray(text_pairs, dtype=np.int64).reshape(-1, 2)
 
-    kb_pairs = _kb_pair_rows(kb, idx) if cfg.interleave_kb_objective \
-        else np.zeros((0, 2), dtype=np.int64)
+    kb_pairs = _kb_pair_rows(kb, idx)
 
     ctx = np.zeros_like(table.vectors)
     per_epoch = len(text_pairs) + len(kb_pairs)

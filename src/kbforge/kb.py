@@ -51,14 +51,12 @@ class Triple:
 class KnowledgeBase:
     """Entities plus triples with O(1) connectivity and relation lookups."""
 
-    def __init__(self, entities, triples=(), allow_reflexive=False, directed_connections=False):
+    def __init__(self, entities, triples=()):
         self._entities: dict[str, Entity] = {}
         for ent in entities:
             if ent.id in self._entities:
                 raise KBError(f"duplicate entity id {ent.id!r}")
             self._entities[ent.id] = ent
-        self._allow_reflexive = allow_reflexive
-        self._directed = directed_connections
         self._triples: set[Triple] = set()
         self._neighbors: dict[str, set[str]] = {eid: set() for eid in self._entities}
         self._pair_relations: dict[tuple[str, str], set[str]] = {}
@@ -114,8 +112,7 @@ class KnowledgeBase:
     # -- connectivity ----------------------------------------------------
 
     def connected(self, a: str, b: str) -> bool:
-        """True iff some triple links a and b (either direction unless the
-        KB was built with directed_connections)."""
+        """True iff some triple links a and b, in either direction."""
         self.entity(a)
         self.entity(b)
         return b in self._neighbors[a]
@@ -143,7 +140,7 @@ class KnowledgeBase:
                 raise UnknownEntityError(f"unknown entity id {t.subject!r} in triple {t}")
             if t.object not in self._entities:
                 raise UnknownEntityError(f"unknown entity id {t.object!r} in triple {t}")
-            if t.subject == t.object and not self._allow_reflexive:
+            if t.subject == t.object:
                 raise KBError(f"reflexive triple {t} rejected")
         added = 0
         for t in batch:
@@ -151,8 +148,7 @@ class KnowledgeBase:
                 continue
             self._triples.add(t)
             self._neighbors[t.subject].add(t.object)
-            if not self._directed:
-                self._neighbors[t.object].add(t.subject)
+            self._neighbors[t.object].add(t.subject)
             self._pair_relations.setdefault((t.subject, t.object), set()).add(t.relation)
             added += 1
         return added
@@ -187,7 +183,7 @@ def read_rows(path, columns: int) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def load_kb(entity_file, triple_file, allow_reflexive=False, directed_connections=False) -> KnowledgeBase:
+def load_kb(entity_file, triple_file) -> KnowledgeBase:
     """Load a KB from the two TSV files.
 
     entity file rows: id<TAB>type<TAB>canonical_name<TAB>alias1|alias2|...
@@ -219,17 +215,15 @@ def load_kb(entity_file, triple_file, allow_reflexive=False, directed_connection
             raise KBLoadError(f"{triple_file}:{lineno}: unknown entity id {s!r}")
         if o not in seen:
             raise KBLoadError(f"{triple_file}:{lineno}: unknown entity id {o!r}")
-        if s == o and not allow_reflexive:
+        if s == o:
             raise KBLoadError(f"{triple_file}:{lineno}: reflexive triple {s!r} -> {o!r}")
         triples.append(Triple(s, r, o))
 
-    return KnowledgeBase(entities, triples, allow_reflexive=allow_reflexive,
-                         directed_connections=directed_connections)
+    return KnowledgeBase(entities, triples)
 
 
-def save_triples(kb_or_triples, path) -> None:
-    """Write triples as TSV in sorted order."""
-    triples = kb_or_triples.iter_triples() if isinstance(kb_or_triples, KnowledgeBase) else sorted(kb_or_triples)
+def save_triples(kb: KnowledgeBase, path) -> None:
+    """Write the KB's triples as TSV in sorted order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for t in triples:
+        for t in kb.iter_triples():
             fh.write(f"{t.subject}\t{t.relation}\t{t.object}\n")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .corpus import Gazetteer, Sentence, Span, build_gazetteer, longest_ngram_match, make_span
+from .corpus import Sentence, Span, build_gazetteer, longest_ngram_match, make_span
 from .embeddings import EmbeddingTable, entity_symbol, knn_candidates
 from .kb import UNTYPED, KnowledgeBase
 
@@ -170,28 +170,19 @@ def generate_candidates(span: Span, kb: KnowledgeBase, table: EmbeddingTable | N
     return Candidate(span, dict_hits + knn_hits, source)
 
 
-def subgraph_link(sentence_candidates: list[Candidate], kb: KnowledgeBase,
-                  count_multiplicity: bool = False) -> list[LinkDecision | None]:
+def subgraph_link(sentence_candidates: list[Candidate],
+                  kb: KnowledgeBase) -> list[LinkDecision | None]:
     """Connection counting over cross-span candidate pairs; a span links to
     its strictly unique top-count candidate when that count is positive."""
     counts: list[dict[str, float]] = [dict.fromkeys(c.entities, 0.0)
                                       for c in sentence_candidates]
-
-    def weight(a: str, b: str) -> float:
-        if not kb.connected(a, b):
-            return 0.0
-        if not count_multiplicity:
-            return 1.0
-        return float(len(kb.relations_between(a, b)) + len(kb.relations_between(b, a)))
-
     for i in range(len(sentence_candidates)):
         for j in range(i + 1, len(sentence_candidates)):
             for a in sentence_candidates[i].entities:
                 for b in sentence_candidates[j].entities:
-                    w = weight(a, b)
-                    if w:
-                        counts[i][a] += w
-                        counts[j][b] += w
+                    if kb.connected(a, b):
+                        counts[i][a] += 1.0
+                        counts[j][b] += 1.0
 
     decisions: list[LinkDecision | None] = []
     for cand, count in zip(sentence_candidates, counts):
@@ -213,7 +204,6 @@ class ELConfig:
     epochs: int = 3
     knn_k: int = 10
     seed: int = 0
-    max_items: int | None = None
 
 
 class ContextLinkerModel:
@@ -285,9 +275,6 @@ def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
             items.append((sentence, span, span.linked, cand.entities))
     if not items:
         raise LinkError("no linked spans to train the context linker on")
-    if cfg.max_items is not None and len(items) > cfg.max_items:
-        picks = rng.choice(len(items), size=cfg.max_items, replace=False)
-        items = [items[i] for i in sorted(picks)]
 
     all_ids = sorted(kb.entities)
     if len(all_ids) < 2:
@@ -325,8 +312,7 @@ def hinge_loss(s: float, s_neg: float, margin: float) -> float:
 
 def link_sentence(sentence: Sentence, kb: KnowledgeBase, recognizer,
                   table: EmbeddingTable | None, knn_k: int,
-                  model: ContextLinkerModel | None = None,
-                  count_multiplicity: bool = False) -> list[LinkDecision | None]:
+                  model: ContextLinkerModel | None = None) -> list[LinkDecision | None]:
     """recognize -> candidates -> sub-graph step, then, only when ``model``
     is given, the context step for the spans the sub-graph step leaves open
     (None for each of them otherwise). Spans with no candidates yield no
@@ -336,7 +322,7 @@ def link_sentence(sentence: Sentence, kb: KnowledgeBase, recognizer,
                          for sp in recognizer.recognize(sentence)) if c is not None]
     v_c = None
     out: list[LinkDecision | None] = []
-    for cand, decision in zip(cands, subgraph_link(cands, kb, count_multiplicity)):
+    for cand, decision in zip(cands, subgraph_link(cands, kb)):
         if decision is not None:
             entity, method, score, ranking = decision.entity, "subgraph", decision.score, ()
         elif model is not None:

@@ -107,6 +107,12 @@ def _parse(body: bytes):
 
 
 def restore_parameters(params, tensors: dict[str, np.ndarray]) -> None:
+    """Load ``tensors`` into ``params``; the two must name the same tensors
+    with the same shapes."""
+    params = list(params)
+    extra = sorted(set(tensors) - {p.name for p in params})
+    if extra:
+        raise CheckpointError(f"checkpoint tensor {extra[0]!r} names no parameter")
     for p in params:
         if p.name not in tensors:
             raise CheckpointError(f"checkpoint missing parameter {p.name!r}")

@@ -184,6 +184,9 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
         for name, sub in (("embeddings", cfg.embeddings), ("bootstrap", cfg.bootstrap),
                           ("el", cfg.el), ("ds", cfg.ds), ("re", cfg.re)):
             if parser.has_section(name):
+                if "seed" in parser[name]:
+                    raise PipelineError(f"[{name}] seed is derived from [pipeline] seed; "
+                                        "set that instead")
                 _apply_section(sub, parser[name])
         if parser.has_section("split"):
             s = parser["split"]
@@ -280,8 +283,7 @@ def _build_link(r: PipelineRunner, linked, evals) -> None:
     out_sentences = []
     records = []
     for sentence in r.corpus():
-        decisions = link_sentence(sentence, kb, recognizer, table, r.cfg.el.knn_k, model,
-                                  r.cfg.bootstrap.count_multiplicity)
+        decisions = link_sentence(sentence, kb, recognizer, table, r.cfg.el.knn_k, model)
         out_sentences.append(Sentence(sentence.id, sentence.tokens,
                                       [d.span for d in decisions]))
         records += [{"sentence": sentence.id, "start": d.span.start, "end": d.span.end,
@@ -419,9 +421,7 @@ STAGES = {stage.name: stage for stage in (
           lambda r, *paths: {name: load_bags(p) for name, p in zip(BAG_SPLITS, paths)}),
     Stage("re", ("bags_train.jsonl", "linked.jsonl") + _KB, lambda c: c.re,
           ("re.ckpt",), _build_re, lambda r, ckpt: load_model(ckpt)),
-    Stage("link", ("corpus", "embeddings.vec", "el.ckpt") + _KB,
-          lambda c: {"el": dataclasses.asdict(c.el),
-                     "count_multiplicity": c.bootstrap.count_multiplicity},
+    Stage("link", ("corpus", "embeddings.vec", "el.ckpt") + _KB, lambda c: c.el,
           ("final_linked.jsonl", "link_eval.jsonl"), _build_link, _load_link),
     Stage("extract", ("final_linked.jsonl", "re.ckpt") + _KB, lambda c: {},
           ("extracted.tsv", "rejected.tsv"), _build_extract, _load_extract),

@@ -31,7 +31,6 @@ class REConfig:
     tag_dim: int = 4
     hidden: int = 24          # d_h; BiLSTM runs hidden//2 per direction
     conv_width: int = 3
-    gcn_layers: int = 1
     margin: float = 0.1       # gamma of the sliding-margin loss
     down_weight: float = 0.5  # lambda on negative terms
     threshold_init: float = 0.5
@@ -39,8 +38,6 @@ class REConfig:
     learning_rate: float = 5e-3
     epochs: int = 5
     seed: int = 0
-    sdp_anchor: str = "last"
-    sdp_include_internal: bool = True
 
     def __post_init__(self):
         dims = (self.word_dim, self.pos_dim, self.type_dim, self.tag_dim, self.hidden)
@@ -107,8 +104,8 @@ class REModel:
         self.conv_b = nn.Parameter(np.zeros((d_h, 1), dtype=self.dtype), "re.conv.b")
 
         self.lstm = nn.BiLSTM(d_e, d_h // 2, rng, "re.lstm", self.dtype)
-        self.gcn = [nn.GCNLayer(d_h, rng, f"re.gcn{l}", self.dtype)
-                    for l in range(cfg.gcn_layers)]
+        # "re.gcn0": the tensor names that re.ckpt files already hold
+        self.gcn = nn.GCNLayer(d_h, rng, "re.gcn0", self.dtype)
 
         # each layer draws its initial weights from rng as it is built
         self.att1 = nn.Linear(d_e, d_e, rng, "re.att.l1", self.dtype)
@@ -134,9 +131,7 @@ class REModel:
     def parameters(self):
         params = [self.emb_word, self.emb_pos1, self.emb_pos2, self.emb_pos3,
                   self.emb_type, self.emb_tag, self.conv_w, self.conv_b]
-        params += self.lstm.parameters()
-        for layer in self.gcn:
-            params += layer.parameters()
+        params += self.lstm.parameters() + self.gcn.parameters()
         return (params + self.att1.parameters() + self.att2.parameters() + [self.att_proj]
                 + self.gate.parameters() + self.head.parameters() + [self.threshold])
 
@@ -203,16 +198,14 @@ class REModel:
 
     def _sdp_matrix(self, instances: list[tuple[Sentence, Span, Span]]) -> np.ndarray:
         """(B, m, m) stack of each sentence's normalized adjacency over its
-        shortest dependency path, m the longest sentence's token count;
-        block b is zero past its sentence's tokens."""
+        shortest dependency path plus the tokens of both spans, m the longest
+        sentence's token count; block b is zero past its sentence's tokens."""
         m = max(len(sentence.tokens) for sentence, _, _ in instances)
         a_hat = np.zeros((len(instances), m, m), dtype=self.dtype)
         for block, (sentence, subject_span, object_span) in zip(a_hat, instances):
-            keep = shortest_dependency_path(sentence, subject_span, object_span,
-                                            self.cfg.sdp_anchor)
-            if self.cfg.sdp_include_internal:
-                keep += list(range(subject_span.start, subject_span.end + 1))
-                keep += list(range(object_span.start, object_span.end + 1))
+            keep = (shortest_dependency_path(sentence, subject_span, object_span)
+                    + list(range(subject_span.start, subject_span.end + 1))
+                    + list(range(object_span.start, object_span.end + 1)))
             n = len(sentence.tokens)
             block[:n, :n] = sdp_adjacency(sentence, keep)
         return a_hat
@@ -226,9 +219,7 @@ class REModel:
         if a_hat.shape != (len(lengths),) + (max(lengths),) * 2:
             raise RelationError(f"adjacency {a_hat.shape} for sentence lengths "
                                 f"{lengths.tolist()}")
-        h = self.lstm(x, lengths)
-        for layer in self.gcn:
-            h = layer(h, a_hat, lengths)
+        h = self.gcn(self.lstm(x, lengths), a_hat, lengths)
         first = np.cumsum(lengths) - lengths
         subj, obj = (first + np.array([[sp.start for sp in part], [sp.end for sp in part]])
                      for part in zip(*spans))
@@ -392,14 +383,12 @@ def validate_triple(triple: Triple, entity_types: dict[str, str],
 
 
 def extract(corpus: list[Sentence], kb: KnowledgeBase, model: REModel,
-            template: dict | None = None,
             rejected_log: list | None = None) -> list[ExtractedTriple]:
     """Group linked sentences into ordered-pair bags, predict, expand to
     triples, and keep only template-valid ones."""
     if not model.trained:
         raise RelationError("extraction requires a trained model")
-    if template is None:
-        template = build_fact_type_templates(kb)
+    template = build_fact_type_templates(kb)
     entity_types = {e: kb.entity_type(e) for e in kb.entities}
     sentences_by_id = {s.id: s for s in corpus}
     pairs = collect_pair_sentences(corpus)

@@ -10,7 +10,6 @@ from kbforge.corpus import (
     Span,
     Token,
     build_gazetteer,
-    fallback_parse,
     ingest_corpus,
     longest_ngram_match,
     make_span,
@@ -31,18 +30,6 @@ def toy_sentence() -> Sentence:
     heads = [1, 2, -1, 4, 2]
     tokens = [Token(i, w, "NN", h) for i, (w, h) in enumerate(zip(words, heads))]
     return Sentence("s1", tokens, [])
-
-
-def test_fallback_parse_chain():
-    s = fallback_parse("a b c", "sx")
-    assert [t.surface for t in s.tokens] == ["a", "b", "c"]
-    assert [t.dep_head for t in s.tokens] == [-1, 0, 1]
-    validate_sentence(s)
-
-
-def test_fallback_parse_rejects_blank():
-    with pytest.raises(CorpusError):
-        fallback_parse("   ")
 
 
 def test_validate_rejects_bad_indexes():
@@ -76,7 +63,6 @@ def test_span_surface_and_covers():
     s = toy_sentence()
     sp = make_span(s, 3, 4)
     assert sp.surface == "New York"
-    assert sp.covers(3) and sp.covers(4) and not sp.covers(2)
 
 
 def test_record_round_trip():
@@ -174,17 +160,14 @@ def test_gazetteer_lookup_case_sensitivity():
     g = gaz()
     assert "Tony" in g
     assert "tony" not in g
-    kb = KnowledgeBase([Entity("e1", "Tony", ("Tony",))])
-    folded = build_gazetteer(kb, lowercase=True)
-    assert "tony" in folded
 
 
 # -- dependency paths ---------------------------------------------------------
 
 def test_sdp_simple_tree():
     s = toy_sentence()
-    a = make_span(s, 0, 1)   # Tony Stark, anchor 1
-    b = make_span(s, 3, 4)   # New York, anchor 4
+    a = make_span(s, 0, 1)   # Tony Stark, last token 1
+    b = make_span(s, 3, 4)   # New York, last token 4
     path = shortest_dependency_path(s, a, b)
     assert path == [1, 2, 4]
     assert path[0] == 1 and path[-1] == 4

@@ -161,7 +161,7 @@ def test_bags_are_sound_and_complete_before_cap():
     # completeness: every co-occurring ordered pair surfaces as a bag
     assert set(by_pair) == set(collect_pair_sentences(corpus))
     assert by_pair[("e1", "e2")].labels == ("r1", "r2")
-    assert by_pair[("e2", "e1")].is_na()
+    assert by_pair[("e2", "e1")].labels == ()
     assert by_pair[("e3", "e1")].labels == ("r1",)
     assert by_pair[("e1", "e2")].sentence_ids == ("a", "d")
 
@@ -173,8 +173,8 @@ def test_na_ratio_caps_negative_bags():
     # one positive pair and seven NA pairs co-occur
     for ratio, expect_neg in ((0.0, 0), (2.0, 2), (100.0, 7)):
         bags = distant_supervision(corpus, kb, DistantSupervisionConfig(na_ratio=ratio))
-        pos = [b for b in bags if not b.is_na()]
-        neg = [b for b in bags if b.is_na()]
+        pos = [b for b in bags if b.labels]
+        neg = [b for b in bags if not b.labels]
         assert len(pos) == 1
         assert len(neg) == expect_neg
 

@@ -37,27 +37,26 @@ def test_init_vectors_range_scales_with_dim():
 
 def test_table_rejects_duplicate_symbols():
     with pytest.raises(EmbeddingError):
-        EmbeddingTable(["a", "a"], np.zeros((2, 3), dtype=np.float32), {"a": 2})
+        EmbeddingTable(["a", "a"], np.zeros((2, 3), dtype=np.float32))
 
 
 def test_table_rejects_nonfinite_vectors():
     bad = np.zeros((1, 3), dtype=np.float32)
     bad[0, 0] = np.nan
     with pytest.raises(EmbeddingError):
-        EmbeddingTable(["a"], bad, {"a": 1})
+        EmbeddingTable(["a"], bad)
 
 
 def test_table_save_load_exact(tmp_path):
     rng = np.random.default_rng(3)
     vecs = rng.standard_normal((3, 4)).astype(np.float32)
     symbols = ["w", entity_symbol("e1"), "z"]
-    table = EmbeddingTable(symbols, vecs, {"w": 5, entity_symbol("e1"): 2, "z": 1})
+    table = EmbeddingTable(symbols, vecs)
     path = tmp_path / "table.vec"
     save_table(table, path)
     back = load_table(path)
     assert back.symbols == table.symbols
     assert np.array_equal(back.vectors, table.vectors)
-    assert list(back.counts) == list(table.counts)
 
 
 def chain_kb(n: int = 6) -> KnowledgeBase:
@@ -245,7 +244,7 @@ def random_table(rng, n_words=8, n_entities=10, dim=6) -> EmbeddingTable:
     symbols = [f"w{i}" for i in range(n_words)]
     symbols += [entity_symbol(f"e{i}") for i in range(n_entities)]
     vecs = rng.standard_normal((len(symbols), dim)).astype(np.float32)
-    return EmbeddingTable(symbols, vecs, {s: 1 for s in symbols})
+    return EmbeddingTable(symbols, vecs)
 
 
 def test_knn_matches_brute_force():

@@ -67,7 +67,7 @@ def test_candidates_knn_order_and_filtering():
     vecs[3] = [0.5, 0.0]          # ghost, nearest of all but not in KB
     vecs[4] = [3.0, 0.0]          # e2 farthest
     vecs[5] = [1.0, 0.0]          # Stark, right on top of e3
-    table = EmbeddingTable(symbols, vecs, {s: 1 for s in symbols})
+    table = EmbeddingTable(symbols, vecs)
 
     c = generate_candidates(span_at(0, "probe"), kb, table, 5)
     assert c.entities == ["e3", "e1", "e2"]
@@ -120,20 +120,6 @@ def test_subgraph_tie_stays_open():
     got = subgraph_link(cands, kb)
     assert got[0] is None
     assert got[1].entity == "c" and got[1].score == 2.0
-
-
-def test_subgraph_multiplicity_counts_parallel_relations():
-    ents = [Entity(e, e, (), "t") for e in ("a", "b")]
-    kb = KnowledgeBase(ents, [Triple("a", "r1", "b"), Triple("a", "r2", "b"),
-                              Triple("b", "r3", "a")])
-    cands = [
-        Candidate(span_at(0, "x"), ["a"], "dictionary"),
-        Candidate(span_at(1, "y"), ["b"], "dictionary"),
-    ]
-    plain = subgraph_link(cands, kb)
-    assert plain[0].score == 1.0
-    heavy = subgraph_link(cands, kb, count_multiplicity=True)
-    assert heavy[0].score == 3.0 and heavy[1].score == 3.0
 
 
 def oracle_subgraph(cand_entities, edges):
@@ -233,7 +219,7 @@ def small_table(words, entity_ids, dim=6, seed=0):
     rng = np.random.default_rng(seed)
     symbols = list(words) + [entity_symbol(e) for e in entity_ids]
     vecs = rng.standard_normal((len(symbols), dim)).astype(np.float32) * 0.1
-    return EmbeddingTable(symbols, vecs, {s: 1 for s in symbols})
+    return EmbeddingTable(symbols, vecs)
 
 
 def linked_corpus():

@@ -794,3 +794,14 @@ def test_restore_rejects_shape_mismatch(tmp_path):
     with pytest.raises(CheckpointError):
         restore_parameters([Parameter(np.zeros((3, 3), dtype=np.float32), "w")],
                            tensors)
+
+
+def test_restore_rejects_tensor_no_parameter_names(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, [Parameter(np.zeros((2, 2), dtype=np.float32), "w"),
+                           Parameter(np.ones((1, 1), dtype=np.float32), "stale.b")])
+    _, tensors = load_checkpoint(path)
+    target = Parameter(np.full((2, 2), 5.0, dtype=np.float32), "w")
+    with pytest.raises(CheckpointError, match="'stale.b'"):
+        restore_parameters([target], tensors)
+    assert np.all(target.data == 5.0)

@@ -3,8 +3,10 @@ import json
 import re
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
+from conftest import make_config
 
 from kbforge import cli, nn, pipeline
 from kbforge.datagen import BootstrapConfig, _extract_once
@@ -49,7 +51,6 @@ dim = 8
 epochs = 1
 
 [bootstrap]
-count_multiplicity = {count_multiplicity}
 max_rounds = 2
 knn_k = 0
 classifier_epochs = 1
@@ -77,12 +78,10 @@ def tiny_fixture(tmp_path_factory):
     return d
 
 
-def write_tiny_config(tiny_fixture, out_dir, re_epochs=1, name=None,
-                      count_multiplicity="no"):
+def write_tiny_config(tiny_fixture, out_dir, re_epochs=1, name=None):
     path = out_dir.parent / f"{name or out_dir.name}.ini"
     path.write_text(TINY_TEMPLATE.format(fix=tiny_fixture, out=out_dir,
-                                         re_epochs=re_epochs,
-                                         count_multiplicity=count_multiplicity))
+                                         re_epochs=re_epochs))
     return path
 
 
@@ -115,7 +114,7 @@ def test_config_file_sections(tmp_path):
                  "corpus = c.jsonl\nout_dir = art\n"
                  "[pipeline]\nseed = 9\nthreads = 2\n"
                  "[embeddings]\ndim = 32\n"
-                 "[bootstrap]\ncount_multiplicity = yes\n"
+                 "[bootstrap]\nmax_rounds = 2\n"
                  "[el]\nmargin = 0.25\n"
                  "[ds]\nna_ratio = 2.0\n"
                  "[re]\nepochs = 4\n"
@@ -124,7 +123,7 @@ def test_config_file_sections(tmp_path):
     assert cfg.entities_path == "e.tsv" and cfg.out_dir == "art"
     assert cfg.seed == 9
     assert cfg.embeddings.dim == 32
-    assert cfg.bootstrap.count_multiplicity is True
+    assert cfg.bootstrap.max_rounds == 2
     assert cfg.el.margin == 0.25
     assert cfg.ds.na_ratio == 2.0
     assert cfg.re.epochs == 4
@@ -147,6 +146,40 @@ def test_unknown_config_key_rejected(tmp_path):
     p.write_text("[el]\nhiden = 3\n")
     with pytest.raises(PipelineError, match="unknown config key 'hiden'"):
         load_config(p)
+
+
+# keys of deleted config fields, and the stage seeds that [pipeline] seed
+# derives: an old config that sets one must fail, not load as something else
+RETIRED_KEYS = [("bootstrap", "count_multiplicity", "yes"), ("re", "sdp_anchor", "first"),
+                ("re", "sdp_include_internal", "no"), ("re", "gcn_layers", "2"),
+                ("embeddings", "interleave_kb_objective", "no"), ("el", "max_items", "100")]
+RETIRED_KEYS += [(section, "seed", "3") for section in ("embeddings", "bootstrap", "el",
+                                                         "ds", "re")]
+
+
+@pytest.mark.parametrize("section,key,value", RETIRED_KEYS)
+def test_retired_config_key_fails_loudly(tmp_path, section, key, value):
+    p = tmp_path / "c.ini"
+    p.write_text(f"[pipeline]\nseed = 0\n[{section}]\n{key} = {value}\n")
+    expected = (r"\[pipeline\] seed" if key == "seed"
+                else f"unknown config key {key!r}")
+    with pytest.raises(PipelineError, match=expected):
+        load_config(p)
+
+
+def test_readme_config_loads_and_mirrors_the_test_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    documented = tmp_path / "readme.ini"
+    documented.write_text(blocks[0])
+    tested = make_config(tmp_path / "fixture", tmp_path / "artifacts")
+
+    def settings(path):
+        cfg = dataclasses.asdict(load_config(path))
+        return {k: v for k, v in cfg.items() if not k.endswith(("_path", "_dir"))}
+
+    assert settings(documented) == settings(tested)
 
 
 def test_missing_config_file():
@@ -192,19 +225,6 @@ def test_config_edit_invalidates_only_downstream(tiny_run):
     original = PipelineRunner(load_config(tiny_run["cfg_path"]))
     original.evaluate()
     assert original.stage_ran["re"]
-
-
-def test_count_multiplicity_edit_reruns_link(tiny_run):
-    # the link stage's sub-graph step reads bootstrap.count_multiplicity
-    cfg_path = write_tiny_config(tiny_run["fixture"], tiny_run["out"],
-                                 count_multiplicity="yes", name="multiplicity")
-    runner = PipelineRunner(load_config(cfg_path))
-    runner.evaluate()
-    assert not runner.stage_ran["embeddings"]
-    assert runner.stage_ran["link"]
-    original = PipelineRunner(load_config(tiny_run["cfg_path"]))
-    original.evaluate()
-    assert original.stage_ran["link"]
 
 
 def test_warm_evaluate_loads_only_what_it_returns(tiny_run, monkeypatch):
@@ -319,28 +339,26 @@ def test_link_sentence_keeps_each_former_callers_contract(tiny_run):
     recognizer = GazetteerRecognizer(kb)
     corpus = runner.corpus()
 
-    def subgraph_step(sentence, multiplicity=False):
+    def subgraph_step(sentence):
         """recognize -> candidates -> sub-graph link, as each caller wrote it"""
         cands = [c for c in (generate_candidates(sp, kb, None, 0)
                              for sp in recognizer.recognize(sentence)) if c is not None]
-        return cands, subgraph_link(cands, kb, multiplicity)
+        return cands, subgraph_link(cands, kb)
 
     def spans(sentence):
         return [(sp.start, sp.end, sp.surface, sp.span_type, sp.linked, sp.method)
                 for sp in sentence.spans]
 
     # data generation: undecided spans dropped, sentences with >= 2 links kept
-    for multiplicity in (False, True):
-        want = []
-        for sentence in corpus:
-            cands, decisions = subgraph_step(sentence, multiplicity)
-            linked = [(c.span.start, c.span.end, c.span.surface, kb.entity_type(d.entity),
-                       d.entity, "subgraph") for c, d in zip(cands, decisions) if d]
-            if len(linked) >= 2:
-                want.append((sentence.id, linked))
-        got = _extract_once(corpus, kb, None, recognizer,
-                            BootstrapConfig(knn_k=0, count_multiplicity=multiplicity))
-        assert [(s.id, spans(s)) for s in got] == want
+    want = []
+    for sentence in corpus:
+        cands, decisions = subgraph_step(sentence)
+        linked = [(c.span.start, c.span.end, c.span.surface, kb.entity_type(d.entity),
+                   d.entity, "subgraph") for c, d in zip(cands, decisions) if d]
+        if len(linked) >= 2:
+            want.append((sentence.id, linked))
+    got = _extract_once(corpus, kb, None, recognizer, BootstrapConfig(knn_k=0))
+    assert [(s.id, spans(s)) for s in got] == want
 
     # full linking: the context model ranks what the sub-graph step leaves
     # open, with scores equal to encoding the sentence for each span
