@@ -96,7 +96,10 @@ def validate_sentence(sentence: Sentence) -> None:
         prev = sp
 
 
-def sentence_from_record(rec: dict) -> Sentence:
+def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Sentence:
+    """The validated sentence of one corpus record. Records read together
+    pass one ``shared_tokens`` dict, so equal tokens (same position, word,
+    tag and head) become one Token object."""
     sid = rec.get("id")
     if not sid:
         raise CorpusError("sentence record without an id")
@@ -119,7 +122,14 @@ def sentence_from_record(rec: dict) -> Sentence:
         words, pos = list(map(sys.intern, words)), list(map(sys.intern, pos))
     except TypeError:
         raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None
-    tokens = [Token(i, w, pos[i], heads[i]) for i, w in enumerate(words)]
+    # Token is immutable, and a corpus repeats few distinct tokens many times
+    cache = {} if shared_tokens is None else shared_tokens
+    tokens = []
+    for key in zip(range(len(words)), words, pos, heads):
+        token = cache.get(key)
+        if token is None:
+            token = cache[key] = Token(*key)
+        tokens.append(token)
     sent = Sentence(sid, tokens)
     for raw_span in rec.get("spans") or []:
         start, end = raw_span["start"], raw_span["end"]
@@ -155,6 +165,7 @@ def ingest_corpus(path) -> list[Sentence]:
     validating every sentence invariant."""
     sentences: list[Sentence] = []
     seen_ids: set[str] = set()
+    tokens: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -164,7 +175,7 @@ def ingest_corpus(path) -> list[Sentence]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            sent = sentence_from_record(rec)
+            sent = sentence_from_record(rec, tokens)
             if sent.id in seen_ids:
                 raise CorpusError(f"{path}:{lineno}: duplicate sentence id {sent.id!r}")
             seen_ids.add(sent.id)
@@ -192,7 +203,7 @@ class Gazetteer:
 
 
 def build_gazetteer(kb: KnowledgeBase) -> Gazetteer:
-    return Gazetteer(alias for alias, _ in kb.alias_items())
+    return Gazetteer(kb.aliases())
 
 
 def longest_ngram_match(sentence: Sentence, gazetteer: Gazetteer) -> list[Span]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 UNTYPED = "UNTYPED"
+_NO_IDS: frozenset[str] = frozenset()
 
 
 class KBError(Exception):
@@ -60,10 +61,11 @@ class KnowledgeBase:
         self._triples: set[Triple] = set()
         self._neighbors: dict[str, set[str]] = {eid: set() for eid in self._entities}
         self._pair_relations: dict[tuple[str, str], set[str]] = {}
-        self._alias_index: dict[str, set[str]] = {}
+        by_alias: dict[str, set[str]] = {}
         for ent in self._entities.values():
             for alias in ent.aliases:
-                self._alias_index.setdefault(alias, set()).add(ent.id)
+                by_alias.setdefault(alias, set()).add(ent.id)
+        self._alias_index = {alias: frozenset(ids) for alias, ids in by_alias.items()}
         self.add_triples(triples)
 
     # -- lookups ---------------------------------------------------------
@@ -102,12 +104,13 @@ class KnowledgeBase:
         return iter(sorted(self._triples))
 
     def entities_by_alias(self, surface: str) -> frozenset[str]:
-        return frozenset(self._alias_index.get(surface, ()))
+        """The ids of the entities with this alias; the index's own set,
+        not a copy."""
+        return self._alias_index.get(surface, _NO_IDS)
 
-    def alias_items(self):
-        """(alias, entity id set) pairs in sorted alias order."""
-        for alias in sorted(self._alias_index):
-            yield alias, frozenset(self._alias_index[alias])
+    def aliases(self):
+        """Every alias surface, in sorted order."""
+        return iter(sorted(self._alias_index))
 
     # -- connectivity ----------------------------------------------------
 

@@ -231,24 +231,41 @@ class ContextLinkerModel:
         self.oov_count += 1
         return np.zeros(self.table.dim, dtype=np.float32)
 
-    def _sentence_input(self, sentence: Sentence) -> nn.Tensor:
-        cols = np.stack([self._word_vec(t.surface) for t in sentence.tokens], axis=1)
-        return nn.Tensor(cols)
-
-    def _span_vec(self, span: Span) -> nn.Tensor:
+    def _span_vec(self, span: Span) -> np.ndarray:
         vecs = [self._word_vec(w) for w in span.surface.split()]
-        return nn.Tensor(np.mean(vecs, axis=0).reshape(-1, 1))
+        return np.mean(vecs, axis=0).reshape(-1, 1)
 
-    def _entity_vec(self, entity: str) -> nn.Tensor:
-        return nn.Tensor(self.table.vector(entity_symbol(entity)).reshape(-1, 1))
+    def _entity_vec(self, entity: str) -> np.ndarray:
+        return self.table.vector(entity_symbol(entity)).reshape(-1, 1)
 
-    def _context_vec(self, sentence: Sentence) -> nn.Tensor:
-        self.encoder(self._sentence_input(sentence))
+    def _context_vec(self, *sentences: Sentence) -> nn.Tensor:
+        """(2*hidden, B) context vectors, column b for sentence b. The
+        sentences go through the encoder side by side in one pass; a single
+        sentence runs as one unbatched sequence."""
+        x = np.stack([self._word_vec(t.surface) for s in sentences for t in s.tokens], axis=1)
+        self.encoder(nn.Tensor(x), lengths=[len(s.tokens) for s in sentences])
         return self.encoder.final_states()
 
     def _score(self, v_c, span: Span, entity: str):
         x = nn.concat([v_c, self._span_vec(span), self._entity_vec(entity)], axis=0)
         return self.scorer(x)
+
+    def _hinges(self, items, negatives: list[str]) -> nn.Tensor:
+        """(1, B) hinges relu(s_neg - s_gold + margin) of B training items
+        (sentence, span, gold, candidates) against their negatives: one
+        encoder pass over the B sentences and one scorer pass over the
+        [gold columns | negative columns]."""
+        b = len(items)
+        v_c = self._context_vec(*(sentence for sentence, *_ in items))
+        spans = np.concatenate([self._span_vec(span) for _, span, *_ in items], axis=1)
+        entities = [gold for _, _, gold, _ in items] + negatives
+        x = nn.concat([nn.concat([v_c, v_c], axis=1), np.tile(spans, 2),
+                       np.concatenate([self._entity_vec(e) for e in entities], axis=1)],
+                      axis=0)
+        scores = self.scorer(x)
+        margin = np.array([[self.cfg.margin]], dtype=scores.dtype)
+        return nn.relu(nn.add(nn.sub(nn.narrow(scores, 1, b, b),
+                                     nn.narrow(scores, 1, 0, b)), margin))
 
     def score_candidates(self, v_c: nn.Tensor, span: Span,
                          entities: list[str]) -> list[float]:
@@ -260,8 +277,18 @@ class ContextLinkerModel:
             return [self._score(v_c, span, e).item() for e in entities]
 
 
+# Training items per Adam step of the context linker; the last step of an
+# epoch may take fewer.
+EL_BATCH = 16
+
+
 def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
                          table: EmbeddingTable, cfg: ELConfig) -> ContextLinkerModel:
+    """Pairwise hinge ranking on the linked spans of ``corpus`` whose gold
+    entity is a candidate. Each epoch visits the items in a fresh
+    permutation, draws one negative per item in that order, and takes one
+    Adam step on the mean hinge of every EL_BATCH consecutive items; a
+    batch whose hinges are all 0 takes none."""
     model = ContextLinkerModel(table, cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     items = []
@@ -280,30 +307,35 @@ def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
     if len(all_ids) < 2:
         raise LinkError("need at least two KB entities for negative sampling")
     opt = nn.Adam(model.parameters(), lr=cfg.learning_rate)
-    margin = nn.Tensor(np.array([[cfg.margin]], dtype=np.float32))
     for _ in range(cfg.epochs):
         losses = []
-        for i in rng.permutation(len(items)):
-            sentence, span, gold, cand_ids = items[i]
-            pool = [e for e in cand_ids if e != gold]
-            if pool:
-                neg = pool[int(rng.integers(len(pool)))]
-            else:
-                neg = gold
-                while neg == gold:
-                    neg = all_ids[int(rng.integers(len(all_ids)))]
-            v_c = model._context_vec(sentence)
-            s_gold = model._score(v_c, span, gold)
-            s_neg = model._score(v_c, span, neg)
-            loss = nn.relu(nn.add(nn.sub(s_neg, s_gold), margin))
-            losses.append(loss.item())
-            if losses[-1] > 0.0:
+        order = rng.permutation(len(items))
+        for lo in range(0, len(order), EL_BATCH):
+            batch = [items[i] for i in order[lo:lo + EL_BATCH]]
+            negatives = [_draw_negative(rng, gold, cand_ids, all_ids)
+                         for _, _, gold, cand_ids in batch]
+            hinges = model._hinges(batch, negatives)
+            losses.extend(hinges.data.ravel().tolist())
+            if hinges.data.max() > 0.0:
                 opt.zero_grad()
-                loss.backward()
+                nn.mean(hinges).backward()
                 opt.step()
         model.epoch_losses.append(float(np.mean(losses)))
     model.trained = True
     return model
+
+
+def _draw_negative(rng: np.random.Generator, gold: str, cand_ids: list[str],
+                   all_ids: list[str]) -> str:
+    """A uniform draw from the candidates other than ``gold``; a span with
+    no other candidate draws KB entities until one is not ``gold``."""
+    pool = [e for e in cand_ids if e != gold]
+    if pool:
+        return pool[int(rng.integers(len(pool)))]
+    neg = gold
+    while neg == gold:
+        neg = all_ids[int(rng.integers(len(all_ids)))]
+    return neg
 
 
 def hinge_loss(s: float, s_neg: float, margin: float) -> float:

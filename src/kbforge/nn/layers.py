@@ -59,9 +59,9 @@ def _lstm_weights(in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
 class BiLSTM:
     """Runs both directions over the columns of a (d_in, n) tensor, which
     hold one sequence or, with ``lengths``, several side by side. Output is
-    (2*hidden, n); final_states() of the last single-sequence run gives the
-    concatenated last forward / last backward hidden state as a
-    (2*hidden, 1) column."""
+    (2*hidden, n); final_states() of the last run gives, for each of its B
+    sequences, the last forward over the first backward hidden state as a
+    (2*hidden, B) tensor."""
 
     def __init__(self, in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
         self.fwd = _lstm_weights(in_dim, hidden_dim, rng, f"{name}.fwd", dtype)
@@ -70,13 +70,14 @@ class BiLSTM:
     def __call__(self, x, lengths=None):
         self._last = (ag.lstm_sequence(x, *self.fwd, lengths=lengths),
                       ag.lstm_sequence(x, *self.bwd, reverse=True, lengths=lengths))
+        self._lengths = np.asarray([x.shape[1]] if lengths is None else lengths)
         return ag.concat(self._last, axis=0)
 
     def final_states(self):
         f_states, b_states = self._last
-        n = f_states.shape[1]
-        return ag.concat([ag.narrow(f_states, 1, n - 1, 1),
-                          ag.narrow(b_states, 1, 0, 1)], axis=0)
+        ends = self._lengths.cumsum()
+        return ag.concat([ag.take(f_states, ends - 1, axis=1),
+                          ag.take(b_states, ends - self._lengths, axis=1)], axis=0)
 
     def parameters(self):
         return [*self.fwd, *self.bwd]

@@ -163,6 +163,12 @@ def _apply_section(obj, section) -> None:
         setattr(obj, key, value)
 
 
+def _check_keys(section, allowed) -> None:
+    for key in section:
+        if key not in allowed:
+            raise PipelineError(f"unknown config key {key!r} in [{section.name}]")
+
+
 def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is not None:
@@ -180,6 +186,9 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
             cfg.out_dir = p.get("out_dir", cfg.out_dir)
         if parser.has_section("pipeline"):
             s = parser["pipeline"]
+            # threads sets nothing; it is accepted because bench/run.py's
+            # config template still sets it
+            _check_keys(s, ("seed", "threads"))
             cfg.seed = s.getint("seed", cfg.seed)
         for name, sub in (("embeddings", cfg.embeddings), ("bootstrap", cfg.bootstrap),
                           ("el", cfg.el), ("ds", cfg.ds), ("re", cfg.re)):
@@ -190,6 +199,7 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
                 _apply_section(sub, parser[name])
         if parser.has_section("split"):
             s = parser["split"]
+            _check_keys(s, ("train", "valid", "test"))
             cfg.split = (s.getfloat("train", 0.8), s.getfloat("valid", 0.1),
                          s.getfloat("test", 0.1))
     if seed is not None:

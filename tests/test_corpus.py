@@ -111,6 +111,16 @@ def test_two_ingests_share_id_strings(tmp_path):
         sentence_from_record({"id": 7, "tokens": ["x"]})
 
 
+def test_one_ingest_shares_equal_tokens(tmp_path):
+    path = tmp_path / "c.jsonl"
+    s2 = toy_sentence()
+    s2.id = "s2"
+    write_corpus([toy_sentence(), s2], path)
+    first, second = ingest_corpus(path)
+    assert first.tokens == second.tokens
+    assert all(a is b for a, b in zip(first.tokens, second.tokens))
+
+
 def test_ingest_rejects_duplicate_ids(tmp_path):
     s = toy_sentence()
     path = tmp_path / "c.jsonl"

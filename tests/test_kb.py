@@ -38,6 +38,12 @@ def test_alias_index_is_shared_across_entities():
     assert kb.entities_by_alias("nope") == frozenset()
 
 
+def test_alias_lookups_return_the_stored_set_and_aliases_are_surfaces():
+    kb = small_kb()
+    assert kb.entities_by_alias("Tony") is kb.entities_by_alias("Tony")
+    assert list(kb.aliases()) == ["Avengers", "Iron Man", "Stark", "Tony", "Tony Stark"]
+
+
 def test_unknown_entity_raises():
     kb = small_kb()
     with pytest.raises(UnknownEntityError):

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from kbforge import nn
 from kbforge.corpus import Sentence, Span, Token, ingest_corpus
 from kbforge.datagen import BootstrapConfig, _extract_once
 from kbforge.embeddings import EmbeddingTable, entity_symbol
 from kbforge.kb import Entity, KnowledgeBase, Triple, load_kb
 from kbforge.linker import (
+    EL_BATCH,
     Candidate,
     ContextLinkerModel,
     ELConfig,
@@ -287,6 +291,148 @@ def test_training_runs_singleton_candidate_negative_path():
     model = train_context_linker([s], kb, table, cfg)
     assert model.trained
     assert len(model.epoch_losses) == 1
+
+
+def batch_corpus(n):
+    """n sentences of 3 to 6 tokens, each with two linked spans: "Stark"
+    (two candidates) and "Pepper" (one candidate, so its negatives come
+    from the whole KB)."""
+    out = []
+    for i in range(n):
+        s = mk_sentence(["Stark", "met", "Pepper"] + ["built"] * (i % 4), f"b{i}")
+        s.spans = [Span(0, 0, "Stark", "person", linked="e1" if i % 2 else "e2"),
+                   Span(2, 2, "Pepper", "person", linked="e3")]
+        out.append(s)
+    return out
+
+
+def batch_items(corpus, kb):
+    """The trainer's items for ``corpus`` with knn_k = 0, in its order."""
+    return [(s, sp, sp.linked, generate_candidates(sp, kb, None, 0).entities)
+            for s in corpus for sp in s.spans]
+
+
+def float64_model(cfg):
+    table = small_table(["Stark", "met", "Pepper", "built"], ["e1", "e2", "e3"])
+    model = ContextLinkerModel(table, cfg)
+    for p in model.parameters():
+        p.data = p.data.astype(np.float64)
+    return model
+
+
+def test_context_vec_batch_columns_equal_each_sentence_alone():
+    model = float64_model(ELConfig(hidden=4, mlp_hidden=8))
+    sentences = batch_corpus(4)[::-1]
+    batched = model._context_vec(*sentences).data
+    assert batched.shape == (8, 4)
+    for b, s in enumerate(sentences):
+        np.testing.assert_allclose(batched[:, b:b + 1], model._context_vec(s).data,
+                                   rtol=0, atol=1e-12)
+
+
+def test_single_sentence_context_vec_is_the_unbatched_encoding():
+    # link-time scores of a saved model depend on this staying bit for bit
+    table = small_table(["Stark", "met", "Pepper", "built"], ["e1", "e2", "e3"])
+    model = ContextLinkerModel(table, ELConfig(hidden=4, mlp_hidden=8))
+    s = batch_corpus(4)[3]
+    out = model.encoder(nn.Tensor(np.stack([table.vector(t.surface) for t in s.tokens],
+                                           axis=1))).data
+    expected = np.concatenate([out[:4, -1:], out[4:, :1]])
+    assert np.array_equal(model._context_vec(s).data, expected)
+
+
+def test_batched_step_gradient_is_the_mean_of_per_item_gradients():
+    kb = stark_kb()
+    # a margin above 1 keeps every hinge positive, so every item counts
+    model = float64_model(ELConfig(hidden=4, mlp_hidden=8, margin=2.0))
+    items = batch_items(batch_corpus(3), kb)    # two items per sentence, 3-5 tokens
+    negatives = [{"e1": "e2", "e2": "e1", "e3": "e1"}[gold] for _, _, gold, _ in items]
+    params = model.parameters()
+
+    hinges = model._hinges(items, negatives)
+    assert hinges.shape == (1, len(items)) and hinges.data.min() > 0.0
+    nn.mean(hinges).backward()
+    batched = [p.grad.copy() for p in params]
+
+    # per-item reference: one encoding, two scorer calls, one backward each
+    margin = np.array([[model.cfg.margin]])
+    for p in params:
+        p.grad = None
+    for (sentence, span, gold, _), neg in zip(items, negatives):
+        v_c = model._context_vec(sentence)
+        s_gold, s_neg = model._score(v_c, span, gold), model._score(v_c, span, neg)
+        nn.relu(nn.add(nn.sub(s_neg, s_gold), margin)).backward()
+    for p, g in zip(params, batched):
+        np.testing.assert_allclose(g, p.grad / len(items), rtol=0, atol=1e-10,
+                                   err_msg=p.name)
+
+
+def test_epoch_draws_the_per_item_loops_negatives_and_steps_per_batch(monkeypatch):
+    kb = stark_kb()
+    corpus = batch_corpus(10)
+    items = batch_items(corpus, kb)
+    cfg = ELConfig(hidden=4, mlp_hidden=8, epochs=2, knn_k=0, seed=5)
+
+    # the per-item loop's draws: one permutation per epoch, then one
+    # negative per item in permutation order
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    all_ids = sorted(kb.entities)
+    expected = []
+    for _ in range(cfg.epochs):
+        for i in rng.permutation(len(items)):
+            _, _, gold, cand_ids = items[i]
+            pool = [e for e in cand_ids if e != gold]
+            if pool:
+                neg = pool[int(rng.integers(len(pool)))]
+            else:
+                neg = gold
+                while neg == gold:
+                    neg = all_ids[int(rng.integers(len(all_ids)))]
+            expected.append((i, neg))
+    assert any(items[i][2] == "e3" for i, _ in expected)   # singleton path covered
+
+    hinges, step = ContextLinkerModel._hinges, nn.Adam.step
+    batches, steps = [], []
+
+    index = {id(span): i for i, (_, span, _, _) in enumerate(items)}
+
+    def recording_hinges(self, batch, negatives):
+        batches.append([(index[id(span)], neg) for (_, span, _, _), neg in zip(batch, negatives)])
+        return hinges(self, batch, negatives)
+
+    def counting_step(self):
+        steps.append(1)
+        step(self)
+
+    monkeypatch.setattr(ContextLinkerModel, "_hinges", recording_hinges)
+    monkeypatch.setattr(nn.Adam, "step", counting_step)
+    table = small_table(["Stark", "met", "Pepper", "built"], ["e1", "e2", "e3"])
+    model = train_context_linker(corpus, kb, table, cfg)
+
+    assert [pair for batch in batches for pair in batch] == expected
+    assert [len(b) for b in batches] == [EL_BATCH, len(items) - EL_BATCH] * cfg.epochs
+    assert 0 < len(steps) <= cfg.epochs * math.ceil(len(items) / EL_BATCH)
+    assert len(model.epoch_losses) == cfg.epochs
+
+
+def test_training_step_tape_size_independent_of_batch_size():
+    def tape_nodes(loss):
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return len(seen)
+
+    kb = stark_kb()
+    table = small_table(["Stark", "met", "Pepper", "built"], ["e1", "e2", "e3"])
+    model = ContextLinkerModel(table, ELConfig(hidden=4, mlp_hidden=8))
+    items = batch_items(batch_corpus(8), kb)
+    negatives = ["e1" if gold != "e1" else "e2" for _, _, gold, _ in items]
+    sizes = [tape_nodes(nn.mean(model._hinges(items[:b], negatives[:b])))
+             for b in (1, 5, EL_BATCH)]
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 # -- full two-step linking ----------------------------------------------------

@@ -194,6 +194,32 @@ def test_bilstm_shapes_and_final_states():
     assert np.allclose(final.data[2:, 0], out.data[2:, 0])
 
 
+def test_bilstm_final_states_of_a_batch_equal_each_sequence_alone():
+    rng = np.random.default_rng(4)
+    net = BiLSTM(3, 2, rng, "t", dtype=F64)
+    seqs = [rng.standard_normal((3, n)) for n in (4, 1, 6)]
+    net(Tensor(np.concatenate(seqs, axis=1), dtype=F64), lengths=[4, 1, 6])
+    batched = net.final_states()
+    assert batched.shape == (4, 3)
+    for b, x in enumerate(seqs):
+        net(Tensor(x, dtype=F64))
+        np.testing.assert_allclose(batched.data[:, b:b + 1], net.final_states().data,
+                                   rtol=0, atol=1e-12)
+
+
+def test_bilstm_batched_final_states_gradient():
+    rng = np.random.default_rng(5)
+    net = BiLSTM(3, 2, rng, "t", dtype=F64)
+    x = t64(rng, (3, 5))
+    w = Tensor(rng.standard_normal((4, 2)), dtype=F64)
+
+    def loss():
+        net(x, lengths=[3, 2])
+        return ag.tsum(ag.mul(net.final_states(), w))
+
+    assert gradcheck(loss, [x, *net.parameters()]) < 1e-4
+
+
 def test_bilstm_direction_symmetry_with_tied_cells():
     # with identical forward/backward cells, running on the reversed input
     # swaps the roles of the two directions exactly

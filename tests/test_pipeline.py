@@ -167,6 +167,24 @@ def test_retired_config_key_fails_loudly(tmp_path, section, key, value):
         load_config(p)
 
 
+@pytest.mark.parametrize("section,key", [("split", "trian"), ("split", "seed"),
+                                         ("pipeline", "sed"), ("pipeline", "epochs")])
+def test_unknown_split_or_pipeline_key_fails_loudly(tmp_path, section, key):
+    # a misspelt split ratio used to load as its default and fail only in bags
+    p = tmp_path / "c.ini"
+    p.write_text(f"[{section}]\n{key} = 0.5\n")
+    with pytest.raises(PipelineError, match=rf"unknown config key '{key}' in \[{section}\]"):
+        load_config(p)
+
+
+def test_pipeline_threads_key_is_still_accepted(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[pipeline]\nseed = 2\nthreads = 1\n[split]\ntrain = 0.6\nvalid = 0.2\n"
+                 "test = 0.2\n")
+    cfg = load_config(p)
+    assert cfg.seed == 2 and cfg.split == (0.6, 0.2, 0.2)
+
+
 def test_readme_config_loads_and_mirrors_the_test_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
