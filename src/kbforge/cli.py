@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .kb import KBError, Triple, build_fact_type_templates, read_rows
-from .pipeline import PipelineError, PipelineRunner, load_config
+from .files import read_rows
+from .kb import KBError, KBLoadError, Triple, build_fact_type_templates
+from .pipeline import BAG_SPLITS, PipelineError, PipelineRunner, load_config
 from .relations import validate_triple
 from .synth import SynthConfig, generate_fixture
 
@@ -58,9 +59,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _runner(args) -> PipelineRunner:
-    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-    return PipelineRunner(cfg)
+# command -> the rows it prints, tab-separated, for the runner
+SUMMARIES = {
+    "ingest-kb": lambda r: [("entities", len(r.kb().entities)),
+                            ("triples", r.kb().triple_count),
+                            ("relations", len(r.kb().relations))],
+    "ingest-corpus": lambda r: [("sentences", len(r.corpus())),
+                                ("spans", sum(len(s.spans) for s in r.corpus()))],
+    "train-embeddings": lambda r: [("symbols", len(r.embeddings().symbols)),
+                                   ("dim", r.embeddings().dim)],
+    "bootstrap": lambda r: [("round", e["round"], e["extracted"], e["recognizer"])
+                            for e in r.bootstrap()[1]]
+                           + [("sentences", len(r.bootstrap()[0]))],
+    "train-el": lambda r: [("trained", r.el_model().trained)],
+    "gen-bags": lambda r: [(name, len(r.bags()[name])) for name in BAG_SPLITS],
+    "train-re": lambda r: [("relations", len(r.re_model().relations)),
+                           ("trained", r.re_model().trained)],
+    "extract": lambda r: [("accepted", len(r.extracted()[0])),
+                          ("rejected", len(r.extracted()[1]))],
+    "enrich": lambda r: [("added", r.enriched())],
+}
 
 
 def main(argv=None) -> int:
@@ -87,20 +105,11 @@ def _dispatch(args) -> int:
             print(f"{name}\t{paths[name]}")
         return 0
 
-    runner = _runner(args)
+    runner = PipelineRunner(load_config(args.config, seed=args.seed, out_dir=args.out))
 
-    if cmd == "ingest-kb":
-        kb = runner.kb()
-        print(f"entities\t{len(kb.entities)}")
-        print(f"triples\t{kb.triple_count}")
-        print(f"relations\t{len(kb.relations)}")
-        return 0
-
-    if cmd == "ingest-corpus":
-        corpus = runner.corpus()
-        spans = sum(len(s.spans) for s in corpus)
-        print(f"sentences\t{len(corpus)}")
-        print(f"spans\t{spans}")
+    if cmd in SUMMARIES:
+        for row in SUMMARIES[cmd](runner):
+            print("\t".join(map(str, row)))
         return 0
 
     if cmd == "validate":
@@ -108,7 +117,7 @@ def _dispatch(args) -> int:
         templates = build_fact_type_templates(kb)
         entity_types = {e: kb.entity_type(e) for e in kb.entities}
         accepted = rejected = 0
-        for _, fields in read_rows(args.triples, 3):
+        for fields in read_rows(args.triples, 3, KBLoadError):
             ok, reason = validate_triple(Triple(*fields), entity_types, templates)
             if ok:
                 accepted += 1
@@ -117,47 +126,6 @@ def _dispatch(args) -> int:
                 print("reject\t" + "\t".join(fields) + f"\t{reason}")
         print(f"accepted\t{accepted}")
         print(f"rejected\t{rejected}")
-        return 0
-
-    if cmd == "train-embeddings":
-        table = runner.embeddings()
-        print(f"symbols\t{len(table.symbols)}")
-        print(f"dim\t{table.dim}")
-        return 0
-
-    if cmd == "bootstrap":
-        corpus, rounds = runner.bootstrap()
-        for entry in rounds:
-            print(f"round\t{entry['round']}\t{entry['extracted']}\t{entry['recognizer']}")
-        print(f"sentences\t{len(corpus)}")
-        return 0
-
-    if cmd == "train-el":
-        model = runner.el_model()
-        print(f"trained\t{model.trained}")
-        return 0
-
-    if cmd == "gen-bags":
-        bags = runner.bags()
-        for name in ("all", "train", "valid", "test"):
-            print(f"{name}\t{len(bags[name])}")
-        return 0
-
-    if cmd == "train-re":
-        model = runner.re_model()
-        print(f"relations\t{len(model.relations)}")
-        print(f"trained\t{model.trained}")
-        return 0
-
-    if cmd == "extract":
-        accepted, rejected = runner.extracted()
-        print(f"accepted\t{len(accepted)}")
-        print(f"rejected\t{len(rejected)}")
-        return 0
-
-    if cmd == "enrich":
-        added = runner.enriched()
-        print(f"added\t{added}")
         return 0
 
     if cmd in ("eval", "run-all"):

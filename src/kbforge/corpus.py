@@ -5,12 +5,12 @@ All operations here are pure value transforms.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import read_jsonl, write_jsonl
 from .kb import KnowledgeBase
 
 
@@ -100,6 +100,8 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
     """The validated sentence of one corpus record. Records read together
     pass one ``shared_tokens`` dict, so equal tokens (same position, word,
     tag and head) become one Token object."""
+    if not isinstance(rec, dict):
+        raise CorpusError("sentence record is not a JSON object")
     sid = rec.get("id")
     if not sid:
         raise CorpusError("sentence record without an id")
@@ -163,30 +165,21 @@ def sentence_to_record(sent: Sentence) -> dict:
 def ingest_corpus(path) -> list[Sentence]:
     """Parse a JSONL corpus, applying fallbacks for missing pos/heads and
     validating every sentence invariant."""
-    sentences: list[Sentence] = []
     seen_ids: set[str] = set()
     tokens: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            sent = sentence_from_record(rec, tokens)
-            if sent.id in seen_ids:
-                raise CorpusError(f"{path}:{lineno}: duplicate sentence id {sent.id!r}")
-            seen_ids.add(sent.id)
-            sentences.append(sent)
-    return sentences
+
+    def sentence(rec: dict) -> Sentence:
+        sent = sentence_from_record(rec, tokens)
+        if sent.id in seen_ids:
+            raise CorpusError(f"duplicate sentence id {sent.id!r}")
+        seen_ids.add(sent.id)
+        return sent
+
+    return read_jsonl(path, sentence, CorpusError)
 
 
 def write_corpus(sentences, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent in sentences:
-            fh.write(json.dumps(sentence_to_record(sent), sort_keys=True) + "\n")
+    write_jsonl(path, map(sentence_to_record, sentences))
 
 
 # -- gazetteer matching ---------------------------------------------------

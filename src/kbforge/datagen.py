@@ -4,7 +4,6 @@ multi-instance multi-label bags.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 
@@ -12,6 +11,7 @@ import numpy as np
 
 from .corpus import Sentence
 from .embeddings import EmbeddingTable
+from .files import read_jsonl, write_json, write_jsonl
 from .kb import KnowledgeBase
 from .linker import GazetteerRecognizer, TrainableSpanClassifier, link_sentence
 # unused here, but bench/test_bench.py patches it at this import site
@@ -99,11 +99,8 @@ def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
 
 
 def write_generation_report(rounds: list[GenerationRound], path) -> None:
-    payload = {"rounds": [{"round": r.round_index, "extracted": r.extracted_count,
-                           "recognizer": r.recognizer} for r in rounds]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {"rounds": [{"round": r.round_index, "extracted": r.extracted_count,
+                                  "recognizer": r.recognizer} for r in rounds]})
 
 
 def collect_pair_sentences(corpus: list[Sentence]) -> dict[tuple[str, str], list[str]]:
@@ -157,27 +154,17 @@ def split_dataset(bags: list[Bag], ratios: tuple[float, float, float],
 
 
 def save_bags(bags: list[Bag], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for bag in bags:
-            fh.write(json.dumps({"subject": bag.subject, "object": bag.object,
-                                 "labels": list(bag.labels),
-                                 "sentences": list(bag.sentence_ids)},
-                                sort_keys=True) + "\n")
+    write_jsonl(path, ({"subject": bag.subject, "object": bag.object,
+                        "labels": list(bag.labels), "sentences": list(bag.sentence_ids)}
+                       for bag in bags))
+
+
+def _bag(rec: dict) -> Bag:
+    # ids repeat across bags, splits and the corpus: hold each once
+    return Bag(sys.intern(rec["subject"]), sys.intern(rec["object"]),
+               tuple(map(sys.intern, rec["labels"])),
+               tuple(map(sys.intern, rec["sentences"])))
 
 
 def load_bags(path) -> list[Bag]:
-    bags = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                # ids repeat across bags, splits and the corpus: hold each once
-                bags.append(Bag(sys.intern(rec["subject"]), sys.intern(rec["object"]),
-                                tuple(map(sys.intern, rec["labels"])),
-                                tuple(map(sys.intern, rec["sentences"]))))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataGenError(f"{path}:{lineno}: bad bag record ({exc})") from None
-    return bags
+    return read_jsonl(path, _bag, DataGenError)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import read_rows, write_rows
 from .kb import KnowledgeBase
 
 ENT_PREFIX = "ent:"
@@ -87,27 +88,31 @@ def init_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 
 
 def save_table(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for i, sym in enumerate(table.symbols):
-            vals = " ".join(repr(float(v)) for v in table.vectors[i])
-            fh.write(f"{sym} {vals}\n")
+    rows = [(sym, *map(repr, vec.tolist())) for sym, vec in zip(table.symbols, table.vectors)]
+    write_rows(path, [(str(len(table)), str(table.dim))] + rows, sep=" ")
 
 
 def load_table(path) -> EmbeddingTable:
-    with open(path, encoding="utf-8") as fh:
-        head = fh.readline().split()
-        if len(head) != 2:
-            raise EmbeddingError(f"{path}: bad header")
-        count, dim = int(head[0]), int(head[1])
-        symbols, rows = [], np.zeros((count, dim), dtype=np.float32)
-        for i in range(count):
-            parts = fh.readline().split()
-            if len(parts) != dim + 1:
-                raise EmbeddingError(f"{path}: row {i} has wrong arity")
-            symbols.append(parts[0])
-            rows[i] = [float(x) for x in parts[1:]]
-    return EmbeddingTable(symbols, rows)
+    """The table save_table wrote: a ``count dim`` header, then one
+    ``symbol v1 ... vdim`` row per symbol."""
+    shape: list[int] = []
+
+    def row(symbol, *values):
+        if not shape:
+            (dim,) = values
+            shape.extend((int(symbol), int(dim)))
+            if min(shape) < 0:
+                raise EmbeddingError(f"negative size in header {shape}")
+            return None
+        if len(values) != shape[1]:
+            raise EmbeddingError(f"expected {shape[1]} values, found {len(values)}")
+        return symbol, [float(x) for x in values]
+
+    rows = read_rows(path, None, EmbeddingError, row, sep=" ")[1:]
+    if not shape or len(rows) != shape[0]:
+        raise EmbeddingError(f"{path}: header row count {shape[:1]} but {len(rows)} rows")
+    return EmbeddingTable([sym for sym, _ in rows],
+                          np.array([vec for _, vec in rows], dtype=np.float32).reshape(shape))
 
 
 # -- negative sampling -------------------------------------------------------

@@ -1,0 +1,104 @@
+"""One reader and one writer for each text format of kbforge's files: TSV
+rows, JSONL records and JSON documents. Row and record readers stream line
+by line and skip blank lines. Every reader raises the caller's error type
+naming ``FILE:LINE`` for non-UTF-8 bytes, invalid JSON, a value that is not
+a JSON object, a wrong field count, or a record ``convert`` rejects with
+KeyError, TypeError, ValueError or that error type."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+
+def _read(path, error, parse, convert) -> list:
+    """``convert(*parse(line, lineno))`` of every non-blank line."""
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.rstrip(b"\r\n").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+            if line and not line.isspace():
+                out.append(_convert(convert, parse(line, lineno), error, path, lineno))
+    return out
+
+
+def _convert(convert, args, error, path, lineno):
+    try:
+        return convert(*args)
+    except (KeyError, TypeError, ValueError, error) as exc:
+        detail = exc if isinstance(exc, error) else f"malformed record ({exc!r})"
+        raise error(f"{path}:{lineno}: {detail}") from exc
+
+
+def _parse(text, error, path, lineno: int = 1) -> dict:
+    """The JSON object ``text`` holds; ``lineno`` is the line it starts on."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{lineno + exc.lineno - 1}: invalid JSON ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        lineno += exc.object.count(b"\n", 0, exc.start)
+        raise error(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+    except RecursionError:
+        raise error(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}:{lineno}: not a JSON object")
+    return doc
+
+
+def read_rows(path, columns, error, convert=lambda *fields: fields, sep: str = "\t") -> list:
+    """``convert(*fields)`` of every row. ``columns`` is the number of fields
+    a row must have, a tuple of the allowed numbers, or None for any."""
+    allowed = (columns,) if isinstance(columns, int) else columns
+
+    def split(line: str, lineno: int) -> list[str]:
+        fields = line.split(sep)
+        if allowed is not None and len(fields) not in allowed:
+            raise error(f"{path}:{lineno}: expected {' or '.join(map(str, allowed))} "
+                        f"fields, found {len(fields)}")
+        return fields
+
+    return _read(path, error, split, convert)
+
+
+def read_jsonl(path, convert, error) -> list:
+    """``convert(record)`` of every line's JSON object."""
+    return _read(path, error, lambda line, lineno: (_parse(line, error, path, lineno),),
+                 convert)
+
+
+def read_json(path, error, convert=lambda doc: doc):
+    """``convert(document)`` of a file that holds one JSON object."""
+    with open(path, "rb") as fh:
+        doc = _parse(fh.read(), error, path)
+    return _convert(convert, (doc,), error, path, 1)
+
+
+def _write(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
+def write_rows(path, rows, sep: str = "\t") -> None:
+    """One line per row of string fields."""
+    _write(path, (sep.join(fields) + "\n" for fields in rows))
+
+
+def write_jsonl(path, records) -> None:
+    _write(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+
+
+def write_json(path, doc) -> None:
+    _write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
+
+
+def hash_file(path) -> str:
+    """The sha256 hex digest of a file's bytes."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()

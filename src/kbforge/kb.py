@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .files import read_rows, write_rows
+
 UNTYPED = "UNTYPED"
 _NO_IDS: frozenset[str] = frozenset()
 
@@ -168,65 +170,35 @@ def build_fact_type_templates(kb: KnowledgeBase) -> dict[str, tuple[frozenset[st
     return {r: (frozenset(subj[r]), frozenset(obj[r])) for r in sorted(subj)}
 
 
-def read_rows(path, columns: int) -> list[tuple[int, list[str]]]:
-    """(line number, fields) of every non-empty row of a TSV file. A row
-    without exactly ``columns`` fields raises KBLoadError citing the file
-    and the line."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != columns:
-                raise KBLoadError(f"{path}:{lineno}: expected {columns} tab-separated "
-                                  f"fields, found {len(fields)}")
-            rows.append((lineno, fields))
-    return rows
-
-
 def load_kb(entity_file, triple_file) -> KnowledgeBase:
     """Load a KB from the two TSV files.
 
-    entity file rows: id<TAB>type<TAB>canonical_name<TAB>alias1|alias2|...
+    entity file rows: id<TAB>type<TAB>canonical_name[<TAB>alias1|alias2|...]
     triple file rows: subject_id<TAB>relation_id<TAB>object_id
     """
-    entities: list[Entity] = []
     seen: set[str] = set()
-    with open(entity_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) < 3:
-                raise KBLoadError(f"{entity_file}:{lineno}: expected id<TAB>type<TAB>name[<TAB>aliases]")
-            eid, etype, name = cols[0], cols[1] or UNTYPED, cols[2]
-            if eid in seen:
-                raise KBLoadError(f"{entity_file}:{lineno}: duplicate entity id {eid!r}")
-            seen.add(eid)
-            aliases = tuple(a for a in cols[3].split("|") if a) if len(cols) > 3 else ()
-            try:
-                entities.append(Entity(eid, name, aliases, etype))
-            except KBError as exc:
-                raise KBLoadError(f"{entity_file}:{lineno}: {exc}") from None
 
-    triples: list[Triple] = []
-    for lineno, (s, r, o) in read_rows(triple_file, 3):
-        if s not in seen:
-            raise KBLoadError(f"{triple_file}:{lineno}: unknown entity id {s!r}")
-        if o not in seen:
-            raise KBLoadError(f"{triple_file}:{lineno}: unknown entity id {o!r}")
+    def entity(eid, etype, name, aliases="") -> Entity:
+        if eid in seen:
+            raise KBLoadError(f"duplicate entity id {eid!r}")
+        seen.add(eid)
+        try:
+            return Entity(eid, name, tuple(a for a in aliases.split("|") if a), etype or UNTYPED)
+        except KBError as exc:
+            raise KBLoadError(str(exc)) from None
+
+    def triple(s, r, o) -> Triple:
+        for eid in (s, o):
+            if eid not in seen:
+                raise KBLoadError(f"unknown entity id {eid!r}")
         if s == o:
-            raise KBLoadError(f"{triple_file}:{lineno}: reflexive triple {s!r} -> {o!r}")
-        triples.append(Triple(s, r, o))
+            raise KBLoadError(f"reflexive triple {s!r} -> {o!r}")
+        return Triple(s, r, o)
 
-    return KnowledgeBase(entities, triples)
+    entities = read_rows(entity_file, (3, 4), KBLoadError, entity)
+    return KnowledgeBase(entities, read_rows(triple_file, 3, KBLoadError, triple))
 
 
 def save_triples(kb: KnowledgeBase, path) -> None:
     """Write the KB's triples as TSV in sorted order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in kb.iter_triples():
-            fh.write(f"{t.subject}\t{t.relation}\t{t.object}\n")
+    write_rows(path, ((t.subject, t.relation, t.object) for t in kb.iter_triples()))

@@ -12,7 +12,7 @@ import numpy as np
 from . import nn
 from .corpus import Sentence, Span, build_gazetteer, longest_ngram_match, make_span
 from .embeddings import EmbeddingTable, entity_symbol, knn_candidates
-from .kb import UNTYPED, KnowledgeBase
+from .kb import KnowledgeBase
 
 
 class LinkError(Exception):
@@ -41,21 +41,12 @@ class LinkDecision:
     ranking: tuple[str, ...] = ()  # context decisions: candidates by descending score
 
 
-def _span_type(kb: KnowledgeBase, surface: str) -> str:
-    types = {kb.entity_type(e) for e in kb.entities_by_alias(surface)}
-    return next(iter(types)) if len(types) == 1 else UNTYPED
-
-
 class GazetteerRecognizer:
     def __init__(self, kb: KnowledgeBase):
-        self.kb = kb
         self.gazetteer = build_gazetteer(kb)
 
     def recognize(self, sentence: Sentence) -> list[Span]:
-        spans = longest_ngram_match(sentence, self.gazetteer)
-        for sp in spans:
-            sp.span_type = _span_type(self.kb, sp.surface)
-        return spans
+        return longest_ngram_match(sentence, self.gazetteer)
 
 
 class TrainableSpanClassifier:
@@ -66,7 +57,6 @@ class TrainableSpanClassifier:
 
     def __init__(self, kb: KnowledgeBase, feature_dim: int = 4096, lr: float = 0.5,
                  epochs: int = 5, negatives_per_sentence: int = 10):
-        self.kb = kb
         self.gazetteer = build_gazetteer(kb)
         self.feature_dim = feature_dim
         self.lr = lr
@@ -146,12 +136,7 @@ class TrainableSpanClassifier:
         for _, start, end in scored:
             if all(end < s or e < start for s, e in taken):
                 taken.append((start, end))
-        out = []
-        for start, end in sorted(taken):
-            sp = make_span(sentence, start, end)
-            sp.span_type = _span_type(self.kb, sp.surface)
-            out.append(sp)
-        return out
+        return [make_span(sentence, start, end) for start, end in sorted(taken)]
 
 
 def generate_candidates(span: Span, kb: KnowledgeBase, table: EmbeddingTable | None,

@@ -117,5 +117,15 @@ class MetricsReport:
             "triple_precision": self.triple_precision,
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> MetricsReport:
+        """The report whose ``to_dict`` is ``doc``; TypeError or ValueError
+        for a document that no report gives."""
+        report = cls(**doc)
+        if not all(isinstance(x, dict) for x in (report.el, report.re, report.counts)) \
+                or report.to_dict() != doc:
+            raise ValueError("not a metrics report")
+        return report
+
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import nn
-from .corpus import Sentence, ingest_corpus, write_corpus
+from .corpus import CorpusError, Sentence, ingest_corpus, sentence_from_record, write_corpus
 from .datagen import (
     Bag,
     BootstrapConfig,
@@ -40,7 +40,9 @@ from .embeddings import (
     train_joint_embeddings,
     train_node_embeddings,
 )
-from .kb import KnowledgeBase, Triple, load_kb, read_rows, save_triples
+from .files import hash_file as _hash_file
+from .files import read_json, read_jsonl, read_rows, write_json, write_jsonl, write_rows
+from .kb import KnowledgeBase, Triple, load_kb, save_triples
 from .linker import (
     ContextLinkerModel,
     ELConfig,
@@ -89,8 +91,6 @@ def load_benchmark(directory):
     (sentence_id, Triple). Missing files raise BenchmarkError with a
     "benchmark not installed" message instead of crashing.
     """
-    from .corpus import sentence_from_record
-
     root = Path(directory)
     needed = [root / "entities.tsv", root / "triples.tsv",
               root / "human_labeled.jsonl"]
@@ -101,23 +101,16 @@ def load_benchmark(directory):
         kb = load_kb(needed[0], needed[1])
     except Exception as exc:
         raise BenchmarkError(f"benchmark KB unreadable: {exc}") from exc
-    sentences = []
-    gold = []
-    with open(needed[2], encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                sentence = sentence_from_record(rec["sentence"])
-                triple = Triple(rec["subject"], rec["relation"], rec["object"])
-            except Exception as exc:
-                raise BenchmarkError(
-                    f"{needed[2]}:{lineno}: malformed record: {exc}") from exc
-            sentences.append(sentence)
-            gold.append((sentence.id, triple))
-    return kb, sentences, gold
+
+    def record(rec: dict) -> tuple[Sentence, Triple]:
+        try:
+            sentence = sentence_from_record(rec["sentence"])
+        except CorpusError as exc:
+            raise BenchmarkError(f"malformed record: {exc}") from exc
+        return sentence, Triple(rec["subject"], rec["relation"], rec["object"])
+
+    records = read_jsonl(needed[2], record, BenchmarkError)
+    return kb, [s for s, _ in records], [(s.id, t) for s, t in records]
 
 
 @dataclass
@@ -177,13 +170,9 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
         if not read:
             raise PipelineError(f"config file {path} not found")
         if parser.has_section("paths"):
-            p = parser["paths"]
-            cfg.entities_path = p.get("entities", cfg.entities_path)
-            cfg.triples_path = p.get("triples", cfg.triples_path)
-            cfg.corpus_path = p.get("corpus", cfg.corpus_path)
-            cfg.gold_links_path = p.get("gold_links", cfg.gold_links_path)
-            cfg.gold_triples_path = p.get("gold_triples", cfg.gold_triples_path)
-            cfg.out_dir = p.get("out_dir", cfg.out_dir)
+            _check_keys(parser["paths"], SOURCES + ("out_dir",))
+            for key, value in parser["paths"].items():
+                setattr(cfg, key if key == "out_dir" else f"{key}_path", value)
         if parser.has_section("pipeline"):
             s = parser["pipeline"]
             # threads sets nothing; it is accepted because bench/run.py's
@@ -208,14 +197,6 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
         cfg.out_dir = out_dir
     cfg.reseed()
     return cfg
-
-
-def _hash_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _cfg_digest(obj) -> str:
@@ -251,8 +232,12 @@ def _build_bootstrap(r: PipelineRunner, linked, report) -> None:
     write_generation_report(rounds, report)
 
 
+def _rounds(doc: dict) -> list[dict]:
+    return [{key: r[key] for key in ("round", "extracted", "recognizer")} for r in doc["rounds"]]
+
+
 def _load_bootstrap(r: PipelineRunner, linked, report):
-    return ingest_corpus(linked), json.loads(report.read_text())["rounds"]
+    return ingest_corpus(linked), read_json(report, PipelineError, _rounds)
 
 
 def _build_el(r: PipelineRunner, ckpt) -> None:
@@ -300,38 +285,36 @@ def _build_link(r: PipelineRunner, linked, evals) -> None:
                      "method": d.method, "entity": d.entity, "ranking": list(d.ranking)}
                     for d in decisions]
     write_corpus(out_sentences, linked)
-    with open(evals, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(evals, records)
+
+
+def _link_eval_item(rec: dict) -> LinkEvalItem:
+    return LinkEvalItem(sys.intern(rec["sentence"]), rec["start"], rec["end"],
+                        sys.intern(rec["method"]), sys.intern(rec["entity"]),
+                        tuple(map(sys.intern, rec["ranking"])))
 
 
 def _load_link(r: PipelineRunner, linked, evals):
-    items = []
-    with open(evals, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            items.append(LinkEvalItem(sys.intern(rec["sentence"]), rec["start"],
-                                      rec["end"], sys.intern(rec["method"]),
-                                      sys.intern(rec["entity"]),
-                                      tuple(map(sys.intern, rec["ranking"]))))
-    return ingest_corpus(linked), items
+    return ingest_corpus(linked), read_jsonl(evals, _link_eval_item, PipelineError)
 
 
 def _build_extract(r: PipelineRunner, accepted_path, rejected_path) -> None:
     rejected = []
     accepted = extract(r.link_corpus()[0], r.kb(), r.re_model(), rejected_log=rejected)
     save_extracted_triples(accepted, accepted_path)
-    with open(rejected_path, "w", encoding="utf-8") as fh:
-        for t, reason in rejected:
-            fh.write(f"{t.subject}\t{t.relation}\t{t.object}\t{reason}\n")
+    write_rows(rejected_path, ((t.subject, t.relation, t.object, reason)
+                               for t, reason in rejected))
+
+
+def _extracted(s, rel, o, conf, sids) -> ExtractedTriple:
+    return ExtractedTriple(sys.intern(s), sys.intern(rel), sys.intern(o), float(conf),
+                           tuple(map(sys.intern, sids.split(","))) if sids else ())
 
 
 def _load_extract(r: PipelineRunner, accepted_path, rejected_path):
-    accepted = [ExtractedTriple(sys.intern(s), sys.intern(rel), sys.intern(o), float(conf),
-                                tuple(map(sys.intern, sids.split(","))) if sids else ())
-                for _, (s, rel, o, conf, sids) in read_rows(accepted_path, 5)]
-    rejected = [(Triple(s, rel, o), reason)
-                for _, (s, rel, o, reason) in read_rows(rejected_path, 4)]
+    accepted = read_rows(accepted_path, 5, PipelineError, _extracted)
+    rejected = read_rows(rejected_path, 4, PipelineError,
+                         lambda s, rel, o, reason: (Triple(s, rel, o), reason))
     return accepted, rejected
 
 
@@ -345,15 +328,13 @@ def _build_enrich(r: PipelineRunner, path, added_path) -> None:
             by_triple[t.triple()] = tuple(sorted(sids))
     kb.add_triples(sorted(by_triple))
     save_triples(kb, path)
-    with open(added_path, "w", encoding="utf-8") as fh:
-        for t in sorted(by_triple):
-            sids = ",".join(by_triple[t])
-            fh.write(f"{t.subject}\t{t.relation}\t{t.object}\t{sids}\n")
+    write_rows(added_path, ((t.subject, t.relation, t.object, ",".join(by_triple[t]))
+                            for t in sorted(by_triple)))
 
 
 def _load_enrich(r: PipelineRunner, path, added_path) -> int:
     """Number of triples the enrichment added to the KB."""
-    return len(read_rows(path, 3)) - r.kb().triple_count
+    return len(read_rows(path, 3, PipelineError)) - r.kb().triple_count
 
 
 def _build_evaluate(r: PipelineRunner, metrics_path) -> None:
@@ -396,7 +377,7 @@ def _build_evaluate(r: PipelineRunner, metrics_path) -> None:
         "extracted_rejected": len(rejected),
         "enriched_added": r.enriched(),
     }
-    metrics_path.write_text(report.to_json())
+    write_json(metrics_path, report.to_dict())
 
 
 @dataclass(frozen=True)
@@ -442,7 +423,7 @@ STAGES = {stage.name: stage for stage in (
            "re.ckpt") + _BAGS + ("extracted.tsv", "rejected.tsv", "enriched_triples.tsv")
           + _KB + ("corpus", "gold_links", "gold_triples"),
           lambda c: {}, ("metrics.json",), _build_evaluate,
-          lambda r, path: MetricsReport(**json.loads(path.read_text()))),
+          lambda r, path: read_json(path, PipelineError, MetricsReport.from_dict)),
 )}
 PRODUCER = {out: stage.name for stage in STAGES.values() for out in stage.outputs}
 
@@ -461,7 +442,9 @@ class PipelineRunner:
         self._manifest_path = self.out / "cache.json"
         self._manifest = {}
         if self._manifest_path.exists():
-            self._manifest = json.loads(self._manifest_path.read_text())
+            # stage -> {"key", "outputs"}
+            self._manifest = read_json(self._manifest_path, PipelineError,
+                                       lambda doc: {k: dict(v) for k, v in doc.items()})
         self._mem: dict[str, object] = {}
         # file -> sha256; a file is hashed only after the stage that writes
         # it has been ensured, and a runner ensures each stage once
@@ -492,8 +475,7 @@ class PipelineRunner:
 
     def _record(self, stage: str, key: str, outputs) -> None:
         self._manifest[stage] = {"key": key, "outputs": [str(p) for p in outputs]}
-        self._manifest_path.write_text(json.dumps(self._manifest, sort_keys=True,
-                                                  indent=2) + "\n")
+        write_json(self._manifest_path, self._manifest)
 
     def _ensure(self, name: str) -> None:
         """Ensure stage ``name``: first every stage that outputs one of its
@@ -519,29 +501,34 @@ class PipelineRunner:
         self._record(name, key, outputs)
         self.stage_ran[name] = True
 
+    def _memo(self, what: str, load, *args):
+        """``load(*args)``, once per runner; any error it raises becomes a
+        PipelineError that names ``what``."""
+        if what not in self._mem:
+            try:
+                self._mem[what] = load(*args)
+            except Exception as exc:
+                raise PipelineError(f"{what}: {exc}") from exc
+        return self._mem[what]
+
     def _loaded(self, name: str):
         """The loaded outputs of stage ``name``, ensured first."""
         self._ensure(name)
-        if name not in self._mem:
-            stage = STAGES[name]
-            self._mem[name] = stage.load(self, *(self.out / o for o in stage.outputs))
-        return self._mem[name]
+        stage = STAGES[name]
+        return self._memo(f"stage {name}", stage.load, self,
+                          *(self.out / o for o in stage.outputs))
 
     # -- accessors ------------------------------------------------------------
 
     def kb(self) -> KnowledgeBase:
-        if "kb" not in self._mem:
-            if not self.cfg.entities_path or not self.cfg.triples_path:
-                raise PipelineError("config lacks [paths] entities/triples")
-            self._mem["kb"] = load_kb(self.cfg.entities_path, self.cfg.triples_path)
-        return self._mem["kb"]
+        if not self.cfg.entities_path or not self.cfg.triples_path:
+            raise PipelineError("config lacks [paths] entities/triples")
+        return self._memo("input kb", load_kb, self.cfg.entities_path, self.cfg.triples_path)
 
     def corpus(self) -> list[Sentence]:
-        if "corpus" not in self._mem:
-            if not self.cfg.corpus_path:
-                raise PipelineError("config lacks [paths] corpus")
-            self._mem["corpus"] = ingest_corpus(self.cfg.corpus_path)
-        return self._mem["corpus"]
+        if not self.cfg.corpus_path:
+            raise PipelineError("config lacks [paths] corpus")
+        return self._memo("input corpus", ingest_corpus, self.cfg.corpus_path)
 
     def embeddings(self) -> EmbeddingTable:
         return self._loaded("embeddings")

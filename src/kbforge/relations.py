@@ -13,6 +13,7 @@ import numpy as np
 from . import nn
 from .corpus import Sentence, Span, sdp_adjacency, shortest_dependency_path
 from .datagen import Bag, collect_pair_sentences
+from .files import write_rows
 from .kb import UNTYPED, KnowledgeBase, Triple, build_fact_type_templates
 
 NO_SPAN_TYPE = "O"
@@ -408,10 +409,8 @@ def extract(corpus: list[Sentence], kb: KnowledgeBase, model: REModel,
 
 
 def save_extracted_triples(triples: list[ExtractedTriple], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triples:
-            fh.write(f"{t.subject}\t{t.relation}\t{t.object}\t{t.confidence!r}\t"
-                     f"{','.join(t.sentence_ids)}\n")
+    write_rows(path, ((t.subject, t.relation, t.object, repr(t.confidence),
+                       ",".join(t.sentence_ids)) for t in triples))
 
 
 def save_model(model: REModel, path) -> None:

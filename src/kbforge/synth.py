@@ -19,14 +19,14 @@ Design notes, because the corpus shape carries the learning signal:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Sentence, Span, Token, validate_sentence
-from .kb import read_rows
+from .files import read_rows, write_jsonl, write_rows
+from .kb import KBLoadError
 
 GIVENS = ["Ben", "Kia", "Mori", "Tala", "Rafe", "Una", "Velo", "Sera", "Dain",
           "Lio", "Mara", "Oren", "Pia", "Quin", "Rua", "Sil", "Tovo", "Vena",
@@ -196,7 +196,7 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
 
     order = rng.permutation(len(raw))
     sentences: list[Sentence] = []
-    gold_links: list[tuple[str, int, int, str]] = []
+    gold_links: list[tuple[str, str, str, str]] = []  # rows of gold_links.tsv
     pair_realized: set[tuple[str, str]] = set()
     for new_index, old_index in enumerate(order):
         words, pos, spans = raw[old_index]
@@ -208,7 +208,7 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
         sentences.append(sent)
         ids_here = []
         for start, end, eid in spans:
-            gold_links.append((sid, start, end, eid))
+            gold_links.append((sid, str(start), str(end), eid))
             ids_here.append(eid)
         for x in ids_here:
             for y in ids_here:
@@ -224,35 +224,24 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
         "gold_bags": out / "gold_bags.jsonl",
     }
 
-    with open(paths["entities"], "w", encoding="utf-8") as fh:
-        for e in entities:
-            fh.write(f"{e.id}\t{e.etype}\t{e.canonical}\t{e.canonical}|{e.given}\n")
-    with open(paths["triples"], "w", encoding="utf-8") as fh:
-        for s, r, o in sorted(kb_triples):
-            fh.write(f"{s}\t{r}\t{o}\n")
-    with open(paths["corpus"], "w", encoding="utf-8") as fh:
-        for sent in sentences:
-            rec = {"id": sent.id, "tokens": [t.surface for t in sent.tokens],
-                   "pos": [t.pos_tag for t in sent.tokens], "heads": sent.heads()}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(paths["gold_links"], "w", encoding="utf-8") as fh:
-        for sid, start, end, eid in gold_links:
-            fh.write(f"{sid}\t{start}\t{end}\t{eid}\n")
-    with open(paths["gold_triples"], "w", encoding="utf-8") as fh:
-        for s, r, o in sorted(held_out):
-            fh.write(f"{s}\t{r}\t{o}\n")
-    with open(paths["gold_bags"], "w", encoding="utf-8") as fh:
-        for s, o in sorted(pair_realized):
-            labels = sorted(truth_pairs.get((s, o), set()))
-            fh.write(json.dumps({"subject": s, "object": o, "labels": labels},
-                                sort_keys=True) + "\n")
+    write_rows(paths["entities"], ((e.id, e.etype, e.canonical, f"{e.canonical}|{e.given}")
+                                   for e in entities))
+    write_rows(paths["triples"], sorted(kb_triples))
+    write_jsonl(paths["corpus"], ({"id": sent.id, "tokens": [t.surface for t in sent.tokens],
+                                  "pos": [t.pos_tag for t in sent.tokens], "heads": sent.heads()}
+                                 for sent in sentences))
+    write_rows(paths["gold_links"], gold_links)
+    write_rows(paths["gold_triples"], sorted(held_out))
+    write_jsonl(paths["gold_bags"], ({"subject": s, "object": o,
+                                      "labels": sorted(truth_pairs.get((s, o), set()))}
+                                     for s, o in sorted(pair_realized)))
     return paths
 
 
 def load_gold_links(path) -> dict[tuple[str, int, int], str]:
-    return {(sid, int(start), int(end)): eid
-            for _, (sid, start, end, eid) in read_rows(path, 4)}
+    return dict(read_rows(path, 4, KBLoadError,
+                          lambda sid, start, end, eid: ((sid, int(start), int(end)), eid)))
 
 
 def load_gold_triples(path) -> set[tuple[str, str, str]]:
-    return {tuple(fields) for _, fields in read_rows(path, 3)}
+    return set(read_rows(path, 3, KBLoadError))

@@ -168,7 +168,8 @@ def test_retired_config_key_fails_loudly(tmp_path, section, key, value):
 
 
 @pytest.mark.parametrize("section,key", [("split", "trian"), ("split", "seed"),
-                                         ("pipeline", "sed"), ("pipeline", "epochs")])
+                                         ("pipeline", "sed"), ("pipeline", "epochs"),
+                                         ("paths", "corpse")])
 def test_unknown_split_or_pipeline_key_fails_loudly(tmp_path, section, key):
     # a misspelt split ratio used to load as its default and fail only in bags
     p = tmp_path / "c.ini"
@@ -527,6 +528,40 @@ def test_cli_error_is_not_a_traceback(capsys):
     assert rc == 1
     assert stdout == ""
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("bad_line", ["{bad", "3"])
+def test_cli_corrupt_corpus_line_is_an_error_naming_file_and_line(tiny_run, tmp_path, capsys,
+                                                                  bad_line):
+    corpus = tmp_path / "corpus.jsonl"
+    first = (tiny_run["fixture"] / "corpus.jsonl").read_text().splitlines()[0]
+    corpus.write_text(f"{first}\n{bad_line}\n")
+    cfg_path = tiny_run["cfg_path"].read_text().replace(
+        f"{tiny_run['fixture']}/corpus.jsonl", str(corpus))
+    (tmp_path / "c.ini").write_text(cfg_path)
+    rc, stdout, stderr = run_cli(capsys, "ingest-corpus", "--config", str(tmp_path / "c.ini"))
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("error:") and f"{corpus}:2:" in stderr
+    assert stderr.count("\n") == 1
+
+
+def test_corrupt_cache_manifest_is_a_pipeline_error(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cache.json").write_text('{"embeddings": {"key": "k"}\n')
+    with pytest.raises(PipelineError, match=r"cache\.json:2: invalid JSON"):
+        PipelineRunner(load_config(None, out_dir=str(out)))
+
+
+def test_corrupt_artifact_load_is_a_pipeline_error_naming_the_stage(tiny_run, tmp_path):
+    out = tmp_path / "artifacts"
+    shutil.copytree(tiny_run["out"], out)
+    with open(out / "link_eval.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"sentence": "s1"}\n')
+    cfg = load_config(tiny_run["cfg_path"], out_dir=str(out))
+    with pytest.raises(PipelineError, match=r"stage link: .*link_eval\.jsonl:\d+: malformed"):
+        PipelineRunner(cfg).link_corpus()
 
 
 # -- external benchmark loader ------------------------------------------------
