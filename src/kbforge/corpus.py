@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .files import read_jsonl, write_jsonl
+from .files import json_int, json_ints, json_list, read_jsonl, write_jsonl
 from .kb import KnowledgeBase
 
 
@@ -111,11 +111,19 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
     words = rec.get("tokens")
     if not words:
         raise CorpusError(f"sentence {sid!r}: no tokens")
-    pos = rec.get("pos") or ["UNK"] * len(words)
-    heads = rec.get("heads")
-    if heads is None:
-        # token i heads token i+1; token 0 is root
-        heads = [-1] + list(range(len(words) - 1))
+    # a missing or null pos, heads or spans takes its default, and so does
+    # an empty pos list
+    pos, heads, raw_spans = rec.get("pos"), rec.get("heads"), rec.get("spans")
+    try:
+        words = json_list(words)
+        pos = json_list([] if pos is None else pos) or ["UNK"] * len(words)
+        if heads is None:
+            # token i heads token i+1; token 0 is root
+            heads = [-1] + list(range(len(words) - 1))
+        heads = json_ints(heads)
+        raw_spans = json_list([] if raw_spans is None else raw_spans)
+    except TypeError as exc:
+        raise CorpusError(f"sentence {sid!r}: tokens, pos, heads or spans: {exc}") from None
     if len(pos) != len(words) or len(heads) != len(words):
         raise CorpusError(f"sentence {sid!r}: pos/heads length mismatch")
     # a corpus repeats few distinct words, tags and span labels many times:
@@ -133,8 +141,11 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
             token = cache[key] = Token(*key)
         tokens.append(token)
     sent = Sentence(sid, tokens)
-    for raw_span in rec.get("spans") or []:
-        start, end = raw_span["start"], raw_span["end"]
+    for raw_span in raw_spans:
+        try:
+            start, end = json_int(raw_span["start"]), json_int(raw_span["end"])
+        except TypeError as exc:
+            raise CorpusError(f"sentence {sid!r}: span offsets: {exc}") from None
         if not (0 <= start <= end < len(words)):
             raise CorpusError(f"sentence {sid!r}: span [{start},{end}] out of range")
         typ, entity, method = raw_span.get("type"), raw_span.get("entity"), raw_span.get("method")

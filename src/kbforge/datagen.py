@@ -11,7 +11,7 @@ import numpy as np
 
 from .corpus import Sentence
 from .embeddings import EmbeddingTable
-from .files import read_jsonl, write_json, write_jsonl
+from .files import json_list, read_jsonl, write_json, write_jsonl
 from .kb import KnowledgeBase
 from .linker import GazetteerRecognizer, TrainableSpanClassifier, link_sentence
 # unused here, but bench/test_bench.py patches it at this import site
@@ -162,8 +162,8 @@ def save_bags(bags: list[Bag], path) -> None:
 def _bag(rec: dict) -> Bag:
     # ids repeat across bags, splits and the corpus: hold each once
     return Bag(sys.intern(rec["subject"]), sys.intern(rec["object"]),
-               tuple(map(sys.intern, rec["labels"])),
-               tuple(map(sys.intern, rec["sentences"])))
+               tuple(map(sys.intern, json_list(rec["labels"]))),
+               tuple(map(sys.intern, json_list(rec["sentences"]))))
 
 
 def load_bags(path) -> list[Bag]:

@@ -111,8 +111,11 @@ def load_table(path) -> EmbeddingTable:
     rows = read_rows(path, None, EmbeddingError, row, sep=" ")[1:]
     if not shape or len(rows) != shape[0]:
         raise EmbeddingError(f"{path}: header row count {shape[:1]} but {len(rows)} rows")
-    return EmbeddingTable([sym for sym, _ in rows],
-                          np.array([vec for _, vec in rows], dtype=np.float32).reshape(shape))
+    try:
+        return EmbeddingTable([sym for sym, _ in rows],
+                              np.array([vec for _, vec in rows], dtype=np.float32).reshape(shape))
+    except EmbeddingError as exc:
+        raise EmbeddingError(f"{path}: {exc}") from None
 
 
 # -- negative sampling -------------------------------------------------------
@@ -123,49 +126,57 @@ SGD_BLOCK = 256
 
 
 class _NegativeSampler:
-    """unigram^0.75 sampler over one namespace's row indices."""
+    """unigram^0.75 samplers, one per namespace: a context's negatives come
+    from its own namespace. Each namespace maps symbols to their counts,
+    and together they cover every symbol of ``index``."""
 
-    def __init__(self, row_indices: np.ndarray, counts: np.ndarray):
-        self.rows = np.asarray(row_indices, dtype=np.int64)
-        weights = np.asarray(counts, dtype=np.float64) ** 0.75
-        total = weights.sum()
-        if total <= 0:
-            weights = np.ones_like(weights)
+    def __init__(self, index: dict[str, int], namespaces: list[dict[str, int]]):
+        self.space = np.zeros(len(index), dtype=np.int64)  # namespace of each row
+        self.rows, self.cums = [], []
+        for i, counts in enumerate(namespaces):
+            rows = np.array([index[s] for s in counts], dtype=np.int64)
+            self.space[rows] = i
+            weights = np.array(list(counts.values()), dtype=np.float64) ** 0.75
             total = weights.sum()
-        self.cum = np.cumsum(weights / total)
+            if total <= 0:
+                weights = np.ones_like(weights)
+                total = weights.sum()
+            self.rows.append(rows)
+            self.cums.append(np.cumsum(weights / total))
 
-    def pick(self, uniforms: np.ndarray) -> np.ndarray:
-        """The rows drawn by uniforms in [0, 1), elementwise."""
-        picks = np.searchsorted(self.cum, uniforms, side="right")
-        return self.rows[np.minimum(picks, len(self.rows) - 1)]
+    def pick(self, contexts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Row i of the result: the rows that row i of ``uniforms`` (in
+        [0, 1)) draws from the namespace of ``contexts[i]``."""
+        space = self.space[contexts]
+        out = np.empty(uniforms.shape, dtype=np.int64)
+        for i, (rows, cum) in enumerate(zip(self.rows, self.cums)):
+            mine = space == i
+            picks = np.searchsorted(cum, uniforms[mine], side="right")
+            out[mine] = rows[np.minimum(picks, len(rows) - 1)]
+        return out
 
 
-def _sgd_pairs(vectors, ctx, centers, contexts, samplers_for, rng, k, lr_schedule, loss_out):
-    """One pass of negative-sampling SGD over (center, context) pairs.
-    ``samplers_for`` maps a context row to its namespace sampler. Updates
-    vectors/ctx in place; appends per-pair losses to loss_out.
+def _sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
+    """One pass of negative-sampling SGD over (center, context) pairs, pair
+    i at rate ``lrs[i]``. Updates vectors/ctx in place; appends per-pair
+    losses to loss_out.
 
     Each pair's update reads what the pairs before it wrote, so updates run
     one pair at a time. The rest is done per block of SGD_BLOCK pairs: the
-    learning rates, the negatives (one ``rng.random((n, k))`` call, the same
-    stream as n calls of k) and the losses. Results are bit-identical to
-    drawing and scoring pair by pair."""
+    negatives (one ``rng.random((n, k))`` call, the same stream as n calls
+    of k) and the losses. Results are bit-identical to drawing and scoring
+    pair by pair."""
     labels = np.zeros(k + 1)
     labels[0] = 1.0
     for lo in range(0, len(centers), SGD_BLOCK):
         block_contexts = contexts[lo:lo + SGD_BLOCK]
         n = len(block_contexts)
-        lrs = [next(lr_schedule) for _ in range(n)]
-        uniforms = rng.random((n, k))
         rows = np.empty((n, k + 1), dtype=np.int64)
         rows[:, 0] = block_contexts
-        samplers = [samplers_for(row) for row in block_contexts]
-        for sampler in dict.fromkeys(samplers):
-            mine = np.array([s is sampler for s in samplers])
-            rows[mine, 1:] = sampler.pick(uniforms[mine])
+        rows[:, 1:] = sampler.pick(block_contexts, rng.random((n, k)))
         scores = np.empty((n, k + 1))
         for j, center in enumerate(centers[lo:lo + n]):
-            lr, pair_rows = lrs[j], rows[j]
+            lr, pair_rows = lrs[lo + j], rows[j]
             w = vectors[center].astype(np.float64)
             c = ctx[pair_rows].astype(np.float64)
             s = scores[j] = 1.0 / (1.0 + np.exp(-(c @ w)))
@@ -178,16 +189,26 @@ def _sgd_pairs(vectors, ctx, centers, contexts, samplers_for, rng, k, lr_schedul
         loss_out.extend((-np.log(p).sum(axis=1)).tolist())
 
 
-class _LrSchedule:
-    def __init__(self, lr0: float, total_steps: int):
-        self.lr0 = lr0
-        self.total = max(total_steps, 1)
-        self.step = 0
-
-    def __next__(self) -> float:
-        frac = self.step / self.total
-        self.step += 1
-        return self.lr0 * max(1.0 - frac, 1e-4)
+def _train_pairs(table: EmbeddingTable, pair_sets, sampler: _NegativeSampler,
+                 rng: np.random.Generator, cfg: SkipGramConfig) -> None:
+    """cfg.epochs epochs, each one pass over every (n, 2) array of (center,
+    context) rows in ``pair_sets``, in order and in a fresh permutation. The
+    rate decays linearly over all the run's pairs; each epoch's mean pair
+    loss is appended to ``table.epoch_losses``."""
+    total, done = cfg.epochs * sum(map(len, pair_sets)), 0
+    if total == 0:
+        return
+    ctx = np.zeros_like(table.vectors)
+    for _ in range(cfg.epochs):
+        losses: list[float] = []
+        for pairs in pair_sets:
+            n = len(pairs)
+            order = rng.permutation(n)
+            lrs = cfg.learning_rate * np.maximum(1 - np.arange(done, done + n) / total, 1e-4)
+            _sgd_pairs(table.vectors, ctx, pairs[order, 0], pairs[order, 1], lrs,
+                       sampler, rng, cfg.negatives, losses)
+            done += n
+        table.epoch_losses.append(float(np.mean(losses)))
 
 
 def _kb_pair_rows(kb: KnowledgeBase, index: dict[str, int]) -> np.ndarray:
@@ -202,22 +223,11 @@ def train_node_embeddings(kb: KnowledgeBase, cfg: SkipGramConfig) -> EmbeddingTa
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     ids = sorted(kb.entities)
     symbols = [entity_symbol(e) for e in ids]
-    counts = {entity_symbol(e): max(len(kb.neighbors(e)), 1) for e in ids}
     table = EmbeddingTable(symbols, init_vectors(rng, len(symbols), cfg.dim))
 
-    pairs = _kb_pair_rows(kb, table.index)
-    if len(pairs) == 0 or cfg.epochs == 0:
-        return table
-    ctx = np.zeros_like(table.vectors)
-    sampler = _NegativeSampler(np.arange(len(symbols)),
-                               np.array([counts[s] for s in symbols]))
-    schedule = _LrSchedule(cfg.learning_rate, cfg.epochs * len(pairs))
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
-        losses: list[float] = []
-        _sgd_pairs(table.vectors, ctx, pairs[order, 0], pairs[order, 1],
-                   lambda _row: sampler, rng, cfg.negatives, schedule, losses)
-        table.epoch_losses.append(float(np.mean(losses)))
+    sampler = _NegativeSampler(table.index, [{entity_symbol(e): max(len(kb.neighbors(e)), 1)
+                                              for e in ids}])
+    _train_pairs(table, [_kb_pair_rows(kb, table.index)], sampler, rng, cfg)
     return table
 
 
@@ -260,21 +270,13 @@ def train_joint_embeddings(sentences, kb: KnowledgeBase, init: EmbeddingTable,
     vectors[:len(word_symbols)] = init_vectors(rng, len(word_symbols), cfg.dim)
     for j, s in enumerate(ent_symbols):
         vectors[len(word_symbols) + j] = init.vector(s)
-    # +1 keeps never-linked entities reachable as negatives
-    counts = dict(word_counts)
-    counts.update({s: ent_counts.get(s, 0) + 1 for s in ent_symbols})
     table = EmbeddingTable(symbols, vectors)
 
     idx = table.index
-    word_rows = np.array([idx[s] for s in word_symbols], dtype=np.int64)
-    ent_rows = np.array([idx[s] for s in ent_symbols], dtype=np.int64)
-    word_sampler = _NegativeSampler(word_rows, np.array([counts[s] for s in word_symbols]))
-    ent_sampler = _NegativeSampler(ent_rows, np.array([counts[s] for s in ent_symbols]))
-    is_ent_row = np.zeros(len(symbols), dtype=bool)
-    is_ent_row[ent_rows] = True
-
-    def sampler_for(row: int) -> _NegativeSampler:
-        return ent_sampler if is_ent_row[row] else word_sampler
+    # a KB context is an entity row, so the text and KB passes share one
+    # sampler; +1 keeps never-linked entities reachable as negatives
+    sampler = _NegativeSampler(idx, [{s: word_counts[s] for s in word_symbols},
+                                     {s: ent_counts.get(s, 0) + 1 for s in ent_symbols}])
 
     text_pairs = []
     for si, stream in enumerate(streams):
@@ -287,21 +289,7 @@ def train_joint_embeddings(sentences, kb: KnowledgeBase, init: EmbeddingTable,
                     text_pairs.append((center, rows[j]))
     text_pairs = np.asarray(text_pairs, dtype=np.int64).reshape(-1, 2)
 
-    kb_pairs = _kb_pair_rows(kb, idx)
-
-    ctx = np.zeros_like(table.vectors)
-    per_epoch = len(text_pairs) + len(kb_pairs)
-    schedule = _LrSchedule(cfg.learning_rate, cfg.epochs * per_epoch)
-    for _ in range(cfg.epochs):
-        losses: list[float] = []
-        order = rng.permutation(len(text_pairs))
-        _sgd_pairs(table.vectors, ctx, text_pairs[order, 0], text_pairs[order, 1],
-                   sampler_for, rng, cfg.negatives, schedule, losses)
-        if len(kb_pairs):
-            order = rng.permutation(len(kb_pairs))
-            _sgd_pairs(table.vectors, ctx, kb_pairs[order, 0], kb_pairs[order, 1],
-                       lambda _row: ent_sampler, rng, cfg.negatives, schedule, losses)
-        table.epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
+    _train_pairs(table, [text_pairs, _kb_pair_rows(kb, idx)], sampler, rng, cfg)
     return table
 
 

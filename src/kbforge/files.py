@@ -49,6 +49,30 @@ def _parse(text, error, path, lineno: int = 1) -> dict:
     return doc
 
 
+def json_list(value) -> list:
+    """``value`` if it is a JSON array, else TypeError: a string in its
+    place would iterate one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, found {value!r}")
+    return value
+
+
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer, else TypeError (for a bool, a
+    float or a string too)."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, found {value!r}")
+    return value
+
+
+def json_ints(value) -> list:
+    """``value`` if it is a JSON array of integers, else TypeError; one
+    check over the array, for arrays as long as a sentence."""
+    if not set(map(type, json_list(value))) <= {int}:
+        raise TypeError(f"expected a list of integers, found {value!r}")
+    return value
+
+
 def read_rows(path, columns, error, convert=lambda *fields: fields, sep: str = "\t") -> list:
     """``convert(*fields)`` of every row. ``columns`` is the number of fields
     a row must have, a tuple of the allowed numbers, or None for any."""

@@ -291,21 +291,17 @@ def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
     all_ids = sorted(kb.entities)
     if len(all_ids) < 2:
         raise LinkError("need at least two KB entities for negative sampling")
-    opt = nn.Adam(model.parameters(), lr=cfg.learning_rate)
-    for _ in range(cfg.epochs):
-        losses = []
-        order = rng.permutation(len(items))
-        for lo in range(0, len(order), EL_BATCH):
-            batch = [items[i] for i in order[lo:lo + EL_BATCH]]
-            negatives = [_draw_negative(rng, gold, cand_ids, all_ids)
-                         for _, _, gold, cand_ids in batch]
-            hinges = model._hinges(batch, negatives)
-            losses.extend(hinges.data.ravel().tolist())
-            if hinges.data.max() > 0.0:
-                opt.zero_grad()
-                nn.mean(hinges).backward()
-                opt.step()
-        model.epoch_losses.append(float(np.mean(losses)))
+
+    def loss_of(ids):
+        batch = [items[i] for i in ids]
+        negatives = [_draw_negative(rng, gold, cand_ids, all_ids)
+                     for _, _, gold, cand_ids in batch]
+        hinges = model._hinges(batch, negatives)
+        return (nn.mean(hinges) if hinges.data.max() > 0.0 else None,
+                hinges.data.ravel().tolist())
+
+    model.epoch_losses = nn.fit(model.parameters(), cfg.learning_rate, cfg.epochs,
+                                len(items), EL_BATCH, rng, loss_of)
     model.trained = True
     return model
 

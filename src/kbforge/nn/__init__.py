@@ -28,4 +28,4 @@ from .autograd import (
 from .checkpoint import CheckpointError, load_checkpoint, restore_parameters, save_checkpoint
 from .layers import BiLSTM, GCNLayer, Linear, TwoLayerScorer, glorot
 from .numeric import numeric_gradient
-from .optim import Adam, GradientError
+from .optim import Adam, GradientError, fit

@@ -114,3 +114,24 @@ class Adam:
         bias2 = 1.0 - self.beta2 ** self.t
         for group in self._groups:
             group.update(self.lr, self.beta1, self.beta2, bias1, bias2, self.eps)
+
+
+def fit(params, lr: float, epochs: int, size: int, batch: int, rng, loss_of) -> list[float]:
+    """Adam on ``params`` for ``epochs`` passes over ``size`` items, each in
+    one ``rng.permutation(size)``: one step per ``batch`` consecutive ids on
+    ``loss_of(ids)``, which returns (the loss, or None for no step; the
+    per-item losses). Returns each epoch's mean per-item loss."""
+    opt = Adam(params, lr=lr)
+    epoch_losses = []
+    for _ in range(epochs):
+        losses = []
+        order = rng.permutation(size)
+        for lo in range(0, size, batch):
+            loss, item_losses = loss_of(order[lo:lo + batch])
+            losses.extend(item_losses)
+            if loss is not None:
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+        epoch_losses.append(float(np.mean(losses)))
+    return epoch_losses

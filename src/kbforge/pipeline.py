@@ -41,7 +41,16 @@ from .embeddings import (
     train_node_embeddings,
 )
 from .files import hash_file as _hash_file
-from .files import read_json, read_jsonl, read_rows, write_json, write_jsonl, write_rows
+from .files import (
+    json_int,
+    json_list,
+    read_json,
+    read_jsonl,
+    read_rows,
+    write_json,
+    write_jsonl,
+    write_rows,
+)
 from .kb import KnowledgeBase, Triple, load_kb, save_triples
 from .linker import (
     ContextLinkerModel,
@@ -139,21 +148,24 @@ class PipelineConfig:
         self.re.seed = self.seed + 7
 
 
+def _number(section, key: str, default):
+    """``section[key]`` as a number of ``default``'s type (int or float);
+    ``default`` when the key is absent."""
+    if key not in section:
+        return default
+    try:
+        return type(default)(section[key])
+    except ValueError:
+        raise PipelineError(f"[{section.name}] {key} = {section[key]!r} is not "
+                            f"{'an integer' if type(default) is int else 'a number'}") from None
+
+
 def _apply_section(obj, section) -> None:
+    """Every config dataclass field is an int or a float."""
     for key in section:
         if not hasattr(obj, key):
             raise PipelineError(f"unknown config key {key!r} for {type(obj).__name__}")
-        current = getattr(obj, key)
-        raw = section[key]
-        if isinstance(current, bool):
-            value = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(obj, key, value)
+        setattr(obj, key, _number(section, key, getattr(obj, key)))
 
 
 def _check_keys(section, allowed) -> None:
@@ -165,8 +177,13 @@ def _check_keys(section, allowed) -> None:
 def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # values are taken literally, so a path may hold a '%'
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            detail = str(exc).replace("\n", " ")
+            raise PipelineError(f"config file {path}: {detail}") from None
         if not read:
             raise PipelineError(f"config file {path} not found")
         if parser.has_section("paths"):
@@ -178,7 +195,7 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
             # threads sets nothing; it is accepted because bench/run.py's
             # config template still sets it
             _check_keys(s, ("seed", "threads"))
-            cfg.seed = s.getint("seed", cfg.seed)
+            cfg.seed = _number(s, "seed", cfg.seed)
         for name, sub in (("embeddings", cfg.embeddings), ("bootstrap", cfg.bootstrap),
                           ("el", cfg.el), ("ds", cfg.ds), ("re", cfg.re)):
             if parser.has_section(name):
@@ -189,8 +206,8 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
         if parser.has_section("split"):
             s = parser["split"]
             _check_keys(s, ("train", "valid", "test"))
-            cfg.split = (s.getfloat("train", 0.8), s.getfloat("valid", 0.1),
-                         s.getfloat("test", 0.1))
+            cfg.split = (_number(s, "train", 0.8), _number(s, "valid", 0.1),
+                         _number(s, "test", 0.1))
     if seed is not None:
         cfg.seed = seed
     if out_dir is not None:
@@ -289,9 +306,10 @@ def _build_link(r: PipelineRunner, linked, evals) -> None:
 
 
 def _link_eval_item(rec: dict) -> LinkEvalItem:
-    return LinkEvalItem(sys.intern(rec["sentence"]), rec["start"], rec["end"],
-                        sys.intern(rec["method"]), sys.intern(rec["entity"]),
-                        tuple(map(sys.intern, rec["ranking"])))
+    return LinkEvalItem(sys.intern(rec["sentence"]), json_int(rec["start"]),
+                        json_int(rec["end"]), sys.intern(rec["method"]),
+                        sys.intern(rec["entity"]),
+                        tuple(map(sys.intern, json_list(rec["ranking"]))))
 
 
 def _load_link(r: PipelineRunner, linked, evals):

@@ -330,7 +330,6 @@ def train_re(bags: list[Bag], sentences_by_id: dict[str, Sentence],
     model = REModel(cfg, kb.relations, word_vocab, type_vocab, tag_vocab)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    opt = nn.Adam(model.parameters(), lr=cfg.learning_rate)
     label_rows = []
     for bag in bags:
         y = np.zeros(len(model.relations))
@@ -338,19 +337,15 @@ def train_re(bags: list[Bag], sentences_by_id: dict[str, Sentence],
             y[model.rel_index[r]] = 1.0
         label_rows.append(y)
 
-    model.epoch_losses = []
-    for _ in range(cfg.epochs):
-        losses = []
-        for i in rng.permutation(len(bags)):
-            instances = bag_instances(bags[i], sentences_by_id)
-            scores = model.forward_bag(instances)
-            loss = sliding_margin_loss(scores, label_rows[i], model.threshold,
-                                       cfg.margin, cfg.down_weight)
-            losses.append(loss.item())
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        model.epoch_losses.append(float(np.mean(losses)))
+    def loss_of(ids):
+        (i,) = ids
+        scores = model.forward_bag(bag_instances(bags[i], sentences_by_id))
+        loss = sliding_margin_loss(scores, label_rows[i], model.threshold,
+                                   cfg.margin, cfg.down_weight)
+        return loss, [loss.item()]
+
+    model.epoch_losses = nn.fit(model.parameters(), cfg.learning_rate, cfg.epochs,
+                                len(bags), 1, rng, loss_of)
     model.trained = True
     return model
 

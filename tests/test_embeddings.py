@@ -163,13 +163,11 @@ def test_joint_embeddings_deterministic():
 
 # -- block-sampled SGD --------------------------------------------------------
 
-def reference_sgd_pairs(vectors, ctx, centers, contexts, samplers_for, rng, k,
-                        lr_schedule, loss_out):
+def reference_sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
     """Negative-sampling SGD drawing, updating and scoring one pair at a
     time: what the block version must reproduce bit for bit."""
-    for center, context in zip(centers, contexts):
-        lr = next(lr_schedule)
-        negs = samplers_for(context).pick(rng.random(k))
+    for center, context, lr in zip(centers, contexts, lrs):
+        negs = sampler.pick(np.array([context]), rng.random((1, k)))[0]
         rows = np.concatenate(([context], negs))
         labels = np.zeros(len(rows))
         labels[0] = 1.0
@@ -186,28 +184,26 @@ def reference_sgd_pairs(vectors, ctx, centers, contexts, samplers_for, rng, k,
 
 def run_both_sgd(seed, n_words, n_entities, dim, n_pairs, k):
     """Runs reference and block SGD on the same inputs; words and entities
-    get their own samplers, as in joint training. Returns both outcomes."""
+    are two namespaces of one sampler, as in joint training. Returns both
+    outcomes."""
     gen = np.random.default_rng(seed)
     rows = n_words + n_entities
     vectors = init_vectors(gen, rows, dim)
     ctx = gen.normal(0.0, 0.3, (rows, dim)).astype(np.float32)
-    word_sampler = embeddings._NegativeSampler(np.arange(n_words),
-                                               gen.integers(1, 50, n_words))
-    ent_sampler = embeddings._NegativeSampler(np.arange(n_words, rows),
-                                              gen.integers(1, 5, n_entities))
-
-    def samplers_for(row):
-        return ent_sampler if row >= n_words else word_sampler
-
+    symbols = [f"r{i}" for i in range(rows)]
+    sampler = embeddings._NegativeSampler(
+        {s: i for i, s in enumerate(symbols)},
+        [dict(zip(symbols[:n_words], gen.integers(1, 50, n_words))),
+         dict(zip(symbols[n_words:], gen.integers(1, 5, n_entities)))])
     pairs = gen.integers(0, rows, (n_pairs, 2))
+    lrs = 0.05 * np.maximum(1 - np.arange(n_pairs) / max(n_pairs, 1), 1e-4)
     outcomes = []
     for sgd in (reference_sgd_pairs, embeddings._sgd_pairs):
         v, c = vectors.copy(), ctx.copy()
         rng = np.random.Generator(np.random.PCG64(seed))
-        schedule = embeddings._LrSchedule(0.05, n_pairs)
         losses = []
-        sgd(v, c, pairs[:, 0], pairs[:, 1], samplers_for, rng, k, schedule, losses)
-        outcomes.append((v, c, losses, rng.bit_generator.state, schedule.step))
+        sgd(v, c, pairs[:, 0], pairs[:, 1], lrs, sampler, rng, k, losses)
+        outcomes.append((v, c, losses, rng.bit_generator.state))
     return outcomes
 
 
@@ -216,7 +212,6 @@ def assert_same_sgd(ref, blocked):
     assert ref[1].tobytes() == blocked[1].tobytes()
     assert ref[2] == blocked[2]
     assert ref[3] == blocked[3]
-    assert ref[4] == blocked[4]
 
 
 def test_block_sgd_is_bit_identical_to_pair_by_pair_sgd():
@@ -236,6 +231,39 @@ def test_block_sgd_is_bit_identical_to_pair_by_pair_sgd():
 def test_block_sgd_matches_pair_by_pair_sgd_at_any_size(seed, n_words, n_entities,
                                                         dim, n_pairs, k):
     assert_same_sgd(*run_both_sgd(seed, n_words, n_entities, dim, n_pairs, k))
+
+
+def test_train_pairs_matches_a_rate_decayed_pair_by_pair():
+    # two non-empty pair sets around an empty one, over three epochs
+    gen = np.random.default_rng(3)
+    vectors = init_vectors(gen, 30, 6)
+    table = EmbeddingTable([f"w{i}" for i in range(30)], vectors.copy())
+    sampler = embeddings._NegativeSampler(
+        table.index, [dict(zip(table.symbols[:20], gen.integers(1, 9, 20))),
+                      dict.fromkeys(table.symbols[20:], 1)])
+    pair_sets = [gen.integers(0, 30, (300, 2)), np.zeros((0, 2), np.int64),
+                 gen.integers(20, 30, (40, 2))]
+    cfg = SkipGramConfig(dim=6, epochs=3, negatives=4)
+    rng = np.random.Generator(np.random.PCG64(1))
+    embeddings._train_pairs(table, pair_sets, sampler, rng, cfg)
+
+    ref_vectors, ctx = vectors.copy(), np.zeros_like(vectors)
+    ref_rng = np.random.Generator(np.random.PCG64(1))
+    step, total, epoch_losses = 0, cfg.epochs * 340, []
+    for _ in range(cfg.epochs):
+        losses = []
+        for pairs in pair_sets[::2]:
+            order = ref_rng.permutation(len(pairs))
+            lrs = []
+            for _ in order:
+                lrs.append(cfg.learning_rate * max(1.0 - step / total, 1e-4))
+                step += 1
+            reference_sgd_pairs(ref_vectors, ctx, pairs[order, 0], pairs[order, 1], lrs,
+                                sampler, ref_rng, cfg.negatives, losses)
+        epoch_losses.append(float(np.mean(losses)))
+    assert table.vectors.tobytes() == ref_vectors.tobytes()
+    assert table.epoch_losses == epoch_losses
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- nearest-neighbour candidates ---------------------------------------------

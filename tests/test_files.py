@@ -99,7 +99,10 @@ def test_reader_errors_name_file_and_line(tmp_path, content, read, where):
     ("a\tr\tb\thigh\ts1\n", lambda p: pipeline._load_extract(None, p, p), PipelineError, ":1:"),
     ('{"el": {}, "extra": 1}\n', lambda p: pipeline.STAGES["evaluate"].load(None, p),
      PipelineError, ":1:"),
-], ids=["table-header", "table-value", "gold-offset", "extract-confidence", "metrics-key"])
+    ("2 2\nw 1 2\nw 3 4\n", load_table, EmbeddingError, ": duplicate symbols"),
+    ("1 2\nw nan 2\n", load_table, EmbeddingError, ": non-finite"),
+], ids=["table-header", "table-value", "gold-offset", "extract-confidence", "metrics-key",
+        "table-duplicate", "table-nan"])
 def test_loader_errors_are_typed(tmp_path, content, load, error, where):
     path = tmp_path / "f"
     path.write_text(content)
@@ -138,14 +141,18 @@ def mutate(line, sep: str):
             return sep.join(fields).encode()
         return st.builds(row, st.integers(0, len(line) - 1), st.none() | FIELD)
 
-    def record(key, value):
-        rec = json.loads(json.dumps(line))
-        inner = rec["spans"][0] if key in SPAN and "spans" in rec else rec
-        inner.pop(key) if value is None else inner.__setitem__(key, value)
-        return json.dumps(rec).encode()
     keys = sorted(set(line) | (set(SPAN) if "spans" in line else set()))
-    return st.builds(record, st.sampled_from(keys),
+    return st.builds(lambda key, value: with_value(line, key, value), st.sampled_from(keys),
                      st.none() | JSON | st.sampled_from([[], {}, [SPAN], ["e1", 2], SENTENCE]))
+
+
+def with_value(line: dict, key: str, value) -> bytes:
+    """``line`` with ``key`` (of its first span, for a span key) set to
+    ``value``, or dropped for None, as JSON."""
+    rec = json.loads(json.dumps(line))
+    inner = rec["spans"][0] if key in SPAN and "spans" in rec else rec
+    inner.pop(key) if value is None else inner.__setitem__(key, value)
+    return json.dumps(rec).encode()
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +226,32 @@ def test_loader_fed_arbitrary_lines_raises_only_its_typed_error(scratch, name, d
         load(path)
     except error:
         pass
+
+
+# a JSON string where a list belongs used to load character by character,
+# and a string, float or bool offset loaded as given
+NOT_A_LIST = st.text(min_size=1, max_size=4) | st.floats(allow_nan=False) | st.integers()
+NOT_AN_INT = (st.text(max_size=3) | st.floats(allow_nan=False) | st.booleans()
+              | st.lists(st.integers(0, 1), max_size=1))
+
+
+@pytest.mark.parametrize("name, key, values", [
+    ("corpus", "tokens", NOT_A_LIST), ("corpus", "pos", NOT_A_LIST),
+    ("corpus", "heads", NOT_A_LIST),
+    ("corpus", "heads", st.lists(NOT_AN_INT, min_size=2, max_size=2)),
+    ("corpus", "start", NOT_AN_INT), ("corpus", "end", NOT_AN_INT),
+    ("bags", "labels", NOT_A_LIST), ("bags", "sentences", NOT_A_LIST),
+    ("link-eval", "ranking", NOT_A_LIST), ("link-eval", "start", NOT_AN_INT),
+    ("link-eval", "end", NOT_AN_INT),
+])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loader_rejects_a_wrong_json_type_naming_file_and_line(scratch, name, key, values,
+                                                              data):
+    error, load, valid = LOADERS[name]
+    path = scratch / f"{name}-{key}.txt"
+    path.write_bytes(b"\n" + with_value(valid[0], key, data.draw(values)))
+    with pytest.raises(error) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}:2:")

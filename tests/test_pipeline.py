@@ -186,6 +186,12 @@ def test_pipeline_threads_key_is_still_accepted(tmp_path):
     assert cfg.seed == 2 and cfg.split == (0.6, 0.2, 0.2)
 
 
+def test_config_values_are_taken_literally(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[paths]\nout_dir = runs/100%\n")
+    assert load_config(p).out_dir == "runs/100%"
+
+
 def test_readme_config_loads_and_mirrors_the_test_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
@@ -528,6 +534,22 @@ def test_cli_error_is_not_a_traceback(capsys):
     assert rc == 1
     assert stdout == ""
     assert stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("ini, message", [
+    (b"entities = x\n", "File contains no section headers"),
+    (b"[el]\nhidden = many\n", "[el] hidden = 'many' is not an integer"),
+    (b"[split]\ntrain = lots\n", "[split] train = 'lots' is not a number"),
+    (b"[pipeline]\n# caf\xe9\n", "can't decode byte 0xe9"),
+], ids=["no-section", "el-hidden", "split-train", "not-utf8"])
+def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, ini, message):
+    path = tmp_path / "c.ini"
+    path.write_bytes(ini)
+    rc, stdout, stderr = run_cli(capsys, "ingest-kb", "--config", str(path))
+    assert rc == 1
+    assert stdout == ""
+    assert stderr.startswith("error:") and message in stderr
+    assert stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("bad_line", ["{bad", "3"])

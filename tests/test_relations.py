@@ -9,7 +9,9 @@ from kbforge import nn
 from kbforge.corpus import Sentence, Span, Token
 from kbforge.datagen import Bag
 from kbforge.kb import Entity, KnowledgeBase, Triple, build_fact_type_templates
+from kbforge.kb import UNTYPED
 from kbforge.relations import (
+    NO_SPAN_TYPE,
     ExtractedTriple,
     REConfig,
     REModel,
@@ -467,6 +469,45 @@ def test_train_re_runs_and_learns_something():
     assert model.trained
     assert len(model.epoch_losses) == 8
     assert model.epoch_losses[-1] < model.epoch_losses[0]
+
+
+def test_train_re_steps_once_per_bag_in_each_epochs_permutation():
+    kb, sentences, bags = small_training_setup()
+    bags = bags * 3
+    cfg = tiny_cfg(epochs=3, learning_rate=0.02)
+    model = train_re(bags, sentences, kb, cfg)
+
+    # the per-bag Adam loop that train_re replaced, verbatim
+    ref = REModel(cfg, kb.relations,
+                  sorted({t.surface for s in sentences.values() for t in s.tokens}),
+                  sorted(set(kb.types) | {UNTYPED, NO_SPAN_TYPE}),
+                  sorted({t.pos_tag for s in sentences.values() for t in s.tokens}))
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    opt = nn.Adam(ref.parameters(), lr=cfg.learning_rate)
+    label_rows = []
+    for bag in bags:
+        y = np.zeros(len(ref.relations))
+        for r in bag.labels:
+            y[ref.rel_index[r]] = 1.0
+        label_rows.append(y)
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        losses = []
+        for i in rng.permutation(len(bags)):
+            instances = bag_instances(bags[i], sentences)
+            scores = ref.forward_bag(instances)
+            loss = sliding_margin_loss(scores, label_rows[i], ref.threshold,
+                                       cfg.margin, cfg.down_weight)
+            losses.append(loss.item())
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        epoch_losses.append(float(np.mean(losses)))
+
+    assert model.epoch_losses == epoch_losses
+    assert [p.name for p in model.parameters()] == [p.name for p in ref.parameters()]
+    assert all(a.data.tobytes() == b.data.tobytes()
+               for a, b in zip(model.parameters(), ref.parameters()))
 
 
 def test_train_re_rejects_empty():
