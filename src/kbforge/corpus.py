@@ -1,4 +1,4 @@
-"""Tokenized, parsed sentences: ingestion, gazetteer matching, dependency paths.
+"""Tokenized, parsed sentences: ingestion and dependency paths.
 
 All operations here are pure value transforms.
 """
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .files import json_int, json_ints, json_list, read_jsonl, write_jsonl
-from .kb import KnowledgeBase
 
 
 class CorpusError(Exception):
@@ -191,43 +190,6 @@ def ingest_corpus(path) -> list[Sentence]:
 
 def write_corpus(sentences, path) -> None:
     write_jsonl(path, map(sentence_to_record, sentences))
-
-
-# -- gazetteer matching ---------------------------------------------------
-
-class Gazetteer:
-    """The alias surfaces of a KB, and the most tokens any of them has."""
-
-    def __init__(self, aliases):
-        self._aliases = frozenset(aliases)
-        self.max_ngram = max((len(a.split()) for a in self._aliases), default=1)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._aliases
-
-
-def build_gazetteer(kb: KnowledgeBase) -> Gazetteer:
-    return Gazetteer(kb.aliases())
-
-
-def longest_ngram_match(sentence: Sentence, gazetteer: Gazetteer) -> list[Span]:
-    """Greedy left-to-right leftmost-longest alias matching; returned spans
-    never overlap."""
-    n = len(sentence.tokens)
-    out: list[Span] = []
-    pos = 0
-    while pos < n:
-        matched = False
-        for width in range(min(gazetteer.max_ngram, n - pos), 0, -1):
-            surface = sentence.surface(pos, pos + width - 1)
-            if surface in gazetteer:
-                out.append(Span(pos, pos + width - 1, sys.intern(surface)))
-                pos += width
-                matched = True
-                break
-        if not matched:
-            pos += 1
-    return out
 
 
 # -- dependency paths ------------------------------------------------------

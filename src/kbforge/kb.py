@@ -68,6 +68,8 @@ class KnowledgeBase:
             for alias in ent.aliases:
                 by_alias.setdefault(alias, set()).add(ent.id)
         self._alias_index = {alias: frozenset(ids) for alias, ids in by_alias.items()}
+        # the most tokens any alias has: the widest mention worth matching
+        self.max_alias_tokens = max((len(a.split()) for a in self._alias_index), default=1)
         self.add_triples(triples)
 
     # -- lookups ---------------------------------------------------------
@@ -109,10 +111,6 @@ class KnowledgeBase:
         """The ids of the entities with this alias; the index's own set,
         not a copy."""
         return self._alias_index.get(surface, _NO_IDS)
-
-    def aliases(self):
-        """Every alias surface, in sorted order."""
-        return iter(sorted(self._alias_index))
 
     # -- connectivity ----------------------------------------------------
 

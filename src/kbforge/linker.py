@@ -4,13 +4,14 @@ then a neural context ranker for whatever the first step leaves open.
 
 from __future__ import annotations
 
+import sys
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .corpus import Sentence, Span, build_gazetteer, longest_ngram_match, make_span
+from .corpus import Sentence, Span, make_span
 from .embeddings import EmbeddingTable, entity_symbol, knn_candidates
 from .kb import KnowledgeBase
 
@@ -42,11 +43,25 @@ class LinkDecision:
 
 
 class GazetteerRecognizer:
+    """Greedy left-to-right leftmost-longest matching of the KB's aliases;
+    returned spans never overlap."""
+
     def __init__(self, kb: KnowledgeBase):
-        self.gazetteer = build_gazetteer(kb)
+        self.kb = kb
 
     def recognize(self, sentence: Sentence) -> list[Span]:
-        return longest_ngram_match(sentence, self.gazetteer)
+        out: list[Span] = []
+        pos, n = 0, len(sentence.tokens)
+        while pos < n:
+            for width in range(min(self.kb.max_alias_tokens, n - pos), 0, -1):
+                surface = sentence.surface(pos, pos + width - 1)
+                if self.kb.entities_by_alias(surface):
+                    out.append(Span(pos, pos + width - 1, sys.intern(surface)))
+                    pos += width
+                    break
+            else:
+                pos += 1
+        return out
 
 
 class TrainableSpanClassifier:
@@ -57,7 +72,7 @@ class TrainableSpanClassifier:
 
     def __init__(self, kb: KnowledgeBase, feature_dim: int = 4096, lr: float = 0.5,
                  epochs: int = 5, negatives_per_sentence: int = 10):
-        self.gazetteer = build_gazetteer(kb)
+        self.kb = kb
         self.feature_dim = feature_dim
         self.lr = lr
         self.epochs = epochs
@@ -80,7 +95,7 @@ class TrainableSpanClassifier:
         feats = [
             f"surf={surface}",
             f"len={end - start + 1}",
-            f"gaz={surface in self.gazetteer}",
+            f"gaz={bool(self.kb.entities_by_alias(surface))}",
             f"l1={ctx(start - 1)}",
             f"l2={ctx(start - 2)}",
             f"r1={ctx(end + 1)}",
@@ -119,7 +134,8 @@ class TrainableSpanClassifier:
             for i in rng.permutation(len(items)):
                 idx, y = items[i]
                 g = self._prob(idx) - y
-                self.weights[idx] -= self.lr * g
+                # a bucket repeated in idx counts once per repeat in _prob
+                np.subtract.at(self.weights, idx, self.lr * g)
                 self.bias -= self.lr * g
         self.trained = True
 

@@ -160,12 +160,16 @@ def _number(section, key: str, default):
                             f"{'an integer' if type(default) is int else 'a number'}") from None
 
 
-def _apply_section(obj, section) -> None:
-    """Every config dataclass field is an int or a float."""
-    for key in section:
-        if not hasattr(obj, key):
-            raise PipelineError(f"unknown config key {key!r} for {type(obj).__name__}")
-        setattr(obj, key, _number(section, key, getattr(obj, key)))
+def _apply_section(obj, section):
+    """``obj`` with the section's values, built by the dataclass constructor
+    so that its checks run. Every config dataclass field is an int or a
+    float."""
+    _check_keys(section, [f.name for f in dataclasses.fields(obj)])
+    try:
+        return dataclasses.replace(obj, **{key: _number(section, key, getattr(obj, key))
+                                           for key in section})
+    except ValueError as exc:
+        raise PipelineError(f"[{section.name}] {exc}") from None
 
 
 def _check_keys(section, allowed) -> None:
@@ -196,13 +200,12 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
             # config template still sets it
             _check_keys(s, ("seed", "threads"))
             cfg.seed = _number(s, "seed", cfg.seed)
-        for name, sub in (("embeddings", cfg.embeddings), ("bootstrap", cfg.bootstrap),
-                          ("el", cfg.el), ("ds", cfg.ds), ("re", cfg.re)):
+        for name in ("embeddings", "bootstrap", "el", "ds", "re"):
             if parser.has_section(name):
                 if "seed" in parser[name]:
                     raise PipelineError(f"[{name}] seed is derived from [pipeline] seed; "
                                         "set that instead")
-                _apply_section(sub, parser[name])
+                setattr(cfg, name, _apply_section(getattr(cfg, name), parser[name]))
         if parser.has_section("split"):
             s = parser["split"]
             _check_keys(s, ("train", "valid", "test"))
@@ -460,7 +463,8 @@ class PipelineRunner:
         self._manifest_path = self.out / "cache.json"
         self._manifest = {}
         if self._manifest_path.exists():
-            # stage -> {"key", "outputs"}
+            # stage -> {"key"}; other fields, such as the "outputs" that
+            # older versions wrote, are ignored
             self._manifest = read_json(self._manifest_path, PipelineError,
                                        lambda doc: {k: dict(v) for k, v in doc.items()})
         self._mem: dict[str, object] = {}
@@ -491,8 +495,8 @@ class PipelineRunner:
         return (entry is not None and entry.get("key") == key
                 and all(Path(p).exists() for p in outputs))
 
-    def _record(self, stage: str, key: str, outputs) -> None:
-        self._manifest[stage] = {"key": key, "outputs": [str(p) for p in outputs]}
+    def _record(self, stage: str, key: str) -> None:
+        self._manifest[stage] = {"key": key}
         write_json(self._manifest_path, self._manifest)
 
     def _ensure(self, name: str) -> None:
@@ -516,7 +520,7 @@ class PipelineRunner:
         missing = [str(p) for p in outputs if not p.exists()]
         if missing:
             raise PipelineError(f"stage {name} did not produce {missing}")
-        self._record(name, key, outputs)
+        self._record(name, key)
         self.stage_ran[name] = True
 
     def _memo(self, what: str, load, *args):

@@ -279,14 +279,13 @@ class REModel:
 
 
 def aggregate_bag(s: nn.Tensor, g: nn.Tensor) -> nn.Tensor:
-    """v = sum over the bag's columns of gate times sentence vector. Columns
-    are summed in byte order of their values, so any permutation of the
-    bag's columns gives a bit-identical result."""
+    """v = sum over the bag's columns of gate times sentence vector, in
+    column order: the order forward_bag encodes the bag in is its only
+    order. Equal to that bag's column of a segment_sum over bags laid side
+    by side."""
     if not s.shape[1]:
         raise RelationError("cannot aggregate an empty bag")
-    order = sorted(range(s.shape[1]),
-                   key=lambda c: s.data[:, c].tobytes() + g.data[:, c].tobytes())
-    return nn.tsum(nn.take(nn.mul(g, s), order, axis=1), axis=1, keepdims=True)
+    return nn.segment_sum(nn.mul(g, s))
 
 
 def sliding_margin_loss(scores: nn.Tensor, labels: np.ndarray, threshold: nn.Tensor,

@@ -5,13 +5,10 @@ import pytest
 
 from kbforge.corpus import (
     CorpusError,
-    Gazetteer,
     Sentence,
     Span,
     Token,
-    build_gazetteer,
     ingest_corpus,
-    longest_ngram_match,
     make_span,
     sentence_from_record,
     sentence_to_record,
@@ -20,7 +17,6 @@ from kbforge.corpus import (
     validate_sentence,
     write_corpus,
 )
-from kbforge.kb import Entity, KnowledgeBase
 
 
 def toy_sentence() -> Sentence:
@@ -136,40 +132,6 @@ def test_ingest_reports_line_numbers(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(CorpusError, match=f"{path}:1"):
         ingest_corpus(path)
-
-
-# -- gazetteer matching -------------------------------------------------------
-
-def gaz() -> Gazetteer:
-    kb = KnowledgeBase([
-        Entity("e1", "Tony Stark", ("Tony Stark", "Tony"), "Agent"),
-        Entity("e2", "New York", ("New York",), "Place"),
-        Entity("e3", "York", ("York",), "Place"),
-    ])
-    return build_gazetteer(kb)
-
-
-def test_longest_match_prefers_longer_ngram():
-    spans = longest_ngram_match(toy_sentence(), gaz())
-    surfaces = [sp.surface for sp in spans]
-    assert "Tony Stark" in surfaces
-    assert "New York" in surfaces
-    # "York" alone must not match inside the longer span
-    assert "York" not in surfaces
-
-
-def test_matches_do_not_overlap():
-    spans = longest_ngram_match(toy_sentence(), gaz())
-    for a in spans:
-        for b in spans:
-            if a is not b:
-                assert not a.overlaps(b)
-
-
-def test_gazetteer_lookup_case_sensitivity():
-    g = gaz()
-    assert "Tony" in g
-    assert "tony" not in g
 
 
 # -- dependency paths ---------------------------------------------------------

@@ -54,6 +54,33 @@ def test_only_the_format_modules_touch_files():
     assert offenders == []
 
 
+def kbforge_imports(source: str) -> set[str]:
+    """The kbforge modules a top-level kbforge module imports, named
+    relative to the package (``kb``, ``nn.layers``), whether imported
+    relatively or by the absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("kbforge", node.module))) if node.level else node.module
+            # from . import nn and from kbforge import files name modules
+            names |= {f"{module}.{a.name}" for a in node.names} if module == "kbforge" else {module}
+    return {name.removeprefix("kbforge.") for name in names if name.split(".")[0] == "kbforge"}
+
+
+def test_import_guard_sees_every_kind_of_kbforge_import():
+    source = ("import json\nimport kbforge.kb\nfrom . import nn\nfrom .files import x\n"
+              "from kbforge import linker\nfrom kbforge.nn.layers import y\n"
+              "from numpy import z\n")
+    assert kbforge_imports(source) == {"kb", "nn", "files", "linker", "nn.layers"}
+
+
+def test_corpus_imports_no_kbforge_module_but_files():
+    # sentences know nothing of the KB: alias data lives in kb alone
+    assert kbforge_imports((SRC / "corpus.py").read_text()) == {"files"}
+
+
 # -- readers and writers ------------------------------------------------------
 
 

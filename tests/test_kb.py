@@ -38,10 +38,13 @@ def test_alias_index_is_shared_across_entities():
     assert kb.entities_by_alias("nope") == frozenset()
 
 
-def test_alias_lookups_return_the_stored_set_and_aliases_are_surfaces():
+def test_alias_lookups_return_the_stored_set_and_widths_count_alias_tokens():
     kb = small_kb()
     assert kb.entities_by_alias("Tony") is kb.entities_by_alias("Tony")
-    assert list(kb.aliases()) == ["Avengers", "Iron Man", "Stark", "Tony", "Tony Stark"]
+    # "Iron Man" and "Tony Stark" are the widest aliases
+    assert kb.max_alias_tokens == 2
+    assert KnowledgeBase([Entity("e1", "Tony")]).max_alias_tokens == 1
+    assert KnowledgeBase([]).max_alias_tokens == 1
 
 
 def test_unknown_entity_raises():

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbforge import nn
 from kbforge.corpus import Sentence, Span, Token, ingest_corpus
@@ -32,6 +35,88 @@ def mk_sentence(words, sid="s0", spans=None):
 
 def span_at(i, surface):
     return Span(i, i, surface)
+
+
+# -- alias matching -----------------------------------------------------------
+
+
+def toy_sentence() -> Sentence:
+    return mk_sentence(["Tony", "Stark", "visited", "New", "York"], "s1")
+
+
+def toy_kb() -> KnowledgeBase:
+    return KnowledgeBase([
+        Entity("e1", "Tony Stark", ("Tony Stark", "Tony"), "Agent"),
+        Entity("e2", "New York", ("New York",), "Place"),
+        Entity("e3", "York", ("York",), "Place"),
+    ])
+
+
+def test_longest_match_prefers_longer_ngram():
+    surfaces = [sp.surface for sp in GazetteerRecognizer(toy_kb()).recognize(toy_sentence())]
+    assert surfaces == ["Tony Stark", "New York"]
+    # "York" alone must not match inside the longer span
+
+
+def test_matches_do_not_overlap():
+    spans = GazetteerRecognizer(toy_kb()).recognize(toy_sentence())
+    for a in spans:
+        for b in spans:
+            if a is not b:
+                assert not a.overlaps(b)
+
+
+def test_gazetteer_lookup_case_sensitivity():
+    recognizer = GazetteerRecognizer(toy_kb())
+    assert [sp.surface for sp in recognizer.recognize(mk_sentence(["Tony"]))] == ["Tony"]
+    assert recognizer.recognize(mk_sentence(["tony"])) == []
+
+
+class Gazetteer:
+    """The alias surfaces of a KB, and the most tokens any of them has."""
+
+    def __init__(self, aliases):
+        self._aliases = frozenset(aliases)
+        self.max_ngram = max((len(a.split()) for a in self._aliases), default=1)
+
+    def __contains__(self, surface: str) -> bool:
+        return surface in self._aliases
+
+
+def longest_ngram_match(sentence: Sentence, gazetteer: Gazetteer) -> list[Span]:
+    """Greedy left-to-right leftmost-longest alias matching; returned spans
+    never overlap."""
+    n = len(sentence.tokens)
+    out: list[Span] = []
+    pos = 0
+    while pos < n:
+        matched = False
+        for width in range(min(gazetteer.max_ngram, n - pos), 0, -1):
+            surface = sentence.surface(pos, pos + width - 1)
+            if surface in gazetteer:
+                out.append(Span(pos, pos + width - 1, sys.intern(surface)))
+                pos += width
+                matched = True
+                break
+        if not matched:
+            pos += 1
+    return out
+
+
+_WORDS = st.sampled_from(["a", "b", "c", "a b", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(entity_aliases=st.lists(st.lists(st.text("abc ", min_size=1, max_size=7),
+                                        min_size=1, max_size=3), max_size=6),
+       words=st.lists(_WORDS, min_size=1, max_size=12))
+def test_recognizer_equals_the_reference_ngram_match(entity_aliases, words):
+    kb = KnowledgeBase([Entity(f"e{i}", aliases[0], tuple(aliases))
+                        for i, aliases in enumerate(entity_aliases)])
+    gazetteer = Gazetteer(a for aliases in entity_aliases for a in aliases)
+    sentence = mk_sentence(words)
+    assert (GazetteerRecognizer(kb).recognize(sentence)
+            == longest_ngram_match(sentence, gazetteer))
 
 
 # -- candidate generation -----------------------------------------------------
@@ -516,9 +601,22 @@ def reference_span_train(clf, corpus, rng):
             idx, y = items[i]
             z = clf.weights[idx].sum() + clf.bias
             g = 1.0 / (1.0 + np.exp(-z)) - y
-            clf.weights[idx] -= clf.lr * g
+            np.subtract.at(clf.weights, idx, clf.lr * g)
             clf.bias -= clf.lr * g
     clf.trained = True
+
+
+def test_span_classifier_step_moves_a_repeated_bucket_once_per_repeat():
+    # one single-token gold span and no negatives: one step from zero
+    # weights, where p = 0.5 and g = p - 1
+    kb = KnowledgeBase([Entity("e1", "Tony")])
+    sentence = mk_sentence(["Tony"], spans=[Span(0, 0, "Tony")])
+    clf = TrainableSpanClassifier(kb, feature_dim=3, lr=0.5, epochs=1)
+    counts = np.bincount(clf._features(sentence, 0, 0), minlength=3)
+    assert counts.max() > 1  # seven features in three buckets
+    clf.train([sentence], np.random.default_rng(0))
+    np.testing.assert_array_equal(clf.weights, -0.5 * (0.5 - 1.0) * counts)
+    assert clf.bias == 0.25
 
 
 @pytest.mark.parametrize("feature_dim", [4096, 16])

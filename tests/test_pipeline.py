@@ -276,6 +276,29 @@ def test_warm_evaluate_hashes_each_input_file_once(tiny_run, monkeypatch):
     assert len(hashed) == len(set(hashed)) == len(inputs)
 
 
+def test_cache_manifest_does_not_depend_on_where_the_out_dir_lives(tiny_fixture, tmp_path):
+    manifests = []
+    for out in (tmp_path / "artifacts", tmp_path / "elsewhere" / "deeper" / "artifacts"):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        PipelineRunner(load_config(write_tiny_config(tiny_fixture, out))).evaluate()
+        manifests.append((out / "cache.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert set(json.loads(manifests[0])["re"]) == {"key"}
+
+
+def test_manifest_with_output_paths_is_still_reused(tiny_run, tmp_path):
+    # runners once recorded each stage's output paths next to its key
+    out = tmp_path / "artifacts"
+    shutil.copytree(tiny_run["out"], out)
+    manifest = json.loads((out / "cache.json").read_text())
+    for name, entry in manifest.items():
+        entry["outputs"] = [str(out / o) for o in pipeline.STAGES[name].outputs]
+    (out / "cache.json").write_text(json.dumps(manifest))
+    runner = PipelineRunner(load_config(write_tiny_config(tiny_run["fixture"], out)))
+    assert runner.evaluate().to_json() == tiny_run["report"].to_json()
+    assert {s: False for s in STAGES} == runner.stage_ran
+
+
 def test_missing_configured_input_names_stage_and_input(tiny_run, tmp_path):
     cfg = load_config(tiny_run["cfg_path"], out_dir=str(tmp_path / "out"))
     cfg.corpus_path = str(tmp_path / "absent.jsonl")
@@ -541,7 +564,13 @@ def test_cli_error_is_not_a_traceback(capsys):
     (b"[el]\nhidden = many\n", "[el] hidden = 'many' is not an integer"),
     (b"[split]\ntrain = lots\n", "[split] train = 'lots' is not a number"),
     (b"[pipeline]\n# caf\xe9\n", "can't decode byte 0xe9"),
-], ids=["no-section", "el-hidden", "split-train", "not-utf8"])
+    (b"[re]\nmargin = 2.0\n", "[re] margin must lie in (0,1)"),
+    (b"[re]\nhidden = 7\n", "[re] hidden must be even"),
+    (b"[embeddings]\ndim = 0\n", "[embeddings] dim>0, negatives>=1"),
+    (b"[embeddings]\nnegatives = 0\n", "[embeddings] dim>0, negatives>=1"),
+    (b"[re]\ntoken_dim = 40\n", "unknown config key 'token_dim'"),
+], ids=["no-section", "el-hidden", "split-train", "not-utf8", "re-margin", "re-hidden",
+        "embeddings-dim", "embeddings-negatives", "re-property"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, ini, message):
     path = tmp_path / "c.ini"
     path.write_bytes(ini)
