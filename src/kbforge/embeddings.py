@@ -164,8 +164,10 @@ def _sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
     Each pair's update reads what the pairs before it wrote, so updates run
     one pair at a time. The rest is done per block of SGD_BLOCK pairs: the
     negatives (one ``rng.random((n, k))`` call, the same stream as n calls
-    of k) and the losses. Results are bit-identical to drawing and scoring
-    pair by pair."""
+    of k), which pairs name a context row twice, and the losses. A pair
+    that repeats no row updates its context rows with one indexed add;
+    one that does needs ``np.add.at`` to add each repeat. Results are
+    bit-identical to drawing and scoring pair by pair."""
     labels = np.zeros(k + 1)
     labels[0] = 1.0
     for lo in range(0, len(centers), SGD_BLOCK):
@@ -174,6 +176,8 @@ def _sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
         rows = np.empty((n, k + 1), dtype=np.int64)
         rows[:, 0] = block_contexts
         rows[:, 1:] = sampler.pick(block_contexts, rng.random((n, k)))
+        sorted_rows = np.sort(rows, axis=1)
+        repeats = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
         scores = np.empty((n, k + 1))
         for j, center in enumerate(centers[lo:lo + n]):
             lr, pair_rows = lrs[lo + j], rows[j]
@@ -182,7 +186,11 @@ def _sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
             s = scores[j] = 1.0 / (1.0 + np.exp(-(c @ w)))
             g = s - labels
             grad_w = g @ c
-            np.add.at(ctx, pair_rows, (-lr * np.outer(g, w)).astype(ctx.dtype))
+            upd = (-lr * (g[:, None] * w)).astype(ctx.dtype)
+            if repeats[j]:
+                np.add.at(ctx, pair_rows, upd)
+            else:
+                ctx[pair_rows] += upd
             vectors[center] -= (lr * grad_w).astype(vectors.dtype)
         # clamp keeps log finite when a score saturates
         p = np.clip(np.where(labels > 0, scores, 1.0 - scores), 1e-10, 1.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 
 def _read(path, error, parse, convert) -> list:
@@ -119,10 +120,26 @@ def write_json(path, doc) -> None:
     _write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
 
 
-def hash_file(path) -> str:
-    """The sha256 hex digest of a file's bytes."""
-    h = hashlib.sha256()
+def _hash_into(h, path):
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
+    return h
+
+
+def hash_file(path) -> str:
+    """The sha256 hex digest of a file's bytes."""
+    return _hash_into(hashlib.sha256(), path).hexdigest()
+
+
+def hash_tree(root, pattern: str) -> str:
+    """The sha256 hex digest of the files under ``root`` that match
+    ``pattern``, in the sorted order of their paths relative to ``root``:
+    of each, its relative path and size, then its bytes. It does not
+    depend on where ``root`` lives."""
+    root = Path(root)
+    h = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix() for path in root.rglob(pattern)):
+        h.update(f"{rel}\0{(root / rel).stat().st_size}\0".encode())
+        _hash_into(h, root / rel)
     return h.hexdigest()

@@ -4,20 +4,24 @@ Stages: ingest -> node+joint embeddings -> bootstrap -> context-linker
 training -> bag generation -> relation model training -> full-corpus linking
 -> extraction -> validation -> enrichment -> evaluation. ``STAGES`` declares
 each stage's input files, config slice and outputs. A stage hashes its input
-files plus its config slice; a matching hash with artifacts on disk skips
-the work, so a config edit only invalidates downstream stages.
+files, its config slice and the code (``code_digest``); a matching hash with
+artifacts on disk skips the work, so a config edit only invalidates
+downstream stages, and a code change invalidates every stage.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import nn
 from .corpus import CorpusError, Sentence, ingest_corpus, sentence_from_record, write_corpus
@@ -42,6 +46,7 @@ from .embeddings import (
 )
 from .files import hash_file as _hash_file
 from .files import (
+    hash_tree,
     json_int,
     json_list,
     read_json,
@@ -217,6 +222,15 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
         cfg.out_dir = out_dir
     cfg.reseed()
     return cfg
+
+
+@functools.cache
+def code_digest() -> str:
+    """sha256 of the numpy version and of every module of the kbforge
+    package, computed once per process. Every stage key folds it in, so
+    artifacts built by other code are never reused."""
+    source = hash_tree(Path(__file__).resolve().parent, "*.py")
+    return hashlib.sha256(f"numpy {np.__version__}\0{source}".encode()).hexdigest()
 
 
 def _cfg_digest(obj) -> str:
@@ -406,7 +420,7 @@ class Stage:
     """One cached stage. ``inputs`` are source names (see ``SOURCES``) or
     artifact names in the out dir; each artifact input makes the stage that
     outputs it upstream of this one. The cache key hashes the inputs in the
-    order given, then ``config(cfg)`` and the global seed."""
+    order given, then ``config(cfg)``, the global seed and ``code_digest()``."""
     name: str
     inputs: tuple[str, ...]
     config: Callable[[PipelineConfig], object]
@@ -488,6 +502,7 @@ class PipelineRunner:
             h.update(self._hashes[f].encode() if f else b"-")
         h.update(_cfg_digest(stage.config(self.cfg)).encode())
         h.update(str(self.cfg.seed).encode())
+        h.update(code_digest().encode())
         return h.hexdigest()
 
     def _fresh(self, stage: str, key: str, outputs) -> bool:

@@ -18,6 +18,9 @@ from .kb import UNTYPED, KnowledgeBase, Triple, build_fact_type_templates
 
 NO_SPAN_TYPE = "O"
 UNK = "<unk>"
+# bags per Adam step in train_re: one batched forward pass over their
+# sentences and one step on their summed loss
+RE_BATCH = 8
 
 
 class RelationError(Exception):
@@ -253,20 +256,31 @@ class REModel:
         s = nn.concat([s_pcnn, s_gcn], axis=0)
         return s, self.selective_gate(x, lengths), [d for _, _, d in anchors]
 
-    def predict_from_bag_vector(self, v: nn.Tensor, direction: float) -> nn.Tensor:
-        d = nn.Tensor(np.array([[direction]], dtype=self.dtype))
+    def predict_from_bag_vector(self, v: nn.Tensor, directions) -> nn.Tensor:
+        """(R, B) scores of the bag vectors v (6h, B), given each bag's mean
+        direction flag (a plain number for a single bag)."""
+        d = nn.Tensor(np.asarray(directions, dtype=self.dtype).reshape(1, -1))
         scores = self.head(nn.concat([v, d], axis=0))
-        assert scores.shape == (len(self.relations), 1)
+        assert scores.shape == (len(self.relations), v.shape[1])
         return scores
 
-    def forward_bag(self, instances: list[tuple[Sentence, Span, Span]]) -> nn.Tensor:
-        """Relation scores of a bag. The instances are encoded in a
-        canonical order, so any permutation of the bag scores bit-identically."""
-        ordered = sorted(instances, key=lambda inst: (
+    def forward_bags(self, bags: list[list[tuple[Sentence, Span, Span]]]) -> nn.Tensor:
+        """(R, B) relation scores, one column per bag. The sentences of all
+        bags are encoded in one pass, each bag's instances in a canonical
+        order, so any permutation of a bag scores bit-identically."""
+        ordered = [sorted(instances, key=lambda inst: (
             inst[0].id, inst[1].start, inst[1].end, inst[2].start, inst[2].end))
-        s, g, directions = self.encode_bag(ordered)
-        return self.predict_from_bag_vector(aggregate_bag(s, g),
-                                            float(np.mean(directions)))
+            for instances in bags]
+        s, g, directions = self.encode_bag([inst for bag in ordered for inst in bag])
+        sizes = [len(bag) for bag in ordered]
+        v = aggregate_bag(s, g, sizes)
+        starts = np.cumsum(sizes) - sizes
+        means = [float(np.mean(directions[a:a + n])) for a, n in zip(starts, sizes)]
+        return self.predict_from_bag_vector(v, means)
+
+    def forward_bag(self, instances: list[tuple[Sentence, Span, Span]]) -> nn.Tensor:
+        """Relation scores (R, 1) of one bag."""
+        return self.forward_bags([instances])
 
     def predict(self, instances: list[tuple[Sentence, Span, Span]]
                 ) -> tuple[np.ndarray, set[str]]:
@@ -278,22 +292,23 @@ class REModel:
         return scores, predicted
 
 
-def aggregate_bag(s: nn.Tensor, g: nn.Tensor) -> nn.Tensor:
-    """v = sum over the bag's columns of gate times sentence vector, in
-    column order: the order forward_bag encodes the bag in is its only
-    order. Equal to that bag's column of a segment_sum over bags laid side
-    by side."""
-    if not s.shape[1]:
+def aggregate_bag(s: nn.Tensor, g: nn.Tensor, sizes) -> nn.Tensor:
+    """(6h, B) bag vectors: for bags whose columns lie side by side,
+    ``sizes`` giving each one's column count, the sum over each bag's
+    columns of gate times sentence vector, in column order. A bag's vector
+    is bit-identical whichever bags lie beside it."""
+    if not len(sizes) or min(sizes) < 1:
         raise RelationError("cannot aggregate an empty bag")
-    return nn.segment_sum(nn.mul(g, s))
+    return nn.segment_sum(nn.mul(g, s), sizes)
 
 
 def sliding_margin_loss(scores: nn.Tensor, labels: np.ndarray, threshold: nn.Tensor,
                         margin: float, down_weight: float) -> nn.Tensor:
     """Per-relation squared hinge around the learnable threshold: positives
     pushed above B+margin, negatives below B-margin (the latter scaled by
-    down_weight). Gradients reach both the scores and B."""
-    y = labels.reshape(-1, 1).astype(scores.data.dtype)
+    down_weight), summed over relations and bags: ``labels`` holds one
+    entry per score. Gradients reach both the scores and B."""
+    y = labels.reshape(scores.shape).astype(scores.data.dtype)
     upper = nn.add(threshold, nn.Tensor(np.full((1, 1), margin, scores.data.dtype)))
     lower = nn.sub(threshold, nn.Tensor(np.full((1, 1), margin, scores.data.dtype)))
     pos = nn.relu(nn.sub(upper, scores))
@@ -321,6 +336,10 @@ def bag_instances(bag: Bag, sentences_by_id: dict[str, Sentence]
 
 def train_re(bags: list[Bag], sentences_by_id: dict[str, Sentence],
              kb: KnowledgeBase, cfg: REConfig) -> REModel:
+    """cfg.epochs epochs of Adam through nn.fit: one step per RE_BATCH bags,
+    on their sliding-margin loss summed over relations and bags. Each bag
+    reports an equal share of its batch's loss, so ``epoch_losses`` holds
+    each epoch's mean per-bag loss."""
     if not bags:
         raise RelationError("no bags to train on")
     word_vocab = sorted({t.surface for s in sentences_by_id.values() for t in s.tokens})
@@ -329,22 +348,19 @@ def train_re(bags: list[Bag], sentences_by_id: dict[str, Sentence],
     model = REModel(cfg, kb.relations, word_vocab, type_vocab, tag_vocab)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    label_rows = []
-    for bag in bags:
-        y = np.zeros(len(model.relations))
+    labels = np.zeros((len(model.relations), len(bags)))
+    for b, bag in enumerate(bags):
         for r in bag.labels:
-            y[model.rel_index[r]] = 1.0
-        label_rows.append(y)
+            labels[model.rel_index[r], b] = 1.0
 
     def loss_of(ids):
-        (i,) = ids
-        scores = model.forward_bag(bag_instances(bags[i], sentences_by_id))
-        loss = sliding_margin_loss(scores, label_rows[i], model.threshold,
+        scores = model.forward_bags([bag_instances(bags[i], sentences_by_id) for i in ids])
+        loss = sliding_margin_loss(scores, labels[:, ids], model.threshold,
                                    cfg.margin, cfg.down_weight)
-        return loss, [loss.item()]
+        return loss, [loss.item() / len(ids)] * len(ids)
 
     model.epoch_losses = nn.fit(model.parameters(), cfg.learning_rate, cfg.epochs,
-                                len(bags), 1, rng, loss_of)
+                                len(bags), RE_BATCH, rng, loss_of)
     model.trained = True
     return model
 

@@ -282,3 +282,20 @@ def test_loader_rejects_a_wrong_json_type_naming_file_and_line(scratch, name, ke
     with pytest.raises(error) as err:
         load(path)
     assert str(err.value).startswith(f"{path}:2:")
+
+
+def test_hash_tree_covers_names_and_bytes_but_not_where_the_tree_lives(tmp_path):
+    def tree(root, contents):
+        for rel, text in contents.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        return files.hash_tree(root, "*.py")
+
+    base = {"a.py": "x = 1\n", "nn/b.py": "y = 2\n", "notes.txt": "ignored"}
+    digest = tree(tmp_path / "one", base)
+    assert tree(tmp_path / "deeper" / "two", base) == digest
+    assert tree(tmp_path / "txt", {**base, "notes.txt": "other"}) == digest
+    for i, changed in enumerate([{**base, "a.py": "x = 2\n"},
+                                 {**base, "nn/c.py": base["nn/b.py"], "nn/b.py": ""},
+                                 {**base, "c.py": ""}]):
+        assert tree(tmp_path / f"edit{i}", changed) != digest

@@ -78,7 +78,13 @@ def tiny_fixture(tmp_path_factory):
     return d
 
 
-def write_tiny_config(tiny_fixture, out_dir, re_epochs=1, name=None):
+# RE takes one Adam step per RE_BATCH bags, and the tiny fixture has 25 train
+# bags: 5 epochs (20 steps) leave accepted triples to check, where 1 or 2
+# epochs accept none
+TINY_RE_EPOCHS = 5
+
+
+def write_tiny_config(tiny_fixture, out_dir, re_epochs=TINY_RE_EPOCHS, name=None):
     path = out_dir.parent / f"{name or out_dir.name}.ini"
     path.write_text(TINY_TEMPLATE.format(fix=tiny_fixture, out=out_dir,
                                          re_epochs=re_epochs))
@@ -379,6 +385,25 @@ def test_gold_edit_reruns_only_evaluate(tiny_run, tmp_path):
     assert runner.stage_ran == {s: s == "evaluate" for s in STAGES}
     assert (out / "metrics.json").read_text() != tiny_run["report"].to_json()
     assert runner.evaluate().el["coverage"] != tiny_run["report"].el["coverage"]
+
+
+def test_code_change_reruns_every_stage(tiny_run, tmp_path, monkeypatch):
+    runner, out = rerun_on_copy(tiny_run, tmp_path, lambda text: text)
+    assert runner.stage_ran == {s: False for s in STAGES}
+    monkeypatch.setattr(pipeline, "code_digest", lambda: "other code")
+    runner = PipelineRunner(load_config(out.parent / "artifacts.ini"))
+    runner.evaluate()
+    assert runner.stage_ran == {s: True for s in STAGES}
+
+
+def test_code_digest_is_computed_once_per_process(monkeypatch):
+    calls = []
+    real = pipeline.hash_tree
+    monkeypatch.setattr(pipeline, "hash_tree", lambda *a: calls.append(a) or real(*a))
+    pipeline.code_digest.cache_clear()
+    first = pipeline.code_digest()
+    assert pipeline.code_digest() == first
+    assert len(calls) == 1
 
 
 def test_link_sentence_keeps_each_former_callers_contract(tiny_run):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbforge import nn
+from kbforge import nn, relations
 from kbforge.corpus import Sentence, Span, Token
 from kbforge.datagen import Bag
 from kbforge.kb import Entity, KnowledgeBase, Triple, build_fact_type_templates
@@ -210,6 +210,28 @@ def test_forward_bag_bit_identical_under_permutation(bag, random):
     assert model.forward_bag(shuffled).data.tobytes() == model.forward_bag(bag).data.tobytes()
 
 
+@st.composite
+def bag_batches(draw):
+    """1-8 bags of 1-3 instances; sentence ids are unique across the batch."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    return [[draw(instances(f"b{b}s{i}")) for i in range(size)]
+            for b, size in enumerate(sizes)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(bag_batches())
+def test_forward_bags_column_is_that_bags_forward_bag(batch):
+    model = tiny_model()
+    scores = model.forward_bags(batch)
+    assert scores.shape == (len(model.relations), len(batch))
+    for b, bag in enumerate(batch):
+        alone = model.forward_bag(bag).data
+        np.testing.assert_allclose(scores.data[:, b:b + 1], alone, rtol=0, atol=1e-5)
+    # a batch of one is the one-bag path, bit for bit
+    assert model.forward_bags(batch[:1]).data.tobytes() == \
+        model.forward_bag(batch[0]).data.tobytes()
+
+
 def test_large_bag_memory_grows_linearly():
     # 500 sentences of 12 tokens: a dense adjacency over the bag's 6,000
     # tokens alone would take 144 MB in float32
@@ -326,18 +348,28 @@ def test_aggregate_bag_is_its_column_of_a_batched_segment_sum(lengths, seed):
     rng = np.random.default_rng(seed)
     s = rng.standard_normal((24, sum(lengths))).astype(np.float32)
     g = rng.uniform(0, 1, s.shape).astype(np.float32)
-    batched = nn.segment_sum(nn.mul(nn.Tensor(g), nn.Tensor(s)), lengths).data
+    batched = aggregate_bag(nn.Tensor(s), nn.Tensor(g), lengths).data
     for b, (start, size) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
         cols = slice(start, start + size)
-        one = aggregate_bag(nn.Tensor(s[:, cols]), nn.Tensor(g[:, cols])).data
+        one = aggregate_bag(nn.Tensor(s[:, cols]), nn.Tensor(g[:, cols]), [size]).data
         assert one.tobytes() == batched[:, b:b + 1].tobytes()
 
 
 def test_aggregate_bag_rejects_empty():
     with pytest.raises(RelationError):
-        aggregate_bag(nn.Tensor(np.zeros((6, 0))), nn.Tensor(np.zeros((6, 0))))
+        aggregate_bag(nn.Tensor(np.zeros((6, 0))), nn.Tensor(np.zeros((6, 0))), [0])
     with pytest.raises(RelationError):
         tiny_model().forward_bag([])
+
+
+def test_aggregate_bag_rejects_an_empty_bag_among_others():
+    s = nn.Tensor(np.ones((6, 3)))
+    with pytest.raises(RelationError):
+        aggregate_bag(s, s, [2, 0, 1])
+    with pytest.raises(RelationError):
+        aggregate_bag(s, s, [])
+    with pytest.raises(RelationError):
+        tiny_model().forward_bags([[pair_sentence()], []])
 
 
 def test_bag_instances_requires_linked_spans():
@@ -365,6 +397,23 @@ def test_full_model_gradients_float64():
     # attention-path gradients sit near 2e-7 while the dominant ones are ~0.2;
     # a pure relative error there measures float64 round-off, not correctness,
     # so floor the denominator at 1e-6
+    err = gradcheck(make_loss, model.parameters(), floor=1e-6)
+    assert err < 1e-4
+
+
+def test_summed_batch_loss_gradients_float64():
+    # the loss one training step takes: three bags scored in one pass,
+    # summed over relations and bags
+    model = tiny_model(dtype=np.float64)
+    batch = [[pair_sentence("g0"), reversed_sentence("g1")],
+             [reversed_sentence("g2")],
+             [pair_sentence("g3")]]
+    labels = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+
+    def make_loss():
+        return sliding_margin_loss(model.forward_bags(batch), labels, model.threshold,
+                                   model.cfg.margin, model.cfg.down_weight)
+
     err = gradcheck(make_loss, model.parameters(), floor=1e-6)
     assert err < 1e-4
 
@@ -476,7 +525,8 @@ def test_train_re_runs_and_learns_something():
     assert model.epoch_losses[-1] < model.epoch_losses[0]
 
 
-def test_train_re_steps_once_per_bag_in_each_epochs_permutation():
+def test_train_re_steps_once_per_bag_in_each_epochs_permutation(monkeypatch):
+    monkeypatch.setattr(relations, "RE_BATCH", 1)
     kb, sentences, bags = small_training_setup()
     bags = bags * 3
     cfg = tiny_cfg(epochs=3, learning_rate=0.02)
@@ -513,6 +563,17 @@ def test_train_re_steps_once_per_bag_in_each_epochs_permutation():
     assert [p.name for p in model.parameters()] == [p.name for p in ref.parameters()]
     assert all(a.data.tobytes() == b.data.tobytes()
                for a, b in zip(model.parameters(), ref.parameters()))
+
+
+def test_train_re_takes_one_adam_step_per_batch_of_bags(monkeypatch):
+    steps = []
+    real_step = nn.Adam.step
+    monkeypatch.setattr(nn.Adam, "step", lambda opt: steps.append(opt.t) or real_step(opt))
+    kb, sentences, bags = small_training_setup()
+    bags = bags * 7
+    model = train_re(bags, sentences, kb, tiny_cfg(epochs=2, learning_rate=0.02))
+    assert len(steps) == 2 * -(-len(bags) // relations.RE_BATCH) == 2 * 3
+    assert len(model.epoch_losses) == 2
 
 
 def test_train_re_rejects_empty():
