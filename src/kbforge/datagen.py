@@ -75,17 +75,24 @@ def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
     """Round 1 extracts with the alias gazetteer; later rounds retrain a span
     classifier on the previous round's labels and re-extract. Stops when the
     extracted-sentence count drops (previous corpus wins) or at the round
-    cap; equal counts keep going."""
+    cap; equal counts keep going. Every sentence's n-grams are hashed once,
+    into a feature table the classifier rounds share by sentence id."""
     if not raw_corpus:
         raise DataGenError("bootstrap needs a non-empty corpus")
+    seen: set[str] = set()
+    for sentence in raw_corpus:
+        if sentence.id in seen:
+            raise DataGenError(f"duplicate sentence id {sentence.id!r}")
+        seen.add(sentence.id)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    feature_table: dict[str, np.ndarray] = {}
 
     best = _extract_once(raw_corpus, kb, table, GazetteerRecognizer(kb), cfg)
     rounds = [GenerationRound(1, len(best), "gazetteer")]
     for round_index in range(2, cfg.max_rounds + 1):
         student = TrainableSpanClassifier(
             kb, cfg.classifier_feature_dim, cfg.classifier_lr,
-            cfg.classifier_epochs, cfg.classifier_negatives)
+            cfg.classifier_epochs, cfg.classifier_negatives, feature_table)
         try:
             student.train(best, rng)
         except Exception as exc:

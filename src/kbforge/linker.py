@@ -7,6 +7,7 @@ from __future__ import annotations
 import sys
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -64,19 +65,34 @@ class GazetteerRecognizer:
         return out
 
 
+_NO_ROWS = np.empty((0, 7), dtype=np.intp)
+
+
+def _ngram_rows(n: int, width: int) -> int:
+    """Rows of an n-token sentence's feature table holding n-grams narrower
+    than `width`: the row of (start, start + width - 1) is this plus start."""
+    return (width - 1) * n - (width - 1) * (width - 2) // 2
+
+
 class TrainableSpanClassifier:
     """Logistic model over hashed span features (surface, length, gazetteer
     membership, context words within +-2). Student model of the self-training
     loop; proposes all n-grams up to the longest span seen in training and
-    keeps non-overlapping ones scoring above 0.5."""
+    keeps non-overlapping ones scoring above 0.5.
+
+    `feature_table` (sentence id -> feature rows) lets classifiers over the
+    same KB, feature_dim and sentences share the hashing; without one each
+    call hashes its sentences afresh."""
 
     def __init__(self, kb: KnowledgeBase, feature_dim: int = 4096, lr: float = 0.5,
-                 epochs: int = 5, negatives_per_sentence: int = 10):
+                 epochs: int = 5, negatives_per_sentence: int = 10,
+                 feature_table: dict[str, np.ndarray] | None = None):
         self.kb = kb
         self.feature_dim = feature_dim
         self.lr = lr
         self.epochs = epochs
         self.negatives_per_sentence = negatives_per_sentence
+        self.feature_table = feature_table
         self.weights = np.zeros(feature_dim, dtype=np.float64)
         self.bias = 0.0
         self.max_span_len = 1
@@ -109,44 +125,70 @@ class TrainableSpanClassifier:
             for start in range(n - width + 1):
                 yield start, start + width - 1
 
-    def _prob(self, idx) -> float:
-        z = self.weights[idx].sum() + self.bias
-        return 1.0 / (1.0 + np.exp(-z))
+    def _feature_rows(self, sentence: Sentence) -> np.ndarray:
+        """(n-grams, 7) feature buckets of the sentence's n-grams, rows in
+        _ngrams order; hashes only the rows the feature table lacks."""
+        n = len(sentence.tokens)
+        m = _ngram_rows(n, min(self.max_span_len, n) + 1)
+        table = self.feature_table
+        rows = _NO_ROWS if table is None else table.get(sentence.id, _NO_ROWS)
+        if len(rows) < m:
+            new = [self._features(sentence, *se)
+                   for se in islice(self._ngrams(sentence), len(rows), None)]
+            rows = np.concatenate([rows, np.array(new, dtype=np.intp)])
+            if table is not None:
+                table[sentence.id] = rows
+        return rows[:m]
 
     def train(self, corpus: list[Sentence], rng: np.random.Generator) -> None:
         gold_lens = [sp.end - sp.start + 1 for s in corpus for sp in s.spans]
         if not gold_lens:
             raise LinkError("no labeled spans to train the span classifier on")
         self.max_span_len = max(gold_lens)
-        # features as index arrays, built once rather than on every step
-        items: list[tuple[np.ndarray, float]] = []
+        # each sentence's gold spans in (start, end) order, then its sampled
+        # negatives in _ngrams order
+        feats: list[np.ndarray] = []
+        labels: list[float] = []
         for sentence in corpus:
-            gold = {(sp.start, sp.end) for sp in sentence.spans}
-            for se in sorted(gold):
-                items.append((np.array(self._features(sentence, *se)), 1.0))
-            negs = [se for se in self._ngrams(sentence) if se not in gold]
+            rows = self._feature_rows(sentence)
+            n = len(sentence.tokens)
+            gold = [_ngram_rows(n, end - start + 1) + start
+                    for start, end in sorted({(sp.start, sp.end) for sp in sentence.spans})]
+            negs = np.delete(np.arange(len(rows)), gold)
             if len(negs) > self.negatives_per_sentence:
                 picks = rng.choice(len(negs), size=self.negatives_per_sentence, replace=False)
-                negs = [negs[i] for i in sorted(picks)]
-            for se in negs:
-                items.append((np.array(self._features(sentence, *se)), 0.0))
+                negs = negs[np.sort(picks)]
+            feats += [rows[gold], rows[negs]]
+            labels += [1.0] * len(gold) + [0.0] * len(negs)
+        items = np.concatenate(feats)
+        # SGD on Python floats: a left-to-right sum of seven terms and one
+        # subtraction per feature equal numpy's weights[idx].sum() and
+        # np.subtract.at bit for bit, a repeated bucket once per repeat
+        w = self.weights.tolist()
+        bias, lr = self.bias, self.lr
         for _ in range(self.epochs):
-            for i in rng.permutation(len(items)):
-                idx, y = items[i]
-                g = self._prob(idx) - y
-                # a bucket repeated in idx counts once per repeat in _prob
-                np.subtract.at(self.weights, idx, self.lr * g)
-                self.bias -= self.lr * g
+            for i in rng.permutation(len(items)).tolist():
+                idx = items[i].tolist()
+                z = 0.0
+                for b in idx:
+                    z += w[b]
+                g = float(1.0 / (1.0 + np.exp(-(z + bias)))) - labels[i]
+                step = lr * g
+                for b in idx:
+                    w[b] -= step
+                bias -= step
+        self.weights[:] = w
+        self.bias = bias
         self.trained = True
 
     def recognize(self, sentence: Sentence) -> list[Span]:
         if not self.trained:
             raise LinkError("span classifier used before training")
-        scored = []
-        for start, end in self._ngrams(sentence):
-            p = self._prob(self._features(sentence, start, end))
-            if p > 0.5:
-                scored.append((p, start, end))
+        p = 1.0 / (1.0 + np.exp(-(self.weights[self._feature_rows(sentence)].sum(axis=1)
+                                  + self.bias)))
+        scored = [(prob, start, end)
+                  for (start, end), prob in zip(self._ngrams(sentence), p.tolist())
+                  if prob > 0.5]
         scored.sort(key=lambda t: (-t[0], t[1], t[1] - t[2]))
         taken: list[tuple[int, int]] = []
         for _, start, end in scored:

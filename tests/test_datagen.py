@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kbforge import datagen
-from kbforge.corpus import Sentence, Span, Token
+from kbforge.corpus import Sentence, Span, Token, ingest_corpus
 from kbforge.datagen import (
     Bag,
     BootstrapConfig,
@@ -18,7 +19,8 @@ from kbforge.datagen import (
     split_dataset,
     write_generation_report,
 )
-from kbforge.kb import Entity, KnowledgeBase, Triple
+from kbforge.kb import Entity, KnowledgeBase, Triple, load_kb
+from kbforge.linker import TrainableSpanClassifier
 
 
 def mk_sentence(words, sid="s0", spans=None):
@@ -55,6 +57,31 @@ def test_gazetteer_round_keeps_doubly_linked_sentences():
 def test_bootstrap_rejects_empty_corpus():
     with pytest.raises(DataGenError):
         bootstrap_linked_corpus([], pair_kb(), None, BootstrapConfig())
+
+
+def test_bootstrap_rejects_duplicate_sentence_ids():
+    corpus = [mk_sentence(["Tony", "met", "Pepper"], "a"),
+              mk_sentence(["Tony", "wore", "Mark"], "a")]
+    with pytest.raises(DataGenError, match="duplicate sentence id 'a'"):
+        bootstrap_linked_corpus(corpus, pair_kb(), None, BootstrapConfig(knn_k=0))
+
+
+def test_bootstrap_hashes_each_ngram_at_most_once(fixture_dir, monkeypatch):
+    kb = load_kb(fixture_dir / "entities.tsv", fixture_dir / "triples.tsv")
+    raw = ingest_corpus(fixture_dir / "corpus.jsonl")[:200]
+    hashed = Counter()
+    features = TrainableSpanClassifier._features
+
+    def counting(self, sentence, start, end):
+        hashed[sentence.id, start, end] += 1
+        return features(self, sentence, start, end)
+
+    monkeypatch.setattr(TrainableSpanClassifier, "_features", counting)
+    _, rounds = bootstrap_linked_corpus(raw, kb, None, BootstrapConfig(max_rounds=3, knn_k=0))
+    assert [r.recognizer for r in rounds][1:] == ["classifier-round-2", "classifier-round-3"]
+    # every n-gram up to the widest trained span of every raw sentence
+    assert len(hashed) == sum(2 * len(s) - 1 for s in raw)
+    assert max(hashed.values()) == 1
 
 
 class _NoopClassifier:

@@ -606,6 +606,35 @@ def reference_span_train(clf, corpus, rng):
     clf.trained = True
 
 
+def reference_recognize(clf, sentence):
+    """TrainableSpanClassifier.recognize hashing and scoring one n-gram at a
+    time: what the one-product scoring must reproduce bit for bit."""
+    scored = []
+    for start, end in clf._ngrams(sentence):
+        z = clf.weights[clf._features(sentence, start, end)].sum() + clf.bias
+        p = 1.0 / (1.0 + np.exp(-z))
+        if p > 0.5:
+            scored.append((p, start, end))
+    scored.sort(key=lambda t: (-t[0], t[1], t[1] - t[2]))
+    taken = []
+    for _, start, end in scored:
+        if all(end < s or e < start for s, e in taken):
+            taken.append((start, end))
+    return [Span(start, end, sentence.surface(start, end)) for start, end in sorted(taken)]
+
+
+def wide_span_classifier(feature_table=None):
+    """A classifier trained on gold spans three tokens wide, over a KB whose
+    aliases are one token wide."""
+    kb = KnowledgeBase([Entity("e1", "Tony"), Entity("e2", "Pepper")])
+    corpus = [mk_sentence(["Tony", "Stark", "Jr", "met", "Pepper"], f"w{i}",
+                          [Span(0, 2, "Tony Stark Jr"), Span(4, 4, "Pepper")])
+              for i in range(3)]
+    corpus.append(mk_sentence(["Pepper", "saw", "Tony"], "w3", [Span(2, 2, "Tony")]))
+    clf = TrainableSpanClassifier(kb, feature_dim=64, epochs=4, feature_table=feature_table)
+    return clf, kb, corpus
+
+
 def test_span_classifier_step_moves_a_repeated_bucket_once_per_repeat():
     # one single-token gold span and no negatives: one step from zero
     # weights, where p = 0.5 and g = p - 1
@@ -634,3 +663,45 @@ def test_span_classifier_training_matches_per_step_conversion(fixture_dir, featu
     assert trained.bias == reference.bias
     assert trained.max_span_len == reference.max_span_len
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_span_classifier_trains_on_a_span_wider_than_every_alias():
+    trained, kb, corpus = wide_span_classifier(feature_table={})
+    reference = wide_span_classifier()[0]
+    rng_a, rng_b = (np.random.Generator(np.random.PCG64(5)) for _ in "ab")
+    trained.train(corpus, rng_a)
+    reference_span_train(reference, corpus, rng_b)
+    assert trained.max_span_len == 3 > kb.max_alias_tokens
+    assert trained.weights.tobytes() == reference.weights.tobytes()
+    assert trained.bias == reference.bias
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("feature_dim", [4096, 16])
+def test_span_classifier_recognition_matches_per_ngram_reference(fixture_dir, feature_dim):
+    # trained through a feature table, as the bootstrap does: training fills
+    # it and recognition reads and extends it
+    kb = load_kb(fixture_dir / "entities.tsv", fixture_dir / "triples.tsv")
+    raw = ingest_corpus(fixture_dir / "corpus.jsonl")[:300]
+    corpus = _extract_once(raw, kb, None, GazetteerRecognizer(kb), BootstrapConfig(knn_k=0))
+    clf = TrainableSpanClassifier(kb, feature_dim, epochs=3, feature_table={})
+    clf.train(corpus, np.random.Generator(np.random.PCG64(2)))
+    got = [clf.recognize(s) for s in raw]
+    assert got == [reference_recognize(clf, s) for s in raw]
+    assert sum(map(len, got)) > len(raw)
+    # sentences shorter than the widest trained span, down to one token
+    assert clf.max_span_len == 2
+    shorts = [Sentence(f"{s.id}-1", s.tokens[:1]) for s in raw]
+    got = [clf.recognize(s) for s in shorts]
+    assert got == [reference_recognize(clf, s) for s in shorts]
+    assert any(got)
+
+
+def test_span_classifier_recognizes_sentences_shorter_than_its_widest_span():
+    clf, _, corpus = wide_span_classifier()
+    clf.train(corpus, np.random.Generator(np.random.PCG64(5)))
+    shorts = [mk_sentence(words) for words in
+              (["Tony"], ["Pepper", "met"], ["Tony", "Stark"], ["saw", "Pepper"], [])]
+    got = [clf.recognize(s) for s in shorts]
+    assert got == [reference_recognize(clf, s) for s in shorts]
+    assert any(got)
