@@ -11,4 +11,4 @@ from .linker import ContextLinkerModel, ELConfig, GazetteerRecognizer, link, lin
 from .datagen import Bag, BootstrapConfig, DistantSupervisionConfig, bootstrap_linked_corpus, distant_supervision
 from .relations import REConfig, REModel, extract, train_re, validate_triple
 from .metrics import MetricsReport, eval_entity_linker, eval_relation_extractor, triple_precision
-from .pipeline import PipelineConfig, PipelineRunner, load_config, run_pipeline
+from .pipeline import PipelineConfig, PipelineRunner, load_config

@@ -4,6 +4,7 @@ multi-instance multi-label bags.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -47,12 +48,22 @@ class BootstrapConfig:
     classifier_epochs: int = 5
     classifier_negatives: int = 10
 
+    def __post_init__(self):
+        if self.classifier_feature_dim < 1:
+            raise ValueError("classifier_feature_dim must be at least 1")
+
 
 @dataclass
 class DistantSupervisionConfig:
     max_bag_size: int = 32
     na_ratio: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_bag_size < 1:
+            raise ValueError("max_bag_size must be at least 1")
+        if not 0.0 <= self.na_ratio < math.inf:
+            raise ValueError("na_ratio must be a finite number >= 0")
 
 
 def _extract_once(raw_corpus: list[Sentence], kb: KnowledgeBase,
@@ -145,10 +156,18 @@ def distant_supervision(corpus: list[Sentence], kb: KnowledgeBase,
     return sorted(positives + negatives, key=lambda b: (b.subject, b.object))
 
 
-def split_dataset(bags: list[Bag], ratios: tuple[float, float, float],
-                  seed: int) -> tuple[list[Bag], list[Bag], list[Bag]]:
+def check_split(ratios: tuple[float, float, float]) -> None:
+    """ValueError unless the (train, valid, test) ratios are each in [0, 1]
+    and sum to 1."""
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(f"split ratios {list(ratios)} must each lie in [0, 1]")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios sum to {sum(ratios)}, expected 1")
+
+
+def split_dataset(bags: list[Bag], ratios: tuple[float, float, float],
+                  seed: int) -> tuple[list[Bag], list[Bag], list[Bag]]:
+    check_split(ratios)
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(bags))
     n = len(bags)

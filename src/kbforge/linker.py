@@ -289,8 +289,12 @@ class ContextLinkerModel:
         self.encoder(nn.Tensor(x), lengths=[len(s.tokens) for s in sentences])
         return self.encoder.final_states()
 
-    def _score(self, v_c, span: Span, entity: str):
-        x = nn.concat([v_c, self._span_vec(span), self._entity_vec(entity)], axis=0)
+    def _scores(self, v_c, spans: np.ndarray, entities: list[str]) -> nn.Tensor:
+        """(1, n) scores in one scorer pass: column i scores [v_c column i;
+        spans column i; entity i]."""
+        x = nn.concat([v_c, spans,
+                       np.concatenate([self._entity_vec(e) for e in entities], axis=1)],
+                      axis=0)
         return self.scorer(x)
 
     def _hinges(self, items, negatives: list[str]) -> nn.Tensor:
@@ -302,10 +306,7 @@ class ContextLinkerModel:
         v_c = self._context_vec(*(sentence for sentence, *_ in items))
         spans = np.concatenate([self._span_vec(span) for _, span, *_ in items], axis=1)
         entities = [gold for _, _, gold, _ in items] + negatives
-        x = nn.concat([nn.concat([v_c, v_c], axis=1), np.tile(spans, 2),
-                       np.concatenate([self._entity_vec(e) for e in entities], axis=1)],
-                      axis=0)
-        scores = self.scorer(x)
+        scores = self._scores(nn.concat([v_c, v_c], axis=1), np.tile(spans, 2), entities)
         margin = np.array([[self.cfg.margin]], dtype=scores.dtype)
         return nn.relu(nn.add(nn.sub(nn.narrow(scores, 1, b, b),
                                      nn.narrow(scores, 1, 0, b)), margin))
@@ -313,11 +314,16 @@ class ContextLinkerModel:
     def score_candidates(self, v_c: nn.Tensor, span: Span,
                          entities: list[str]) -> list[float]:
         """Scores of ``entities`` for ``span``, given its sentence's context
-        vector ``v_c`` from ``_context_vec``."""
+        vector ``v_c`` from ``_context_vec``: one ``_scores`` pass, v_c and
+        the span vector repeated once per entity."""
         if not self.trained:
             raise LinkError("context linker used before training")
+        if not entities:
+            return []
+        k = len(entities)
         with nn.no_grad():
-            return [self._score(v_c, span, e).item() for e in entities]
+            return self._scores(nn.concat([v_c] * k, axis=1),
+                                np.tile(self._span_vec(span), k), entities).data[0].tolist()
 
 
 # Training items per Adam step of the context linker; the last step of an

@@ -30,6 +30,7 @@ from .datagen import (
     BootstrapConfig,
     DistantSupervisionConfig,
     bootstrap_linked_corpus,
+    check_split,
     distant_supervision,
     load_bags,
     save_bags,
@@ -216,6 +217,10 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
             _check_keys(s, ("train", "valid", "test"))
             cfg.split = (_number(s, "train", 0.8), _number(s, "valid", 0.1),
                          _number(s, "test", 0.1))
+            try:
+                check_split(cfg.split)
+            except ValueError as exc:
+                raise PipelineError(f"[split] {exc}") from None
     if seed is not None:
         cfg.seed = seed
     if out_dir is not None:
@@ -594,6 +599,3 @@ class PipelineRunner:
     def evaluate(self) -> MetricsReport:
         return self._loaded("evaluate")
 
-
-def run_pipeline(cfg: PipelineConfig) -> MetricsReport:
-    return PipelineRunner(cfg).evaluate()

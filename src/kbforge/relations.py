@@ -278,15 +278,11 @@ class REModel:
         means = [float(np.mean(directions[a:a + n])) for a, n in zip(starts, sizes)]
         return self.predict_from_bag_vector(v, means)
 
-    def forward_bag(self, instances: list[tuple[Sentence, Span, Span]]) -> nn.Tensor:
-        """Relation scores (R, 1) of one bag."""
-        return self.forward_bags([instances])
-
     def predict(self, instances: list[tuple[Sentence, Span, Span]]
                 ) -> tuple[np.ndarray, set[str]]:
         """Scores plus the above-threshold relation set; empty set = NA."""
         with nn.no_grad():
-            scores = self.forward_bag(instances).data[:, 0]
+            scores = self.forward_bags([instances]).data[:, 0]
         b = self.threshold.item()
         predicted = {r for r, sc in zip(self.relations, scores) if sc > b}
         return scores, predicted

@@ -255,6 +255,9 @@ def test_split_deterministic_and_seed_sensitive():
 def test_split_rejects_bad_ratios():
     with pytest.raises(ValueError):
         split_dataset(many_bags(), (0.8, 0.1, 0.2), seed=0)
+    # sums to 1, but would put every bag in train and none in valid or test
+    with pytest.raises(ValueError, match="must each lie in"):
+        split_dataset(many_bags(), (1.2, -0.1, -0.1), seed=0)
 
 
 def test_bags_round_trip(tmp_path):

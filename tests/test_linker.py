@@ -397,12 +397,40 @@ def batch_items(corpus, kb):
             for s in corpus for sp in s.spans]
 
 
-def float64_model(cfg):
-    table = small_table(["Stark", "met", "Pepper", "built"], ["e1", "e2", "e3"])
+def float64_model(cfg, entity_ids=("e1", "e2", "e3")):
+    table = small_table(["Stark", "met", "Pepper", "built"], entity_ids)
     model = ContextLinkerModel(table, cfg)
     for p in model.parameters():
         p.data = p.data.astype(np.float64)
     return model
+
+
+def reference_score(model, v_c, span, entity):
+    """(1, 1) score of one candidate: one scorer call on [v_c; span vector;
+    entity vector]."""
+    x = nn.concat([v_c, model._span_vec(span), model._entity_vec(entity)], axis=0)
+    return model.scorer(x)
+
+
+SCORED_ENTITIES = [f"e{i}" for i in range(1, 9)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(["Stark", "Pepper", "Stark met"]),
+       st.lists(st.sampled_from(SCORED_ENTITIES), min_size=1, max_size=6, unique=True))
+def test_score_candidates_matches_per_candidate_scoring(n_sentence, surface, entities):
+    model = float64_model(ELConfig(hidden=4, mlp_hidden=8, seed=2), SCORED_ENTITIES)
+    model.trained = True
+    sent = batch_corpus(4)[n_sentence]
+    span = Span(0, len(surface.split()) - 1, surface)
+    with nn.no_grad():
+        v_c = model._context_vec(sent)
+        expected = [reference_score(model, v_c, span, e).item() for e in entities]
+    got = model.score_candidates(v_c, span, entities)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    rank = lambda scores: sorted(zip(entities, scores), key=lambda p: (-p[1], p[0]))
+    assert [e for e, _ in rank(got)] == [e for e, _ in rank(expected)]
+    assert model.score_candidates(v_c, span, []) == []
 
 
 def test_context_vec_batch_columns_equal_each_sentence_alone():
@@ -445,7 +473,8 @@ def test_batched_step_gradient_is_the_mean_of_per_item_gradients():
         p.grad = None
     for (sentence, span, gold, _), neg in zip(items, negatives):
         v_c = model._context_vec(sentence)
-        s_gold, s_neg = model._score(v_c, span, gold), model._score(v_c, span, neg)
+        s_gold = reference_score(model, v_c, span, gold)
+        s_neg = reference_score(model, v_c, span, neg)
         nn.relu(nn.add(nn.sub(s_neg, s_gold), margin)).backward()
     for p, g in zip(params, batched):
         np.testing.assert_allclose(g, p.grad / len(items), rtol=0, atol=1e-10,

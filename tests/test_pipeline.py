@@ -594,8 +594,19 @@ def test_cli_error_is_not_a_traceback(capsys):
     (b"[embeddings]\ndim = 0\n", "[embeddings] dim>0, negatives>=1"),
     (b"[embeddings]\nnegatives = 0\n", "[embeddings] dim>0, negatives>=1"),
     (b"[re]\ntoken_dim = 40\n", "unknown config key 'token_dim'"),
+    # values that used to load and then broke or emptied a stage
+    (b"[ds]\nmax_bag_size = 0\n", "[ds] max_bag_size must be at least 1"),
+    (b"[ds]\nna_ratio = -1\n", "[ds] na_ratio must be a finite number >= 0"),
+    (b"[ds]\nna_ratio = nan\n", "[ds] na_ratio must be a finite number >= 0"),
+    (b"[split]\ntrain = 1.2\nvalid = -0.1\ntest = -0.1\n",
+     "[split] split ratios [1.2, -0.1, -0.1] must each lie in [0, 1]"),
+    (b"[split]\ntrain = 0.5\n", "[split] split ratios sum to 0.7"),
+    (b"[bootstrap]\nclassifier_feature_dim = 0\n",
+     "[bootstrap] classifier_feature_dim must be at least 1"),
 ], ids=["no-section", "el-hidden", "split-train", "not-utf8", "re-margin", "re-hidden",
-        "embeddings-dim", "embeddings-negatives", "re-property"])
+        "embeddings-dim", "embeddings-negatives", "re-property", "ds-max-bag-size",
+        "ds-na-ratio", "ds-na-ratio-nan", "split-negative", "split-sum",
+        "bootstrap-feature-dim"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, ini, message):
     path = tmp_path / "c.ini"
     path.write_bytes(ini)

@@ -207,7 +207,8 @@ def test_batched_sentence_encoding_equals_bag_of_one(bag):
 def test_forward_bag_bit_identical_under_permutation(bag, random):
     model = tiny_model()
     shuffled = random.sample(bag, len(bag))
-    assert model.forward_bag(shuffled).data.tobytes() == model.forward_bag(bag).data.tobytes()
+    assert (model.forward_bags([shuffled]).data.tobytes()
+            == model.forward_bags([bag]).data.tobytes())
 
 
 @st.composite
@@ -220,16 +221,13 @@ def bag_batches(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(bag_batches())
-def test_forward_bags_column_is_that_bags_forward_bag(batch):
+def test_forward_bags_column_is_that_bag_scored_alone(batch):
     model = tiny_model()
     scores = model.forward_bags(batch)
     assert scores.shape == (len(model.relations), len(batch))
     for b, bag in enumerate(batch):
-        alone = model.forward_bag(bag).data
+        alone = model.forward_bags([bag]).data
         np.testing.assert_allclose(scores.data[:, b:b + 1], alone, rtol=0, atol=1e-5)
-    # a batch of one is the one-bag path, bit for bit
-    assert model.forward_bags(batch[:1]).data.tobytes() == \
-        model.forward_bag(batch[0]).data.tobytes()
 
 
 def test_large_bag_memory_grows_linearly():
@@ -247,7 +245,7 @@ def test_large_bag_memory_grows_linearly():
     labels = np.array([1.0, 0.0])
     tracemalloc.start()
     try:
-        loss = sliding_margin_loss(model.forward_bag(bag), labels, model.threshold,
+        loss = sliding_margin_loss(model.forward_bags([bag]), labels, model.threshold,
                                    model.cfg.margin, model.cfg.down_weight)
         loss.backward()
         peak = tracemalloc.get_traced_memory()[1]
@@ -270,7 +268,7 @@ def test_training_step_tape_size_independent_of_bag_size():
     pool = [pair_sentence(f"p{i}") if i % 2 else reversed_sentence(f"p{i}") for i in range(8)]
     sizes = []
     for bag in (pool[:1], pool):
-        loss = sliding_margin_loss(model.forward_bag(bag), np.array([1.0, 0.0]),
+        loss = sliding_margin_loss(model.forward_bags([bag]), np.array([1.0, 0.0]),
                                    model.threshold, model.cfg.margin, model.cfg.down_weight)
         sizes.append(tape_nodes(loss))
     assert sizes[0] == sizes[1]
@@ -359,7 +357,7 @@ def test_aggregate_bag_rejects_empty():
     with pytest.raises(RelationError):
         aggregate_bag(nn.Tensor(np.zeros((6, 0))), nn.Tensor(np.zeros((6, 0))), [0])
     with pytest.raises(RelationError):
-        tiny_model().forward_bag([])
+        tiny_model().forward_bags([[]])
 
 
 def test_aggregate_bag_rejects_an_empty_bag_among_others():
@@ -390,7 +388,7 @@ def test_full_model_gradients_float64():
     labels = np.array([1.0, 0.0])
 
     def make_loss():
-        scores = model.forward_bag(instances)
+        scores = model.forward_bags([instances])
         return sliding_margin_loss(scores, labels, model.threshold,
                                    model.cfg.margin, model.cfg.down_weight)
 
@@ -550,7 +548,7 @@ def test_train_re_steps_once_per_bag_in_each_epochs_permutation(monkeypatch):
         losses = []
         for i in rng.permutation(len(bags)):
             instances = bag_instances(bags[i], sentences)
-            scores = ref.forward_bag(instances)
+            scores = ref.forward_bags([instances])
             loss = sliding_margin_loss(scores, label_rows[i], ref.threshold,
                                        cfg.margin, cfg.down_weight)
             losses.append(loss.item())
