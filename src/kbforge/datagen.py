@@ -51,6 +51,9 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.classifier_feature_dim < 1:
             raise ValueError("classifier_feature_dim must be at least 1")
+        for name in ("max_rounds", "knn_k", "classifier_epochs", "classifier_negatives"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
 
 
 @dataclass

@@ -7,7 +7,6 @@ from __future__ import annotations
 import sys
 import zlib
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -101,23 +100,36 @@ class TrainableSpanClassifier:
     def _bucket(self, feat: str) -> int:
         return zlib.crc32(feat.encode("utf-8")) % self.feature_dim
 
-    def _features(self, sentence: Sentence, start: int, end: int) -> list[int]:
-        toks = sentence.tokens
-        surface = sentence.surface(start, end)
+    def _hash_widths(self, sentence: Sentence, widths) -> np.ndarray:
+        """(n-grams, 7) feature buckets of the sentence's n-grams of the
+        given widths, rows in _ngrams order. The features are surface,
+        length, gazetteer membership and the words at -1, -2, +1 and +2
+        ("<s>" past either end); the length is hashed once per width and
+        each context word once per position."""
+        words = [t.surface for t in sentence.tokens]
+        n = len(words)
+        padded = ["<s>", "<s>"] + words + ["<s>", "<s>"]
 
-        def ctx(i: int) -> str:
-            return toks[i].surface if 0 <= i < len(toks) else "<s>"
+        def word(i: int) -> str:
+            return padded[i + 2]
 
-        feats = [
-            f"surf={surface}",
-            f"len={end - start + 1}",
-            f"gaz={bool(self.kb.entities_by_alias(surface))}",
-            f"l1={ctx(start - 1)}",
-            f"l2={ctx(start - 2)}",
-            f"r1={ctx(end + 1)}",
-            f"r2={ctx(end + 2)}",
-        ]
-        return [self._bucket(f) for f in feats]
+        b = self._bucket
+        # by start position, then by end position
+        l1 = [b(f"l1={word(i - 1)}") for i in range(n)]
+        l2 = [b(f"l2={word(i - 2)}") for i in range(n)]
+        r1 = [b(f"r1={word(i + 1)}") for i in range(n)]
+        r2 = [b(f"r2={word(i + 2)}") for i in range(n)]
+        gaz = [b("gaz=False"), b("gaz=True")]
+        rows = []
+        for width in widths:
+            length = b(f"len={width}")
+            for start in range(n - width + 1):
+                end = start + width - 1
+                surface = " ".join(words[start:end + 1])
+                rows.append((b(f"surf={surface}"), length,
+                             gaz[bool(self.kb.entities_by_alias(surface))],
+                             l1[start], l2[start], r1[end], r2[end]))
+        return np.array(rows, dtype=np.intp).reshape(-1, 7)
 
     def _ngrams(self, sentence: Sentence):
         n = len(sentence.tokens)
@@ -129,13 +141,14 @@ class TrainableSpanClassifier:
         """(n-grams, 7) feature buckets of the sentence's n-grams, rows in
         _ngrams order; hashes only the rows the feature table lacks."""
         n = len(sentence.tokens)
-        m = _ngram_rows(n, min(self.max_span_len, n) + 1)
+        top = min(self.max_span_len, n)
+        m = _ngram_rows(n, top + 1)
         table = self.feature_table
         rows = _NO_ROWS if table is None else table.get(sentence.id, _NO_ROWS)
         if len(rows) < m:
-            new = [self._features(sentence, *se)
-                   for se in islice(self._ngrams(sentence), len(rows), None)]
-            rows = np.concatenate([rows, np.array(new, dtype=np.intp)])
+            # the table holds whole widths: hash those that start past its end
+            missing = [w for w in range(1, top + 1) if _ngram_rows(n, w) >= len(rows)]
+            rows = np.concatenate([rows, self._hash_widths(sentence, missing)])
             if table is not None:
                 table[sentence.id] = rows
         return rows[:m]
@@ -247,6 +260,11 @@ class ELConfig:
     epochs: int = 3
     knn_k: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "knn_k"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
 
 
 class ContextLinkerModel:

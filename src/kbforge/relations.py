@@ -53,6 +53,8 @@ class REConfig:
             raise ValueError("down_weight must be positive")
         if self.hidden % 2:
             raise ValueError("hidden must be even (split across LSTM directions)")
+        if self.epochs < 0:
+            raise ValueError("epochs must be at least 0")
 
     @property
     def token_dim(self) -> int:

@@ -70,13 +70,15 @@ def test_bootstrap_hashes_each_ngram_at_most_once(fixture_dir, monkeypatch):
     kb = load_kb(fixture_dir / "entities.tsv", fixture_dir / "triples.tsv")
     raw = ingest_corpus(fixture_dir / "corpus.jsonl")[:200]
     hashed = Counter()
-    features = TrainableSpanClassifier._features
+    hash_widths = TrainableSpanClassifier._hash_widths
 
-    def counting(self, sentence, start, end):
-        hashed[sentence.id, start, end] += 1
-        return features(self, sentence, start, end)
+    def counting(self, sentence, widths):
+        for width in widths:
+            for start in range(len(sentence) - width + 1):
+                hashed[sentence.id, start, start + width - 1] += 1
+        return hash_widths(self, sentence, widths)
 
-    monkeypatch.setattr(TrainableSpanClassifier, "_features", counting)
+    monkeypatch.setattr(TrainableSpanClassifier, "_hash_widths", counting)
     _, rounds = bootstrap_linked_corpus(raw, kb, None, BootstrapConfig(max_rounds=3, knn_k=0))
     assert [r.recognizer for r in rounds][1:] == ["classifier-round-2", "classifier-round-3"]
     # every n-gram up to the widest trained span of every raw sentence

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,16 @@ def test_table_save_load_exact(tmp_path):
     back = load_table(path)
     assert back.symbols == table.symbols
     assert np.array_equal(back.vectors, table.vectors)
+
+
+def test_save_table_refuses_nonfinite_vectors_naming_the_first(tmp_path):
+    table = EmbeddingTable(["a", "b", "c"], np.zeros((3, 2), dtype=np.float32))
+    table.vectors[1, 1] = np.inf  # as training leaves a diverged row
+    table.vectors[2, 0] = np.nan
+    path = tmp_path / "table.vec"
+    with pytest.raises(EmbeddingError, match="non-finite vector for symbol 'b'"):
+        save_table(table, path)
+    assert not path.exists()
 
 
 def chain_kb(n: int = 6) -> KnowledgeBase:
@@ -161,11 +173,16 @@ def test_joint_embeddings_deterministic():
     assert np.array_equal(t1.vectors, t2.vectors)
 
 
-# -- block-sampled SGD --------------------------------------------------------
+# -- block SGD ----------------------------------------------------------------
+
+# float32 rounding: the block code sums a row's updates in float64 and
+# casts once, where the reference adds each float32 update in turn
+F32_TOL = dict(rtol=1e-5, atol=1e-6)
+
 
 def reference_sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
     """Negative-sampling SGD drawing, updating and scoring one pair at a
-    time: what the block version must reproduce bit for bit."""
+    time: what _sgd_pairs does in blocks of one pair."""
     for center, context, lr in zip(centers, contexts, lrs):
         negs = sampler.pick(np.array([context]), rng.random((1, k)))[0]
         rows = np.concatenate(([context], negs))
@@ -182,10 +199,43 @@ def reference_sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, l
         vectors[center] -= (lr * grad_w).astype(vectors.dtype)
 
 
-def run_both_sgd(seed, n_words, n_entities, dim, n_pairs, k):
-    """Runs reference and block SGD on the same inputs; words and entities
-    are two namespaces of one sampler, as in joint training. Returns both
-    outcomes."""
+def reference_block_sgd(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
+    """_sgd_pairs written out: each block of SGD_BLOCK pairs draws its
+    negatives in one call and scores every pair against the rows as they
+    were when the block began. Then each row gets the float64 sum of its
+    updates in pair order, scaled to k+1 times their mean when more than
+    k+1 updates name it."""
+    for lo in range(0, len(centers), SGD_BLOCK):
+        hi = min(lo + SGD_BLOCK, len(centers))
+        negs = sampler.pick(contexts[lo:hi], rng.random((hi - lo, k)))
+        v_snap, c_snap = vectors.copy(), ctx.copy()
+        v_ups, c_ups = {}, {}  # row -> its updates in pair order
+        for j in range(lo, hi):
+            w = v_snap[centers[j]].astype(np.float64)
+            grad_w, loss = np.zeros_like(w), 0.0
+            for i, row in enumerate([contexts[j], *negs[j - lo]]):
+                c = c_snap[row].astype(np.float64)
+                score = 1.0 / (1.0 + np.exp(-(c @ w)))
+                label = 1.0 if i == 0 else 0.0
+                loss -= np.log(np.clip(score if label else 1.0 - score, 1e-10, 1.0))
+                grad_w += (score - label) * c
+                c_ups.setdefault(row, []).append(-lrs[j] * (score - label) * w)
+            v_ups.setdefault(centers[j], []).append(-lrs[j] * grad_w)
+            loss_out.append(float(loss))
+        for table, ups in ((vectors, v_ups), (ctx, c_ups)):
+            for row, row_ups in ups.items():
+                total = np.zeros(table.shape[1])
+                for u in row_ups:
+                    total += u
+                if len(row_ups) > k + 1:
+                    total *= (k + 1) / len(row_ups)
+                table[row] += total.astype(table.dtype)
+
+
+def run_both_sgd(reference, seed, n_words, n_entities, dim, n_pairs, k):
+    """Runs ``reference`` and _sgd_pairs on the same inputs; words and
+    entities are two namespaces of one sampler, as in joint training.
+    Returns both outcomes."""
     gen = np.random.default_rng(seed)
     rows = n_words + n_entities
     vectors = init_vectors(gen, rows, dim)
@@ -198,7 +248,7 @@ def run_both_sgd(seed, n_words, n_entities, dim, n_pairs, k):
     pairs = gen.integers(0, rows, (n_pairs, 2))
     lrs = 0.05 * np.maximum(1 - np.arange(n_pairs) / max(n_pairs, 1), 1e-4)
     outcomes = []
-    for sgd in (reference_sgd_pairs, embeddings._sgd_pairs):
+    for sgd in (reference, embeddings._sgd_pairs):
         v, c = vectors.copy(), ctx.copy()
         rng = np.random.Generator(np.random.PCG64(seed))
         losses = []
@@ -207,63 +257,138 @@ def run_both_sgd(seed, n_words, n_entities, dim, n_pairs, k):
     return outcomes
 
 
-def assert_same_sgd(ref, blocked):
-    assert ref[0].tobytes() == blocked[0].tobytes()
-    assert ref[1].tobytes() == blocked[1].tobytes()
-    assert ref[2] == blocked[2]
+def assert_close_sgd(ref, blocked):
+    np.testing.assert_allclose(blocked[0], ref[0], **F32_TOL)
+    np.testing.assert_allclose(blocked[1], ref[1], **F32_TOL)
+    np.testing.assert_allclose(blocked[2], ref[2], **F32_TOL)
     assert ref[3] == blocked[3]
-
-
-def test_block_sgd_is_bit_identical_to_pair_by_pair_sgd():
-    # 3 entity rows and k=10 make every entity-context pair repeat a row;
-    # 400 word rows leave most word pairs distinct
-    n_pairs = 2 * SGD_BLOCK + 37
-    ref, blocked = run_both_sgd(5, n_words=400, n_entities=3, dim=16,
-                                n_pairs=n_pairs, k=10)
-    assert len(ref[2]) == n_pairs
-    assert_same_sgd(ref, blocked)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**16), n_words=st.integers(1, 60),
        n_entities=st.integers(1, 20), dim=st.integers(1, 12),
+       n_pairs=st.integers(0, 300), k=st.integers(1, 12))
+def test_sgd_in_blocks_of_one_matches_pair_by_pair_sgd(seed, n_words, n_entities, dim,
+                                                       n_pairs, k):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embeddings, "SGD_BLOCK", 1)
+        assert_close_sgd(*run_both_sgd(reference_sgd_pairs, seed, n_words, n_entities,
+                                       dim, n_pairs, k))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16), n_words=st.integers(1, 400),
+       n_entities=st.integers(1, 20), dim=st.integers(1, 16),
        n_pairs=st.integers(0, 2 * SGD_BLOCK + 3), k=st.integers(1, 12))
-def test_block_sgd_matches_pair_by_pair_sgd_at_any_size(seed, n_words, n_entities,
-                                                        dim, n_pairs, k):
-    assert_same_sgd(*run_both_sgd(seed, n_words, n_entities, dim, n_pairs, k))
+def test_sgd_matches_a_written_out_block_reference(seed, n_words, n_entities, dim,
+                                                   n_pairs, k):
+    # a few entity rows make a block name each of them far more than k+1
+    # times, so the cap is exercised
+    assert_close_sgd(*run_both_sgd(reference_block_sgd, seed, n_words, n_entities,
+                                   dim, n_pairs, k))
 
 
-def test_train_pairs_matches_a_rate_decayed_pair_by_pair():
-    # two non-empty pair sets around an empty one, over three epochs
-    gen = np.random.default_rng(3)
-    vectors = init_vectors(gen, 30, 6)
-    table = EmbeddingTable([f"w{i}" for i in range(30)], vectors.copy())
-    sampler = embeddings._NegativeSampler(
-        table.index, [dict(zip(table.symbols[:20], gen.integers(1, 9, 20))),
-                      dict.fromkeys(table.symbols[20:], 1)])
-    pair_sets = [gen.integers(0, 30, (300, 2)), np.zeros((0, 2), np.int64),
-                 gen.integers(20, 30, (40, 2))]
-    cfg = SkipGramConfig(dim=6, epochs=3, negatives=4)
-    rng = np.random.Generator(np.random.PCG64(1))
-    embeddings._train_pairs(table, pair_sets, sampler, rng, cfg)
-
-    ref_vectors, ctx = vectors.copy(), np.zeros_like(vectors)
-    ref_rng = np.random.Generator(np.random.PCG64(1))
-    step, total, epoch_losses = 0, cfg.epochs * 340, []
+def reference_train_pairs(table, pair_sets, sampler, rng, cfg):
+    """_train_pairs over reference_sgd_pairs, with the rate computed pair by
+    pair. Zero pairs train nothing and record no epoch."""
+    step, total = 0, cfg.epochs * sum(map(len, pair_sets))
+    if total == 0:
+        return
+    ctx = np.zeros_like(table.vectors)
     for _ in range(cfg.epochs):
         losses = []
-        for pairs in pair_sets[::2]:
-            order = ref_rng.permutation(len(pairs))
+        for pairs in pair_sets:
+            order = rng.permutation(len(pairs))
             lrs = []
             for _ in order:
                 lrs.append(cfg.learning_rate * max(1.0 - step / total, 1e-4))
                 step += 1
-            reference_sgd_pairs(ref_vectors, ctx, pairs[order, 0], pairs[order, 1], lrs,
-                                sampler, ref_rng, cfg.negatives, losses)
-        epoch_losses.append(float(np.mean(losses)))
-    assert table.vectors.tobytes() == ref_vectors.tobytes()
-    assert table.epoch_losses == epoch_losses
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+            reference_sgd_pairs(table.vectors, ctx, pairs[order, 0], pairs[order, 1], lrs,
+                                sampler, rng, cfg.negatives, losses)
+        table.epoch_losses.append(float(np.mean(losses)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(sizes=st.lists(st.integers(0, 200), min_size=1, max_size=3),
+       epochs=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_train_pairs_in_blocks_of_one_match_a_rate_decayed_pair_by_pair(sizes, epochs, seed):
+    gen = np.random.default_rng(seed)
+    vectors = init_vectors(gen, 30, 6)
+    symbols = [f"w{i}" for i in range(30)]
+    sampler = embeddings._NegativeSampler(
+        dict(zip(symbols, range(30))), [dict(zip(symbols[:20], gen.integers(1, 9, 20))),
+                                        dict.fromkeys(symbols[20:], 1)])
+    pair_sets = [gen.integers(0, 30, (n, 2)) for n in sizes]
+    cfg = SkipGramConfig(dim=6, epochs=epochs, negatives=4)
+    tables, rngs = [], []
+    for train in (embeddings._train_pairs, reference_train_pairs):
+        table = EmbeddingTable(symbols, vectors.copy())
+        rng = np.random.Generator(np.random.PCG64(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embeddings, "SGD_BLOCK", 1)
+            train(table, pair_sets, sampler, rng, cfg)
+        tables.append(table)
+        rngs.append(rng.bit_generator.state)
+    np.testing.assert_allclose(tables[0].vectors, tables[1].vectors, **F32_TOL)
+    np.testing.assert_allclose(tables[0].epoch_losses, tables[1].epoch_losses, **F32_TOL)
+    assert rngs[0] == rngs[1]
+
+
+@pytest.mark.parametrize("rows", [2, 3, 5])
+def test_train_pairs_on_a_tiny_namespace_stays_finite_and_near_pair_by_pair(rows):
+    # every block names each row about 64 * 11 / rows times; summed
+    # uncapped, those updates diverge at the default rate
+    gen = np.random.default_rng(rows)
+    symbols = [f"e{i}" for i in range(rows)]
+    vectors = init_vectors(gen, rows, 16)
+    pairs = gen.integers(0, rows, (2000, 2))
+    cfg = SkipGramConfig(dim=16, epochs=6, learning_rate=0.05)
+    assert cfg.learning_rate == SkipGramConfig().learning_rate
+    tables = []
+    for train in (embeddings._train_pairs, reference_train_pairs):
+        table = EmbeddingTable(symbols, vectors.copy())
+        sampler = embeddings._NegativeSampler(table.index, [dict.fromkeys(symbols, 1)])
+        train(table, [pairs], sampler, np.random.Generator(np.random.PCG64(0)), cfg)
+        tables.append(table)
+    blocked, ref = tables
+    assert np.all(np.isfinite(blocked.vectors))
+    assert np.all(np.isfinite(blocked.epoch_losses))
+    assert blocked.epoch_losses[-1] == pytest.approx(ref.epoch_losses[-1], rel=0.01)
+
+
+def sgd_peak_bytes(n_pairs, dim=64, k=10, rows=500):
+    """tracemalloc peak of one _sgd_pairs call over what is left allocated
+    after it (the losses it appends)."""
+    gen = np.random.default_rng(0)
+    symbols = [f"w{i}" for i in range(rows)]
+    vectors = init_vectors(gen, rows, dim)
+    ctx = np.zeros_like(vectors)
+    sampler = embeddings._NegativeSampler(dict(zip(symbols, range(rows))),
+                                          [dict(zip(symbols, gen.integers(1, 50, rows)))])
+    pairs = gen.integers(0, rows, (n_pairs, 2))
+    lrs = np.full(n_pairs, 0.05)
+    rng, losses = np.random.default_rng(1), []
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        embeddings._sgd_pairs(vectors, ctx, pairs[:, 0], pairs[:, 1], lrs, sampler, rng, k,
+                              losses)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(losses) == n_pairs
+    return peak - current
+
+
+def test_sgd_peak_memory_is_bounded_and_flat_in_pairs():
+    small, large = sgd_peak_bytes(3 * SGD_BLOCK), sgd_peak_bytes(40 * SGD_BLOCK)
+    assert small < 2 * 2**20
+    assert large < 2 * 2**20
+    # the losses list may grow in place; nothing else scales with pairs
+    assert large - small < 64 * 2**10
 
 
 # -- nearest-neighbour candidates ---------------------------------------------

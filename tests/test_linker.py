@@ -1,5 +1,6 @@
 import math
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -610,6 +611,23 @@ def test_link_sentence_encodes_each_sentence_once(monkeypatch):
 # -- span classifier ------------------------------------------------------------
 
 
+def reference_features(clf, sentence, start, end):
+    """The seven feature buckets of one n-gram, every feature hashed on its
+    own: what TrainableSpanClassifier._feature_rows must reproduce bit for
+    bit."""
+    toks = sentence.tokens
+    surface = sentence.surface(start, end)
+
+    def ctx(i):
+        return toks[i].surface if 0 <= i < len(toks) else "<s>"
+
+    feats = [f"surf={surface}", f"len={end - start + 1}",
+             f"gaz={bool(clf.kb.entities_by_alias(surface))}",
+             f"l1={ctx(start - 1)}", f"l2={ctx(start - 2)}",
+             f"r1={ctx(end + 1)}", f"r2={ctx(end + 2)}"]
+    return [zlib.crc32(f.encode("utf-8")) % clf.feature_dim for f in feats]
+
+
 def reference_span_train(clf, corpus, rng):
     """TrainableSpanClassifier.train converting each item's feature list to
     an index on every step: what the trainer must reproduce bit for bit."""
@@ -618,13 +636,13 @@ def reference_span_train(clf, corpus, rng):
     for sentence in corpus:
         gold = {(sp.start, sp.end) for sp in sentence.spans}
         for se in sorted(gold):
-            items.append((clf._features(sentence, *se), 1.0))
+            items.append((reference_features(clf, sentence, *se), 1.0))
         negs = [se for se in clf._ngrams(sentence) if se not in gold]
         if len(negs) > clf.negatives_per_sentence:
             picks = rng.choice(len(negs), size=clf.negatives_per_sentence, replace=False)
             negs = [negs[i] for i in sorted(picks)]
         for se in negs:
-            items.append((clf._features(sentence, *se), 0.0))
+            items.append((reference_features(clf, sentence, *se), 0.0))
     for _ in range(clf.epochs):
         for i in rng.permutation(len(items)):
             idx, y = items[i]
@@ -640,7 +658,7 @@ def reference_recognize(clf, sentence):
     time: what the one-product scoring must reproduce bit for bit."""
     scored = []
     for start, end in clf._ngrams(sentence):
-        z = clf.weights[clf._features(sentence, start, end)].sum() + clf.bias
+        z = clf.weights[reference_features(clf, sentence, start, end)].sum() + clf.bias
         p = 1.0 / (1.0 + np.exp(-z))
         if p > 0.5:
             scored.append((p, start, end))
@@ -670,7 +688,7 @@ def test_span_classifier_step_moves_a_repeated_bucket_once_per_repeat():
     kb = KnowledgeBase([Entity("e1", "Tony")])
     sentence = mk_sentence(["Tony"], spans=[Span(0, 0, "Tony")])
     clf = TrainableSpanClassifier(kb, feature_dim=3, lr=0.5, epochs=1)
-    counts = np.bincount(clf._features(sentence, 0, 0), minlength=3)
+    counts = np.bincount(reference_features(clf, sentence, 0, 0), minlength=3)
     assert counts.max() > 1  # seven features in three buckets
     clf.train([sentence], np.random.default_rng(0))
     np.testing.assert_array_equal(clf.weights, -0.5 * (0.5 - 1.0) * counts)
@@ -704,6 +722,38 @@ def test_span_classifier_trains_on_a_span_wider_than_every_alias():
     assert trained.weights.tobytes() == reference.weights.tobytes()
     assert trained.bias == reference.bias
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.sampled_from(["Tony", "Stark", "Pepper", "met", "<s>", "a b"]),
+                      max_size=9),
+       widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       feature_dim=st.sampled_from([5, 4096]), shared=st.booleans())
+def test_span_feature_rows_match_the_per_ngram_reference(words, widths, feature_dim, shared):
+    # the widest span grows and shrinks between calls, so a shared feature
+    # table is extended by whole widths and read back in part
+    kb = KnowledgeBase([Entity("e1", "Tony Stark", ("Tony", "Tony Stark")),
+                        Entity("e2", "Pepper")])
+    clf = TrainableSpanClassifier(kb, feature_dim, feature_table={} if shared else None)
+    sentence = mk_sentence(words)
+    hashed = []
+    bucket = clf._bucket
+    clf._bucket = lambda feat: hashed.append(feat) or bucket(feat)
+    n, done = len(words), 0  # done: the widest width in the table
+    for width in widths:
+        hashed.clear()
+        clf.max_span_len = width
+        want = [reference_features(clf, sentence, *se) for se in clf._ngrams(sentence)]
+        got = clf._feature_rows(sentence)
+        assert got.shape == (len(want), 7)
+        assert got.tolist() == want
+        # one surface per new n-gram, one length per new width, the two
+        # gazetteer values, and each of the four context words per position
+        new = range(done + 1, min(width, n) + 1)
+        assert len(hashed) == (sum(n - w + 1 for w in new) + len(new) + 2 + 4 * n
+                               if new else 0)
+        if shared:
+            done = max(done, min(width, n))
 
 
 @pytest.mark.parametrize("feature_dim", [4096, 16])

@@ -5,6 +5,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import make_config
 
@@ -196,6 +197,17 @@ def test_config_values_are_taken_literally(tmp_path):
     p = tmp_path / "c.ini"
     p.write_text("[paths]\nout_dir = runs/100%\n")
     assert load_config(p).out_dir == "runs/100%"
+
+
+def test_zero_counts_still_load(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[bootstrap]\nmax_rounds = 0\nknn_k = 0\nclassifier_epochs = 0\n"
+                 "classifier_negatives = 0\n[el]\nepochs = 0\nknn_k = 0\n"
+                 "[re]\nepochs = 0\n[embeddings]\nepochs = 0\n")
+    cfg = load_config(p)
+    b = cfg.bootstrap
+    assert (b.max_rounds, b.knn_k, b.classifier_epochs, b.classifier_negatives,
+            cfg.el.epochs, cfg.el.knn_k, cfg.re.epochs, cfg.embeddings.epochs) == (0,) * 8
 
 
 def test_readme_config_loads_and_mirrors_the_test_config(tmp_path):
@@ -603,10 +615,30 @@ def test_cli_error_is_not_a_traceback(capsys):
     (b"[split]\ntrain = 0.5\n", "[split] split ratios sum to 0.7"),
     (b"[bootstrap]\nclassifier_feature_dim = 0\n",
      "[bootstrap] classifier_feature_dim must be at least 1"),
+    (b"[bootstrap]\nclassifier_negatives = -1\n",
+     "[bootstrap] classifier_negatives must be at least 0"),
+    (b"[bootstrap]\nclassifier_epochs = -1\n", "[bootstrap] classifier_epochs must be at least 0"),
+    (b"[bootstrap]\nmax_rounds = -2\n", "[bootstrap] max_rounds must be at least 0"),
+    (b"[bootstrap]\nknn_k = -1\n", "[bootstrap] knn_k must be at least 0"),
+    (b"[el]\nepochs = -1\n", "[el] epochs must be at least 0"),
+    (b"[el]\nknn_k = -3\n", "[el] knn_k must be at least 0"),
+    (b"[re]\nepochs = -1\n", "[re] epochs must be at least 0"),
+    (b"[embeddings]\nepochs = -1\n", "[embeddings] epochs must be at least 0"),
+    (b"[embeddings]\nlearning_rate = 0\n",
+     "[embeddings] learning_rate must be a finite number > 0"),
+    (b"[embeddings]\nlearning_rate = -0.05\n",
+     "[embeddings] learning_rate must be a finite number > 0"),
+    (b"[embeddings]\nlearning_rate = inf\n",
+     "[embeddings] learning_rate must be a finite number > 0"),
+    (b"[embeddings]\nlearning_rate = nan\n",
+     "[embeddings] learning_rate must be a finite number > 0"),
 ], ids=["no-section", "el-hidden", "split-train", "not-utf8", "re-margin", "re-hidden",
         "embeddings-dim", "embeddings-negatives", "re-property", "ds-max-bag-size",
         "ds-na-ratio", "ds-na-ratio-nan", "split-negative", "split-sum",
-        "bootstrap-feature-dim"])
+        "bootstrap-feature-dim", "bootstrap-classifier-negatives",
+        "bootstrap-classifier-epochs", "bootstrap-max-rounds", "bootstrap-knn-k",
+        "el-epochs", "el-knn-k", "re-epochs", "embeddings-epochs", "embeddings-lr-zero",
+        "embeddings-lr-negative", "embeddings-lr-inf", "embeddings-lr-nan"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, ini, message):
     path = tmp_path / "c.ini"
     path.write_bytes(ini)
@@ -639,6 +671,28 @@ def test_corrupt_cache_manifest_is_a_pipeline_error(tmp_path):
     (out / "cache.json").write_text('{"embeddings": {"key": "k"}\n')
     with pytest.raises(PipelineError, match=r"cache\.json:2: invalid JSON"):
         PipelineRunner(load_config(None, out_dir=str(out)))
+
+
+def test_diverged_embeddings_fail_their_stage_and_are_not_recorded(tiny_fixture, tmp_path,
+                                                                 monkeypatch):
+    train = pipeline.train_joint_embeddings
+    bad = []
+
+    def diverged(*args):
+        table = train(*args)
+        table.vectors[len(table) // 2] = np.nan
+        bad.append(table.symbols[len(table) // 2])
+        return table
+
+    monkeypatch.setattr(pipeline, "train_joint_embeddings", diverged)
+    out = tmp_path / "artifacts"
+    runner = PipelineRunner(load_config(write_tiny_config(tiny_fixture, out)))
+    with pytest.raises(PipelineError, match="stage embeddings: non-finite vector") as exc:
+        runner.evaluate()
+    assert f"for symbol {bad[0]!r};" in str(exc.value)
+    assert not (out / "embeddings.vec").exists()
+    manifest = out / "cache.json"
+    assert "embeddings" not in (json.loads(manifest.read_text()) if manifest.exists() else {})
 
 
 def test_corrupt_artifact_load_is_a_pipeline_error_naming_the_stage(tiny_run, tmp_path):
