@@ -59,22 +59,36 @@ def make_span(sentence: Sentence, start: int, end: int, span_type=None, linked=N
 
 
 def _validate_tree(sid: str, heads: list[int]) -> None:
+    """Every head in range, exactly one root, and no cycle: each token's
+    walk up its heads reaches the root. O(n): a walk stops at a token an
+    earlier walk passed, which reaches the root."""
     n = len(heads)
-    roots = [i for i, h in enumerate(heads) if h == -1]
-    for i, h in enumerate(heads):
-        if h != -1 and not (0 <= h < n):
-            raise CorpusError(f"sentence {sid!r}: dep_head {h} of token {i} out of range")
-    if len(roots) != 1:
-        raise CorpusError(f"sentence {sid!r}: expected exactly one root, found {len(roots)}")
-    # every token must reach the root without revisiting a node
+    if heads and (min(heads) < -1 or max(heads) >= n):
+        i, h = next((i, h) for i, h in enumerate(heads) if h != -1 and not 0 <= h < n)
+        raise CorpusError(f"sentence {sid!r}: dep_head {h} of token {i} out of range")
+    roots = heads.count(-1)
+    if roots != 1:
+        raise CorpusError(f"sentence {sid!r}: expected exactly one root, found {roots}")
+    # the first walk that passed each token; the root's head, -1, indexes
+    # the last entry, which no walk sets
+    walk = [-1] * n + [n]
     for i in range(n):
-        seen = set()
         cur = i
-        while cur != -1:
-            if cur in seen:
-                raise CorpusError(f"sentence {sid!r}: cycle in dependency heads at token {i}")
-            seen.add(cur)
+        while walk[cur] == -1:
+            walk[cur] = i
             cur = heads[cur]
+        if walk[cur] == i:
+            raise CorpusError(f"sentence {sid!r}: cycle in dependency heads at token {i}")
+
+
+def _check_spans(sid: str, spans: list[Span], n: int) -> None:
+    prev: Span | None = None
+    for sp in sorted(spans, key=lambda s: (s.start, s.end)):
+        if not (0 <= sp.start <= sp.end < n):
+            raise CorpusError(f"sentence {sid!r}: span [{sp.start},{sp.end}] out of range")
+        if prev is not None and sp.start <= prev.end:
+            raise CorpusError(f"sentence {sid!r}: overlapping spans")
+        prev = sp
 
 
 def validate_sentence(sentence: Sentence) -> None:
@@ -86,19 +100,14 @@ def validate_sentence(sentence: Sentence) -> None:
         if tok.index != i:
             raise CorpusError(f"sentence {sid!r}: token index {tok.index} at position {i}")
     _validate_tree(sid, sentence.heads())
-    prev: Span | None = None
-    for sp in sorted(sentence.spans, key=lambda s: (s.start, s.end)):
-        if not (0 <= sp.start <= sp.end < n):
-            raise CorpusError(f"sentence {sid!r}: span [{sp.start},{sp.end}] out of range")
-        if prev is not None and sp.start <= prev.end:
-            raise CorpusError(f"sentence {sid!r}: overlapping spans")
-        prev = sp
+    _check_spans(sid, sentence.spans, n)
 
 
 def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Sentence:
-    """The validated sentence of one corpus record. Records read together
-    pass one ``shared_tokens`` dict, so equal tokens (same position, word,
-    tag and head) become one Token object."""
+    """The validated sentence of one corpus record, checked as
+    ``validate_sentence`` checks it. Records read together pass one
+    ``shared_tokens`` dict, so equal tokens (same position, word, tag and
+    head) become one Token object."""
     if not isinstance(rec, dict):
         raise CorpusError("sentence record is not a JSON object")
     sid = rec.get("id")
@@ -123,38 +132,44 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
         raw_spans = json_list([] if raw_spans is None else raw_spans)
     except TypeError as exc:
         raise CorpusError(f"sentence {sid!r}: tokens, pos, heads or spans: {exc}") from None
-    if len(pos) != len(words) or len(heads) != len(words):
+    n = len(words)
+    if len(pos) != n or len(heads) != n:
         raise CorpusError(f"sentence {sid!r}: pos/heads length mismatch")
-    # a corpus repeats few distinct words, tags and span labels many times:
-    # intern them so each is held once
-    try:
-        words, pos = list(map(sys.intern, words)), list(map(sys.intern, pos))
-    except TypeError:
-        raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None
-    # Token is immutable, and a corpus repeats few distinct tokens many times
+    # Token is immutable, and a corpus repeats few distinct tokens many
+    # times; a new one interns its word and tag, which repeat even more
     cache = {} if shared_tokens is None else shared_tokens
-    tokens = []
-    for key in zip(range(len(words)), words, pos, heads):
-        token = cache.get(key)
-        if token is None:
-            token = cache[key] = Token(*key)
-        tokens.append(token)
+    try:
+        tokens = list(map(cache.get, zip(range(n), words, pos, heads)))
+        if not all(tokens):
+            for i, token in enumerate(tokens):
+                if token is None:
+                    key = i, sys.intern(words[i]), sys.intern(pos[i]), heads[i]
+                    tokens[i] = cache[key] = Token(*key)
+    except TypeError:  # an unhashable or non-string word or tag
+        raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None
     sent = Sentence(sid, tokens)
+    # spans usually come sorted and apart; any other order is checked once
+    # the tree is, as validate_sentence checks it
+    prev_end, in_order = -1, True
     for raw_span in raw_spans:
         try:
             start, end = json_int(raw_span["start"]), json_int(raw_span["end"])
         except TypeError as exc:
             raise CorpusError(f"sentence {sid!r}: span offsets: {exc}") from None
-        if not (0 <= start <= end < len(words)):
+        if not (0 <= start <= end < n):
             raise CorpusError(f"sentence {sid!r}: span [{start},{end}] out of range")
+        in_order = in_order and start > prev_end
+        prev_end = end
         typ, entity, method = raw_span.get("type"), raw_span.get("entity"), raw_span.get("method")
         try:
-            sent.spans.append(Span(start, end, sys.intern(sent.surface(start, end)),
+            sent.spans.append(Span(start, end, sys.intern(" ".join(words[start:end + 1])),
                                    typ and sys.intern(typ), entity and sys.intern(entity),
                                    method and sys.intern(method)))
         except TypeError:
             raise CorpusError(f"sentence {sid!r}: span labels must be strings") from None
-    validate_sentence(sent)
+    _validate_tree(sid, heads)
+    if not in_order:
+        _check_spans(sid, sent.spans, n)
     return sent
 
 

@@ -119,7 +119,7 @@ def load_table(path) -> EmbeddingTable:
             return None
         if len(values) != shape[1]:
             raise EmbeddingError(f"expected {shape[1]} values, found {len(values)}")
-        return symbol, [float(x) for x in values]
+        return symbol, list(map(float, values))
 
     rows = read_rows(path, None, EmbeddingError, row, sep=" ")[1:]
     if not shape or len(rows) != shape[0]:
@@ -175,17 +175,17 @@ def _scatter_add(table, rows, updates, cap: int) -> None:
     """``table[rows[i]] += updates[i]`` for every i, each row's updates
     summed in float64 in the order given and cast once. A row named more
     than ``cap`` times moves by ``cap`` times the mean of its updates."""
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    first = np.empty(len(rows), dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(updates[order], starts, axis=0)
-    counts = np.append(starts[1:], len(rows)) - starts
+    counts = np.bincount(rows, minlength=len(table))
+    named = counts > 0
+    slot = np.cumsum(named) - 1  # each named row's place among the named
+    counts = counts[named]
+    n, dim = len(counts), updates.shape[1]
+    # one bin per (slot, column); bincount adds in index order, in float64
+    ids = (slot[rows][:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(ids, weights=updates.ravel(), minlength=n * dim).reshape(n, dim)
     over = counts > cap
     sums[over] *= (cap / counts[over])[:, None]
-    table[sorted_rows[starts]] += sums.astype(table.dtype)
+    table[named] += sums.astype(table.dtype)
 
 
 def _sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):

@@ -1,9 +1,10 @@
 """One reader and one writer for each text format of kbforge's files: TSV
-rows, JSONL records and JSON documents. Row and record readers stream line
-by line and skip blank lines. Every reader raises the caller's error type
-naming ``FILE:LINE`` for non-UTF-8 bytes, invalid JSON, a value that is not
-a JSON object, a wrong field count, or a record ``convert`` rejects with
-KeyError, TypeError, ValueError or that error type."""
+rows, JSONL records and JSON documents. Row and record readers read whole
+lines in bounded blocks and skip blank lines. Every reader raises the
+caller's error type naming ``FILE:LINE`` for non-UTF-8 bytes, invalid JSON,
+a value that is not a JSON object, a wrong field count, or a record
+``convert`` rejects with KeyError, TypeError, ValueError or that error
+type."""
 
 from __future__ import annotations
 
@@ -12,26 +13,56 @@ import json
 from pathlib import Path
 
 
+# Bytes of whole lines that a row or record reader reads and decodes at
+# once: bounded, so a reader never holds a whole large file.
+_BLOCK = 1 << 16
+# the whitespace JSON allows after a value
+_JSON_SPACE = " \t\n\r"
+_decode = json.JSONDecoder().raw_decode
+
+
+def _lines(path, error):
+    """(line number, line without its line end) of every non-blank line.
+    A block of lines is decoded at once; the first line that is not UTF-8
+    raises after the lines before it are yielded."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        while lines := fh.readlines(_BLOCK):
+            block = b"".join(lines)
+            try:
+                text, bad = block.decode("utf-8"), None
+            except UnicodeDecodeError as exc:
+                bad, reason = block.count(b"\n", 0, exc.start), exc.reason
+                text = b"".join(lines[:bad]).decode("utf-8")
+            for i, line in enumerate(text.split("\n"), lineno + 1):
+                if line and not line.isspace():
+                    yield i, line.rstrip("\r")
+            if bad is not None:
+                # the line alone gives the reason a line-by-line read reports
+                try:
+                    lines[bad].rstrip(b"\r\n").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    reason = exc.reason
+                raise error(f"{path}:{lineno + bad + 1}: not UTF-8 ({reason})")
+            lineno += len(lines)
+
+
 def _read(path, error, parse, convert) -> list:
     """``convert(*parse(line, lineno))`` of every non-blank line."""
     out = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.rstrip(b"\r\n").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
-            if line and not line.isspace():
-                out.append(_convert(convert, parse(line, lineno), error, path, lineno))
+    for lineno, line in _lines(path, error):
+        args = parse(line, lineno)
+        try:
+            out.append(convert(*args))
+        except (KeyError, TypeError, ValueError, error) as exc:
+            raise _rejected(exc, error, path, lineno) from exc
     return out
 
 
-def _convert(convert, args, error, path, lineno):
-    try:
-        return convert(*args)
-    except (KeyError, TypeError, ValueError, error) as exc:
-        detail = exc if isinstance(exc, error) else f"malformed record ({exc!r})"
-        raise error(f"{path}:{lineno}: {detail}") from exc
+def _rejected(exc, error, path, lineno):
+    """The ``error`` for a record that ``convert`` rejected with ``exc``."""
+    detail = exc if isinstance(exc, error) else f"malformed record ({exc!r})"
+    return error(f"{path}:{lineno}: {detail}")
 
 
 def _parse(text, error, path, lineno: int = 1) -> dict:
@@ -91,15 +122,28 @@ def read_rows(path, columns, error, convert=lambda *fields: fields, sep: str = "
 
 def read_jsonl(path, convert, error) -> list:
     """``convert(record)`` of every line's JSON object."""
-    return _read(path, error, lambda line, lineno: (_parse(line, error, path, lineno),),
-                 convert)
+
+    def record(line: str, lineno: int) -> tuple[dict]:
+        try:
+            doc, end = _decode(line)
+        except (ValueError, RecursionError):
+            doc = end = None
+        if type(doc) is not dict or end < len(line) and line[end:].strip(_JSON_SPACE):
+            # leading whitespace, or an error: _parse takes the first and names the second
+            doc = _parse(line, error, path, lineno)
+        return (doc,)
+
+    return _read(path, error, record, convert)
 
 
 def read_json(path, error, convert=lambda doc: doc):
     """``convert(document)`` of a file that holds one JSON object."""
     with open(path, "rb") as fh:
         doc = _parse(fh.read(), error, path)
-    return _convert(convert, (doc,), error, path, 1)
+    try:
+        return convert(doc)
+    except (KeyError, TypeError, ValueError, error) as exc:
+        raise _rejected(exc, error, path, 1) from exc
 
 
 def _write(path, lines) -> None:

@@ -4,9 +4,10 @@ Stages: ingest -> node+joint embeddings -> bootstrap -> context-linker
 training -> bag generation -> relation model training -> full-corpus linking
 -> extraction -> validation -> enrichment -> evaluation. ``STAGES`` declares
 each stage's input files, config slice and outputs. A stage hashes its input
-files, its config slice and the code (``code_digest``); a matching hash with
-artifacts on disk skips the work, so a config edit only invalidates
-downstream stages, and a code change invalidates every stage.
+files, its config slice and the code (``code_digest``); a matching hash,
+with every output still holding the sha256 recorded when it was built,
+skips the work, so a config edit only invalidates downstream stages, and a
+code change invalidates every stage.
 """
 
 from __future__ import annotations
@@ -473,7 +474,8 @@ class PipelineRunner:
     each accessor returns its stage's loaded outputs, building them first
     (upstream stages included) unless the cache holds them for the same
     inputs and config. A runner ensures each stage at most once, and loads
-    a stage's outputs only when its accessor is called."""
+    a stage's outputs once: after building them, or when its accessor is
+    called."""
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
@@ -482,13 +484,14 @@ class PipelineRunner:
         self._manifest_path = self.out / "cache.json"
         self._manifest = {}
         if self._manifest_path.exists():
-            # stage -> {"key"}; other fields, such as the "outputs" that
-            # older versions wrote, are ignored
+            # stage -> {"key", "sha256": {output file name: sha256}}; other
+            # fields, such as the "outputs" that older versions wrote, are
+            # ignored
             self._manifest = read_json(self._manifest_path, PipelineError,
                                        lambda doc: {k: dict(v) for k, v in doc.items()})
         self._mem: dict[str, object] = {}
-        # file -> sha256; a file is hashed only after the stage that writes
-        # it has been ensured, and a runner ensures each stage once
+        # file -> sha256, hashed once per runner: a stage's outputs when it
+        # is checked against the cache, and again after it is built
         self._hashes: dict[object, str] = {}
         # stage -> whether this runner built it (False: cache hit)
         self.stage_ran: dict[str, bool] = {}
@@ -499,30 +502,46 @@ class PipelineRunner:
         h = hashlib.sha256()
         for name in stage.inputs:
             f = getattr(self.cfg, f"{name}_path") if name in SOURCES else self.out / name
-            if f and f not in self._hashes:
-                if not Path(f).exists():
-                    raise PipelineError(f"stage {stage.name}: input {name} not found: {f}")
-                self._hashes[f] = _hash_file(f)
+            if f and f not in self._hashes and not Path(f).exists():
+                raise PipelineError(f"stage {stage.name}: input {name} not found: {f}")
             # an optional source left unconfigured hashes as a marker
-            h.update(self._hashes[f].encode() if f else b"-")
+            h.update(self._hash(f).encode() if f else b"-")
         h.update(_cfg_digest(stage.config(self.cfg)).encode())
         h.update(str(self.cfg.seed).encode())
         h.update(code_digest().encode())
         return h.hexdigest()
 
-    def _fresh(self, stage: str, key: str, outputs) -> bool:
-        entry = self._manifest.get(stage)
-        return (entry is not None and entry.get("key") == key
-                and all(Path(p).exists() for p in outputs))
+    def _hash(self, path) -> str:
+        if path not in self._hashes:
+            self._hashes[path] = _hash_file(path)
+        return self._hashes[path]
 
-    def _record(self, stage: str, key: str) -> None:
-        self._manifest[stage] = {"key": key}
+    def _fresh(self, stage: str, key: str, outputs) -> bool:
+        """Whether the cache holds ``key`` for the stage, and each output
+        still has the sha256 recorded for it."""
+        entry = self._manifest.get(stage)
+        if entry is None or entry.get("key") != key:
+            return False
+        recorded = entry.get("sha256")
+        return isinstance(recorded, dict) and all(
+            p.exists() and recorded.get(p.name) == self._hash(p) for p in outputs)
+
+    def _record(self, stage: str, key: str, outputs) -> None:
+        # outputs are named by file, not path, so the manifest does not
+        # depend on where the out dir lives
+        for p in outputs:
+            self._hashes[p] = _hash_file(p)
+        self._manifest[stage] = {"key": key,
+                                 "sha256": {p.name: self._hashes[p] for p in outputs}}
         write_json(self._manifest_path, self._manifest)
 
     def _ensure(self, name: str) -> None:
         """Ensure stage ``name``: first every stage that outputs one of its
-        inputs, then this one, which builds unless the cache holds its
-        outputs for the same key. Loads nothing."""
+        inputs, then this one, which builds unless the cache holds its key
+        and the outputs it recorded. A cache hit loads nothing. A build is
+        recorded only after its outputs load, through the memo the stage's
+        accessor reads, so a build loads nothing twice and an output its
+        loader rejects fails the stage unrecorded."""
         if name in self.stage_ran:
             return
         stage = STAGES[name]
@@ -540,7 +559,8 @@ class PipelineRunner:
         missing = [str(p) for p in outputs if not p.exists()]
         if missing:
             raise PipelineError(f"stage {name} did not produce {missing}")
-        self._record(name, key)
+        self._load(name)
+        self._record(name, key, outputs)
         self.stage_ran[name] = True
 
     def _memo(self, what: str, load, *args):
@@ -553,12 +573,15 @@ class PipelineRunner:
                 raise PipelineError(f"{what}: {exc}") from exc
         return self._mem[what]
 
-    def _loaded(self, name: str):
-        """The loaded outputs of stage ``name``, ensured first."""
-        self._ensure(name)
+    def _load(self, name: str):
         stage = STAGES[name]
         return self._memo(f"stage {name}", stage.load, self,
                           *(self.out / o for o in stage.outputs))
+
+    def _loaded(self, name: str):
+        """The loaded outputs of stage ``name``, ensured first."""
+        self._ensure(name)
+        return self._load(name)
 
     # -- accessors ------------------------------------------------------------
 

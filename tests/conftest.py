@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from kbforge.pipeline import PipelineRunner, load_config
 from kbforge.synth import SynthConfig, generate_fixture
@@ -79,3 +80,14 @@ def full_run(fixture_dir, tmp_path_factory):
     elapsed = time.monotonic() - started
     return {"runner": runner, "report": report, "elapsed": elapsed,
             "config_path": cfg_path, "fixture_dir": fixture_dir, "out": out}
+
+
+@st.composite
+def tree_heads(draw, n: int) -> list[int]:
+    """Heads of a dependency tree over ``n`` tokens: the tokens in a random
+    order, the first the root and each other one headed by one before it."""
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for k, t in enumerate(order):
+        heads[t] = -1 if k == 0 else order[draw(st.integers(0, k - 1))]
+    return heads

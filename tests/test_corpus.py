@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from conftest import tree_heads
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbforge.corpus import (
     CorpusError,
+    _validate_tree,
     Sentence,
     Span,
     Token,
@@ -46,6 +50,49 @@ def test_validate_rejects_head_cycle():
               Token(2, "c", "NN", -1)]
     with pytest.raises(CorpusError, match="cycle"):
         validate_sentence(Sentence("s3", tokens, []))
+
+
+def reference_tree_check(sid: str, heads: list[int]) -> None:
+    """The tree check that walked from every token with a fresh set."""
+    n = len(heads)
+    roots = [i for i, h in enumerate(heads) if h == -1]
+    for i, h in enumerate(heads):
+        if h != -1 and not (0 <= h < n):
+            raise CorpusError(f"sentence {sid!r}: dep_head {h} of token {i} out of range")
+    if len(roots) != 1:
+        raise CorpusError(f"sentence {sid!r}: expected exactly one root, found {len(roots)}")
+    for i in range(n):
+        seen = set()
+        cur = i
+        while cur != -1:
+            if cur in seen:
+                raise CorpusError(f"sentence {sid!r}: cycle in dependency heads at token {i}")
+            seen.add(cur)
+            cur = heads[cur]
+
+
+def tree_outcome(check, heads):
+    try:
+        check("s", heads)
+    except CorpusError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def trees(draw) -> list[int]:
+    """Heads of a tree over up to 9 tokens, with up to three of them
+    redrawn: cycles, no root, two roots, heads out of range."""
+    heads = draw(tree_heads(draw(st.integers(0, 9))))
+    for _ in range(draw(st.integers(0, 3)) if heads else 0):
+        heads[draw(st.integers(0, len(heads) - 1))] = draw(st.integers(-3, len(heads) + 1))
+    return heads
+
+
+@settings(max_examples=500, deadline=None)
+@given(heads=trees() | st.lists(st.integers(-2, 8), max_size=9))
+def test_tree_check_matches_the_walk_from_every_token(heads):
+    assert tree_outcome(_validate_tree, heads) == tree_outcome(reference_tree_check, heads)
 
 
 def test_validate_rejects_overlapping_spans():

@@ -1,17 +1,20 @@
 """The text formats in kbforge.files: the guard that keeps file access in that
-module, the readers' FILE:LINE errors, and loader fuzzing (every loader fed
-arbitrary lines raises only its own typed error)."""
+module, the readers' FILE:LINE errors, loader fuzzing (every loader fed
+arbitrary lines raises only its own typed error), and the block readers
+against a line-by-line reference (same values, or the same typed error with
+the same message)."""
 
 import ast
 import json
 from pathlib import Path
 
 import pytest
+from conftest import tree_heads
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kbforge import files, pipeline
-from kbforge.corpus import CorpusError, ingest_corpus
+from kbforge.corpus import CorpusError, Sentence, Span, Token, ingest_corpus, validate_sentence
 from kbforge.datagen import DataGenError, load_bags
 from kbforge.embeddings import EmbeddingError, load_table
 from kbforge.kb import KBLoadError, load_kb
@@ -282,6 +285,238 @@ def test_loader_rejects_a_wrong_json_type_naming_file_and_line(scratch, name, ke
     with pytest.raises(error) as err:
         load(path)
     assert str(err.value).startswith(f"{path}:2:")
+
+
+# -- differential: the block readers against the line-by-line reference -----
+
+
+def reference_read(path, error, parse, convert) -> list:
+    """The line-by-line reader that the block reader replaced:
+    ``convert(*parse(line, lineno))`` of every non-blank line."""
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.rstrip(b"\r\n").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+            if line and not line.isspace():
+                args = parse(line, lineno)
+                try:
+                    out.append(convert(*args))
+                except (KeyError, TypeError, ValueError, error) as exc:
+                    detail = exc if isinstance(exc, error) else f"malformed record ({exc!r})"
+                    raise error(f"{path}:{lineno}: {detail}") from exc
+    return out
+
+
+def reference_jsonl(path, convert, error) -> list:
+    def parse(line, lineno):
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}:{lineno + exc.lineno - 1}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise error(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
+        if not isinstance(doc, dict):
+            raise error(f"{path}:{lineno}: not a JSON object")
+        return (doc,)
+
+    return reference_read(path, error, parse, convert)
+
+
+def reference_rows(path, columns, error, convert, sep="\t") -> list:
+    allowed = (columns,) if isinstance(columns, int) else columns
+
+    def split(line, lineno):
+        fields = line.split(sep)
+        if allowed is not None and len(fields) not in allowed:
+            raise error(f"{path}:{lineno}: expected {' or '.join(map(str, allowed))} "
+                        f"fields, found {len(fields)}")
+        return fields
+
+    return reference_read(path, error, split, convert)
+
+
+def reference_sentence(rec: dict, cache: dict) -> Sentence:
+    """sentence_from_record as it was before it checked spans inline:
+    build the sentence, then validate_sentence."""
+    if not isinstance(rec, dict):
+        raise CorpusError("sentence record is not a JSON object")
+    sid = rec.get("id")
+    if not sid:
+        raise CorpusError("sentence record without an id")
+    if not isinstance(sid, str):
+        raise CorpusError(f"sentence id {sid!r} is not a string")
+    words = rec.get("tokens")
+    if not words:
+        raise CorpusError(f"sentence {sid!r}: no tokens")
+    pos, heads, raw_spans = rec.get("pos"), rec.get("heads"), rec.get("spans")
+    try:
+        words = files.json_list(words)
+        pos = files.json_list([] if pos is None else pos) or ["UNK"] * len(words)
+        if heads is None:
+            heads = [-1] + list(range(len(words) - 1))
+        heads = files.json_ints(heads)
+        raw_spans = files.json_list([] if raw_spans is None else raw_spans)
+    except TypeError as exc:
+        raise CorpusError(f"sentence {sid!r}: tokens, pos, heads or spans: {exc}") from None
+    if len(pos) != len(words) or len(heads) != len(words):
+        raise CorpusError(f"sentence {sid!r}: pos/heads length mismatch")
+    if not all(isinstance(x, str) for x in words + pos):
+        raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings")
+    tokens = [cache.setdefault(key, Token(*key))
+              for key in zip(range(len(words)), words, pos, heads)]
+    sent = Sentence(sid, tokens)
+    for raw_span in raw_spans:
+        try:
+            start, end = files.json_int(raw_span["start"]), files.json_int(raw_span["end"])
+        except TypeError as exc:
+            raise CorpusError(f"sentence {sid!r}: span offsets: {exc}") from None
+        if not (0 <= start <= end < len(words)):
+            raise CorpusError(f"sentence {sid!r}: span [{start},{end}] out of range")
+        labels = [raw_span.get(k) for k in ("type", "entity", "method")]
+        if not all(x is None or isinstance(x, str) or not x for x in labels):
+            raise CorpusError(f"sentence {sid!r}: span labels must be strings")
+        sent.spans.append(Span(start, end, sent.surface(start, end), *labels))
+    validate_sentence(sent)
+    return sent
+
+
+def reference_ingest(path) -> list:
+    seen: set = set()
+    cache: dict = {}
+
+    def sentence(rec):
+        sent = reference_sentence(rec, cache)
+        if sent.id in seen:
+            raise CorpusError(f"duplicate sentence id {sent.id!r}")
+        seen.add(sent.id)
+        return sent
+
+    return reference_jsonl(path, sentence, CorpusError)
+
+
+def outcome(read, path):
+    """What ``read(path)`` returns, or the type and message it raises."""
+    try:
+        return "ok", read(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+
+
+DEEP = b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+WEIRD = st.sampled_from([
+    b"", b"  ", b"\t", b"\x0b", b"\x0c", b"\x1c", "\u2028".encode(), "\u00a0".encode(),
+    b"3", b"[1]", b'"s"', b"null", b"{}", b'{"a": 1} ', b' {"a": 1}', b'{} {}', b"{}x",
+    b"{}\x0c", b"{}\x00", b"\xef\xbb\xbf{}", b"{bad", b'{"a": }', DEEP,
+    b"\xff", b"\xe2\x82", b"\xc3(", b"a\xe2\x82\xacb", b"\xed\xa0\x80",
+])
+ENDING = st.sampled_from([b"\n", b"\r\n", b"\r\r\n", b"\r\n\n"])
+
+
+def with_garbage(valid):
+    """A line: ``valid``, one of WEIRD, or ``valid`` with WEIRD bytes put in
+    at some position."""
+    spliced = st.tuples(valid, WEIRD, st.integers(0, 200)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+    return valid | WEIRD | spliced
+
+
+def draw_file(data, line) -> bytes:
+    lines = data.draw(st.lists(st.tuples(line, ENDING), max_size=8))
+    body = b"".join(text + end for text, end in lines)
+    # the last line may lack its line end
+    return body[:-1] if body.endswith(b"\n") and data.draw(st.booleans()) else body
+
+
+def same_outcome(data, path, content: bytes, new, reference) -> None:
+    """Write ``content`` and compare the two readers on it, with the block
+    size of the new one drawn small, so that blocks end at many places."""
+    path.write_bytes(content)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(files, "_BLOCK", data.draw(st.integers(1, 64), label="block"))
+        got = outcome(new, path)
+    assert got == outcome(reference, path)
+
+
+RECORD = st.dictionaries(st.sampled_from(["k", "a", "id"]),
+                         st.integers(-2, 2) | st.text(max_size=3) | st.none(),
+                         max_size=3).map(lambda d: json.dumps(d).encode())
+CONVERTS = {"identity": lambda rec: rec, "key": lambda rec: rec["k"],
+            "typed": lambda rec: files.json_int(rec.get("a", 0))}
+differential = settings(max_examples=300, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("convert", CONVERTS)
+@differential
+@given(data=st.data())
+def test_read_jsonl_matches_the_line_by_line_reader(scratch, convert, data):
+    conv = CONVERTS[convert]
+    same_outcome(data, scratch / "diff.jsonl", draw_file(data, with_garbage(RECORD)),
+                 lambda p: files.read_jsonl(p, conv, KBLoadError),
+                 lambda p: reference_jsonl(p, conv, KBLoadError))
+
+
+ROW = st.lists(st.sampled_from(["a", "1", "-2", "x y", "", "é"]), min_size=1,
+               max_size=4).map(lambda f: "\t".join(f).encode())
+
+
+@pytest.mark.parametrize("columns", [None, 2, (2, 3)])
+@differential
+@given(data=st.data())
+def test_read_rows_matches_the_line_by_line_reader(scratch, columns, data):
+    conv = data.draw(st.sampled_from([lambda *f: f, lambda a, *rest: (int(a), *rest)]))
+    same_outcome(data, scratch / "diff.tsv", draw_file(data, with_garbage(ROW)),
+                 lambda p: files.read_rows(p, columns, KBLoadError, conv),
+                 lambda p: reference_rows(p, columns, KBLoadError, conv))
+
+
+@st.composite
+def sentence_lines(draw) -> bytes:
+    """A corpus record with at most one kind of field broken. Heads form a
+    tree in any order. Spans come as pairs of sorted token positions, so
+    they may touch or overlap, and they come in any order."""
+    broken = draw(st.sampled_from([None, None, "id", "tokens", "pos", "heads", "spans",
+                                   "labels"]))
+    n = draw(st.integers(1, 5))
+    rec = {"id": draw(st.sampled_from([f"s{i}" for i in range(9)]) if broken != "id"
+                      else st.sampled_from(["", 7, None]))}
+    rec["tokens"] = draw(st.lists(st.sampled_from(["Tony", "met", "x"]), min_size=n,
+                                  max_size=n) if broken != "tokens"
+                         else st.sampled_from([[], ["a", 3], [["a"]], "ab"]))
+    if broken == "pos":
+        rec["pos"] = draw(st.sampled_from([["NN", None][:n], "NN", ["NN"] * (n + 1)]))
+    elif draw(st.booleans()):
+        rec["pos"] = draw(st.sampled_from([[], None]) | st.lists(
+            st.sampled_from(["NN", "VB"]), min_size=n, max_size=n))
+    if broken == "heads":
+        rec["heads"] = draw(st.lists(st.integers(-2, n), max_size=n + 1))
+    elif draw(st.booleans()):
+        rec["heads"] = draw(tree_heads(n))
+    points = sorted(draw(st.lists(st.integers(0 if broken != "spans" else -1,
+                                              n - 1 if broken != "spans" else n),
+                                  max_size=6)))
+    spans = [{"start": a, "end": b} for a, b in zip(points[::2], points[1::2])]
+    label = st.sampled_from([1, ["x"]]) if broken == "labels" else st.sampled_from(
+        [None, "T", "e1", "", 0])
+    for span in spans:
+        span.update(draw(st.fixed_dictionaries({}, optional={
+            "type": label, "entity": label, "method": label})))
+    if spans or draw(st.booleans()):
+        rec["spans"] = draw(st.permutations(spans) if broken != "spans"
+                            else st.permutations(spans) | st.sampled_from([[3], [{"end": 0}],
+                                                                           "x"]))
+    return json.dumps(rec).encode()
+
+
+@differential
+@given(data=st.data())
+def test_ingest_corpus_matches_the_line_by_line_reader(scratch, data):
+    same_outcome(data, scratch / "diff-corpus.jsonl",
+                 draw_file(data, with_garbage(sentence_lines())), ingest_corpus,
+                 reference_ingest)
 
 
 def test_hash_tree_covers_names_and_bytes_but_not_where_the_tree_lives(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import make_config
 
-from kbforge import cli, nn, pipeline
+from kbforge import cli, files, nn, pipeline
 from kbforge.datagen import BootstrapConfig, _extract_once
 from kbforge.kb import load_kb
 from kbforge.linker import (
@@ -290,8 +290,9 @@ def test_warm_evaluate_hashes_each_input_file_once(tiny_run, monkeypatch):
     monkeypatch.setattr(pipeline, "_hash_file",
                         lambda path: hashed.append(str(path)) or real(path))
     PipelineRunner(load_config(tiny_run["cfg_path"])).evaluate()
-    inputs = {i for stage in pipeline.STAGES.values() for i in stage.inputs}
-    assert len(hashed) == len(set(hashed)) == len(inputs)
+    # every input, and every output the cache checks, once
+    files = {f for stage in pipeline.STAGES.values() for f in stage.inputs + stage.outputs}
+    assert len(hashed) == len(set(hashed)) == len(files)
 
 
 def test_cache_manifest_does_not_depend_on_where_the_out_dir_lives(tiny_fixture, tmp_path):
@@ -301,7 +302,8 @@ def test_cache_manifest_does_not_depend_on_where_the_out_dir_lives(tiny_fixture,
         PipelineRunner(load_config(write_tiny_config(tiny_fixture, out))).evaluate()
         manifests.append((out / "cache.json").read_bytes())
     assert manifests[0] == manifests[1]
-    assert set(json.loads(manifests[0])["re"]) == {"key"}
+    entry = json.loads(manifests[0])["re"]
+    assert set(entry) == {"key", "sha256"} and set(entry["sha256"]) == {"re.ckpt"}
 
 
 def test_manifest_with_output_paths_is_still_reused(tiny_run, tmp_path):
@@ -695,11 +697,82 @@ def test_diverged_embeddings_fail_their_stage_and_are_not_recorded(tiny_fixture,
     assert "embeddings" not in (json.loads(manifest.read_text()) if manifest.exists() else {})
 
 
+def test_a_built_output_its_loader_rejects_fails_the_stage_unrecorded(tiny_fixture, tmp_path,
+                                                                     monkeypatch):
+    stage = pipeline.STAGES["bags"]
+
+    def torn(r, *paths):
+        stage.build(r, *paths)
+        lines = paths[0].read_text().splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        rec["labels"] = "x"
+        paths[0].write_text("".join([json.dumps(rec) + "\n"] + lines[1:]))
+
+    monkeypatch.setitem(pipeline.STAGES, "bags", dataclasses.replace(stage, build=torn))
+    out = tmp_path / "artifacts"
+    cfg_path = write_tiny_config(tiny_fixture, out)
+    with pytest.raises(PipelineError, match=r"^stage bags: .*bags_all\.jsonl:1: malformed"):
+        PipelineRunner(load_config(cfg_path)).evaluate()
+    manifest = json.loads((out / "cache.json").read_text())
+    assert "bags" not in manifest and "bootstrap" in manifest
+
+    monkeypatch.setitem(pipeline.STAGES, "bags", stage)
+    runner = PipelineRunner(load_config(cfg_path))
+    runner.evaluate()
+    assert runner.stage_ran["bags"] and not runner.stage_ran["bootstrap"]
+
+
+def corrupt(path: Path, how: str) -> None:
+    """Truncate ``path`` to half, flip one bit of its middle byte, or edit
+    one record so that it still loads: a checkpoint's first weight, or the
+    first digit of a text file's last line that has one. An empty file
+    gets a torn row instead: it has no byte to cut, flip or edit."""
+    data = path.read_bytes()
+    if not data:
+        path.write_bytes(b"e1\tr")
+    elif how == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+    elif how == "flipped":
+        i = len(data) // 2
+        path.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
+    elif path.suffix == ".ckpt":
+        meta, tensors = nn.load_checkpoint(path)
+        name = min(tensors)
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[0] += 1
+        nn.save_checkpoint(path, tensors, meta)
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        i = max(i for i, line in enumerate(lines) if re.search(r"\d", line))
+        lines[i] = re.sub(r"\d", lambda m: str((int(m[0]) + 1) % 10), lines[i], count=1)
+        path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("how", ["truncated", "flipped", "edited"])
+@pytest.mark.parametrize("artifact", list(pipeline.PRODUCER))
+def test_a_changed_output_reruns_the_stage_that_owns_it(tiny_run, tmp_path, artifact, how):
+    out = tmp_path / "artifacts"
+    shutil.copytree(tiny_run["out"], out)
+    original = (out / artifact).read_bytes()
+    corrupt(out / artifact, how)
+    assert (out / artifact).read_bytes() != original
+    runner = PipelineRunner(load_config(write_tiny_config(tiny_run["fixture"], out)))
+    assert runner.evaluate().to_json() == tiny_run["report"].to_json()
+    # the rebuilt output is the one the cache recorded, so nothing downstream reruns
+    assert runner.stage_ran == {s: s == pipeline.PRODUCER[artifact] for s in STAGES}
+    assert (out / artifact).read_bytes() == original
+
+
 def test_corrupt_artifact_load_is_a_pipeline_error_naming_the_stage(tiny_run, tmp_path):
     out = tmp_path / "artifacts"
     shutil.copytree(tiny_run["out"], out)
     with open(out / "link_eval.jsonl", "a", encoding="utf-8") as fh:
         fh.write('{"sentence": "s1"}\n')
+    # the cache would rebuild an output whose sha256 changed: vouch for
+    # this one, so that the loader reads it
+    manifest = json.loads((out / "cache.json").read_text())
+    manifest["link"]["sha256"]["link_eval.jsonl"] = files.hash_file(out / "link_eval.jsonl")
+    (out / "cache.json").write_text(json.dumps(manifest))
     cfg = load_config(tiny_run["cfg_path"], out_dir=str(out))
     with pytest.raises(PipelineError, match=r"stage link: .*link_eval\.jsonl:\d+: malformed"):
         PipelineRunner(cfg).link_corpus()
