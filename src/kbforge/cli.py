@@ -16,6 +16,10 @@ from .relations import validate_triple
 from .synth import SynthConfig, generate_fixture
 
 
+# the SynthConfig fields that `kbforge synth` takes as options
+SYNTH_COUNTS = ("entities", "types", "relations", "triples_per_relation", "sentences_per_triple")
+
+
 def _add_common(parser) -> None:
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--seed", type=int, default=None,
@@ -46,11 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark fixture")
     _add_common(p)
-    p.add_argument("--entities", type=int, default=200)
-    p.add_argument("--types", type=int, default=5)
-    p.add_argument("--relations", type=int, default=10)
-    p.add_argument("--triples-per-relation", type=int, default=42)
-    p.add_argument("--sentences-per-triple", type=int, default=3)
+    for name in SYNTH_COUNTS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(SynthConfig, name))
 
     p = sub.add_parser("validate", help="check a triples file against the "
                                         "knowledge base type constraints")
@@ -95,11 +96,10 @@ def _dispatch(args) -> int:
 
     if cmd == "synth":
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-        synth = SynthConfig(entities=args.entities, types=args.types,
-                            relations=args.relations,
-                            triples_per_relation=args.triples_per_relation,
-                            sentences_per_triple=args.sentences_per_triple,
-                            seed=cfg.seed)
+        try:
+            synth = SynthConfig(seed=cfg.seed, **{n: getattr(args, n) for n in SYNTH_COUNTS})
+        except ValueError as exc:
+            raise PipelineError(f"synth {exc}") from None
         paths = generate_fixture(synth, cfg.out_dir)
         for name in sorted(paths):
             print(f"{name}\t{paths[name]}")

@@ -4,12 +4,12 @@ multi-instance multi-label bags.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .corpus import Sentence
 from .embeddings import EmbeddingTable
 from .files import json_list, read_jsonl, write_json, write_jsonl
@@ -40,33 +40,24 @@ class Bag:
 
 @dataclass
 class BootstrapConfig:
-    max_rounds: int = 3
-    knn_k: int = 10
+    max_rounds: int = bounded(3, lo=0)
+    knn_k: int = bounded(10, lo=0)
     seed: int = 0
-    classifier_feature_dim: int = 4096
-    classifier_lr: float = 0.5
-    classifier_epochs: int = 5
-    classifier_negatives: int = 10
+    classifier_feature_dim: int = bounded(4096, lo=1)
+    classifier_lr: float = bounded(0.5, above=0)
+    classifier_epochs: int = bounded(5, lo=0)
+    classifier_negatives: int = bounded(10, lo=0)
 
-    def __post_init__(self):
-        if self.classifier_feature_dim < 1:
-            raise ValueError("classifier_feature_dim must be at least 1")
-        for name in ("max_rounds", "knn_k", "classifier_epochs", "classifier_negatives"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0")
+    __post_init__ = check_bounds
 
 
 @dataclass
 class DistantSupervisionConfig:
-    max_bag_size: int = 32
-    na_ratio: float = 1.0
+    max_bag_size: int = bounded(32, lo=1)
+    na_ratio: float = bounded(1.0, lo=0)
     seed: int = 0
 
-    def __post_init__(self):
-        if self.max_bag_size < 1:
-            raise ValueError("max_bag_size must be at least 1")
-        if not 0.0 <= self.na_ratio < math.inf:
-            raise ValueError("na_ratio must be a finite number >= 0")
+    __post_init__ = check_bounds
 
 
 def _extract_once(raw_corpus: list[Sentence], kb: KnowledgeBase,

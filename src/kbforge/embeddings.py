@@ -11,11 +11,11 @@ capped (see _sgd_pairs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .files import read_rows, write_rows
 from .kb import KnowledgeBase
 
@@ -36,20 +36,14 @@ class EmbeddingError(Exception):
 
 @dataclass
 class SkipGramConfig:
-    dim: int = 32
-    epochs: int = 3
-    learning_rate: float = 0.05
-    negatives: int = 10
-    window: int = 3
+    dim: int = bounded(32, lo=1)
+    epochs: int = bounded(3, lo=0)
+    learning_rate: float = bounded(0.05, above=0)
+    negatives: int = bounded(10, lo=1)
+    window: int = bounded(3, lo=1)
     seed: int = 0
 
-    def __post_init__(self):
-        if self.dim <= 0 or self.negatives < 1 or self.window < 1:
-            raise ValueError("dim>0, negatives>=1, window>=1 required")
-        if self.epochs < 0:
-            raise ValueError("epochs must be at least 0")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be a finite number > 0")
+    __post_init__ = check_bounds
 
 
 class EmbeddingTable:
@@ -95,13 +89,14 @@ def init_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 
 
 def save_table(table: EmbeddingTable, path) -> None:
-    """Writes what load_table reads; refuses, before writing anything, a
-    table that training has left with a non-finite entry."""
+    """Writes what load_table reads, each value to nine significant digits,
+    which read back as the same float32; refuses, before writing anything,
+    a table that training has left with a non-finite entry."""
     bad = ~np.isfinite(table.vectors).all(axis=1)
     if bad.any():
         raise EmbeddingError(f"non-finite vector for symbol "
                              f"{table.symbols[int(bad.argmax())]!r}; {path} not written")
-    rows = [(sym, *map(repr, vec.tolist())) for sym, vec in zip(table.symbols, table.vectors)]
+    rows = [(s, *map("%.9g".__mod__, v)) for s, v in zip(table.symbols, table.vectors.tolist())]
     write_rows(path, [(str(len(table)), str(table.dim))] + rows, sep=" ")
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span, make_span
 from .embeddings import EmbeddingTable, entity_symbol, knn_candidates
 from .kb import KnowledgeBase
@@ -253,18 +254,15 @@ def subgraph_link(sentence_candidates: list[Candidate],
 
 @dataclass
 class ELConfig:
-    hidden: int = 16        # per direction; v_c is 2*hidden
-    mlp_hidden: int = 32
-    margin: float = 0.2
-    learning_rate: float = 5e-3
-    epochs: int = 3
-    knn_k: int = 10
+    hidden: int = bounded(16, lo=1)  # per direction; v_c is 2*hidden
+    mlp_hidden: int = bounded(32, lo=1)
+    margin: float = bounded(0.2, above=0)
+    learning_rate: float = bounded(5e-3, above=0)
+    epochs: int = bounded(3, lo=0)
+    knn_k: int = bounded(10, lo=0)
     seed: int = 0
 
-    def __post_init__(self):
-        for name in ("epochs", "knn_k"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0")
+    __post_init__ = check_bounds
 
 
 class ContextLinkerModel:

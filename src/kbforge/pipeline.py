@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
+from .bounds import bounded, check_bounds
 from .corpus import CorpusError, Sentence, ingest_corpus, sentence_from_record, write_corpus
 from .datagen import (
     Bag,
@@ -137,7 +138,7 @@ class PipelineConfig:
     gold_links_path: str = ""
     gold_triples_path: str = ""
     out_dir: str = "out"
-    seed: int = 0
+    seed: int = bounded(0, lo=0)
     embeddings: SkipGramConfig = field(default_factory=SkipGramConfig)
     bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
     el: ELConfig = field(default_factory=ELConfig)
@@ -145,14 +146,7 @@ class PipelineConfig:
     re: REConfig = field(default_factory=REConfig)
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
-    def reseed(self) -> None:
-        """Derive per-stage seeds from the global one so stages stay
-        decoupled but reproducible."""
-        self.embeddings.seed = self.seed + 1
-        self.bootstrap.seed = self.seed + 3
-        self.el.seed = self.seed + 4
-        self.ds.seed = self.seed + 5
-        self.re.seed = self.seed + 7
+    __post_init__ = check_bounds
 
 
 def _number(section, key: str, default):
@@ -172,11 +166,8 @@ def _apply_section(obj, section):
     so that its checks run. Every config dataclass field is an int or a
     float."""
     _check_keys(section, [f.name for f in dataclasses.fields(obj)])
-    try:
-        return dataclasses.replace(obj, **{key: _number(section, key, getattr(obj, key))
-                                           for key in section})
-    except ValueError as exc:
-        raise PipelineError(f"[{section.name}] {exc}") from None
+    return dataclasses.replace(obj, **{key: _number(section, key, getattr(obj, key))
+                                       for key in section})
 
 
 def _check_keys(section, allowed) -> None:
@@ -186,10 +177,12 @@ def _check_keys(section, allowed) -> None:
 
 
 def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
-    cfg = PipelineConfig()
+    """The config an INI file sets, or the defaults; ``seed`` and ``out_dir``
+    replace its ``[pipeline] seed`` and ``[paths] out_dir``."""
+    # values are taken literally, so a path may hold a '%'; no header can
+    # name the default section "", so a [DEFAULT] is unknown like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     if path is not None:
-        # values are taken literally, so a path may hold a '%'
-        parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
@@ -197,36 +190,40 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
             raise PipelineError(f"config file {path}: {detail}") from None
         if not read:
             raise PipelineError(f"config file {path} not found")
-        if parser.has_section("paths"):
-            _check_keys(parser["paths"], SOURCES + ("out_dir",))
-            for key, value in parser["paths"].items():
-                setattr(cfg, key if key == "out_dir" else f"{key}_path", value)
-        if parser.has_section("pipeline"):
-            s = parser["pipeline"]
-            # threads sets nothing; it is accepted because bench/run.py's
-            # config template still sets it
-            _check_keys(s, ("seed", "threads"))
-            cfg.seed = _number(s, "seed", cfg.seed)
-        for name in ("embeddings", "bootstrap", "el", "ds", "re"):
-            if parser.has_section(name):
-                if "seed" in parser[name]:
+    parser.read_dict({"pipeline": {} if seed is None else {"seed": str(seed)},
+                      "paths": {} if out_dir is None else {"out_dir": out_dir}})
+    cfg = PipelineConfig()
+    for name in parser.sections():
+        s = parser[name]
+        try:
+            if name == "paths":
+                _check_keys(s, SOURCES + ("out_dir",))
+                for key, value in s.items():
+                    setattr(cfg, key if key == "out_dir" else f"{key}_path", value)
+            elif name == "pipeline":
+                # threads sets nothing; it is accepted because bench/run.py's
+                # config template still sets it
+                _check_keys(s, ("seed", "threads"))
+                cfg.seed = _number(s, "seed", cfg.seed)
+                check_bounds(cfg)
+            elif name == "split":
+                _check_keys(s, ("train", "valid", "test"))
+                cfg.split = (_number(s, "train", 0.8), _number(s, "valid", 0.1),
+                             _number(s, "test", 0.1))
+                check_split(cfg.split)
+            elif name in ("embeddings", "bootstrap", "el", "ds", "re"):
+                if "seed" in s:
                     raise PipelineError(f"[{name}] seed is derived from [pipeline] seed; "
                                         "set that instead")
-                setattr(cfg, name, _apply_section(getattr(cfg, name), parser[name]))
-        if parser.has_section("split"):
-            s = parser["split"]
-            _check_keys(s, ("train", "valid", "test"))
-            cfg.split = (_number(s, "train", 0.8), _number(s, "valid", 0.1),
-                         _number(s, "test", 0.1))
-            try:
-                check_split(cfg.split)
-            except ValueError as exc:
-                raise PipelineError(f"[split] {exc}") from None
-    if seed is not None:
-        cfg.seed = seed
-    if out_dir is not None:
-        cfg.out_dir = out_dir
-    cfg.reseed()
+                setattr(cfg, name, _apply_section(getattr(cfg, name), s))
+            else:
+                raise PipelineError(f"unknown config section [{name}]")
+        except ValueError as exc:
+            raise PipelineError(f"[{name}] {exc}") from None
+    # per-stage seeds derive from the global one, so stages stay decoupled
+    # but reproducible
+    for name, offset in (("embeddings", 1), ("bootstrap", 3), ("el", 4), ("ds", 5), ("re", 7)):
+        getattr(cfg, name).seed = cfg.seed + offset
     return cfg
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span, sdp_adjacency, shortest_dependency_path
 from .datagen import Bag, collect_pair_sentences
 from .files import write_rows
@@ -29,32 +30,24 @@ class RelationError(Exception):
 
 @dataclass
 class REConfig:
-    word_dim: int = 24
-    pos_dim: int = 4          # each of the three position families
-    type_dim: int = 4
-    tag_dim: int = 4
-    hidden: int = 24          # d_h; BiLSTM runs hidden//2 per direction
-    conv_width: int = 3
-    margin: float = 0.1       # gamma of the sliding-margin loss
-    down_weight: float = 0.5  # lambda on negative terms
-    threshold_init: float = 0.5
-    max_pos: int = 30
-    learning_rate: float = 5e-3
-    epochs: int = 5
+    word_dim: int = bounded(24, lo=1)
+    pos_dim: int = bounded(4, lo=1)  # each of the three position families
+    type_dim: int = bounded(4, lo=1)
+    tag_dim: int = bounded(4, lo=1)
+    hidden: int = bounded(24, lo=1)  # d_h; BiLSTM runs hidden//2 per direction
+    conv_width: int = bounded(3, lo=1)
+    margin: float = bounded(0.1, above=0, below=1)  # gamma of the sliding-margin loss
+    down_weight: float = bounded(0.5, above=0)  # lambda on negative terms
+    threshold_init: float = bounded(0.5)
+    max_pos: int = bounded(30, lo=0)
+    learning_rate: float = bounded(5e-3, above=0)
+    epochs: int = bounded(5, lo=0)
     seed: int = 0
 
     def __post_init__(self):
-        dims = (self.word_dim, self.pos_dim, self.type_dim, self.tag_dim, self.hidden)
-        if any(d <= 0 for d in dims):
-            raise ValueError("all embedding dims must be positive")
-        if not (0.0 < self.margin < 1.0):
-            raise ValueError("margin must lie in (0,1)")
-        if self.down_weight <= 0:
-            raise ValueError("down_weight must be positive")
+        check_bounds(self)
         if self.hidden % 2:
             raise ValueError("hidden must be even (split across LSTM directions)")
-        if self.epochs < 0:
-            raise ValueError("epochs must be at least 0")
 
     @property
     def token_dim(self) -> int:

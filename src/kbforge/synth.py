@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span, Token, validate_sentence
 from .files import read_rows, write_jsonl, write_rows
 from .kb import KBLoadError
@@ -46,25 +47,16 @@ FILLERS = [("met", "near"), ("saw", "past"), ("greeted", "along"), ("visited", "
 
 @dataclass
 class SynthConfig:
-    entities: int = 200
-    types: int = 5
-    relations: int = 10
-    triples_per_relation: int = 42
-    sentences_per_triple: int = 3
-    distractor_rate: float = 0.2
-    holdout_fraction: float = 0.1
-    seed: int = 0
+    entities: int = bounded(200, lo=1, hi=len(GIVENS) * len(FAMILIES))  # the name space
+    types: int = bounded(5, lo=2)   # so that relations can cross types
+    relations: int = bounded(10, lo=1, hi=len(CUES))
+    triples_per_relation: int = bounded(42, lo=1)
+    sentences_per_triple: int = bounded(3, lo=1)
+    distractor_rate: float = bounded(0.2, lo=0)
+    holdout_fraction: float = bounded(0.1, lo=0, hi=1)
+    seed: int = bounded(0, lo=0)
 
-    def __post_init__(self):
-        if min(self.entities, self.types, self.relations,
-               self.triples_per_relation, self.sentences_per_triple) < 1:
-            raise ValueError("all counts must be positive")
-        if self.types < 2:
-            raise ValueError("need >= 2 types so relations can cross types")
-        if self.relations > len(CUES):
-            raise ValueError(f"at most {len(CUES)} relations supported")
-        if self.entities > len(GIVENS) * len(FAMILIES):
-            raise ValueError("entity count exceeds the name space")
+    __post_init__ = check_bounds
 
 
 @dataclass

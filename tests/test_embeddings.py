@@ -61,6 +61,24 @@ def test_table_save_load_exact(tmp_path):
     assert np.array_equal(back.vectors, table.vectors)
 
 
+def test_table_round_trips_float32_bit_patterns_in_nine_digits(tmp_path):
+    f32 = np.finfo(np.float32)
+    edges = np.array([0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+                      f32.smallest_normal, -f32.smallest_normal, f32.max, -f32.max, 1.0, -1.0,
+                      np.nextafter(f32.smallest_normal, np.float32(0))], dtype=np.float32)
+    bits = np.random.default_rng(5).integers(0, 2**32, size=40_000, dtype=np.uint64)
+    drawn = bits.astype(np.uint32).view(np.float32)
+    values = np.concatenate([edges, drawn[np.isfinite(drawn)]])
+    values = values[: len(values) // 16 * 16].reshape(-1, 16)
+    table = EmbeddingTable([f"s{i}" for i in range(len(values))], values)
+    path = tmp_path / "table.vec"
+    save_table(table, path)
+    assert load_table(path).vectors.tobytes() == values.tobytes()
+    written = [v for line in path.read_text().splitlines()[1:] for v in line.split()[1:]]
+    digits = {len(v.lstrip("-").split("e")[0].replace(".", "").lstrip("0")) for v in written}
+    assert max(digits) <= 9
+
+
 def test_save_table_refuses_nonfinite_vectors_naming_the_first(tmp_path):
     table = EmbeddingTable(["a", "b", "c"], np.zeros((3, 2), dtype=np.float32))
     table.vectors[1, 1] = np.inf  # as training leaves a diverged row

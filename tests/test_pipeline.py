@@ -1,18 +1,24 @@
 import dataclasses
 import json
+import math
 import re
 import shutil
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_config
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kbforge import cli, files, nn, pipeline
-from kbforge.datagen import BootstrapConfig, _extract_once
+from kbforge.datagen import BootstrapConfig, DistantSupervisionConfig, _extract_once
+from kbforge.embeddings import SkipGramConfig
 from kbforge.kb import load_kb
 from kbforge.linker import (
+    ELConfig,
     GazetteerRecognizer,
     LinkError,
     generate_candidates,
@@ -20,7 +26,7 @@ from kbforge.linker import (
     subgraph_link,
 )
 from kbforge.nn import no_grad
-from kbforge.relations import load_model
+from kbforge.relations import REConfig, load_model
 from kbforge.pipeline import (
     BenchmarkError,
     PipelineError,
@@ -225,6 +231,131 @@ def test_readme_config_loads_and_mirrors_the_test_config(tmp_path):
     assert settings(documented) == settings(tested)
 
 
+# -- declared bounds -----------------------------------------------------------
+
+# config section (or "synth", which no INI file sets) -> its dataclass
+CONFIG_CLASSES = {"pipeline": pipeline.PipelineConfig, "embeddings": SkipGramConfig,
+                  "bootstrap": BootstrapConfig, "ds": DistantSupervisionConfig,
+                  "el": ELConfig, "re": REConfig, "synth": SynthConfig}
+
+
+def test_every_numeric_config_field_declares_bounds():
+    # a new int or float setting must say what range it takes
+    unbounded = [f"{cls.__name__}.{f.name}" for cls in CONFIG_CLASSES.values()
+                 for f in dataclasses.fields(cls)
+                 if f.type in ("int", "float", int, float) and f.name != "seed"
+                 and "bounds" not in f.metadata]
+    assert unbounded == []
+
+
+def ints_from(lo, hi=math.inf):
+    return int, (lo,) if hi == math.inf else (lo, hi), lambda v: lo <= v <= hi
+
+
+def floats(*bounds, legal):
+    return float, bounds, lambda v: math.isfinite(v) and legal(v)
+
+
+# what each bounded field accepts, written out apart from the declarations:
+# (section, field) -> (type, the bounds, whether a value is legal)
+LEGAL = {
+    ("pipeline", "seed"): ints_from(0),
+    ("embeddings", "dim"): ints_from(1),
+    ("embeddings", "epochs"): ints_from(0),
+    ("embeddings", "learning_rate"): floats(0, legal=lambda v: v > 0),
+    ("embeddings", "negatives"): ints_from(1),
+    ("embeddings", "window"): ints_from(1),
+    ("bootstrap", "max_rounds"): ints_from(0),
+    ("bootstrap", "knn_k"): ints_from(0),
+    ("bootstrap", "classifier_feature_dim"): ints_from(1),
+    ("bootstrap", "classifier_lr"): floats(0, legal=lambda v: v > 0),
+    ("bootstrap", "classifier_epochs"): ints_from(0),
+    ("bootstrap", "classifier_negatives"): ints_from(0),
+    ("ds", "max_bag_size"): ints_from(1),
+    ("ds", "na_ratio"): floats(0, legal=lambda v: v >= 0),
+    ("el", "hidden"): ints_from(1),
+    ("el", "mlp_hidden"): ints_from(1),
+    ("el", "margin"): floats(0, legal=lambda v: v > 0),
+    ("el", "learning_rate"): floats(0, legal=lambda v: v > 0),
+    ("el", "epochs"): ints_from(0),
+    ("el", "knn_k"): ints_from(0),
+    ("re", "word_dim"): ints_from(1),
+    ("re", "pos_dim"): ints_from(1),
+    ("re", "type_dim"): ints_from(1),
+    ("re", "tag_dim"): ints_from(1),
+    # the BiLSTM splits hidden across its two directions
+    ("re", "hidden"): (int, (1,), lambda v: v >= 1 and v % 2 == 0),
+    ("re", "conv_width"): ints_from(1),
+    ("re", "margin"): floats(0, 1, legal=lambda v: 0 < v < 1),
+    ("re", "down_weight"): floats(0, legal=lambda v: v > 0),
+    ("re", "threshold_init"): floats(0, legal=lambda v: True),
+    ("re", "max_pos"): ints_from(0),
+    ("re", "learning_rate"): floats(0, legal=lambda v: v > 0),
+    ("re", "epochs"): ints_from(0),
+    ("synth", "entities"): ints_from(1, 609),
+    ("synth", "types"): ints_from(2),
+    ("synth", "relations"): ints_from(1, 12),
+    ("synth", "triples_per_relation"): ints_from(1),
+    ("synth", "sentences_per_triple"): ints_from(1),
+    ("synth", "distractor_rate"): floats(0, legal=lambda v: v >= 0),
+    ("synth", "holdout_fraction"): floats(0, 1, legal=lambda v: 0 <= v <= 1),
+    ("synth", "seed"): ints_from(0),
+}
+
+
+def test_every_bounded_field_has_a_reference_range():
+    declared = {(section, f.name) for section, cls in CONFIG_CLASSES.items()
+                for f in dataclasses.fields(cls) if "bounds" in f.metadata}
+    assert declared == set(LEGAL)
+
+
+def near_bounds(kind, bounds) -> list:
+    """Values on, just inside and just outside each bound; for a float
+    also nan and both infinities."""
+    if kind is int:
+        return [b + d for b in bounds for d in (-1, 0, 1)]
+    return [x for b in bounds for x in (b - 1, math.nextafter(b, -math.inf), b,
+                                        math.nextafter(b, math.inf), b + 1)
+            ] + [math.nan, math.inf, -math.inf]
+
+
+def assert_loads_exactly_when_legal(path, section, key, value):
+    legal = LEGAL[(section, key)][2]
+    if section == "synth":
+        if legal(value):
+            assert getattr(SynthConfig(**{key: value}), key) == value
+        else:
+            with pytest.raises(ValueError, match=f"^{key} must"):
+                SynthConfig(**{key: value})
+        return
+    path.write_text(f"[{section}]\n{key} = {value!r}\n")
+    if legal(value):
+        cfg = load_config(path)
+        assert getattr(cfg if section == "pipeline" else getattr(cfg, section), key) == value
+    else:
+        with pytest.raises(PipelineError, match=rf"^\[{section}\] {key} must"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("section, key", sorted(LEGAL))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_value_loads_exactly_when_its_field_allows_it(tmp_path, section, key, data):
+    kind, bounds, _ = LEGAL[(section, key)]
+    anywhere = st.integers() if kind is int else st.floats()
+    value = data.draw(st.sampled_from(near_bounds(kind, bounds)) | anywhere)
+    assert_loads_exactly_when_legal(tmp_path / "c.ini", section, key, value)
+
+
+@pytest.mark.parametrize("section, key", sorted(LEGAL))
+def test_every_value_at_a_bound_loads_exactly_when_its_field_allows_it(tmp_path, section, key):
+    # the draws above may miss a bound's edge; this walks every edge once
+    kind, bounds, _ = LEGAL[(section, key)]
+    for value in near_bounds(kind, bounds):
+        assert_loads_exactly_when_legal(tmp_path / "c.ini", section, key, value)
+
+
 def test_missing_config_file():
     with pytest.raises(PipelineError, match="not found"):
         load_config("/nonexistent/cfg.ini")
@@ -408,6 +539,47 @@ def test_code_change_reruns_every_stage(tiny_run, tmp_path, monkeypatch):
     runner = PipelineRunner(load_config(out.parent / "artifacts.ini"))
     runner.evaluate()
     assert runner.stage_ran == {s: True for s in STAGES}
+
+
+def test_every_config_field_a_stage_reads_is_in_its_config_slice(tiny_fixture, tmp_path,
+                                                                  monkeypatch):
+    # a stage's key hashes its config slice, so a setting its builder or
+    # loader reads outside the slice could change without a rebuild
+    reads = defaultdict(set)
+    running = ["runner"]
+
+    class Recorder:
+        """runner.cfg, noting each field read under the stage running."""
+
+        def __init__(self, cfg):
+            self.cfg = cfg
+
+        def __getattr__(self, name):
+            reads[running[-1]].add(name)
+            return getattr(self.cfg, name)
+
+    def under(name, fn):
+        def run(*args):
+            running.append(name)
+            try:
+                return fn(*args)
+            finally:
+                running.pop()
+        return run
+
+    for name, stage in pipeline.STAGES.items():
+        monkeypatch.setitem(pipeline.STAGES, name, dataclasses.replace(
+            stage, build=under(name, stage.build), load=under(name, stage.load)))
+    runner = PipelineRunner(load_config(write_tiny_config(tiny_fixture, tmp_path / "out")))
+    runner.cfg = Recorder(runner.cfg)
+    runner.evaluate()
+    assert runner.stage_ran == {s: True for s in STAGES}
+    for name, stage in pipeline.STAGES.items():
+        under(f"{name} slice", stage.config)(runner.cfg)
+        config_slice = reads[f"{name} slice"]
+        sources = {f"{s}_path" for s in stage.inputs if s in pipeline.SOURCES}
+        assert reads[name] - sources <= config_slice, name
+        assert config_slice <= reads[name], name
 
 
 def test_code_digest_is_computed_once_per_process(monkeypatch):
@@ -605,8 +777,8 @@ def test_cli_error_is_not_a_traceback(capsys):
     (b"[pipeline]\n# caf\xe9\n", "can't decode byte 0xe9"),
     (b"[re]\nmargin = 2.0\n", "[re] margin must lie in (0,1)"),
     (b"[re]\nhidden = 7\n", "[re] hidden must be even"),
-    (b"[embeddings]\ndim = 0\n", "[embeddings] dim>0, negatives>=1"),
-    (b"[embeddings]\nnegatives = 0\n", "[embeddings] dim>0, negatives>=1"),
+    (b"[embeddings]\ndim = 0\n", "[embeddings] dim must be at least 1"),
+    (b"[embeddings]\nnegatives = 0\n", "[embeddings] negatives must be at least 1"),
     (b"[re]\ntoken_dim = 40\n", "unknown config key 'token_dim'"),
     # values that used to load and then broke or emptied a stage
     (b"[ds]\nmax_bag_size = 0\n", "[ds] max_bag_size must be at least 1"),
@@ -634,13 +806,39 @@ def test_cli_error_is_not_a_traceback(capsys):
      "[embeddings] learning_rate must be a finite number > 0"),
     (b"[embeddings]\nlearning_rate = nan\n",
      "[embeddings] learning_rate must be a finite number > 0"),
+    (b"[re]\nlearning_rate = -1\n", "[re] learning_rate must be a finite number > 0"),
+    (b"[re]\nlearning_rate = nan\n", "[re] learning_rate must be a finite number > 0"),
+    (b"[el]\nlearning_rate = 0\n", "[el] learning_rate must be a finite number > 0"),
+    (b"[bootstrap]\nclassifier_lr = -1\n",
+     "[bootstrap] classifier_lr must be a finite number > 0"),
+    (b"[bootstrap]\nclassifier_lr = nan\n",
+     "[bootstrap] classifier_lr must be a finite number > 0"),
+    (b"[el]\nhidden = 0\n", "[el] hidden must be at least 1"),
+    (b"[el]\nmlp_hidden = 0\n", "[el] mlp_hidden must be at least 1"),
+    (b"[re]\nconv_width = 0\n", "[re] conv_width must be at least 1"),
+    (b"[re]\nmax_pos = -1\n", "[re] max_pos must be at least 0"),
+    (b"[el]\nmargin = nan\n", "[el] margin must be a finite number > 0"),
+    (b"[el]\nmargin = -5\n", "[el] margin must be a finite number > 0"),
+    (b"[re]\nthreshold_init = nan\n", "[re] threshold_init must be a finite number"),
+    (b"[re]\ndown_weight = inf\n", "[re] down_weight must be a finite number > 0"),
+    (b"[pipeline]\nseed = -3\n", "[pipeline] seed must be at least 0"),
+    # a misspelt section used to be skipped, leaving its stage at the defaults
+    (b"[embedding]\ndim = 8\n", "unknown config section [embedding]"),
+    (b"[relations]\nepochs = 1\n", "unknown config section [relations]"),
+    # configparser used to copy [DEFAULT]'s keys into every other section
+    (b"[DEFAULT]\nepochs = 1\n[re]\n", "unknown config section [DEFAULT]"),
 ], ids=["no-section", "el-hidden", "split-train", "not-utf8", "re-margin", "re-hidden",
         "embeddings-dim", "embeddings-negatives", "re-property", "ds-max-bag-size",
         "ds-na-ratio", "ds-na-ratio-nan", "split-negative", "split-sum",
         "bootstrap-feature-dim", "bootstrap-classifier-negatives",
         "bootstrap-classifier-epochs", "bootstrap-max-rounds", "bootstrap-knn-k",
         "el-epochs", "el-knn-k", "re-epochs", "embeddings-epochs", "embeddings-lr-zero",
-        "embeddings-lr-negative", "embeddings-lr-inf", "embeddings-lr-nan"])
+        "embeddings-lr-negative", "embeddings-lr-inf", "embeddings-lr-nan",
+        "re-lr-negative", "re-lr-nan", "el-lr-zero", "bootstrap-classifier-lr-negative",
+        "bootstrap-classifier-lr-nan", "el-hidden-zero", "el-mlp-hidden-zero",
+        "re-conv-width-zero", "re-max-pos-negative", "el-margin-nan", "el-margin-negative",
+        "re-threshold-init-nan", "re-down-weight-inf", "pipeline-seed-negative",
+        "section-embedding", "section-relations", "section-default"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, ini, message):
     path = tmp_path / "c.ini"
     path.write_bytes(ini)
@@ -649,6 +847,21 @@ def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, ini, messa
     assert stdout == ""
     assert stderr.startswith("error:") and message in stderr
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "--entities", "0"), "synth entities must lie in [1,609]"),
+    (("synth", "--relations", "40"), "synth relations must lie in [1,12]"),
+    (("synth", "--types", "1"), "synth types must be at least 2"),
+    (("synth", "--seed", "-1"), "[pipeline] seed must be at least 0"),
+    (("ingest-kb", "--seed", "-3"), "[pipeline] seed must be at least 0"),
+], ids=["synth-entities", "synth-relations", "synth-types", "synth-seed", "ingest-kb-seed"])
+def test_cli_bad_option_is_an_error_not_a_traceback(tmp_path, capsys, argv, message):
+    rc, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "fx"))
+    assert rc == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+    assert not (tmp_path / "fx").exists()
 
 
 @pytest.mark.parametrize("bad_line", ["{bad", "3"])

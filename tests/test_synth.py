@@ -92,11 +92,18 @@ def test_distractor_pairs_become_na_bags(small_fixture):
 
 
 def test_config_rejects_impossible_shapes():
-    with pytest.raises(ValueError, match=">= 2 types"):
+    with pytest.raises(ValueError, match=r"types must be at least 2"):
         SynthConfig(types=1)
-    with pytest.raises(ValueError, match="relations supported"):
+    with pytest.raises(ValueError, match=r"relations must lie in \[1,12\]"):
         SynthConfig(relations=99)
-    with pytest.raises(ValueError, match="name space"):
+    with pytest.raises(ValueError, match=r"entities must lie in \[1,609\]"):
         SynthConfig(entities=10_000)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="sentences_per_triple must be at least 1"):
         SynthConfig(sentences_per_triple=0)
+    # rates and seeds that used to load
+    with pytest.raises(ValueError, match="distractor_rate must be a finite number >= 0"):
+        SynthConfig(distractor_rate=-0.1)
+    with pytest.raises(ValueError, match=r"holdout_fraction must lie in \[0,1\]"):
+        SynthConfig(holdout_fraction=1.5)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        SynthConfig(seed=-1)
