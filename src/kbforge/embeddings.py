@@ -55,6 +55,11 @@ class EmbeddingTable:
                 raise EmbeddingError(f"symbol {s!r} is empty or contains whitespace")
         self.symbols = list(symbols)
         self.index = {s: i for i, s in enumerate(self.symbols)}
+        # the entity ids in id order, and the row of each
+        self.entity_ids = sorted(s[len(ENT_PREFIX):] for s in self.symbols
+                                 if is_entity_symbol(s))
+        self.entity_row_numbers = np.array(
+            [self.index[entity_symbol(e)] for e in self.entity_ids], dtype=np.int64)
         self.vectors = np.asarray(vectors, dtype=np.float32)
         if self.vectors.shape[0] != len(self.symbols):
             raise EmbeddingError("vector row count does not match vocabulary")
@@ -77,11 +82,6 @@ class EmbeddingTable:
             return self.vectors[self.index[symbol]]
         except KeyError:
             raise EmbeddingError(f"unknown symbol {symbol!r}") from None
-
-    def entity_rows(self) -> tuple[list[str], np.ndarray]:
-        ids = [s[len(ENT_PREFIX):] for s in self.symbols if is_entity_symbol(s)]
-        rows = np.array([self.index[entity_symbol(e)] for e in ids], dtype=np.int64)
-        return ids, self.vectors[rows] if len(rows) else np.zeros((0, self.dim), np.float32)
 
 
 def init_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -330,9 +330,8 @@ def knn_candidates(table: EmbeddingTable, phrase: str, k: int) -> list[tuple[str
     if not rows:
         return []
     query = table.vectors[rows].astype(np.float64).mean(axis=0)
-    ids, mat = table.entity_rows()
-    if not ids:
-        return []
-    dists = np.sqrt(((mat.astype(np.float64) - query) ** 2).sum(axis=1))
-    ranked = sorted(zip(ids, dists), key=lambda p: (p[1], p[0]))
-    return [(eid, float(d)) for eid, d in ranked[:k]]
+    mat = table.vectors[table.entity_row_numbers].astype(np.float64)
+    dists = np.sqrt(((mat - query) ** 2).sum(axis=1))
+    # rows are in id order, so a stable sort breaks distance ties by id
+    return [(table.entity_ids[i], float(dists[i]))
+            for i in np.argsort(dists, kind="stable")[:k].tolist()]

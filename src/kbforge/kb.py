@@ -1,4 +1,4 @@
-"""Typed triple store: loading, connectivity/type indexes, and enrichment.
+"""Typed triple store: loading, neighbour and type indexes, and enrichment.
 
 The store is immutable by convention after load and safe to share between
 threads for reads; ``add_triples`` is the only mutator and callers must
@@ -52,7 +52,8 @@ class Triple:
 
 
 class KnowledgeBase:
-    """Entities plus triples with O(1) connectivity and relation lookups."""
+    """Entities plus triples, with each entity's neighbour set and the
+    relations between each ordered pair."""
 
     def __init__(self, entities, triples=()):
         self._entities: dict[str, Entity] = {}
@@ -114,13 +115,9 @@ class KnowledgeBase:
 
     # -- connectivity ----------------------------------------------------
 
-    def connected(self, a: str, b: str) -> bool:
-        """True iff some triple links a and b, in either direction."""
-        self.entity(a)
-        self.entity(b)
-        return b in self._neighbors[a]
-
     def neighbors(self, entity_id: str) -> set[str]:
+        """The ids some triple links to entity_id, in either direction;
+        the index's own set, not a copy."""
         self.entity(entity_id)
         return self._neighbors[entity_id]
 

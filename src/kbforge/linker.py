@@ -213,13 +213,13 @@ class TrainableSpanClassifier:
 
 def generate_candidates(span: Span, kb: KnowledgeBase, table: EmbeddingTable | None,
                         k: int) -> Candidate | None:
-    """Dictionary hits (lexicographic) first, then embedding neighbors by
-    distance; None when both sources come up empty."""
+    """Dictionary hits by id first, then embedding neighbors by distance,
+    ties broken by id; None when both sources come up empty."""
     dict_hits = sorted(kb.entities_by_alias(span.surface))
     knn_hits: list[str] = []
     if table is not None and k > 0:
         for eid, _dist in knn_candidates(table, span.surface, k):
-            if eid in kb.entities and eid not in dict_hits and eid not in knn_hits:
+            if eid in kb.entities and eid not in dict_hits:
                 knn_hits.append(eid)
     if not dict_hits and not knn_hits:
         return None
@@ -233,11 +233,14 @@ def subgraph_link(sentence_candidates: list[Candidate],
     its strictly unique top-count candidate when that count is positive."""
     counts: list[dict[str, float]] = [dict.fromkeys(c.entities, 0.0)
                                       for c in sentence_candidates]
-    for i in range(len(sentence_candidates)):
-        for j in range(i + 1, len(sentence_candidates)):
-            for a in sentence_candidates[i].entities:
+    # one span has no pairs, and so no id to check
+    neighbors = ([[kb.neighbors(e) for e in c.entities] for c in sentence_candidates]
+                 if len(sentence_candidates) > 1 else [])
+    for i in range(len(neighbors)):
+        for j in range(i + 1, len(neighbors)):
+            for a, linked in zip(sentence_candidates[i].entities, neighbors[i]):
                 for b in sentence_candidates[j].entities:
-                    if kb.connected(a, b):
+                    if b in linked:
                         counts[i][a] += 1.0
                         counts[j][b] += 1.0
 

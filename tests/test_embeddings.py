@@ -419,23 +419,27 @@ def random_table(rng, n_words=8, n_entities=10, dim=6) -> EmbeddingTable:
 
 
 def test_knn_matches_brute_force():
+    # entity rows interleaved with words and in shuffled id order, where
+    # "e10" sorts before "e9"; some entities share a vector, so distances
+    # tie exactly and only the id can order them
+    ids = [f"e{i}" for i in range(12)]
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        table = random_table(rng)
-        phrase = "w0 w3"
-        got = knn_candidates(table, phrase, 4)
+        symbols = [f"w{i}" for i in range(8)] + [entity_symbol(e) for e in ids]
+        symbols = [symbols[i] for i in rng.permutation(len(symbols))]
+        vecs = rng.standard_normal((len(symbols), 6)).astype(np.float32)
+        for a, b in rng.choice(len(ids), size=(4, 2)):
+            vecs[symbols.index(entity_symbol(ids[b]))] = vecs[symbols.index(entity_symbol(ids[a]))]
+        table = EmbeddingTable(symbols, vecs)
 
         query = (table.vectors[table.index["w0"]].astype(np.float64)
                  + table.vectors[table.index["w3"]].astype(np.float64)) / 2
-        scored = []
-        for i in range(10):
-            sym = entity_symbol(f"e{i}")
-            d = np.linalg.norm(table.vectors[table.index[sym]].astype(np.float64)
-                               - query)
-            scored.append((d, f"e{i}"))
-        scored.sort()
-        expected = [e for _, e in scored[:4]]
-        assert [e for e, _ in got] == expected
+        scored = sorted((float(np.linalg.norm(table.vector(entity_symbol(e)).astype(np.float64)
+                                              - query)), e) for e in ids)
+        for k in (4, len(ids), len(ids) + 3):
+            got = knn_candidates(table, "w0 w3", k)
+            assert [e for e, _ in got] == [e for _, e in scored[:k]]
+            assert [d for _, d in got] == pytest.approx([d for d, _ in scored[:k]])
 
 
 def test_knn_ignores_oov_and_entity_tokens():

@@ -65,16 +65,20 @@ def test_reflexive_triples_rejected_by_default():
 
 
 def test_connected_is_symmetric_by_default():
+    # each triple links its ids both ways; e1 and e3 share only a neighbour
     kb = small_kb()
-    assert kb.connected("e2", "e1")
-    assert kb.connected("e1", "e2")
-    assert not kb.connected("e1", "e3")
+    assert "e1" in kb.neighbors("e2")
+    assert "e2" in kb.neighbors("e1")
+    assert "e3" not in kb.neighbors("e1")
 
 
 def test_neighbors_sorted_and_deduplicated():
     kb = small_kb()
     assert kb.neighbors("e2") == {"e1", "e3"}
     assert kb.neighbors("e1") == {"e2"}
+    assert kb.neighbors("e3") == {"e2"}
+    with pytest.raises(UnknownEntityError):
+        kb.neighbors("ghost")
 
 
 def test_relations_between_directional():

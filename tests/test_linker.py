@@ -11,7 +11,7 @@ from kbforge import nn
 from kbforge.corpus import Sentence, Span, Token, ingest_corpus
 from kbforge.datagen import BootstrapConfig, _extract_once
 from kbforge.embeddings import EmbeddingTable, entity_symbol
-from kbforge.kb import Entity, KnowledgeBase, Triple, load_kb
+from kbforge.kb import Entity, KnowledgeBase, Triple, UnknownEntityError, load_kb
 from kbforge.linker import (
     EL_BATCH,
     Candidate,
@@ -197,6 +197,16 @@ def test_subgraph_single_span_never_links():
     kb = stark_kb()
     cands = [Candidate(span_at(0, "Stark"), ["e1", "e2"], "dictionary")]
     assert subgraph_link(cands, kb) == [None]
+
+
+def test_subgraph_checks_candidate_ids_only_when_there_are_pairs():
+    kb = stark_kb()
+    ghost = Candidate(span_at(0, "Stark"), ["e1", "ghost"], "dictionary")
+    pepper = Candidate(span_at(2, "Pepper"), ["e3"], "dictionary")
+    assert subgraph_link([ghost], kb) == [None]
+    for pair in ([ghost, pepper], [pepper, ghost]):
+        with pytest.raises(UnknownEntityError, match="ghost"):
+            subgraph_link(pair, kb)
 
 
 def test_subgraph_tie_stays_open():

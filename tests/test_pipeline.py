@@ -59,14 +59,14 @@ epochs = 1
 
 [bootstrap]
 max_rounds = 2
-knn_k = 0
+knn_k = {knn_k}
 classifier_epochs = 1
 
 [el]
 hidden = 4
 mlp_hidden = 8
 epochs = 1
-knn_k = 0
+knn_k = {knn_k}
 
 [re]
 word_dim = 8
@@ -91,10 +91,10 @@ def tiny_fixture(tmp_path_factory):
 TINY_RE_EPOCHS = 5
 
 
-def write_tiny_config(tiny_fixture, out_dir, re_epochs=TINY_RE_EPOCHS, name=None):
+def write_tiny_config(tiny_fixture, out_dir, re_epochs=TINY_RE_EPOCHS, name=None, knn_k=0):
     path = out_dir.parent / f"{name or out_dir.name}.ini"
     path.write_text(TINY_TEMPLATE.format(fix=tiny_fixture, out=out_dir,
-                                         re_epochs=re_epochs))
+                                         re_epochs=re_epochs, knn_k=knn_k))
     return path
 
 
@@ -384,6 +384,27 @@ def test_rerun_is_fully_cached(tiny_run):
     assert report.to_json() == tiny_run["report"].to_json()
 
 
+def test_default_candidate_path_links_only_among_candidates(tiny_fixture, tmp_path):
+    # the other builds here set knn_k = 0; this one adds embedding
+    # neighbours to each span's candidates, as the default knn_k does
+    knn_k = 3
+    cfg_path = write_tiny_config(tiny_fixture, tmp_path / "artifacts", knn_k=knn_k)
+    runner = PipelineRunner(load_config(cfg_path))
+    runner.evaluate()
+    assert runner.stage_ran == {s: True for s in STAGES}
+    kb, table = runner.kb(), runner.embeddings()
+    spans = [sp for sentences in (runner.bootstrap()[0], runner.link_corpus()[0])
+             for sentence in sentences for sp in sentence.spans if sp.linked]
+    candidates = [generate_candidates(sp, kb, table, knn_k) for sp in spans]
+    assert spans
+    assert any(c.source != "dictionary" for c in candidates)
+    for sp, cand in zip(spans, candidates):
+        assert sp.linked in cand.entities, sp
+    rerun = PipelineRunner(load_config(cfg_path))
+    rerun.evaluate()
+    assert rerun.stage_ran == {s: False for s in STAGES}
+
+
 def test_config_edit_invalidates_only_downstream(tiny_run):
     cfg_path = write_tiny_config(tiny_run["fixture"], tiny_run["out"],
                                  re_epochs=2, name="edited")
@@ -518,6 +539,40 @@ def test_config_slice_edit_reruns_only_that_stage_and_downstream(
     assert runner.stage_ran[stage]
     ran = {s for s, flag in runner.stage_ran.items() if flag}
     assert ran <= {stage} | DOWNSTREAM[stage]
+
+
+# the stages whose config slice holds each section, restated from STAGES
+SLICE_STAGES = {"embeddings": {"embeddings"}, "bootstrap": {"bootstrap"},
+                "el": {"el", "link"}, "ds": {"bags"}, "re": {"re"}}
+
+
+def in_range_edit(value):
+    # + 2 keeps [re] hidden even; halving keeps a float inside (0, 1)
+    return value + 2 if type(value) is int else value / 2 if value else 0.5
+
+
+def test_every_config_field_edit_changes_exactly_its_stages_keys(tiny_run):
+    # the global seed is hashed into every key; the stage seeds derive from it
+    base = load_config(tiny_run["cfg_path"])
+    runner = PipelineRunner(base)
+
+    def keys(cfg):
+        runner.cfg = cfg
+        return {name: runner._key(stage) for name, stage in pipeline.STAGES.items()}
+
+    before = keys(base)
+    edits = {("pipeline", "seed"): (load_config(tiny_run["cfg_path"], seed=base.seed + 1),
+                                    set(STAGES))}
+    for section, stages in SLICE_STAGES.items():
+        for f in dataclasses.fields(CONFIG_CLASSES[section]):
+            if "bounds" in f.metadata:
+                old = getattr(base, section)
+                new = dataclasses.replace(old, **{f.name: in_range_edit(getattr(old, f.name))})
+                edits[(section, f.name)] = (dataclasses.replace(base, **{section: new}), stages)
+    assert set(edits) == {k for k in LEGAL if k[0] != "synth"}
+    for field, (cfg, stages) in edits.items():
+        after = keys(cfg)
+        assert {s for s in STAGES if after[s] != before[s]} == stages, field
 
 
 def test_gold_edit_reruns_only_evaluate(tiny_run, tmp_path):
