@@ -12,7 +12,7 @@ import numpy as np
 from .bounds import bounded, check_bounds
 from .corpus import Sentence
 from .embeddings import EmbeddingTable
-from .files import json_list, read_jsonl, write_json, write_jsonl
+from .files import json_int, json_list, read_json, read_jsonl, write_json, write_jsonl
 from .kb import KnowledgeBase
 from .linker import GazetteerRecognizer, TrainableSpanClassifier, link_sentence
 # unused here, but bench/test_bench.py patches it at this import site
@@ -21,13 +21,6 @@ from .linker import subgraph_link  # noqa: F401
 
 class DataGenError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class GenerationRound:
-    round_index: int          # 1-based
-    extracted_count: int
-    recognizer: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,12 +69,15 @@ def _extract_once(raw_corpus: list[Sentence], kb: KnowledgeBase,
 
 def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
                             table: EmbeddingTable | None, cfg: BootstrapConfig
-                            ) -> tuple[list[Sentence], list[GenerationRound]]:
-    """Round 1 extracts with the alias gazetteer; later rounds retrain a span
-    classifier on the previous round's labels and re-extract. Stops when the
-    extracted-sentence count drops (previous corpus wins) or at the round
-    cap; equal counts keep going. Every sentence's n-grams are hashed once,
-    into a feature table the classifier rounds share by sentence id."""
+                            ) -> tuple[list[Sentence], list[dict]]:
+    """The linked corpus, and per round its ``rounds.json`` record: the
+    1-based ``round``, the number of sentences it ``extracted`` and the
+    ``recognizer`` that tagged them. Round 1 extracts with the alias
+    gazetteer; later rounds retrain a span classifier on the previous round's
+    labels and re-extract. Stops when the extracted-sentence count drops
+    (previous corpus wins) or at the round cap; equal counts keep going.
+    Every sentence's n-grams are hashed once, into a feature table the
+    classifier rounds share by sentence id."""
     if not raw_corpus:
         raise DataGenError("bootstrap needs a non-empty corpus")
     seen: set[str] = set()
@@ -93,7 +89,7 @@ def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
     feature_table: dict[str, np.ndarray] = {}
 
     best = _extract_once(raw_corpus, kb, table, GazetteerRecognizer(kb), cfg)
-    rounds = [GenerationRound(1, len(best), "gazetteer")]
+    rounds = [{"round": 1, "extracted": len(best), "recognizer": "gazetteer"}]
     for round_index in range(2, cfg.max_rounds + 1):
         student = TrainableSpanClassifier(
             kb, cfg.classifier_feature_dim, cfg.classifier_lr,
@@ -103,16 +99,24 @@ def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
         except Exception as exc:
             raise DataGenError(f"round {round_index}: recognizer training failed: {exc}") from exc
         current = _extract_once(raw_corpus, kb, table, student, cfg)
-        rounds.append(GenerationRound(round_index, len(current), f"classifier-round-{round_index}"))
+        rounds.append({"round": round_index, "extracted": len(current),
+                       "recognizer": f"classifier-round-{round_index}"})
         if len(current) < len(best):
             break
         best = current
     return best, rounds
 
 
-def write_generation_report(rounds: list[GenerationRound], path) -> None:
-    write_json(path, {"rounds": [{"round": r.round_index, "extracted": r.extracted_count,
-                                  "recognizer": r.recognizer} for r in rounds]})
+def write_generation_report(rounds: list[dict], path) -> None:
+    """``rounds.json``: ``{"rounds": rounds}``."""
+    write_json(path, {"rounds": rounds})
+
+
+def load_generation_report(path) -> list[dict]:
+    """The records write_generation_report wrote; DataGenError names the file."""
+    return read_json(path, DataGenError, lambda doc: [
+        {"round": json_int(r["round"]), "extracted": json_int(r["extracted"]),
+         "recognizer": r["recognizer"]} for r in json_list(doc["rounds"])])
 
 
 def collect_pair_sentences(corpus: list[Sentence]) -> dict[tuple[str, str], list[str]]:

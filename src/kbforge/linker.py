@@ -389,6 +389,22 @@ def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
     return model
 
 
+def save_model(model: ContextLinkerModel, path) -> None:
+    nn.save_checkpoint(path, model.parameters(), {"trained": model.trained})
+
+
+def load_model(path, table: EmbeddingTable, cfg: ELConfig) -> ContextLinkerModel:
+    """The model save_model wrote, over ``table``; CheckpointError names the
+    path and the meta key for a checkpoint whose meta does not fit."""
+    meta, tensors = nn.load_checkpoint(path)
+    if "trained" not in meta:
+        raise nn.CheckpointError(f"{path}: meta lacks key 'trained'")
+    model = ContextLinkerModel(table, cfg)
+    nn.restore_parameters(model.parameters(), tensors)
+    model.trained = bool(meta["trained"])
+    return model
+
+
 def _draw_negative(rng: np.random.Generator, gold: str, cand_ids: list[str],
                    all_ids: list[str]) -> str:
     """A uniform draw from the candidates other than ``gold``; a span with

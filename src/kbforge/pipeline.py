@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import linker, relations
 from .bounds import bounded, check_bounds
 from .corpus import CorpusError, Sentence, ingest_corpus, sentence_from_record, write_corpus
 from .datagen import (
@@ -35,6 +35,7 @@ from .datagen import (
     check_split,
     distant_supervision,
     load_bags,
+    load_generation_report,
     save_bags,
     split_dataset,
     write_generation_report,
@@ -82,9 +83,8 @@ from .relations import (
     REModel,
     bag_instances,
     extract,
-    load_model,
-    save_extracted_triples,
-    save_model,
+    load_extraction,
+    save_extraction,
     train_re,
 )
 from .synth import load_gold_links, load_gold_triples
@@ -269,27 +269,9 @@ def _build_bootstrap(r: PipelineRunner, linked, report) -> None:
     write_generation_report(rounds, report)
 
 
-def _rounds(doc: dict) -> list[dict]:
-    return [{key: r[key] for key in ("round", "extracted", "recognizer")} for r in doc["rounds"]]
-
-
-def _load_bootstrap(r: PipelineRunner, linked, report):
-    return ingest_corpus(linked), read_json(report, PipelineError, _rounds)
-
-
 def _build_el(r: PipelineRunner, ckpt) -> None:
-    model = train_context_linker(r.bootstrap()[0], r.kb(), r.embeddings(), r.cfg.el)
-    nn.save_checkpoint(ckpt, model.parameters(), {"trained": True})
-
-
-def _load_el(r: PipelineRunner, ckpt) -> ContextLinkerModel:
-    meta, tensors = nn.load_checkpoint(ckpt)
-    if "trained" not in meta:
-        raise nn.CheckpointError(f"{ckpt}: meta lacks key 'trained'")
-    model = ContextLinkerModel(r.embeddings(), r.cfg.el)
-    nn.restore_parameters(model.parameters(), tensors)
-    model.trained = bool(meta["trained"])
-    return model
+    linker.save_model(train_context_linker(r.bootstrap()[0], r.kb(), r.embeddings(),
+                                           r.cfg.el), ckpt)
 
 
 BAG_SPLITS = ("all", "train", "valid", "test")
@@ -304,7 +286,7 @@ def _build_bags(r: PipelineRunner, *paths) -> None:
 
 def _build_re(r: PipelineRunner, ckpt) -> None:
     sentences_by_id = {s.id: s for s in r.bootstrap()[0]}
-    save_model(train_re(r.bags()["train"], sentences_by_id, r.kb(), r.cfg.re), ckpt)
+    relations.save_model(train_re(r.bags()["train"], sentences_by_id, r.kb(), r.cfg.re), ckpt)
 
 
 def _build_link(r: PipelineRunner, linked, evals) -> None:
@@ -332,54 +314,35 @@ def _link_eval_item(rec: dict) -> LinkEvalItem:
                         tuple(map(sys.intern, json_list(rec["ranking"]))))
 
 
-def _load_link(r: PipelineRunner, linked, evals):
-    return ingest_corpus(linked), read_jsonl(evals, _link_eval_item, PipelineError)
-
-
 def _build_extract(r: PipelineRunner, accepted_path, rejected_path) -> None:
     rejected = []
     accepted = extract(r.link_corpus()[0], r.kb(), r.re_model(), rejected_log=rejected)
-    save_extracted_triples(accepted, accepted_path)
-    write_rows(rejected_path, ((t.subject, t.relation, t.object, reason)
-                               for t, reason in rejected))
-
-
-def _extracted(s, rel, o, conf, sids) -> ExtractedTriple:
-    return ExtractedTriple(sys.intern(s), sys.intern(rel), sys.intern(o), float(conf),
-                           tuple(map(sys.intern, sids.split(","))) if sids else ())
-
-
-def _load_extract(r: PipelineRunner, accepted_path, rejected_path):
-    accepted = read_rows(accepted_path, 5, PipelineError, _extracted)
-    rejected = read_rows(rejected_path, 4, PipelineError,
-                         lambda s, rel, o, reason: (Triple(s, rel, o), reason))
-    return accepted, rejected
+    save_extraction(accepted, rejected, accepted_path, rejected_path)
 
 
 def _build_enrich(r: PipelineRunner, path, added_path) -> None:
+    """The KB plus the accepted triples it lacks; add_triples refuses a reflexive one."""
     kb = load_kb(r.cfg.entities_path, r.cfg.triples_path)
-    by_triple = {}
-    for t in r.extracted()[0]:
-        if t.triple() not in kb and t.subject != t.object:
-            prev = by_triple.get(t.triple())
-            sids = set(t.sentence_ids) | (set(prev) if prev else set())
-            by_triple[t.triple()] = tuple(sorted(sids))
-    kb.add_triples(sorted(by_triple))
+    added = sorted((t for t in r.extracted()[0] if t.triple() not in kb),
+                   key=ExtractedTriple.triple)
+    kb.add_triples(t.triple() for t in added)
     save_triples(kb, path)
-    write_rows(added_path, ((t.subject, t.relation, t.object, ",".join(by_triple[t]))
-                            for t in sorted(by_triple)))
+    write_rows(added_path, ((t.subject, t.relation, t.object, ",".join(sorted(t.sentence_ids)))
+                            for t in added))
 
 
 def _load_enrich(r: PipelineRunner, path, added_path) -> int:
-    """Number of triples the enrichment added to the KB."""
-    return len(read_rows(path, 3, PipelineError)) - r.kb().triple_count
+    """The rows of ``added_path``, as many as ``path`` holds beyond the KB."""
+    added = len(read_rows(added_path, 4, PipelineError))
+    if added != len(read_rows(path, 3, PipelineError)) - r.kb().triple_count:
+        raise PipelineError(f"{added_path}: {added} rows, not the KB's new triples in {path}")
+    return added
 
 
 def _build_evaluate(r: PipelineRunner, metrics_path) -> None:
     _, items = r.link_corpus()
     linked, rounds = r.bootstrap()
-    report = MetricsReport()
-    report.rounds = rounds
+    report = MetricsReport(rounds=rounds)
 
     if r.cfg.gold_links_path:
         report.el = eval_entity_linker(items, load_gold_links(r.cfg.gold_links_path))
@@ -441,19 +404,23 @@ STAGES = {stage.name: stage for stage in (
     Stage("embeddings", _KB + ("corpus",), lambda c: c.embeddings,
           ("embeddings.vec",), _build_embeddings, lambda r, vec: load_table(vec)),
     Stage("bootstrap", _KB + ("corpus", "embeddings.vec"), lambda c: c.bootstrap,
-          ("linked.jsonl", "rounds.json"), _build_bootstrap, _load_bootstrap),
+          ("linked.jsonl", "rounds.json"), _build_bootstrap,
+          lambda r, linked, report: (ingest_corpus(linked), load_generation_report(report))),
     Stage("el", ("linked.jsonl", "embeddings.vec") + _KB, lambda c: c.el,
-          ("el.ckpt",), _build_el, _load_el),
+          ("el.ckpt",), _build_el,
+          lambda r, ckpt: linker.load_model(ckpt, r.embeddings(), r.cfg.el)),
     Stage("bags", ("linked.jsonl",) + _KB,
           lambda c: {"ds": dataclasses.asdict(c.ds), "split": list(c.split)},
           _BAGS, _build_bags,
           lambda r, *paths: {name: load_bags(p) for name, p in zip(BAG_SPLITS, paths)}),
     Stage("re", ("bags_train.jsonl", "linked.jsonl") + _KB, lambda c: c.re,
-          ("re.ckpt",), _build_re, lambda r, ckpt: load_model(ckpt)),
+          ("re.ckpt",), _build_re, lambda r, ckpt: relations.load_model(ckpt)),
     Stage("link", ("corpus", "embeddings.vec", "el.ckpt") + _KB, lambda c: c.el,
-          ("final_linked.jsonl", "link_eval.jsonl"), _build_link, _load_link),
+          ("final_linked.jsonl", "link_eval.jsonl"), _build_link,
+          lambda r, linked, evals: (ingest_corpus(linked),
+                                    read_jsonl(evals, _link_eval_item, PipelineError))),
     Stage("extract", ("final_linked.jsonl", "re.ckpt") + _KB, lambda c: {},
-          ("extracted.tsv", "rejected.tsv"), _build_extract, _load_extract),
+          ("extracted.tsv", "rejected.tsv"), _build_extract, lambda r, *p: load_extraction(*p)),
     Stage("enrich", ("extracted.tsv",) + _KB, lambda c: {},
           ("enriched_triples.tsv", "enriched_added.tsv"), _build_enrich, _load_enrich),
     Stage("evaluate",

@@ -6,6 +6,8 @@ triples.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +16,7 @@ from . import nn
 from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span, sdp_adjacency, shortest_dependency_path
 from .datagen import Bag, collect_pair_sentences
-from .files import write_rows
+from .files import json_list, read_rows, write_rows
 from .kb import UNTYPED, KnowledgeBase, Triple, build_fact_type_templates
 
 NO_SPAN_TYPE = "O"
@@ -409,37 +411,47 @@ def extract(corpus: list[Sentence], kb: KnowledgeBase, model: REModel,
     return accepted
 
 
-def save_extracted_triples(triples: list[ExtractedTriple], path) -> None:
-    write_rows(path, ((t.subject, t.relation, t.object, repr(t.confidence),
-                       ",".join(t.sentence_ids)) for t in triples))
+def save_extraction(accepted, rejected, accepted_path, rejected_path) -> None:
+    """Rows ``subject relation object confidence sid,sid,...`` of ``accepted``
+    and ``subject relation object reason`` of the (triple, reason) ``rejected``."""
+    write_rows(accepted_path, ((t.subject, t.relation, t.object, repr(t.confidence),
+                                ",".join(t.sentence_ids)) for t in accepted))
+    write_rows(rejected_path, ((t.subject, t.relation, t.object, reason)
+                               for t, reason in rejected))
+
+
+def _accepted_triple(s, rel, o, conf, sids) -> ExtractedTriple:
+    return ExtractedTriple(sys.intern(s), sys.intern(rel), sys.intern(o), float(conf),
+                           tuple(map(sys.intern, sids.split(","))) if sids else ())
+
+
+def load_extraction(accepted_path, rejected_path) -> tuple[list, list]:
+    """What save_extraction wrote; RelationError names FILE:LINE."""
+    accepted = read_rows(accepted_path, 5, RelationError, _accepted_triple)
+    rejected = read_rows(rejected_path, 4, RelationError,
+                         lambda s, rel, o, reason: (Triple(s, rel, o), reason))
+    return accepted, rejected
 
 
 def save_model(model: REModel, path) -> None:
-    meta = {
-        "config": {k: getattr(model.cfg, k) for k in REConfig.__dataclass_fields__},
-        "relations": model.relations,
-        "word_vocab": [w for w, _ in sorted(model.word_index.items(), key=lambda p: p[1])],
-        "type_vocab": [w for w, _ in sorted(model.type_index.items(), key=lambda p: p[1])],
-        "tag_vocab": [w for w, _ in sorted(model.tag_index.items(), key=lambda p: p[1])],
-        "trained": model.trained,
-    }
-    nn.save_checkpoint(path, model.parameters(), meta)
+    # each index lists its words in the order of their ids
+    nn.save_checkpoint(path, model.parameters(), {
+        "config": dataclasses.asdict(model.cfg), "relations": model.relations,
+        "word_vocab": list(model.word_index), "type_vocab": list(model.type_index),
+        "tag_vocab": list(model.tag_index), "trained": model.trained})
 
 
 def load_model(path) -> REModel:
     """The model save_model wrote; CheckpointError names the path and the
-    meta key for a checkpoint whose meta does not fit REModel."""
+    meta key or reason for a checkpoint whose meta does not fit REModel."""
     meta, tensors = nn.load_checkpoint(path)
     try:
-        config, relations, trained = meta["config"], meta["relations"], meta["trained"]
-        vocabs = [[w for w in meta[key] if w != UNK]
-                  for key in ("word_vocab", "type_vocab", "tag_vocab")]
+        model = REModel(REConfig(**meta["config"]), json_list(meta["relations"]),
+                        *(json_list(meta[k]) for k in ("word_vocab", "type_vocab", "tag_vocab")))
+        model.trained = bool(meta["trained"])
     except KeyError as exc:
         raise nn.CheckpointError(f"{path}: meta lacks key {exc}") from exc
-    unknown = sorted(set(config) - set(REConfig.__dataclass_fields__))
-    if unknown:
-        raise nn.CheckpointError(f"{path}: meta config has unknown key {unknown[0]!r}")
-    model = REModel(REConfig(**config), relations, *vocabs)
+    except (TypeError, ValueError, RelationError) as exc:
+        raise nn.CheckpointError(f"{path}: meta does not fit REModel: {exc}") from exc
     nn.restore_parameters(model.parameters(), tensors)
-    model.trained = bool(trained)
     return model

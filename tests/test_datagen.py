@@ -15,6 +15,7 @@ from kbforge.datagen import (
     collect_pair_sentences,
     distant_supervision,
     load_bags,
+    load_generation_report,
     save_bags,
     split_dataset,
     write_generation_report,
@@ -50,8 +51,7 @@ def test_gazetteer_round_keeps_doubly_linked_sentences():
             for sp in linked[0].spans] == [("Tony", "e1", "person", "subgraph"),
                                            ("Pepper", "e2", "person", "subgraph")]
     assert len(rounds) == 1
-    assert rounds[0].recognizer == "gazetteer"
-    assert rounds[0].extracted_count == 1
+    assert rounds == [{"round": 1, "extracted": 1, "recognizer": "gazetteer"}]
 
 
 def test_bootstrap_rejects_empty_corpus():
@@ -80,7 +80,7 @@ def test_bootstrap_hashes_each_ngram_at_most_once(fixture_dir, monkeypatch):
 
     monkeypatch.setattr(TrainableSpanClassifier, "_hash_widths", counting)
     _, rounds = bootstrap_linked_corpus(raw, kb, None, BootstrapConfig(max_rounds=3, knn_k=0))
-    assert [r.recognizer for r in rounds][1:] == ["classifier-round-2", "classifier-round-3"]
+    assert [r["recognizer"] for r in rounds][1:] == ["classifier-round-2", "classifier-round-3"]
     # every n-gram up to the widest trained span of every raw sentence
     assert len(hashed) == sum(2 * len(s) - 1 for s in raw)
     assert max(hashed.values()) == 1
@@ -122,14 +122,14 @@ def test_round_count_drop_keeps_previous_corpus(monkeypatch):
     linked, rounds = scripted_rounds(monkeypatch, [5, 3], max_rounds=4)
     assert len(linked) == 5
     assert [s.id for s in linked] == [f"r0s{j}" for j in range(5)]
-    assert [(r.round_index, r.extracted_count) for r in rounds] == [(1, 5), (2, 3)]
+    assert [(r["round"], r["extracted"]) for r in rounds] == [(1, 5), (2, 3)]
 
 
 def test_round_equal_count_continues(monkeypatch):
     linked, rounds = scripted_rounds(monkeypatch, [5, 5, 6], max_rounds=3)
     assert len(linked) == 6
-    assert [r.extracted_count for r in rounds] == [5, 5, 6]
-    assert rounds[-1].recognizer == "classifier-round-3"
+    assert [r["extracted"] for r in rounds] == [5, 5, 6]
+    assert rounds[-1]["recognizer"] == "classifier-round-3"
 
 
 def test_round_cap_stops_even_when_growing(monkeypatch):
@@ -141,15 +141,28 @@ def test_round_cap_stops_even_when_growing(monkeypatch):
 def test_late_drop_keeps_best_so_far(monkeypatch):
     linked, rounds = scripted_rounds(monkeypatch, [5, 6, 4], max_rounds=3)
     assert len(linked) == 6
-    assert [r.extracted_count for r in rounds] == [5, 6, 4]
+    assert [r["extracted"] for r in rounds] == [5, 6, 4]
 
 
 def test_generation_report_schema(tmp_path):
     path = tmp_path / "rounds.json"
-    write_generation_report([datagen.GenerationRound(1, 7, "gazetteer")], path)
-    payload = json.loads(path.read_text())
-    assert payload == {"rounds": [{"round": 1, "extracted": 7,
-                                   "recognizer": "gazetteer"}]}
+    rounds = [{"round": 1, "extracted": 7, "recognizer": "gazetteer"}]
+    write_generation_report(rounds, path)
+    assert json.loads(path.read_text()) == {"rounds": rounds}
+    assert load_generation_report(path) == rounds
+
+
+@pytest.mark.parametrize("doc", [
+    {"rounds": "gazetteer"}, {"rounds": [{"round": "1", "extracted": 7, "recognizer": "g"}]},
+    {"rounds": [{"round": 1, "extracted": 7}]}, {"rounds": [[1, 7, "g"]]}, {},
+], ids=["rounds-not-a-list", "round-not-an-int", "no-recognizer", "record-not-an-object",
+        "no-rounds"])
+def test_generation_report_that_does_not_fit_is_a_datagen_error(tmp_path, doc):
+    path = tmp_path / "rounds.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataGenError) as err:
+        load_generation_report(path)
+    assert str(err.value).startswith(f"{path}:1: ")
 
 
 # -- distant supervision ------------------------------------------------------

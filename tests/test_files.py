@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from kbforge import files, pipeline
 from kbforge.corpus import CorpusError, Sentence, Span, Token, ingest_corpus, validate_sentence
-from kbforge.datagen import DataGenError, load_bags
+from kbforge.datagen import DataGenError, load_bags, load_generation_report
 from kbforge.embeddings import EmbeddingError, load_table
 from kbforge.kb import KBLoadError, load_kb
 from kbforge.pipeline import BenchmarkError, PipelineError, PipelineRunner, load_config
+from kbforge.relations import RelationError, load_extraction
 from kbforge.synth import load_gold_links, load_gold_triples
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kbforge"
@@ -126,7 +127,7 @@ def test_reader_errors_name_file_and_line(tmp_path, content, read, where):
     ("x 2\n", load_table, EmbeddingError, ":1:"),
     ("1 2\nw 0.5 abc\n", load_table, EmbeddingError, ":2:"),
     ("s1\tx\t3\te1\n", load_gold_links, KBLoadError, ":1:"),
-    ("a\tr\tb\thigh\ts1\n", lambda p: pipeline._load_extract(None, p, p), PipelineError, ":1:"),
+    ("a\tr\tb\thigh\ts1\n", lambda p: load_extraction(p, p), RelationError, ":1:"),
     ('{"el": {}, "extra": 1}\n', lambda p: pipeline.STAGES["evaluate"].load(None, p),
      PipelineError, ":1:"),
     ("2 2\nw 1 2\nw 3 4\n", load_table, EmbeddingError, ": duplicate symbols"),
@@ -220,14 +221,15 @@ LOADERS = {
     "embedding-table": (EmbeddingError, load_table, [("1", "2"), ("w", "0.5", "-1")]),
     "gold-links": (KBLoadError, load_gold_links, [("s1", "0", "1", "e1")]),
     "gold-triples": (KBLoadError, load_gold_triples, [("e1", "r", "e2")]),
-    "link-eval": (PipelineError, lambda p: pipeline._load_link(None, p.with_name("empty"), p),
+    "link-eval": (PipelineError,
+                  lambda p: pipeline.STAGES["link"].load(None, p.with_name("empty"), p),
                   [{"sentence": "s1", "start": 0, "end": 0, "method": "context",
                     "entity": "e1", "ranking": ["e1", "e2"]}]),
-    "extracted": (PipelineError, lambda p: pipeline._load_extract(None, p, p.with_name("empty")),
+    "extracted": (RelationError, lambda p: load_extraction(p, p.with_name("empty")),
                   [("e1", "r", "e2", "0.5", "s1,s2")]),
-    "rejected": (PipelineError, lambda p: pipeline._load_extract(None, p.with_name("empty"), p),
+    "rejected": (RelationError, lambda p: load_extraction(p.with_name("empty"), p),
                  [("e1", "r", "e2", "subject-type")]),
-    "rounds": (PipelineError, lambda p: pipeline._load_bootstrap(None, p.with_name("empty"), p),
+    "rounds": (DataGenError, load_generation_report,
                [{"rounds": [{"round": 1, "extracted": 2, "recognizer": "gazetteer"}]}]),
     "metrics": (PipelineError, lambda p: pipeline.STAGES["evaluate"].load(None, p),
                 [{"el": {}, "re": {}, "counts": {"sentences": 1}, "rounds": [],

@@ -13,7 +13,7 @@ from conftest import make_config
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kbforge import cli, files, nn, pipeline
+from kbforge import cli, files, linker, nn, pipeline
 from kbforge.datagen import BootstrapConfig, DistantSupervisionConfig, _extract_once
 from kbforge.embeddings import SkipGramConfig
 from kbforge.kb import load_kb
@@ -478,22 +478,32 @@ def test_missing_configured_input_names_stage_and_input(tiny_run, tmp_path):
         PipelineRunner(cfg).evaluate()
 
 
-@pytest.mark.parametrize("ckpt, edit, key", [
+@pytest.mark.parametrize("ckpt, edit, message", [
     # an re.ckpt written before REConfig lost freeze_word_vectors
     ("re.ckpt", lambda meta: meta["config"].update(freeze_word_vectors=False),
-     "freeze_word_vectors"),
-    ("re.ckpt", lambda meta: meta.pop("relations"), "relations"),
-    ("el.ckpt", lambda meta: meta.pop("trained"), "trained"),
-], ids=["re-unknown-config-key", "re-no-relations", "el-no-trained"])
+     "'freeze_word_vectors'"),
+    ("re.ckpt", lambda meta: meta.pop("relations"), "lacks key 'relations'"),
+    ("re.ckpt", lambda meta: meta["config"].update(hidden=3), "hidden must be even"),
+    ("re.ckpt", lambda meta: meta["config"].update(learning_rate=-1), "learning_rate must"),
+    ("re.ckpt", lambda meta: meta.update(config=list(meta["config"])), "must be a mapping"),
+    ("re.ckpt", lambda meta: meta.update(relations=[]), "relation vocabulary is empty"),
+    # a string used to load one character per word
+    ("re.ckpt", lambda meta: meta.update(word_vocab="".join(meta["word_vocab"])),
+     "expected a list"),
+    ("el.ckpt", lambda meta: meta.pop("trained"), "lacks key 'trained'"),
+], ids=["re-unknown-config-key", "re-no-relations", "re-odd-hidden", "re-negative-rate",
+        "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-trained"])
 def test_checkpoint_meta_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp_path,
-                                                                 ckpt, edit, key):
+                                                                 ckpt, edit, message):
     meta, tensors = nn.load_checkpoint(tiny_run["out"] / ckpt)
     edit(meta)
     forged = tmp_path / ckpt
     nn.save_checkpoint(forged, tensors, meta)
+    runner = tiny_run["runner"]
     load = (load_model if ckpt == "re.ckpt"
-            else lambda path: pipeline._load_el(tiny_run["runner"], path))
-    with pytest.raises(nn.CheckpointError, match=f"{re.escape(str(forged))}.*'{key}'"):
+            else lambda path: linker.load_model(path, runner.embeddings(), runner.cfg.el))
+    with pytest.raises(nn.CheckpointError,
+                       match=f"^{re.escape(str(forged))}: .*{re.escape(message)}"):
         load(forged)
 
 
@@ -714,6 +724,38 @@ def test_reloaded_artifacts_hold_interned_ids(tiny_run):
     ids += [x for t in accepted
             for x in (t.subject, t.relation, t.object, *t.sentence_ids)]
     assert all(x is sys.intern(x) for x in ids)
+
+
+def test_every_stage_loader_reads_each_of_its_outputs(tiny_run, monkeypatch):
+    runner, opened = tiny_run["runner"], set()
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        opened.add(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    for name, stage in pipeline.STAGES.items():
+        opened.clear()
+        stage.load(runner, *(tiny_run["out"] / o for o in stage.outputs))
+        assert set(stage.outputs) <= opened, name
+
+
+def test_enrich_loader_checks_the_added_rows_against_the_enriched_kb(tiny_run, tmp_path):
+    enriched, added = (tiny_run["out"] / o for o in pipeline.STAGES["enrich"].outputs)
+    load = lambda path: pipeline.STAGES["enrich"].load(tiny_run["runner"], enriched, path)
+    assert load(added) == tiny_run["report"].counts["enriched_added"]
+    extra = tmp_path / added.name
+    extra.write_text(added.read_text() + "e1\tr\te2\ts1\n")
+    with pytest.raises(PipelineError, match=f"^{re.escape(str(extra))}: "):
+        load(extra)
+
+
+def test_extracted_triples_hold_no_repeat_and_no_reflexive_triple(tiny_run):
+    accepted, rejected = tiny_run["runner"].extracted()
+    triples = [t.triple() for t in accepted] + [t for t, _ in rejected]
+    assert accepted and len(set(triples)) == len(triples)
+    assert all(t.subject != t.object for t in triples)
 
 
 def test_stage_outputs_exist(tiny_run):
