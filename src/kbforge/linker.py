@@ -105,31 +105,19 @@ class TrainableSpanClassifier:
         """(n-grams, 7) feature buckets of the sentence's n-grams of the
         given widths, rows in _ngrams order. The features are surface,
         length, gazetteer membership and the words at -1, -2, +1 and +2
-        ("<s>" past either end); the length is hashed once per width and
-        each context word once per position."""
+        ("<s>" past either end)."""
         words = [t.surface for t in sentence.tokens]
-        n = len(words)
         padded = ["<s>", "<s>"] + words + ["<s>", "<s>"]
-
-        def word(i: int) -> str:
-            return padded[i + 2]
-
         b = self._bucket
-        # by start position, then by end position
-        l1 = [b(f"l1={word(i - 1)}") for i in range(n)]
-        l2 = [b(f"l2={word(i - 2)}") for i in range(n)]
-        r1 = [b(f"r1={word(i + 1)}") for i in range(n)]
-        r2 = [b(f"r2={word(i + 2)}") for i in range(n)]
-        gaz = [b("gaz=False"), b("gaz=True")]
         rows = []
         for width in widths:
-            length = b(f"len={width}")
-            for start in range(n - width + 1):
+            for start in range(len(words) - width + 1):
                 end = start + width - 1
                 surface = " ".join(words[start:end + 1])
-                rows.append((b(f"surf={surface}"), length,
-                             gaz[bool(self.kb.entities_by_alias(surface))],
-                             l1[start], l2[start], r1[end], r2[end]))
+                rows.append((b(f"surf={surface}"), b(f"len={width}"),
+                             b(f"gaz={bool(self.kb.entities_by_alias(surface))}"),
+                             b(f"l1={padded[start + 1]}"), b(f"l2={padded[start]}"),
+                             b(f"r1={padded[end + 3]}"), b(f"r2={padded[end + 4]}")))
         return np.array(rows, dtype=np.intp).reshape(-1, 7)
 
     def _ngrams(self, sentence: Sentence):
@@ -327,8 +315,8 @@ class ContextLinkerModel:
         entities = [gold for _, _, gold, _ in items] + negatives
         scores = self._scores(nn.concat([v_c, v_c], axis=1), np.tile(spans, 2), entities)
         margin = np.array([[self.cfg.margin]], dtype=scores.dtype)
-        return nn.relu(nn.add(nn.sub(nn.narrow(scores, 1, b, b),
-                                     nn.narrow(scores, 1, 0, b)), margin))
+        return nn.relu(nn.add(nn.sub(nn.take(scores, np.arange(b, 2 * b), axis=1),
+                                     nn.take(scores, np.arange(b), axis=1)), margin))
 
     def score_candidates(self, v_c: nn.Tensor, span: Span,
                          entities: list[str]) -> list[float]:
@@ -395,12 +383,12 @@ def save_model(model: ContextLinkerModel, path) -> None:
 
 def load_model(path, table: EmbeddingTable, cfg: ELConfig) -> ContextLinkerModel:
     """The model save_model wrote, over ``table``; CheckpointError names the
-    path and the meta key for a checkpoint whose meta does not fit."""
+    path, and the meta key or tensor, for a checkpoint that does not fit."""
     meta, tensors = nn.load_checkpoint(path)
     if "trained" not in meta:
         raise nn.CheckpointError(f"{path}: meta lacks key 'trained'")
     model = ContextLinkerModel(table, cfg)
-    nn.restore_parameters(model.parameters(), tensors)
+    nn.restore_parameters(model.parameters(), tensors, path)
     model.trained = bool(meta["trained"])
     return model
 
@@ -456,7 +444,7 @@ def link_sentence(sentence: Sentence, kb: KnowledgeBase, recognizer,
 
 
 def link(sentence: Sentence, kb: KnowledgeBase, table: EmbeddingTable | None,
-         model: ContextLinkerModel | None, recognizer, knn_k: int = 10) -> list[LinkDecision]:
+         model: ContextLinkerModel | None, recognizer, knn_k: int) -> list[LinkDecision]:
     """``link_sentence`` that must decide every span: the context model is
     only touched when the sub-graph step leaves something open, and a span
     left open without one raises LinkError."""

@@ -13,7 +13,6 @@ from .autograd import (
     max_pool_segments,
     mean,
     mul,
-    narrow,
     no_grad,
     relu,
     scale,

@@ -69,15 +69,7 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            data = self.data
-            if (type(g) is np.ndarray and data.ndim and g.shape == data.shape
-                    and g.strides == data.strides and g.dtype == data.dtype):
-                # a fresh array, never g itself, laid out like zeros_like(data)
-                # (the layout decides how later products round); 0.0 + g turns
-                # -0.0 into +0.0 exactly as a zero-filled buffer plus g does
-                self.grad = g + data.dtype.type(0)
-                return
-            self.grad = np.zeros_like(data)
+            self.grad = np.zeros_like(self.data)
         self.grad += g
 
     def backward(self, seed=None) -> None:
@@ -195,20 +187,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
                  lambda g: tuple(np.split(g, splits, axis=axis)))
-
-
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    a = _wrap(a)
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _node(a.data[idx].copy(), (a,), back)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:

@@ -106,18 +106,19 @@ def _parse(body: bytes):
     return header["meta"], tensors
 
 
-def restore_parameters(params, tensors: dict[str, np.ndarray]) -> None:
-    """Load ``tensors`` into ``params``; the two must name the same tensors
-    with the same shapes."""
+def restore_parameters(params, tensors: dict[str, np.ndarray], path) -> None:
+    """Load ``tensors``, read from the checkpoint at ``path``, into
+    ``params``; the two must name the same tensors with the same shapes,
+    and CheckpointError names ``path`` when they do not."""
     params = list(params)
     extra = sorted(set(tensors) - {p.name for p in params})
     if extra:
-        raise CheckpointError(f"checkpoint tensor {extra[0]!r} names no parameter")
+        raise CheckpointError(f"{path}: checkpoint tensor {extra[0]!r} names no parameter")
     for p in params:
         if p.name not in tensors:
-            raise CheckpointError(f"checkpoint missing parameter {p.name!r}")
+            raise CheckpointError(f"{path}: checkpoint missing parameter {p.name!r}")
         arr = tensors[p.name]
         if arr.shape != p.data.shape:
             raise CheckpointError(
-                f"shape mismatch for {p.name!r}: {arr.shape} vs {p.data.shape}")
+                f"{path}: shape mismatch for {p.name!r}: {arr.shape} vs {p.data.shape}")
         p.data = arr.astype(p.data.dtype)

@@ -443,7 +443,7 @@ def save_model(model: REModel, path) -> None:
 
 def load_model(path) -> REModel:
     """The model save_model wrote; CheckpointError names the path and the
-    meta key or reason for a checkpoint whose meta does not fit REModel."""
+    meta key, tensor or reason for a checkpoint that does not fit REModel."""
     meta, tensors = nn.load_checkpoint(path)
     try:
         model = REModel(REConfig(**meta["config"]), json_list(meta["relations"]),
@@ -453,5 +453,5 @@ def load_model(path) -> REModel:
         raise nn.CheckpointError(f"{path}: meta lacks key {exc}") from exc
     except (TypeError, ValueError, RelationError) as exc:
         raise nn.CheckpointError(f"{path}: meta does not fit REModel: {exc}") from exc
-    nn.restore_parameters(model.parameters(), tensors)
+    nn.restore_parameters(model.parameters(), tensors, path)
     return model

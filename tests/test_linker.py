@@ -757,11 +757,9 @@ def test_span_feature_rows_match_the_per_ngram_reference(words, widths, feature_
         got = clf._feature_rows(sentence)
         assert got.shape == (len(want), 7)
         assert got.tolist() == want
-        # one surface per new n-gram, one length per new width, the two
-        # gazetteer values, and each of the four context words per position
+        # seven features per new n-gram; none when the table holds every width
         new = range(done + 1, min(width, n) + 1)
-        assert len(hashed) == (sum(n - w + 1 for w in new) + len(new) + 2 + 4 * n
-                               if new else 0)
+        assert len(hashed) == 7 * sum(n - w + 1 for w in new)
         if shared:
             done = max(done, min(width, n))
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kbforge import cli, files, linker, nn, pipeline
 from kbforge.datagen import BootstrapConfig, DistantSupervisionConfig, _extract_once
 from kbforge.embeddings import SkipGramConfig
-from kbforge.kb import load_kb
+from kbforge.kb import Triple, load_kb
 from kbforge.linker import (
     ELConfig,
     GazetteerRecognizer,
@@ -26,7 +26,7 @@ from kbforge.linker import (
     subgraph_link,
 )
 from kbforge.nn import no_grad
-from kbforge.relations import REConfig, load_model
+from kbforge.relations import ExtractedTriple, REConfig, load_model
 from kbforge.pipeline import (
     BenchmarkError,
     PipelineError,
@@ -495,8 +495,31 @@ def test_missing_configured_input_names_stage_and_input(tiny_run, tmp_path):
         "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-trained"])
 def test_checkpoint_meta_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp_path,
                                                                  ckpt, edit, message):
+    assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, lambda meta, _: edit(meta),
+                                   message)
+
+
+@pytest.mark.parametrize("ckpt, edit, message", [
+    ("re.ckpt", lambda t: t.update({"re.threshold": np.repeat(t["re.threshold"], 2, axis=0)}),
+     "shape mismatch for 're.threshold': (2, 1) vs (1, 1)"),
+    ("el.ckpt", lambda t: t.update({"el.scorer.l1.b": t["el.scorer.l1.b"].T}),
+     "shape mismatch for 'el.scorer.l1.b': (1, 8) vs (8, 1)"),
+    ("el.ckpt", lambda t: t.pop("el.encoder.fwd.wh"),
+     "checkpoint missing parameter 'el.encoder.fwd.wh'"),
+    ("re.ckpt", lambda t: t.update(stray=t["re.threshold"]),
+     "checkpoint tensor 'stray' names no parameter"),
+], ids=["re-wrong-shape", "el-wrong-shape", "el-missing-tensor", "re-extra-tensor"])
+def test_checkpoint_tensor_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp_path,
+                                                                   ckpt, edit, message):
+    assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, lambda _, tensors: edit(tensors),
+                                   message)
+
+
+def assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, edit, message):
+    """A copy of the built ``ckpt`` after ``edit(meta, tensors)`` fails to
+    load with a CheckpointError that names the copy's path, then ``message``."""
     meta, tensors = nn.load_checkpoint(tiny_run["out"] / ckpt)
-    edit(meta)
+    edit(meta, tensors)
     forged = tmp_path / ckpt
     nn.save_checkpoint(forged, tensors, meta)
     runner = tiny_run["runner"]
@@ -749,6 +772,26 @@ def test_enrich_loader_checks_the_added_rows_against_the_enriched_kb(tiny_run, t
     extra.write_text(added.read_text() + "e1\tr\te2\ts1\n")
     with pytest.raises(PipelineError, match=f"^{re.escape(str(extra))}: "):
         load(extra)
+
+
+def test_enrich_writes_an_accepted_triple_new_to_the_kb(tiny_run, tmp_path, monkeypatch):
+    # the tiny run accepts only triples the KB holds, so extract is made to
+    # return one more, between two entities the KB does not connect
+    out = tmp_path / "artifacts"
+    shutil.copytree(tiny_run["out"], out)
+    enriched, added = (out / o for o in pipeline.STAGES["enrich"].outputs)
+    enriched.unlink()
+    runner = PipelineRunner(load_config(write_tiny_config(tiny_run["fixture"], out)))
+    kb, (accepted, rejected) = runner.kb(), runner.extracted()
+    relation = accepted[0].relation
+    new = next(ExtractedTriple(s, relation, o, 0.9, ("s9", "s10"))
+               for s in sorted(kb.entities) for o in sorted(kb.entities)
+               if s != o and Triple(s, relation, o) not in kb)
+    monkeypatch.setattr(runner, "extracted", lambda: (accepted + [new], rejected))
+    assert runner.enriched() == 1 and runner.stage_ran["enrich"]
+    assert added.read_text() == f"{new.subject}\t{new.relation}\t{new.object}\ts10,s9\n"
+    grown = load_kb(runner.cfg.entities_path, enriched)
+    assert set(grown.iter_triples()) == set(kb.iter_triples()) | {new.triple()}
 
 
 def test_extracted_triples_hold_no_repeat_and_no_reflexive_triple(tiny_run):
