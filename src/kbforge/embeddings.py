@@ -138,7 +138,7 @@ SGD_BLOCK = 64
 class _NegativeSampler:
     """unigram^0.75 samplers, one per namespace: a context's negatives come
     from its own namespace. Each namespace maps symbols to their counts,
-    and together they cover every symbol of ``index``."""
+    each at least 1, and together they cover every symbol of ``index``."""
 
     def __init__(self, index: dict[str, int], namespaces: list[dict[str, int]]):
         self.space = np.zeros(len(index), dtype=np.int64)  # namespace of each row
@@ -147,12 +147,8 @@ class _NegativeSampler:
             rows = np.array([index[s] for s in counts], dtype=np.int64)
             self.space[rows] = i
             weights = np.array(list(counts.values()), dtype=np.float64) ** 0.75
-            total = weights.sum()
-            if total <= 0:
-                weights = np.ones_like(weights)
-                total = weights.sum()
             self.rows.append(rows)
-            self.cums.append(np.cumsum(weights / total))
+            self.cums.append(np.cumsum(weights / weights.sum()))
 
     def pick(self, contexts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Row i of the result: the rows that row i of ``uniforms`` (in

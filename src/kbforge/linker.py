@@ -25,7 +25,7 @@ class LinkError(Exception):
 class Candidate:
     span: Span
     entities: list[str]
-    source: str  # dictionary | knn | both
+    source: str  # dictionary | knn
 
     def __post_init__(self):
         if not self.entities:
@@ -201,18 +201,16 @@ class TrainableSpanClassifier:
 
 def generate_candidates(span: Span, kb: KnowledgeBase, table: EmbeddingTable | None,
                         k: int) -> Candidate | None:
-    """Dictionary hits by id first, then embedding neighbors by distance,
-    ties broken by id; None when both sources come up empty."""
+    """The span's dictionary hits in id order; for a span with none, its
+    ``k`` nearest KB entities (ties broken by id) when ``table`` is given
+    and ``k > 0``. None when that leaves no entity."""
     dict_hits = sorted(kb.entities_by_alias(span.surface))
-    knn_hits: list[str] = []
-    if table is not None and k > 0:
-        for eid, _dist in knn_candidates(table, span.surface, k):
-            if eid in kb.entities and eid not in dict_hits:
-                knn_hits.append(eid)
-    if not dict_hits and not knn_hits:
+    if dict_hits:
+        return Candidate(span, dict_hits, "dictionary")
+    if table is None or k <= 0:
         return None
-    source = "both" if dict_hits and knn_hits else ("dictionary" if dict_hits else "knn")
-    return Candidate(span, dict_hits + knn_hits, source)
+    knn_hits = [eid for eid, _ in knn_candidates(table, span.surface, k) if eid in kb.entities]
+    return Candidate(span, knn_hits, "knn") if knn_hits else None
 
 
 def subgraph_link(sentence_candidates: list[Candidate],
@@ -415,9 +413,11 @@ def link_sentence(sentence: Sentence, kb: KnowledgeBase, recognizer,
                   model: ContextLinkerModel | None = None) -> list[LinkDecision | None]:
     """recognize -> candidates -> sub-graph step, then, only when ``model``
     is given, the context step for the spans the sub-graph step leaves open
-    (None for each of them otherwise). Spans with no candidates yield no
-    entry. A decision's span is the recognized span linked to its entity,
-    typed by the KB and tagged with the method that chose it."""
+    (None for each of them otherwise). Only a span with no alias hit gets
+    embedding neighbours as candidates (``generate_candidates``), and a
+    span with no candidates yields no entry. A decision's span is the
+    recognized span linked to its entity, typed by the KB and tagged with
+    the method that chose it."""
     cands = [c for c in (generate_candidates(sp, kb, table, knn_k)
                          for sp in recognizer.recognize(sentence)) if c is not None]
     v_c = None

@@ -1,6 +1,7 @@
 import math
 import sys
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from kbforge import nn
 from kbforge.corpus import Sentence, Span, Token, ingest_corpus
 from kbforge.datagen import BootstrapConfig, _extract_once
-from kbforge.embeddings import EmbeddingTable, entity_symbol
+from kbforge.embeddings import EmbeddingTable, entity_symbol, knn_candidates
 from kbforge.kb import Entity, KnowledgeBase, Triple, UnknownEntityError, load_kb
 from kbforge.linker import (
     EL_BATCH,
@@ -163,11 +164,47 @@ def test_candidates_knn_order_and_filtering():
     assert c.entities == ["e3", "e1", "e2"]
     assert c.source == "knn"
 
-    # dictionary hits come first and are not repeated by the knn stage
+    # a span with dictionary hits gets exactly those: no neighbours added
     c = generate_candidates(span_at(0, "Stark"), kb, table, 5)
-    assert c.entities[:2] == ["e1", "e2"]
-    assert c.entities == ["e1", "e2", "e3"]
-    assert c.source == "both"
+    assert c.entities == ["e1", "e2"]
+    assert c.source == "dictionary"
+
+
+_CAND_WORDS = ["w0", "w1", "w2", "oov"]  # the table has no row for "oov"
+
+
+@settings(max_examples=300, deadline=None)
+@given(aliases=st.lists(st.sets(st.sampled_from(_CAND_WORDS), max_size=3),
+                        min_size=1, max_size=6),
+       coords=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       min_size=9, max_size=9),
+       words=st.lists(st.sampled_from(_CAND_WORDS), min_size=1, max_size=2),
+       with_table=st.booleans(), data=st.data())
+def test_candidates_are_the_dictionary_hits_or_else_the_nearest_entities(
+        aliases, coords, words, with_table, data):
+    # small integer coordinates make distance ties common, and exact
+    ids = [f"e{i}" for i in range(len(aliases))]
+    kb = KnowledgeBase([Entity(e, f"name of {e}", tuple(sorted(a)))
+                        for e, a in zip(ids, aliases)])
+    symbols = _CAND_WORDS[:3] + [entity_symbol(e) for e in ids]
+    vecs = np.array(coords[:len(symbols)], dtype=np.float32)
+    table = EmbeddingTable(symbols, vecs) if with_table else None
+    k = data.draw(st.integers(0, len(ids)), label="k")
+    surface = " ".join(words)
+    got = generate_candidates(span_at(0, surface), kb, table, k)
+
+    hits = sorted(e for e, a in zip(ids, aliases) if surface in a)
+    if hits:
+        assert (got.entities, got.source) == (hits, "dictionary")
+        return
+    known = [coords[_CAND_WORDS.index(w)] for w in words if w != "oov"]
+    if table is None or k == 0 or not known:
+        assert got is None
+        return
+    query = [sum(Fraction(v[d]) for v in known) / len(known) for d in (0, 1)]
+    dist2 = {e: sum((c - q) ** 2 for c, q in zip(coords[3 + i], query))
+             for i, e in enumerate(ids)}
+    assert (got.entities, got.source) == (sorted(ids, key=lambda e: (dist2[e], e))[:k], "knn")
 
 
 def test_candidate_rejects_empty_and_duplicates():
@@ -616,6 +653,33 @@ def test_link_sentence_encodes_each_sentence_once(monkeypatch):
         scores = model.score_candidates(encode(model, sent), d.span, ["e1", "e2"])
         assert d.score == max(scores)
     assert link_sentence(sent, kb, GazetteerRecognizer(kb), table, 0) == [None, None]
+
+
+class OneSpanRecognizer:
+    """Proposes one fixed span, as a trained span classifier may propose a
+    surface that no KB alias has."""
+
+    def __init__(self, span):
+        self.span = span
+
+    def recognize(self, sentence):
+        return [self.span]
+
+
+def test_link_sentence_asks_knn_only_for_a_span_outside_the_alias_table():
+    kb = stark_kb()
+    table, model = trained_model(kb)
+    sent = mk_sentence(["suits", "built"])
+    recognizer = OneSpanRecognizer(span_at(0, "suits"))
+    assert not kb.entities_by_alias("suits")
+    nearest = [e for e, _ in knn_candidates(table, "suits", 2)]
+    (got,) = link_sentence(sent, kb, recognizer, table, 2, model)
+    assert (got.method, got.span.surface) == ("context", "suits")
+    assert got.entity == got.ranking[0] and sorted(got.ranking) == sorted(nearest)
+    assert got.span.linked == got.entity
+    assert link_sentence(sent, kb, recognizer, table, 2) == [None]
+    assert link_sentence(sent, kb, recognizer, table, 0, model) == []
+    assert link_sentence(sent, kb, recognizer, None, 2, model) == []
 
 
 # -- span classifier ------------------------------------------------------------

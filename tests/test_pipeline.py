@@ -384,11 +384,19 @@ def test_rerun_is_fully_cached(tiny_run):
     assert report.to_json() == tiny_run["report"].to_json()
 
 
-def test_default_candidate_path_links_only_among_candidates(tiny_fixture, tmp_path):
-    # the other builds here set knn_k = 0; this one adds embedding
-    # neighbours to each span's candidates, as the default knn_k does
+def stage_sha256(out: Path) -> dict[str, dict[str, str]]:
+    """Each stage's output file -> sha256 map, as its cache.json records it."""
+    return {stage: entry["sha256"]
+            for stage, entry in json.loads((out / "cache.json").read_text()).items()}
+
+
+def test_default_candidate_path_links_only_among_candidates(tiny_run, tmp_path):
+    # the other builds here set knn_k = 0; this one lets a span the alias
+    # table misses ask for embedding neighbours, as the default knn_k does.
+    # Every span of the tiny fixture is an alias, so the build is the same.
     knn_k = 3
-    cfg_path = write_tiny_config(tiny_fixture, tmp_path / "artifacts", knn_k=knn_k)
+    out = tmp_path / "artifacts"
+    cfg_path = write_tiny_config(tiny_run["fixture"], out, knn_k=knn_k)
     runner = PipelineRunner(load_config(cfg_path))
     runner.evaluate()
     assert runner.stage_ran == {s: True for s in STAGES}
@@ -397,12 +405,31 @@ def test_default_candidate_path_links_only_among_candidates(tiny_fixture, tmp_pa
              for sentence in sentences for sp in sentence.spans if sp.linked]
     candidates = [generate_candidates(sp, kb, table, knn_k) for sp in spans]
     assert spans
-    assert any(c.source != "dictionary" for c in candidates)
     for sp, cand in zip(spans, candidates):
         assert sp.linked in cand.entities, sp
+    assert stage_sha256(out) == stage_sha256(tiny_run["out"])
     rerun = PipelineRunner(load_config(cfg_path))
     rerun.evaluate()
     assert rerun.stage_ran == {s: False for s in STAGES}
+
+
+def test_default_knn_k_builds_the_measured_kb(full_run, tmp_path):
+    # the tier-1 build with both knn_k lines left out, so both take their
+    # default: every span there is an alias, so only the stages that read
+    # knn_k rerun, and each writes the bytes it wrote with knn_k = 0
+    out = tmp_path / "artifacts"
+    shutil.copytree(full_run["out"], out)
+    cfg_path = make_config(full_run["fixture_dir"], out)
+    template = cfg_path.read_text()
+    assert template.count("knn_k = 0\n") == 2
+    cfg_path.write_text(template.replace("knn_k = 0\n", ""))
+    cfg = load_config(cfg_path)
+    assert cfg.bootstrap.knn_k == cfg.el.knn_k == 10
+    runner = PipelineRunner(cfg)
+    report = runner.evaluate()
+    assert stage_sha256(out) == stage_sha256(full_run["out"])
+    assert report.to_json() == full_run["report"].to_json()
+    assert {s for s, ran in runner.stage_ran.items() if ran} == {"bootstrap", "el", "link"}
 
 
 def test_config_edit_invalidates_only_downstream(tiny_run):
