@@ -58,7 +58,7 @@ def make_span(sentence: Sentence, start: int, end: int, span_type=None, linked=N
     return Span(start, end, sentence.surface(start, end), span_type, linked, method)
 
 
-def _validate_tree(sid: str, heads: list[int]) -> None:
+def validate_tree(sid: str, heads: list[int]) -> None:
     """Every head in range, exactly one root, and no cycle: each token's
     walk up its heads reaches the root. O(n): a walk stops at a token an
     earlier walk passed, which reaches the root."""
@@ -99,7 +99,7 @@ def validate_sentence(sentence: Sentence) -> None:
     for i, tok in enumerate(sentence.tokens):
         if tok.index != i:
             raise CorpusError(f"sentence {sid!r}: token index {tok.index} at position {i}")
-    _validate_tree(sid, sentence.heads())
+    validate_tree(sid, sentence.heads())
     _check_spans(sid, sentence.spans, n)
 
 
@@ -167,7 +167,7 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
                                    method and sys.intern(method)))
         except TypeError:
             raise CorpusError(f"sentence {sid!r}: span labels must be strings") from None
-    _validate_tree(sid, heads)
+    validate_tree(sid, heads)
     if not in_order:
         _check_spans(sid, sent.spans, n)
     return sent

@@ -181,8 +181,8 @@ def _scatter_add(table, rows, updates, cap: int) -> None:
 
 def _sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
     """One pass of negative-sampling SGD over (center, context) pairs, pair
-    i at rate ``lrs[i]``. Updates vectors/ctx in place; appends per-pair
-    losses to loss_out.
+    i at rate ``lrs[i]``. Updates vectors/ctx in place; writes pair i's
+    loss to ``loss_out[i]``, a float64 array as long as ``centers``.
 
     Pairs go in blocks of SGD_BLOCK. A block draws its negatives with one
     ``rng.random((n, k))`` call (the same stream as n calls of k), reads its
@@ -209,7 +209,7 @@ def _sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
         _scatter_add(ctx, rows.ravel(), ctx_updates.reshape(n * (k + 1), -1), k + 1)
         # clamp keeps log finite when a score saturates
         p = np.clip(np.where(labels > 0, scores, 1.0 - scores), 1e-10, 1.0)
-        loss_out.extend((-np.log(p).sum(axis=1)).tolist())
+        loss_out[lo:lo + n] = -np.log(p).sum(axis=1)
 
 
 def _train_pairs(table: EmbeddingTable, pair_sets, sampler: _NegativeSampler,
@@ -218,18 +218,19 @@ def _train_pairs(table: EmbeddingTable, pair_sets, sampler: _NegativeSampler,
     context) rows in ``pair_sets``, in order and in a fresh permutation. The
     rate decays linearly over all the run's pairs; each epoch's mean pair
     loss is appended to ``table.epoch_losses``."""
-    total, done = cfg.epochs * sum(map(len, pair_sets)), 0
+    sizes = list(map(len, pair_sets))
+    total, done = cfg.epochs * sum(sizes), 0
     if total == 0:
         return
     ctx = np.zeros_like(table.vectors)
+    losses = np.empty(sum(sizes))  # the pair losses of one epoch
     for _ in range(cfg.epochs):
-        losses: list[float] = []
-        for pairs in pair_sets:
+        for pairs, pair_losses in zip(pair_sets, np.split(losses, np.cumsum(sizes)[:-1])):
             n = len(pairs)
             order = rng.permutation(n)
             lrs = cfg.learning_rate * np.maximum(1 - np.arange(done, done + n) / total, 1e-4)
             _sgd_pairs(table.vectors, ctx, pairs[order, 0], pairs[order, 1], lrs,
-                       sampler, rng, cfg.negatives, losses)
+                       sampler, rng, cfg.negatives, pair_losses)
             done += n
         table.epoch_losses.append(float(np.mean(losses)))
 
@@ -269,6 +270,20 @@ def _linked_stream(sentence) -> list[tuple[bool, str]]:
     return out
 
 
+def _window_pair_rows(streams, index: dict[str, int], window: int) -> np.ndarray:
+    """(center, context) rows of every position of every stream, each with
+    every other position of its stream at most ``window`` away, by center and
+    then by context position: one (n, 2) array, not one tuple per pair."""
+    lengths = [len(stream) for stream in streams]
+    rows = np.array([index[s] for stream in streams for _, s in stream], dtype=np.int64)
+    # the stream of each position spans [start, end)
+    end = np.repeat(np.cumsum(lengths, dtype=np.int64), lengths)[:, None]
+    start = end - np.repeat(lengths, lengths)[:, None]
+    contexts = np.arange(len(rows))[:, None] + [d for d in range(-window, window + 1) if d]
+    inside = (start <= contexts) & (contexts < end)
+    return np.stack([rows[inside.nonzero()[0]], rows[contexts[inside]]], axis=1)
+
+
 def train_joint_embeddings(sentences, kb: KnowledgeBase, init: EmbeddingTable,
                            cfg: SkipGramConfig) -> EmbeddingTable:
     if not sentences:
@@ -301,18 +316,8 @@ def train_joint_embeddings(sentences, kb: KnowledgeBase, init: EmbeddingTable,
     sampler = _NegativeSampler(idx, [{s: word_counts[s] for s in word_symbols},
                                      {s: ent_counts.get(s, 0) + 1 for s in ent_symbols}])
 
-    text_pairs = []
-    for si, stream in enumerate(streams):
-        rows = [idx[s] for _, s in stream]
-        for t, center in enumerate(rows):
-            lo = max(0, t - cfg.window)
-            hi = min(len(rows) - 1, t + cfg.window)
-            for j in range(lo, hi + 1):
-                if j != t:
-                    text_pairs.append((center, rows[j]))
-    text_pairs = np.asarray(text_pairs, dtype=np.int64).reshape(-1, 2)
-
-    _train_pairs(table, [text_pairs, _kb_pair_rows(kb, idx)], sampler, rng, cfg)
+    _train_pairs(table, [_window_pair_rows(streams, idx, cfg.window),
+                         _kb_pair_rows(kb, idx)], sampler, rng, cfg)
     return table
 
 

@@ -19,6 +19,10 @@ _BLOCK = 1 << 16
 # the whitespace JSON allows after a value
 _JSON_SPACE = " \t\n\r"
 _decode = json.JSONDecoder().raw_decode
+# what json.dumps(doc, sort_keys=True) and json.dumps(doc, sort_keys=True,
+# indent=2) encode with, made once: json.dumps makes an encoder per call
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+_encode_document = json.JSONEncoder(sort_keys=True, indent=2).encode
 
 
 def _lines(path, error):
@@ -157,11 +161,11 @@ def write_rows(path, rows, sep: str = "\t") -> None:
 
 
 def write_jsonl(path, records) -> None:
-    _write(path, (json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    _write(path, (_encode_line(rec) + "\n" for rec in records))
 
 
 def write_json(path, doc) -> None:
-    _write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
+    _write(path, [_encode_document(doc) + "\n"])
 
 
 def _hash_into(h, path):

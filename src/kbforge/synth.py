@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bounded, check_bounds
-from .corpus import Sentence, Span, Token, validate_sentence
+from .corpus import validate_tree
 from .files import read_rows, write_jsonl, write_rows
 from .kb import KBLoadError
 
@@ -187,17 +187,15 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
         made += 1
 
     order = rng.permutation(len(raw))
-    sentences: list[Sentence] = []
+    records: list[dict] = []  # lines of corpus.jsonl
     gold_links: list[tuple[str, str, str, str]] = []  # rows of gold_links.tsv
     pair_realized: set[tuple[str, str]] = set()
     for new_index, old_index in enumerate(order):
         words, pos, spans = raw[old_index]
         sid = f"s{new_index:05d}"
         heads = [-1] + list(range(len(words) - 1))
-        tokens = [Token(t, w, pos[t], heads[t]) for t, w in enumerate(words)]
-        sent = Sentence(sid, tokens)
-        validate_sentence(sent)
-        sentences.append(sent)
+        validate_tree(sid, heads)
+        records.append({"id": sid, "tokens": words, "pos": pos, "heads": heads})
         ids_here = []
         for start, end, eid in spans:
             gold_links.append((sid, str(start), str(end), eid))
@@ -219,9 +217,7 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
     write_rows(paths["entities"], ((e.id, e.etype, e.canonical, f"{e.canonical}|{e.given}")
                                    for e in entities))
     write_rows(paths["triples"], sorted(kb_triples))
-    write_jsonl(paths["corpus"], ({"id": sent.id, "tokens": [t.surface for t in sent.tokens],
-                                  "pos": [t.pos_tag for t in sent.tokens], "heads": sent.heads()}
-                                 for sent in sentences))
+    write_jsonl(paths["corpus"], records)
     write_rows(paths["gold_links"], gold_links)
     write_rows(paths["gold_triples"], sorted(held_out))
     write_jsonl(paths["gold_bags"], ({"subject": s, "object": o,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kbforge.corpus import (
     CorpusError,
-    _validate_tree,
     Sentence,
     Span,
     Token,
@@ -19,6 +18,7 @@ from kbforge.corpus import (
     shortest_dependency_path,
     sdp_adjacency,
     validate_sentence,
+    validate_tree,
     write_corpus,
 )
 
@@ -92,7 +92,7 @@ def trees(draw) -> list[int]:
 @settings(max_examples=500, deadline=None)
 @given(heads=trees() | st.lists(st.integers(-2, 8), max_size=9))
 def test_tree_check_matches_the_walk_from_every_token(heads):
-    assert tree_outcome(_validate_tree, heads) == tree_outcome(reference_tree_check, heads)
+    assert tree_outcome(validate_tree, heads) == tree_outcome(reference_tree_check, heads)
 
 
 def test_validate_rejects_overlapping_spans():

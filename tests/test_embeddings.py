@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbforge import embeddings
-from kbforge.corpus import Sentence, Span, Token
+from kbforge.corpus import Sentence, Span, Token, ingest_corpus, make_span
 from kbforge.embeddings import (
     SGD_BLOCK,
     EmbeddingError,
@@ -21,7 +22,8 @@ from kbforge.embeddings import (
     train_joint_embeddings,
     train_node_embeddings,
 )
-from kbforge.kb import Entity, KnowledgeBase, Triple
+from kbforge.kb import Entity, KnowledgeBase, Triple, load_kb
+from kbforge.synth import load_gold_links
 
 
 def test_entity_symbol_round_trip():
@@ -201,7 +203,7 @@ F32_TOL = dict(rtol=1e-5, atol=1e-6)
 def reference_sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
     """Negative-sampling SGD drawing, updating and scoring one pair at a
     time: what _sgd_pairs does in blocks of one pair."""
-    for center, context, lr in zip(centers, contexts, lrs):
+    for i, (center, context, lr) in enumerate(zip(centers, contexts, lrs)):
         negs = sampler.pick(np.array([context]), rng.random((1, k)))[0]
         rows = np.concatenate(([context], negs))
         labels = np.zeros(len(rows))
@@ -210,7 +212,7 @@ def reference_sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, l
         c = ctx[rows].astype(np.float64)
         scores = 1.0 / (1.0 + np.exp(-(c @ w)))
         p = np.clip(np.where(labels > 0, scores, 1.0 - scores), 1e-10, 1.0)
-        loss_out.append(float(-np.log(p).sum()))
+        loss_out[i] = -np.log(p).sum()
         g = scores - labels
         grad_w = g @ c
         np.add.at(ctx, rows, (-lr * np.outer(g, w)).astype(ctx.dtype))
@@ -239,7 +241,7 @@ def reference_block_sgd(vectors, ctx, centers, contexts, lrs, sampler, rng, k, l
                 grad_w += (score - label) * c
                 c_ups.setdefault(row, []).append(-lrs[j] * (score - label) * w)
             v_ups.setdefault(centers[j], []).append(-lrs[j] * grad_w)
-            loss_out.append(float(loss))
+            loss_out[j] = loss
         for table, ups in ((vectors, v_ups), (ctx, c_ups)):
             for row, row_ups in ups.items():
                 total = np.zeros(table.shape[1])
@@ -269,7 +271,7 @@ def run_both_sgd(reference, seed, n_words, n_entities, dim, n_pairs, k):
     for sgd in (reference, embeddings._sgd_pairs):
         v, c = vectors.copy(), ctx.copy()
         rng = np.random.Generator(np.random.PCG64(seed))
-        losses = []
+        losses = np.full(n_pairs, np.nan)
         sgd(v, c, pairs[:, 0], pairs[:, 1], lrs, sampler, rng, k, losses)
         outcomes.append((v, c, losses, rng.bit_generator.state))
     return outcomes
@@ -321,8 +323,10 @@ def reference_train_pairs(table, pair_sets, sampler, rng, cfg):
             for _ in order:
                 lrs.append(cfg.learning_rate * max(1.0 - step / total, 1e-4))
                 step += 1
+            pair_losses = np.full(len(pairs), np.nan)
             reference_sgd_pairs(table.vectors, ctx, pairs[order, 0], pairs[order, 1], lrs,
-                                sampler, rng, cfg.negatives, losses)
+                                sampler, rng, cfg.negatives, pair_losses)
+            losses.extend(pair_losses)
         table.epoch_losses.append(float(np.mean(losses)))
 
 
@@ -376,7 +380,7 @@ def test_train_pairs_on_a_tiny_namespace_stays_finite_and_near_pair_by_pair(rows
 
 def sgd_peak_bytes(n_pairs, dim=64, k=10, rows=500):
     """tracemalloc peak of one _sgd_pairs call over what is left allocated
-    after it (the losses it appends)."""
+    after it."""
     gen = np.random.default_rng(0)
     symbols = [f"w{i}" for i in range(rows)]
     vectors = init_vectors(gen, rows, dim)
@@ -385,7 +389,7 @@ def sgd_peak_bytes(n_pairs, dim=64, k=10, rows=500):
                                           [dict(zip(symbols, gen.integers(1, 50, rows)))])
     pairs = gen.integers(0, rows, (n_pairs, 2))
     lrs = np.full(n_pairs, 0.05)
-    rng, losses = np.random.default_rng(1), []
+    rng, losses = np.random.default_rng(1), np.full(n_pairs, np.nan)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -397,7 +401,7 @@ def sgd_peak_bytes(n_pairs, dim=64, k=10, rows=500):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert len(losses) == n_pairs
+    assert np.all(np.isfinite(losses))
     return peak - current
 
 
@@ -405,8 +409,51 @@ def test_sgd_peak_memory_is_bounded_and_flat_in_pairs():
     small, large = sgd_peak_bytes(3 * SGD_BLOCK), sgd_peak_bytes(40 * SGD_BLOCK)
     assert small < 2 * 2**20
     assert large < 2 * 2**20
-    # the losses list may grow in place; nothing else scales with pairs
+    # nothing the call allocates scales with pairs
     assert large - small < 64 * 2**10
+
+
+@settings(max_examples=50, deadline=None)
+@given(lengths=st.lists(st.integers(0, 9), max_size=6), window=st.integers(1, 5))
+def test_window_pair_rows_match_the_pair_by_pair_loop(lengths, window):
+    streams = [[(False, f"w{i}_{t}") for t in range(n)] for i, n in enumerate(lengths)]
+    index = {s: i for i, s in enumerate(s for stream in streams for _, s in stream)}
+    expected = []
+    for stream in streams:
+        rows = [index[s] for _, s in stream]
+        for t, center in enumerate(rows):
+            for j in range(max(0, t - window), min(len(rows) - 1, t + window) + 1):
+                if j != t:
+                    expected.append((center, rows[j]))
+    got = embeddings._window_pair_rows(streams, index, window)
+    assert got.dtype == np.int64 and got.shape == (len(expected), 2)
+    assert got.tolist() == [list(pair) for pair in expected]
+
+
+def test_joint_training_traced_peak_is_bounded_on_the_tier1_fixture(fixture_dir):
+    # The tier-1 corpus with its gold links gives 54,120 text pairs. Traced
+    # peak with the pairs as one int64 array and the losses in float64:
+    # 5.3 MiB. With the pairs built as a list of tuples it was 6.8 MiB, and
+    # with one Python float per pair's loss 6.6 MiB.
+    kb = load_kb(fixture_dir / "entities.tsv", fixture_dir / "triples.tsv")
+    gold = defaultdict(list)
+    for (sid, start, end), eid in sorted(load_gold_links(fixture_dir / "gold_links.tsv").items()):
+        gold[sid].append((start, end, eid))
+    sents = [Sentence(s.id, s.tokens, [make_span(s, start, end, linked=eid)
+                                       for start, end, eid in gold[s.id]])
+             for s in ingest_corpus(fixture_dir / "corpus.jsonl")]
+    cfg = SkipGramConfig(dim=64, epochs=1)
+    node = train_node_embeddings(kb, cfg)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = train_joint_embeddings(sents, kb, node, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.epoch_losses) == 1
+    assert peak - before < 5.75 * 2**20
 
 
 # -- nearest-neighbour candidates ---------------------------------------------

@@ -102,6 +102,34 @@ def test_writers_round_trip_through_readers(tmp_path):
     assert files.read_json(tmp_path / "d.json", KBLoadError) == {"z": 1, "a": {"b": None}}
 
 
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.sampled_from([-0.0, 1e-300, 1e300]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+JSON_DOC = st.dictionaries(st.text(), JSON_VALUE, max_size=5)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(docs=st.lists(JSON_DOC, max_size=4))
+def test_writers_write_what_json_dumps_encodes(tmp_path, docs):
+    files.write_jsonl(tmp_path / "w.jsonl", docs)
+    assert (tmp_path / "w.jsonl").read_bytes() == "".join(
+        json.dumps(doc, sort_keys=True) + "\n" for doc in docs).encode()
+    for doc in docs:
+        files.write_json(tmp_path / "w.json", doc)
+        assert (tmp_path / "w.json").read_bytes() == (
+            json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_writers_reject_a_value_json_cannot_encode(tmp_path):
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        files.write_jsonl(tmp_path / "w.jsonl", [{"a": 1}, {"b": {1}}])
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        files.write_json(tmp_path / "w.json", {"a": [{1}]})
+
+
 @pytest.mark.parametrize("content, read, where", [
     (b"a\tb\n\n  \na\tb\tc\n", lambda p: files.read_rows(p, 2, KBLoadError), ":4: expected 2"),
     (b"a\tb\n\xff\tb\n", lambda p: files.read_rows(p, 2, KBLoadError), ":2: not UTF-8"),

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import pytest
+from conftest import FIXTURE_SHAPE
 
+from kbforge import files
 from kbforge.corpus import ingest_corpus
 from kbforge.kb import load_kb
 from kbforge.synth import (
@@ -30,7 +33,6 @@ def test_regenerating_reproduces_every_byte(small_fixture, tmp_path):
 
 def test_seed_changes_the_corpus(small_fixture, tmp_path):
     paths, _ = small_fixture
-    import dataclasses
     other = generate_fixture(dataclasses.replace(SMALL, seed=14),
                              tmp_path / "other")
     assert other["corpus"].read_bytes() != paths["corpus"].read_bytes()
@@ -107,3 +109,38 @@ def test_config_rejects_impossible_shapes():
         SynthConfig(holdout_fraction=1.5)
     with pytest.raises(ValueError, match="seed must be at least 0"):
         SynthConfig(seed=-1)
+
+
+# sha256 of every file generate_fixture writes at seed 7, by sentences per
+# triple: 3 is the tier-1 fixture (conftest.FIXTURE_SHAPE), 1 and 12 the
+# benchmark's training and new-text fixtures. A change to the generated
+# data, its draws or its encoding changes one of them. The KB files and the
+# held-out triples do not depend on the sentences per triple.
+KB_SHA256 = {
+    "entities.tsv": "6483b3427941c819662cda322bb084c497071ae68631736ab65abcdf60ccdfcc",
+    "triples.tsv": "ca89aa295b08013d6630a03a49732011a3e647059d670c0faf5584164f9b7441",
+    "gold_triples.tsv": "52c34a999e008f493d8b3c3cbce4f94e3c32da8e0efe57e3804a3f328544b84c",
+}
+FIXTURE_SHA256 = {
+    3: {**KB_SHA256,
+        "corpus.jsonl": "6119bf932d06f52d737a886b97c33a3d03cb5bfadd1d91a7b2be986211126bcf",
+        "gold_links.tsv": "c256fe09e209f9271f783df4a110b765b120d15ff33b79ab70dd6fedce72deb9",
+        "gold_bags.jsonl": "5e19dc3acddb50fa2f18e834d8012899cddf46ad900fb0f935140154ca20a13f"},
+    1: {**KB_SHA256,
+        "corpus.jsonl": "70b20cb82c2b86084c04d8eda3b27e9879b4a256b4b3052ae1cde4fdbd0fd428",
+        "gold_links.tsv": "b273c4b02963726e38cffea4b843e58ba269d918597c04879c63ecd334d8306d",
+        "gold_bags.jsonl": "5884fe34878068e668517d1d361edf64b76b4d7ddef7ed193085d7ec328a9db6"},
+    12: {**KB_SHA256,
+        "corpus.jsonl": "d20bba65a66f4fdac99c5fdd61b6e2eb60f4ff9ffdcdc51caa98d091a8525cb3",
+        "gold_links.tsv": "03bcb1a131737f5982fb402d8624a12d16213072aed7e50f99d651f958aa3523",
+        "gold_bags.jsonl": "e6a6593d8b95df237dcda7a55ef65d73c1b64ef966b52215f7c3c3a0342369d1"},
+}
+
+
+@pytest.mark.parametrize("per_triple", sorted(FIXTURE_SHA256))
+def test_fixture_bytes_are_pinned(per_triple, tmp_path):
+    shape = dataclasses.replace(FIXTURE_SHAPE, sentences_per_triple=per_triple)
+    assert shape.seed == 7
+    paths = generate_fixture(shape, tmp_path)
+    assert {path.name: files.hash_file(path) for path in paths.values()} \
+        == FIXTURE_SHA256[per_triple]
