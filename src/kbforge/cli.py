@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .files import read_rows
+from .files import encode_document, read_rows
 from .kb import KBError, KBLoadError, Triple, build_fact_type_templates
 from .pipeline import BAG_SPLITS, PipelineError, PipelineRunner, load_config
 from .relations import validate_triple
@@ -129,8 +129,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd in ("eval", "run-all"):
-        report = runner.evaluate()
-        print(report.to_json(), end="")
+        # the bytes of the metrics.json that the evaluate stage wrote
+        print(encode_document(runner.evaluate().to_dict()))
         return 0
 
     raise PipelineError(f"unknown command {cmd}")

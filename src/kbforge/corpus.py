@@ -44,9 +44,6 @@ class Sentence:
     tokens: list[Token]
     spans: list[Span] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def surface(self, start: int, end: int) -> str:
         return " ".join(t.surface for t in self.tokens[start:end + 1])
 
@@ -81,31 +78,9 @@ def validate_tree(sid: str, heads: list[int]) -> None:
             raise CorpusError(f"sentence {sid!r}: cycle in dependency heads at token {i}")
 
 
-def _check_spans(sid: str, spans: list[Span], n: int) -> None:
-    prev: Span | None = None
-    for sp in sorted(spans, key=lambda s: (s.start, s.end)):
-        if not (0 <= sp.start <= sp.end < n):
-            raise CorpusError(f"sentence {sid!r}: span [{sp.start},{sp.end}] out of range")
-        if prev is not None and sp.start <= prev.end:
-            raise CorpusError(f"sentence {sid!r}: overlapping spans")
-        prev = sp
-
-
-def validate_sentence(sentence: Sentence) -> None:
-    sid = sentence.id
-    n = len(sentence.tokens)
-    if n == 0:
-        raise CorpusError(f"sentence {sid!r}: no tokens")
-    for i, tok in enumerate(sentence.tokens):
-        if tok.index != i:
-            raise CorpusError(f"sentence {sid!r}: token index {tok.index} at position {i}")
-    validate_tree(sid, sentence.heads())
-    _check_spans(sid, sentence.spans, n)
-
-
 def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Sentence:
-    """The validated sentence of one corpus record, checked as
-    ``validate_sentence`` checks it. Records read together pass one
+    """The validated sentence of one corpus record: spans in range and
+    apart, heads a tree (validate_tree). Records read together pass one
     ``shared_tokens`` dict, so equal tokens (same position, word, tag and
     head) become one Token object."""
     if not isinstance(rec, dict):
@@ -148,8 +123,8 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
     except TypeError:  # an unhashable or non-string word or tag
         raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None
     sent = Sentence(sid, tokens)
-    # spans usually come sorted and apart; any other order is checked once
-    # the tree is, as validate_sentence checks it
+    # spans usually come sorted and apart; any other order keeps its order
+    # and is checked, on sorted offsets, once the tree is
     prev_end, in_order = -1, True
     for raw_span in raw_spans:
         try:
@@ -169,7 +144,9 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
             raise CorpusError(f"sentence {sid!r}: span labels must be strings") from None
     validate_tree(sid, heads)
     if not in_order:
-        _check_spans(sid, sent.spans, n)
+        ordered = sorted((sp.start, sp.end) for sp in sent.spans)
+        if any(start <= end for (_, end), (start, _) in zip(ordered, ordered[1:])):
+            raise CorpusError(f"sentence {sid!r}: overlapping spans")
     return sent
 
 

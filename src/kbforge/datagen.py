@@ -91,9 +91,7 @@ def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
     best = _extract_once(raw_corpus, kb, table, GazetteerRecognizer(kb), cfg)
     rounds = [{"round": 1, "extracted": len(best), "recognizer": "gazetteer"}]
     for round_index in range(2, cfg.max_rounds + 1):
-        student = TrainableSpanClassifier(
-            kb, cfg.classifier_feature_dim, cfg.classifier_lr,
-            cfg.classifier_epochs, cfg.classifier_negatives, feature_table)
+        student = TrainableSpanClassifier(kb, cfg, feature_table)
         try:
             student.train(best, rng)
         except Exception as exc:

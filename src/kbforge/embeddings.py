@@ -71,9 +71,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.index
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -84,8 +81,9 @@ class EmbeddingTable:
             raise EmbeddingError(f"unknown symbol {symbol!r}") from None
 
 
-def init_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    return rng.uniform(-0.5 / dim, 0.5 / dim, size=(count, dim)).astype(np.float32)
+def init_vectors(rng: np.random.Generator, count: int, dim: int, dtype=np.float32) -> np.ndarray:
+    """The initial rows of an embedding table: uniform in +-0.5/dim."""
+    return rng.uniform(-0.5 / dim, 0.5 / dim, size=(count, dim)).astype(dtype)
 
 
 def save_table(table: EmbeddingTable, path) -> None:

@@ -4,12 +4,14 @@ lines in bounded blocks and skip blank lines. Every reader raises the
 caller's error type naming ``FILE:LINE`` for non-UTF-8 bytes, invalid JSON,
 a value that is not a JSON object, a wrong field count, or a record
 ``convert`` rejects with KeyError, TypeError, ValueError or that error
-type."""
+type. Every writer replaces its target whole (see ``replacing``)."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -22,7 +24,7 @@ _decode = json.JSONDecoder().raw_decode
 # what json.dumps(doc, sort_keys=True) and json.dumps(doc, sort_keys=True,
 # indent=2) encode with, made once: json.dumps makes an encoder per call
 _encode_line = json.JSONEncoder(sort_keys=True).encode
-_encode_document = json.JSONEncoder(sort_keys=True, indent=2).encode
+encode_document = json.JSONEncoder(sort_keys=True, indent=2).encode
 
 
 def _lines(path, error):
@@ -150,8 +152,24 @@ def read_json(path, error, convert=lambda doc: doc):
         raise _rejected(exc, error, path, 1) from exc
 
 
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """A temporary file beside ``path`` that replaces it when the block ends.
+    If the block raises, the file goes and ``path`` keeps what it held, or
+    stays missing. Nothing is fsynced: a power loss may still lose it."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.writelines(lines)
 
 
@@ -165,7 +183,7 @@ def write_jsonl(path, records) -> None:
 
 
 def write_json(path, doc) -> None:
-    _write(path, [_encode_document(doc) + "\n"])
+    _write(path, [encode_document(doc) + "\n"])
 
 
 def _hash_into(h, path):

@@ -80,20 +80,19 @@ class TrainableSpanClassifier:
     loop; proposes all n-grams up to the longest span seen in training and
     keeps non-overlapping ones scoring above 0.5.
 
-    `feature_table` (sentence id -> feature rows) lets classifiers over the
-    same KB, feature_dim and sentences share the hashing; without one each
-    call hashes its sentences afresh."""
+    The ``classifier_*`` fields of `cfg`, a datagen.BootstrapConfig, set
+    the hyperparameters. `feature_table` (sentence id -> feature rows) lets
+    classifiers over the same KB, feature_dim and sentences share the
+    hashing; without one each call hashes its sentences afresh."""
 
-    def __init__(self, kb: KnowledgeBase, feature_dim: int = 4096, lr: float = 0.5,
-                 epochs: int = 5, negatives_per_sentence: int = 10,
-                 feature_table: dict[str, np.ndarray] | None = None):
+    def __init__(self, kb: KnowledgeBase, cfg, feature_table: dict[str, np.ndarray] | None = None):
         self.kb = kb
-        self.feature_dim = feature_dim
-        self.lr = lr
-        self.epochs = epochs
-        self.negatives_per_sentence = negatives_per_sentence
+        self.feature_dim = cfg.classifier_feature_dim
+        self.lr = cfg.classifier_lr
+        self.epochs = cfg.classifier_epochs
+        self.negatives_per_sentence = cfg.classifier_negatives
         self.feature_table = feature_table
-        self.weights = np.zeros(feature_dim, dtype=np.float64)
+        self.weights = np.zeros(self.feature_dim, dtype=np.float64)
         self.bias = 0.0
         self.max_span_len = 1
         self.trained = False

@@ -6,7 +6,6 @@ they are never coerced to 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -126,6 +125,3 @@ class MetricsReport:
                 or report.to_dict() != doc:
             raise ValueError("not a metrics report")
         return report
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -72,11 +72,9 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self, seed=None) -> None:
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed needs a scalar output")
-            seed = np.ones_like(self.data)
+    def backward(self) -> None:
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar output")
         # iterative topological order; deep tapes overflow recursion otherwise
         order: list[Tensor] = []
         visited: set[int] = set()
@@ -93,7 +91,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.asarray(seed, dtype=self.data.dtype))
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue

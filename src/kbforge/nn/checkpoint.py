@@ -24,6 +24,8 @@ import zlib
 
 import numpy as np
 
+from ..files import replacing
+
 MAGIC = b"KBFC\x02"
 
 _DTYPES = {"float32": "<f4", "float64": "<f8"}
@@ -36,8 +38,6 @@ class CheckpointError(Exception):
 
 
 def _tensor_dict(params) -> dict[str, np.ndarray]:
-    if isinstance(params, dict):
-        return dict(params)
     out: dict[str, np.ndarray] = {}
     for p in params:
         if p.name in out:
@@ -61,7 +61,7 @@ def save_checkpoint(path, params, meta: dict | None = None) -> None:
     chunks += [np.ascontiguousarray(tensors[e["name"]]).astype(_DTYPES[e["dtype"]]).tobytes()
                for e in entries]
     crc = 0
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         for chunk in chunks:
             crc = zlib.crc32(chunk, crc)
             fh.write(chunk)

@@ -449,8 +449,7 @@ class PipelineRunner:
         self._manifest = {}
         if self._manifest_path.exists():
             # stage -> {"key", "sha256": {output file name: sha256}}; other
-            # fields, such as the "outputs" that older versions wrote, are
-            # ignored
+            # fields are ignored
             self._manifest = read_json(self._manifest_path, PipelineError,
                                        lambda doc: {k: dict(v) for k, v in doc.items()})
         self._mem: dict[str, object] = {}

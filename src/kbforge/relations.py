@@ -16,6 +16,7 @@ from . import nn
 from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span, sdp_adjacency, shortest_dependency_path
 from .datagen import Bag, collect_pair_sentences
+from .embeddings import init_vectors
 from .files import json_list, read_rows, write_rows
 from .kb import UNTYPED, KnowledgeBase, Triple, build_fact_type_templates
 
@@ -89,8 +90,7 @@ class REModel:
         d_e, d_h = cfg.token_dim, cfg.hidden
 
         def table(name, rows, dim):
-            return nn.Parameter(
-                rng.uniform(-0.5 / dim, 0.5 / dim, (rows, dim)).astype(self.dtype), name)
+            return nn.Parameter(init_vectors(rng, rows, dim, self.dtype), name)
 
         self.emb_word = table("re.emb.word", len(self.word_index), cfg.word_dim)
         self.emb_pos1 = table("re.emb.pos1", 2 * cfg.max_pos + 1, cfg.pos_dim)

@@ -17,7 +17,6 @@ from kbforge.corpus import (
     sentence_to_record,
     shortest_dependency_path,
     sdp_adjacency,
-    validate_sentence,
     validate_tree,
     write_corpus,
 )
@@ -32,24 +31,21 @@ def toy_sentence() -> Sentence:
     return Sentence("s1", tokens, [])
 
 
-def test_validate_rejects_bad_indexes():
-    s = toy_sentence()
-    broken = Sentence("s1", [Token(5, "x", "NN", -1)], [])
-    with pytest.raises(CorpusError, match="s1"):
-        validate_sentence(broken)
+def toy_record(heads, spans=()) -> dict:
+    """A corpus record over len(heads) tokens with the given heads and
+    (start, end) spans."""
+    return {"id": "s1", "tokens": [f"w{i}" for i in range(len(heads))], "heads": heads,
+            "spans": [{"start": start, "end": end} for start, end in spans]}
 
 
 def test_validate_rejects_two_roots():
-    tokens = [Token(0, "a", "NN", -1), Token(1, "b", "NN", -1)]
     with pytest.raises(CorpusError, match="root"):
-        validate_sentence(Sentence("s2", tokens, []))
+        sentence_from_record(toy_record([-1, -1]))
 
 
 def test_validate_rejects_head_cycle():
-    tokens = [Token(0, "a", "NN", 1), Token(1, "b", "NN", 0),
-              Token(2, "c", "NN", -1)]
     with pytest.raises(CorpusError, match="cycle"):
-        validate_sentence(Sentence("s3", tokens, []))
+        sentence_from_record(toy_record([1, 0, -1]))
 
 
 def reference_tree_check(sid: str, heads: list[int]) -> None:
@@ -96,10 +92,15 @@ def test_tree_check_matches_the_walk_from_every_token(heads):
 
 
 def test_validate_rejects_overlapping_spans():
-    s = toy_sentence()
-    spans = [make_span(s, 0, 1), make_span(s, 1, 2)]
+    # out of order, so the sorted check runs; the two share token 1
+    heads = [1, 2, -1, 4, 2]
     with pytest.raises(CorpusError, match="overlap"):
-        validate_sentence(Sentence(s.id, s.tokens, spans))
+        sentence_from_record(toy_record(heads, [(1, 2), (0, 1)]))
+    with pytest.raises(CorpusError, match="overlap"):
+        sentence_from_record(toy_record(heads, [(3, 4), (0, 2), (1, 1)]))
+    # out of order and apart: loaded, in the record's order
+    sent = sentence_from_record(toy_record(heads, [(3, 4), (0, 1)]))
+    assert [(sp.start, sp.end) for sp in sent.spans] == [(3, 4), (0, 1)]
 
 
 def test_span_surface_and_covers():

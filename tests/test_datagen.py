@@ -74,7 +74,7 @@ def test_bootstrap_hashes_each_ngram_at_most_once(fixture_dir, monkeypatch):
 
     def counting(self, sentence, widths):
         for width in widths:
-            for start in range(len(sentence) - width + 1):
+            for start in range(len(sentence.tokens) - width + 1):
                 hashed[sentence.id, start, start + width - 1] += 1
         return hash_widths(self, sentence, widths)
 
@@ -82,7 +82,7 @@ def test_bootstrap_hashes_each_ngram_at_most_once(fixture_dir, monkeypatch):
     _, rounds = bootstrap_linked_corpus(raw, kb, None, BootstrapConfig(max_rounds=3, knn_k=0))
     assert [r["recognizer"] for r in rounds][1:] == ["classifier-round-2", "classifier-round-3"]
     # every n-gram up to the widest trained span of every raw sentence
-    assert len(hashed) == sum(2 * len(s) - 1 for s in raw)
+    assert len(hashed) == sum(2 * len(s.tokens) - 1 for s in raw)
     assert max(hashed.values()) == 1
 
 

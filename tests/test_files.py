@@ -6,6 +6,7 @@ the same message)."""
 
 import ast
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kbforge import files, pipeline
-from kbforge.corpus import CorpusError, Sentence, Span, Token, ingest_corpus, validate_sentence
+from kbforge.corpus import CorpusError, Sentence, Span, Token, ingest_corpus, validate_tree
 from kbforge.datagen import DataGenError, load_bags, load_generation_report
 from kbforge.embeddings import EmbeddingError, load_table
 from kbforge.kb import KBLoadError, load_kb
@@ -128,6 +129,35 @@ def test_writers_reject_a_value_json_cannot_encode(tmp_path):
         files.write_jsonl(tmp_path / "w.jsonl", [{"a": 1}, {"b": {1}}])
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         files.write_json(tmp_path / "w.json", {"a": [{1}]})
+
+
+# writer, a strategy for one item it writes, and one for an item it cannot
+# encode: write_json writes its items as one document
+UNENCODABLE = {
+    "rows": (files.write_rows, st.lists(st.text(), min_size=1, max_size=3).map(tuple),
+             st.sampled_from([("a", None), ("\ud800",)])),
+    "jsonl": (files.write_jsonl, JSON_DOC, st.just({"b": {1}})),
+    "json": (lambda path, items: files.write_json(path, {"items": items}), JSON_VALUE,
+             st.just({1})),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(UNENCODABLE)), data=st.data(),
+       old=st.none() | st.binary(max_size=32))
+def test_a_write_that_raises_leaves_the_target_as_it_was(kind, data, old):
+    write, item, bad = UNENCODABLE[kind]
+    items = data.draw(st.lists(item, max_size=5), "items")
+    items.insert(data.draw(st.integers(0, len(items)), "k"), data.draw(bad, "bad item"))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "target"
+        if old is not None:
+            target.write_bytes(old)
+        with pytest.raises((TypeError, ValueError)):
+            write(target, items)
+        # the old bytes, or still no file; and no temporary file beside it
+        assert [p.name for p in Path(tmp).iterdir()] == ([] if old is None else ["target"])
+        assert old is None or target.read_bytes() == old
 
 
 @pytest.mark.parametrize("content, read, where", [
@@ -370,7 +400,8 @@ def reference_rows(path, columns, error, convert, sep="\t") -> list:
 
 def reference_sentence(rec: dict, cache: dict) -> Sentence:
     """sentence_from_record as it was before it checked spans inline:
-    build the sentence, then validate_sentence."""
+    build the sentence, then check its tree and every pair of spans
+    neighbouring in sorted order."""
     if not isinstance(rec, dict):
         raise CorpusError("sentence record is not a JSON object")
     sid = rec.get("id")
@@ -409,7 +440,11 @@ def reference_sentence(rec: dict, cache: dict) -> Sentence:
         if not all(x is None or isinstance(x, str) or not x for x in labels):
             raise CorpusError(f"sentence {sid!r}: span labels must be strings")
         sent.spans.append(Span(start, end, sent.surface(start, end), *labels))
-    validate_sentence(sent)
+    validate_tree(sid, heads)
+    ordered = sorted(sent.spans, key=lambda sp: (sp.start, sp.end))
+    for prev, sp in zip(ordered, ordered[1:]):
+        if sp.start <= prev.end:
+            raise CorpusError(f"sentence {sid!r}: overlapping spans")
     return sent
 
 

@@ -752,7 +752,8 @@ def wide_span_classifier(feature_table=None):
                           [Span(0, 2, "Tony Stark Jr"), Span(4, 4, "Pepper")])
               for i in range(3)]
     corpus.append(mk_sentence(["Pepper", "saw", "Tony"], "w3", [Span(2, 2, "Tony")]))
-    clf = TrainableSpanClassifier(kb, feature_dim=64, epochs=4, feature_table=feature_table)
+    clf = TrainableSpanClassifier(
+        kb, BootstrapConfig(classifier_feature_dim=64, classifier_epochs=4), feature_table)
     return clf, kb, corpus
 
 
@@ -761,7 +762,8 @@ def test_span_classifier_step_moves_a_repeated_bucket_once_per_repeat():
     # weights, where p = 0.5 and g = p - 1
     kb = KnowledgeBase([Entity("e1", "Tony")])
     sentence = mk_sentence(["Tony"], spans=[Span(0, 0, "Tony")])
-    clf = TrainableSpanClassifier(kb, feature_dim=3, lr=0.5, epochs=1)
+    clf = TrainableSpanClassifier(
+        kb, BootstrapConfig(classifier_feature_dim=3, classifier_lr=0.5, classifier_epochs=1))
     counts = np.bincount(reference_features(clf, sentence, 0, 0), minlength=3)
     assert counts.max() > 1  # seven features in three buckets
     clf.train([sentence], np.random.default_rng(0))
@@ -776,7 +778,8 @@ def test_span_classifier_training_matches_per_step_conversion(fixture_dir, featu
     raw = ingest_corpus(fixture_dir / "corpus.jsonl")[:300]
     corpus = _extract_once(raw, kb, None, GazetteerRecognizer(kb), BootstrapConfig(knn_k=0))
     assert corpus
-    trained, reference = (TrainableSpanClassifier(kb, feature_dim, epochs=3) for _ in "ab")
+    cfg = BootstrapConfig(classifier_feature_dim=feature_dim, classifier_epochs=3)
+    trained, reference = (TrainableSpanClassifier(kb, cfg) for _ in "ab")
     rng_a, rng_b = (np.random.Generator(np.random.PCG64(2)) for _ in "ab")
     trained.train(corpus, rng_a)
     reference_span_train(reference, corpus, rng_b)
@@ -808,7 +811,8 @@ def test_span_feature_rows_match_the_per_ngram_reference(words, widths, feature_
     # table is extended by whole widths and read back in part
     kb = KnowledgeBase([Entity("e1", "Tony Stark", ("Tony", "Tony Stark")),
                         Entity("e2", "Pepper")])
-    clf = TrainableSpanClassifier(kb, feature_dim, feature_table={} if shared else None)
+    clf = TrainableSpanClassifier(kb, BootstrapConfig(classifier_feature_dim=feature_dim),
+                                  feature_table={} if shared else None)
     sentence = mk_sentence(words)
     hashed = []
     bucket = clf._bucket
@@ -835,7 +839,8 @@ def test_span_classifier_recognition_matches_per_ngram_reference(fixture_dir, fe
     kb = load_kb(fixture_dir / "entities.tsv", fixture_dir / "triples.tsv")
     raw = ingest_corpus(fixture_dir / "corpus.jsonl")[:300]
     corpus = _extract_once(raw, kb, None, GazetteerRecognizer(kb), BootstrapConfig(knn_k=0))
-    clf = TrainableSpanClassifier(kb, feature_dim, epochs=3, feature_table={})
+    cfg = BootstrapConfig(classifier_feature_dim=feature_dim, classifier_epochs=3)
+    clf = TrainableSpanClassifier(kb, cfg, feature_table={})
     clf.train(corpus, np.random.Generator(np.random.PCG64(2)))
     got = [clf.recognize(s) for s in raw]
     assert got == [reference_recognize(clf, s) for s in raw]

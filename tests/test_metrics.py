@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kbforge.files import write_json
 from kbforge.metrics import (
     LinkEvalItem,
     MetricsReport,
@@ -142,7 +143,7 @@ def test_triple_precision_ratio_and_empty():
 # -- report serialization -----------------------------------------------------
 
 
-def test_report_schema_and_null_serialization():
+def test_report_schema_and_null_serialization(tmp_path):
     report = MetricsReport()
     d = report.to_dict()
     assert set(d) == {"el", "re", "counts", "rounds", "triple_precision"}
@@ -150,11 +151,13 @@ def test_report_schema_and_null_serialization():
                             "mean_rank"}
     assert set(d["re"]) == {"accuracy", "precision", "recall", "f1"}
     assert all(v is None for v in d["el"].values())
-    assert json.loads(report.to_json())["triple_precision"] is None
-    assert report.to_json().endswith("\n")
+    write_json(tmp_path / "metrics.json", d)
+    text = (tmp_path / "metrics.json").read_text()
+    assert json.loads(text)["triple_precision"] is None
+    assert text.endswith("\n")
 
 
-def test_report_round_trip():
+def test_report_round_trip(tmp_path):
     report = MetricsReport(
         el={"precision_at_1": 0.9, "coverage": 0.7, "accuracy_at_1": 0.8,
             "mean_rank": 1.5},
@@ -163,7 +166,8 @@ def test_report_round_trip():
         rounds=[3, 5, 5],
         triple_precision=0.95,
     )
-    back = json.loads(report.to_json())
+    write_json(tmp_path / "metrics.json", report.to_dict())
+    back = json.loads((tmp_path / "metrics.json").read_text())
     assert back == report.to_dict()
     assert back["counts"] == {"bags": 4, "triples": 10}
     assert back["rounds"] == [3, 5, 5]

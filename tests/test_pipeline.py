@@ -381,7 +381,7 @@ def test_rerun_is_fully_cached(tiny_run):
     runner = PipelineRunner(load_config(tiny_run["cfg_path"]))
     report = runner.evaluate()
     assert {s: False for s in STAGES} == runner.stage_ran
-    assert report.to_json() == tiny_run["report"].to_json()
+    assert report.to_dict() == tiny_run["report"].to_dict()
 
 
 def stage_sha256(out: Path) -> dict[str, dict[str, str]]:
@@ -428,7 +428,7 @@ def test_default_knn_k_builds_the_measured_kb(full_run, tmp_path):
     runner = PipelineRunner(cfg)
     report = runner.evaluate()
     assert stage_sha256(out) == stage_sha256(full_run["out"])
-    assert report.to_json() == full_run["report"].to_json()
+    assert report.to_dict() == full_run["report"].to_dict()
     assert {s for s, ran in runner.stage_ran.items() if ran} == {"bootstrap", "el", "link"}
 
 
@@ -459,7 +459,7 @@ def test_warm_evaluate_loads_only_what_it_returns(tiny_run, monkeypatch):
     monkeypatch.setattr(pipeline, "load_kb", refuse)
     monkeypatch.setattr(pipeline, "ingest_corpus", refuse)
     runner = PipelineRunner(load_config(tiny_run["cfg_path"]))
-    assert runner.evaluate().to_json() == tiny_run["report"].to_json()
+    assert runner.evaluate().to_dict() == tiny_run["report"].to_dict()
     assert {s: False for s in STAGES} == runner.stage_ran
 
 
@@ -494,7 +494,7 @@ def test_manifest_with_output_paths_is_still_reused(tiny_run, tmp_path):
         entry["outputs"] = [str(out / o) for o in pipeline.STAGES[name].outputs]
     (out / "cache.json").write_text(json.dumps(manifest))
     runner = PipelineRunner(load_config(write_tiny_config(tiny_run["fixture"], out)))
-    assert runner.evaluate().to_json() == tiny_run["report"].to_json()
+    assert runner.evaluate().to_dict() == tiny_run["report"].to_dict()
     assert {s: False for s in STAGES} == runner.stage_ran
 
 
@@ -542,13 +542,18 @@ def test_checkpoint_tensor_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp
                                    message)
 
 
+def as_parameters(tensors: dict) -> list:
+    """The checkpoint tensors ``tensors`` as Parameters of the same names."""
+    return [nn.Parameter(array, name) for name, array in tensors.items()]
+
+
 def assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, edit, message):
     """A copy of the built ``ckpt`` after ``edit(meta, tensors)`` fails to
     load with a CheckpointError that names the copy's path, then ``message``."""
     meta, tensors = nn.load_checkpoint(tiny_run["out"] / ckpt)
     edit(meta, tensors)
     forged = tmp_path / ckpt
-    nn.save_checkpoint(forged, tensors, meta)
+    nn.save_checkpoint(forged, as_parameters(tensors), meta)
     runner = tiny_run["runner"]
     load = (load_model if ckpt == "re.ckpt"
             else lambda path: linker.load_model(path, runner.embeddings(), runner.cfg.el))
@@ -643,7 +648,7 @@ def test_gold_edit_reruns_only_evaluate(tiny_run, tmp_path):
         tiny_run, tmp_path,
         lambda text: text.replace(f"{tiny_run['fixture']}/gold_links.tsv", str(gold)))
     assert runner.stage_ran == {s: s == "evaluate" for s in STAGES}
-    assert (out / "metrics.json").read_text() != tiny_run["report"].to_json()
+    assert json.loads((out / "metrics.json").read_text()) != tiny_run["report"].to_dict()
     assert runner.evaluate().el["coverage"] != tiny_run["report"].el["coverage"]
 
 
@@ -829,13 +834,14 @@ def test_extracted_triples_hold_no_repeat_and_no_reflexive_triple(tiny_run):
 
 
 def test_stage_outputs_exist(tiny_run):
-    for name in ("embeddings.vec", "linked.jsonl", "rounds.json", "el.ckpt",
-                 "bags_all.jsonl", "bags_train.jsonl", "bags_valid.jsonl",
-                 "bags_test.jsonl", "re.ckpt", "final_linked.jsonl",
-                 "link_eval.jsonl", "extracted.tsv", "rejected.tsv",
-                 "enriched_triples.tsv", "enriched_added.tsv", "metrics.json",
-                 "cache.json"):
-        assert (tiny_run["out"] / name).exists(), name
+    names = ("embeddings.vec", "linked.jsonl", "rounds.json", "el.ckpt",
+             "bags_all.jsonl", "bags_train.jsonl", "bags_valid.jsonl",
+             "bags_test.jsonl", "re.ckpt", "final_linked.jsonl",
+             "link_eval.jsonl", "extracted.tsv", "rejected.tsv",
+             "enriched_triples.tsv", "enriched_added.tsv", "metrics.json")
+    assert set(names) == set(pipeline.PRODUCER)
+    # and nothing else: no temporary file outlives a build
+    assert sorted(p.name for p in tiny_run["out"].iterdir()) == sorted(names + ("cache.json",))
 
 
 def test_metrics_file_matches_report(tiny_run):
@@ -925,6 +931,7 @@ def test_cli_run_all_emits_metrics_json(tiny_run, capsys):
     rc, stdout, _ = run_cli(capsys, "run-all", "--config",
                             str(tiny_run["cfg_path"]))
     assert rc == 0
+    assert stdout == (tiny_run["out"] / "metrics.json").read_text()
     report = json.loads(stdout)
     assert set(report) == {"el", "re", "counts", "rounds", "triple_precision"}
     assert report["counts"]["sentences"] > 0
@@ -1120,7 +1127,7 @@ def corrupt(path: Path, how: str) -> None:
         name = min(tensors)
         tensors[name] = tensors[name].copy()
         tensors[name].flat[0] += 1
-        nn.save_checkpoint(path, tensors, meta)
+        nn.save_checkpoint(path, as_parameters(tensors), meta)
     else:
         lines = path.read_text().splitlines(keepends=True)
         i = max(i for i, line in enumerate(lines) if re.search(r"\d", line))
@@ -1137,7 +1144,7 @@ def test_a_changed_output_reruns_the_stage_that_owns_it(tiny_run, tmp_path, arti
     corrupt(out / artifact, how)
     assert (out / artifact).read_bytes() != original
     runner = PipelineRunner(load_config(write_tiny_config(tiny_run["fixture"], out)))
-    assert runner.evaluate().to_json() == tiny_run["report"].to_json()
+    assert runner.evaluate().to_dict() == tiny_run["report"].to_dict()
     # the rebuilt output is the one the cache recorded, so nothing downstream reruns
     assert runner.stage_ran == {s: s == pipeline.PRODUCER[artifact] for s in STAGES}
     assert (out / artifact).read_bytes() == original
