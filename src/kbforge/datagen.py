@@ -14,7 +14,7 @@ from .corpus import Sentence
 from .embeddings import EmbeddingTable
 from .files import json_int, json_list, read_json, read_jsonl, write_json, write_jsonl
 from .kb import KnowledgeBase
-from .linker import GazetteerRecognizer, TrainableSpanClassifier, link_sentence
+from .linker import GazetteerRecognizer, TrainableSpanClassifier, link_sentences
 # unused here, but bench/test_bench.py patches it at this import site
 from .linker import subgraph_link  # noqa: F401
 
@@ -53,42 +53,54 @@ class DistantSupervisionConfig:
     __post_init__ = check_bounds
 
 
+def _subgraph_linked(corpus: list[Sentence], kb: KnowledgeBase, recognizer,
+                     table: EmbeddingTable | None, knn_k: int) -> list[Sentence]:
+    """Each sentence with the spans the sub-graph step links, each typed by
+    the KB; the spans it leaves open are dropped."""
+    return [Sentence(s.id, s.tokens, [d.span for d in decisions if d is not None])
+            for s, decisions in zip(corpus, link_sentences(corpus, kb, recognizer, table,
+                                                           knn_k))]
+
+
+def gazetteer_linked(corpus: list[Sentence], kb: KnowledgeBase) -> list[Sentence]:
+    """The corpus as the alias gazetteer and the sub-graph step link it.
+    It needs no vectors and no k-NN: every span the gazetteer proposes is
+    an alias, so its candidates are its dictionary hits."""
+    return _subgraph_linked(corpus, kb, GazetteerRecognizer(kb), None, 0)
+
+
 def _extract_once(raw_corpus: list[Sentence], kb: KnowledgeBase,
                   table: EmbeddingTable | None, recognizer, cfg: BootstrapConfig) -> list[Sentence]:
     """Tag, sub-graph link, and keep sentences with >=2 linked spans;
     unlinked spans are dropped and kept spans get the KB type of their
     entity."""
-    kept: list[Sentence] = []
-    for sentence in raw_corpus:
-        linked = [d.span for d in link_sentence(sentence, kb, recognizer, table, cfg.knn_k)
-                  if d is not None]
-        if len(linked) >= 2:
-            kept.append(Sentence(sentence.id, sentence.tokens, linked))
-    return kept
+    return [s for s in _subgraph_linked(raw_corpus, kb, recognizer, table, cfg.knn_k)
+            if len(s.spans) >= 2]
 
 
-def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
+def bootstrap_linked_corpus(linked: list[Sentence], kb: KnowledgeBase,
                             table: EmbeddingTable | None, cfg: BootstrapConfig
                             ) -> tuple[list[Sentence], list[dict]]:
     """The linked corpus, and per round its ``rounds.json`` record: the
     1-based ``round``, the number of sentences it ``extracted`` and the
-    ``recognizer`` that tagged them. Round 1 extracts with the alias
-    gazetteer; later rounds retrain a span classifier on the previous round's
-    labels and re-extract. Stops when the extracted-sentence count drops
-    (previous corpus wins) or at the round cap; equal counts keep going.
-    Every sentence's n-grams are hashed once, into a feature table the
-    classifier rounds share by sentence id."""
-    if not raw_corpus:
+    ``recognizer`` that tagged them. ``linked`` is the raw corpus as
+    ``gazetteer_linked`` links it; round 1 keeps its sentences with >= 2
+    links. Later rounds retrain a span classifier on the previous round's
+    sentences and re-extract from the tokens of ``linked``. Stops when the
+    extracted-sentence count drops (previous corpus wins) or at the round
+    cap; equal counts keep going. Every sentence's n-grams are hashed once,
+    into a feature table the classifier rounds share by sentence id."""
+    if not linked:
         raise DataGenError("bootstrap needs a non-empty corpus")
     seen: set[str] = set()
-    for sentence in raw_corpus:
+    for sentence in linked:
         if sentence.id in seen:
             raise DataGenError(f"duplicate sentence id {sentence.id!r}")
         seen.add(sentence.id)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     feature_table: dict[str, np.ndarray] = {}
 
-    best = _extract_once(raw_corpus, kb, table, GazetteerRecognizer(kb), cfg)
+    best = [s for s in linked if len(s.spans) >= 2]
     rounds = [{"round": 1, "extracted": len(best), "recognizer": "gazetteer"}]
     for round_index in range(2, cfg.max_rounds + 1):
         student = TrainableSpanClassifier(kb, cfg, feature_table)
@@ -96,7 +108,7 @@ def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
             student.train(best, rng)
         except Exception as exc:
             raise DataGenError(f"round {round_index}: recognizer training failed: {exc}") from exc
-        current = _extract_once(raw_corpus, kb, table, student, cfg)
+        current = _extract_once(linked, kb, table, student, cfg)
         rounds.append({"round": round_index, "extracted": len(current),
                        "recognizer": f"classifier-round-{round_index}"})
         if len(current) < len(best):

@@ -315,19 +315,24 @@ class ContextLinkerModel:
         return nn.relu(nn.add(nn.sub(nn.take(scores, np.arange(b, 2 * b), axis=1),
                                      nn.take(scores, np.arange(b), axis=1)), margin))
 
-    def score_candidates(self, v_c: nn.Tensor, span: Span,
-                         entities: list[str]) -> list[float]:
-        """Scores of ``entities`` for ``span``, given its sentence's context
-        vector ``v_c`` from ``_context_vec``: one ``_scores`` pass, v_c and
-        the span vector repeated once per entity."""
+    def score_candidates(self, v_c: nn.Tensor,
+                         open_spans: list[tuple[int, Span, list[str]]]) -> list[list[float]]:
+        """Scores of each open span's candidate entities in one ``_scores``
+        pass. ``open_spans`` holds (column, span, entities), where column
+        ``column`` of ``v_c``, from ``_context_vec``, encodes the span's
+        sentence; that column and the span vector repeat once per entity."""
         if not self.trained:
             raise LinkError("context linker used before training")
-        if not entities:
-            return []
-        k = len(entities)
+        columns = [col for col, _, entities in open_spans for _ in entities]
+        if not columns:
+            return [[] for _ in open_spans]
+        spans = np.concatenate([np.tile(self._span_vec(span), len(entities))
+                                for _, span, entities in open_spans], axis=1)
         with nn.no_grad():
-            return self._scores(nn.concat([v_c] * k, axis=1),
-                                np.tile(self._span_vec(span), k), entities).data[0].tolist()
+            scores = self._scores(nn.take(v_c, np.array(columns), axis=1), spans,
+                                  [e for _, _, entities in open_spans for e in entities])
+        flat = iter(scores.data[0].tolist())
+        return [[next(flat) for _ in entities] for _, _, entities in open_spans]
 
 
 # Training items per Adam step of the context linker; the last step of an
@@ -407,39 +412,61 @@ def hinge_loss(s: float, s_neg: float, margin: float) -> float:
     return max(0.0, s_neg - s + margin)
 
 
+# Sentences per encoder pass of the context step in link_sentences; the
+# last chunk may hold fewer.
+LINK_CHUNK = 256
+
+
+def _decision(kb: KnowledgeBase, span: Span, entity: str, method: str, score: float,
+              ranking: tuple[str, ...] = ()) -> LinkDecision:
+    """The decision linking ``span`` to ``entity``; its span is ``span``
+    linked, typed by the KB and tagged with ``method``."""
+    return LinkDecision(Span(span.start, span.end, span.surface, kb.entity_type(entity),
+                             entity, method), entity, method, score, ranking)
+
+
+def link_sentences(sentences: list[Sentence], kb: KnowledgeBase, recognizer,
+                   table: EmbeddingTable | None, knn_k: int,
+                   model: ContextLinkerModel | None = None) -> list[list[LinkDecision | None]]:
+    """Per sentence: recognize -> candidates -> sub-graph step, then, only
+    when ``model`` is given, the context step for the spans the sub-graph
+    step leaves open (None for each of them otherwise). The context step
+    encodes the sentences with an open span LINK_CHUNK at a time in one
+    ``_context_vec`` pass, and scores a chunk's open spans in one
+    ``score_candidates`` pass. Only a span with no alias hit gets embedding
+    neighbours as candidates (``generate_candidates``), and a span with no
+    candidates yields no entry."""
+    out: list[list[LinkDecision | None]] = []
+    pending = []  # (sentence index, [(entry index, candidate) of its open spans])
+    for i, sentence in enumerate(sentences):
+        cands = [c for c in (generate_candidates(sp, kb, table, knn_k)
+                             for sp in recognizer.recognize(sentence)) if c is not None]
+        decisions = subgraph_link(cands, kb)
+        out.append([None if d is None else _decision(kb, d.span, d.entity, "subgraph", d.score)
+                    for d in decisions])
+        open_spans = [(j, c) for j, (c, d) in enumerate(zip(cands, decisions)) if d is None]
+        if open_spans and model is not None:
+            pending.append((i, open_spans))
+    for lo in range(0, len(pending), LINK_CHUNK):
+        chunk = pending[lo:lo + LINK_CHUNK]
+        with nn.no_grad():
+            v_c = model._context_vec(*(sentences[i] for i, _ in chunk))
+        items = [(col, i, j, c) for col, (i, open_spans) in enumerate(chunk)
+                 for j, c in open_spans]
+        scores = model.score_candidates(v_c, [(col, c.span, c.entities)
+                                              for col, _, _, c in items])
+        for (_, i, j, c), span_scores in zip(items, scores):
+            ranked = sorted(zip(c.entities, span_scores), key=lambda p: (-p[1], p[0]))
+            out[i][j] = _decision(kb, c.span, ranked[0][0], "context", ranked[0][1],
+                                  tuple(e for e, _ in ranked))
+    return out
+
+
 def link_sentence(sentence: Sentence, kb: KnowledgeBase, recognizer,
                   table: EmbeddingTable | None, knn_k: int,
                   model: ContextLinkerModel | None = None) -> list[LinkDecision | None]:
-    """recognize -> candidates -> sub-graph step, then, only when ``model``
-    is given, the context step for the spans the sub-graph step leaves open
-    (None for each of them otherwise). Only a span with no alias hit gets
-    embedding neighbours as candidates (``generate_candidates``), and a
-    span with no candidates yields no entry. A decision's span is the
-    recognized span linked to its entity, typed by the KB and tagged with
-    the method that chose it."""
-    cands = [c for c in (generate_candidates(sp, kb, table, knn_k)
-                         for sp in recognizer.recognize(sentence)) if c is not None]
-    v_c = None
-    out: list[LinkDecision | None] = []
-    for cand, decision in zip(cands, subgraph_link(cands, kb)):
-        if decision is not None:
-            entity, method, score, ranking = decision.entity, "subgraph", decision.score, ()
-        elif model is not None:
-            if v_c is None:
-                # one encoding serves every open span of the sentence
-                with nn.no_grad():
-                    v_c = model._context_vec(sentence)
-            scores = model.score_candidates(v_c, cand.span, cand.entities)
-            ranked = sorted(zip(cand.entities, scores), key=lambda p: (-p[1], p[0]))
-            (entity, score), method = ranked[0], "context"
-            ranking = tuple(e for e, _ in ranked)
-        else:
-            out.append(None)
-            continue
-        sp = cand.span
-        out.append(LinkDecision(Span(sp.start, sp.end, sp.surface, kb.entity_type(entity),
-                                     entity, method), entity, method, score, ranking))
-    return out
+    """``link_sentences`` of one sentence."""
+    return link_sentences([sentence], kb, recognizer, table, knn_k, model)[0]
 
 
 def link(sentence: Sentence, kb: KnowledgeBase, table: EmbeddingTable | None,

@@ -34,6 +34,7 @@ from .datagen import (
     bootstrap_linked_corpus,
     check_split,
     distant_supervision,
+    gazetteer_linked,
     load_bags,
     load_generation_report,
     save_bags,
@@ -65,7 +66,7 @@ from .linker import (
     ContextLinkerModel,
     ELConfig,
     GazetteerRecognizer,
-    link_sentence,
+    link_sentences,
     train_context_linker,
 )
 # unused here, but bench/test_bench.py patches it at this import site
@@ -248,23 +249,24 @@ def _cfg_digest(obj) -> str:
 # paths in the order the stage table declares them.
 
 
+# the runner's memo key of the gazetteer pass (PipelineRunner.gazetteer_linked)
+GAZETTEER_PASS = "gazetteer pass"
+
+
 def _build_embeddings(r: PipelineRunner, vec) -> None:
     """Node vectors from KB neighborhoods, then joint word+entity training
-    over a provisional sub-graph-linked pass of the corpus (sub-graph
+    over the corpus as the gazetteer sub-graph pass links it (sub-graph
     decisions never depend on vectors, so this is sound)."""
     kb = r.kb()
     node = train_node_embeddings(kb, r.cfg.embeddings)
-    recognizer = GazetteerRecognizer(kb)
-    provisional = [Sentence(s.id, s.tokens,
-                            [d.span for d in link_sentence(s, kb, recognizer, None, 0)
-                             if d is not None])
-                   for s in r.corpus()]
-    save_table(train_joint_embeddings(provisional, kb, node, r.cfg.embeddings), vec)
+    save_table(train_joint_embeddings(r.gazetteer_linked(), kb, node, r.cfg.embeddings), vec)
 
 
 def _build_bootstrap(r: PipelineRunner, linked, report) -> None:
-    corpus, rounds = bootstrap_linked_corpus(r.corpus(), r.kb(), r.embeddings(),
+    corpus, rounds = bootstrap_linked_corpus(r.gazetteer_linked(), r.kb(), r.embeddings(),
                                              r.cfg.bootstrap)
+    # no later stage reads the gazetteer pass
+    del r._mem[GAZETTEER_PASS]
     write_corpus(corpus, linked)
     write_generation_report(rounds, report)
 
@@ -292,19 +294,14 @@ def _build_re(r: PipelineRunner, ckpt) -> None:
 def _build_link(r: PipelineRunner, linked, evals) -> None:
     """Link the whole corpus with both steps; also emit the per-span
     evaluation records (method, decision, candidate ranking)."""
-    kb, table, model = r.kb(), r.embeddings(), r.el_model()
-    recognizer = GazetteerRecognizer(kb)
-    out_sentences = []
-    records = []
-    for sentence in r.corpus():
-        decisions = link_sentence(sentence, kb, recognizer, table, r.cfg.el.knn_k, model)
-        out_sentences.append(Sentence(sentence.id, sentence.tokens,
-                                      [d.span for d in decisions]))
-        records += [{"sentence": sentence.id, "start": d.span.start, "end": d.span.end,
-                     "method": d.method, "entity": d.entity, "ranking": list(d.ranking)}
-                    for d in decisions]
-    write_corpus(out_sentences, linked)
-    write_jsonl(evals, records)
+    kb, corpus = r.kb(), r.corpus()
+    decisions = link_sentences(corpus, kb, GazetteerRecognizer(kb), r.embeddings(),
+                               r.cfg.el.knn_k, r.el_model())
+    write_corpus([Sentence(s.id, s.tokens, [d.span for d in ds])
+                  for s, ds in zip(corpus, decisions)], linked)
+    write_jsonl(evals, ({"sentence": s.id, "start": d.span.start, "end": d.span.end,
+                         "method": d.method, "entity": d.entity, "ranking": list(d.ranking)}
+                        for s, ds in zip(corpus, decisions) for d in ds))
 
 
 def _link_eval_item(rec: dict) -> LinkEvalItem:
@@ -557,6 +554,14 @@ class PipelineRunner:
         if not self.cfg.corpus_path:
             raise PipelineError("config lacks [paths] corpus")
         return self._memo("input corpus", ingest_corpus, self.cfg.corpus_path)
+
+    def gazetteer_linked(self) -> list[Sentence]:
+        """The corpus as ``gazetteer_linked`` links it, computed once per
+        runner and dropped once the bootstrap stage is built: the
+        embeddings stage trains on it and bootstrap round 1 keeps its
+        sentences with >= 2 links. It reads only the KB and the corpus,
+        inputs of both stages."""
+        return self._memo(GAZETTEER_PASS, gazetteer_linked, self.corpus(), self.kb())
 
     def embeddings(self) -> EmbeddingTable:
         return self._loaded("embeddings")

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import zlib
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbforge import nn
+from kbforge import linker, nn
 from kbforge.corpus import Sentence, Span, Token, ingest_corpus
 from kbforge.datagen import BootstrapConfig, _extract_once
 from kbforge.embeddings import EmbeddingTable, entity_symbol, knn_candidates
@@ -25,6 +26,7 @@ from kbforge.linker import (
     hinge_loss,
     link,
     link_sentence,
+    link_sentences,
     subgraph_link,
     train_context_linker,
 )
@@ -373,7 +375,7 @@ def test_context_model_untrained_raises():
     model = ContextLinkerModel(table, ELConfig(hidden=4, mlp_hidden=8))
     v_c = model._context_vec(mk_sentence(["Stark"]))
     with pytest.raises(LinkError):
-        model.score_candidates(v_c, span_at(0, "Stark"), ["e1"])
+        model.score_candidates(v_c, [(0, span_at(0, "Stark"), ["e1"])])
 
 
 def test_train_requires_linked_spans():
@@ -406,8 +408,8 @@ def test_context_scores_are_pure_and_bounded():
     table, model = trained_model()
     sent = mk_sentence(["Stark", "met", "Pepper"])
     sp = span_at(0, "Stark")
-    a = model.score_candidates(model._context_vec(sent), sp, ["e1", "e2"])
-    b = model.score_candidates(model._context_vec(sent), sp, ["e1", "e2"])
+    (a,) = model.score_candidates(model._context_vec(sent), [(0, sp, ["e1", "e2"])])
+    (b,) = model.score_candidates(model._context_vec(sent), [(0, sp, ["e1", "e2"])])
     assert a == b
     assert all(0.0 < s < 1.0 for s in a)
 
@@ -464,21 +466,28 @@ SCORED_ENTITIES = [f"e{i}" for i in range(1, 9)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 3), st.sampled_from(["Stark", "Pepper", "Stark met"]),
-       st.lists(st.sampled_from(SCORED_ENTITIES), min_size=1, max_size=6, unique=True))
-def test_score_candidates_matches_per_candidate_scoring(n_sentence, surface, entities):
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["Stark", "Pepper", "Stark met"]),
+                          st.lists(st.sampled_from(SCORED_ENTITIES), min_size=0, max_size=6,
+                                   unique=True)),
+                min_size=1, max_size=4))
+def test_score_candidates_matches_per_candidate_scoring(open_spans):
+    # open spans of four sentences encoded side by side, each span scored
+    # against its sentence's column
     model = float64_model(ELConfig(hidden=4, mlp_hidden=8, seed=2), SCORED_ENTITIES)
     model.trained = True
-    sent = batch_corpus(4)[n_sentence]
-    span = Span(0, len(surface.split()) - 1, surface)
+    items = [(col, Span(0, len(surface.split()) - 1, surface), entities)
+             for col, surface, entities in open_spans]
     with nn.no_grad():
-        v_c = model._context_vec(sent)
-        expected = [reference_score(model, v_c, span, e).item() for e in entities]
-    got = model.score_candidates(v_c, span, entities)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-    rank = lambda scores: sorted(zip(entities, scores), key=lambda p: (-p[1], p[0]))
-    assert [e for e, _ in rank(got)] == [e for e, _ in rank(expected)]
-    assert model.score_candidates(v_c, span, []) == []
+        v_c = model._context_vec(*batch_corpus(4))
+        expected = [[reference_score(model, nn.take(v_c, [col], axis=1), span, e).item()
+                     for e in entities] for col, span, entities in items]
+    got = model.score_candidates(v_c, items)
+    assert [len(g) for g in got] == [len(e) for _, _, e in items]
+    for (_, _, entities), g, want in zip(items, got, expected):
+        np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+        rank = lambda scores: sorted(zip(entities, scores), key=lambda p: (-p[1], p[0]))
+        assert [e for e, _ in rank(g)] == [e for e, _ in rank(want)]
+    assert model.score_candidates(v_c, []) == []
 
 
 def test_context_vec_batch_columns_equal_each_sentence_alone():
@@ -625,7 +634,7 @@ def test_link_falls_back_to_context_ranking():
     assert len(got) == 1
     assert got[0].method == "context"
     assert got[0].entity in {"e1", "e2"}
-    scores = model.score_candidates(model._context_vec(sent), got[0].span, ["e1", "e2"])
+    (scores,) = model.score_candidates(model._context_vec(sent), [(0, got[0].span, ["e1", "e2"])])
     assert got[0].score == pytest.approx(max(scores), abs=1e-7)
     assert got[0].ranking[0] == got[0].entity and sorted(got[0].ranking) == ["e1", "e2"]
 
@@ -640,9 +649,9 @@ def test_link_sentence_encodes_each_sentence_once(monkeypatch):
     encode = ContextLinkerModel._context_vec
     calls = []
 
-    def counting(self, sentence):
-        calls.append(sentence.id)
-        return encode(self, sentence)
+    def counting(self, *sentences):
+        calls.append([s.id for s in sentences])
+        return encode(self, *sentences)
 
     monkeypatch.setattr(ContextLinkerModel, "_context_vec", counting)
     got = link_sentence(sent, kb, GazetteerRecognizer(kb), table, 0, model)
@@ -650,9 +659,74 @@ def test_link_sentence_encodes_each_sentence_once(monkeypatch):
     assert [d.method for d in got] == ["context", "context"]
     # bit-identical to scoring each span on its own encoding
     for d in got:
-        scores = model.score_candidates(encode(model, sent), d.span, ["e1", "e2"])
+        (scores,) = model.score_candidates(encode(model, sent), [(0, d.span, ["e1", "e2"])])
         assert d.score == max(scores)
     assert link_sentence(sent, kb, GazetteerRecognizer(kb), table, 0) == [None, None]
+
+
+@functools.cache
+def float32_linker():
+    """The trained float32 context linker of trained_model()."""
+    return trained_model()[1]
+
+
+LINK_WORDS = st.sampled_from(["Stark", "Pepper", "met", "built", "suits", "floors"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(LINK_WORDS, min_size=1, max_size=7), min_size=1, max_size=12),
+       st.randoms(use_true_random=False), st.integers(1, 5), st.booleans())
+def test_link_sentences_equals_each_sentence_linked_alone(word_lists, random, chunk, float64):
+    # "Stark" alone stays open between two candidates, "Pepper" alone
+    # between one, and the two together are decided by the sub-graph step
+    kb = stark_kb()
+    if float64:
+        model = float64_model(ELConfig(hidden=4, mlp_hidden=8, seed=2))
+        model.trained = True
+    else:
+        model = float32_linker()
+    corpus = [mk_sentence(words, f"s{i}") for i, words in enumerate(word_lists)]
+    random.shuffle(corpus)
+    recognizer = GazetteerRecognizer(kb)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linker, "LINK_CHUNK", chunk)
+        got = link_sentences(corpus, kb, recognizer, None, 0, model)
+    assert len(got) == len(corpus)
+    for sentence, decisions in zip(corpus, got):
+        alone = link_sentence(sentence, kb, recognizer, None, 0, model)
+        assert ([(d.span, d.entity, d.method, d.ranking) for d in decisions]
+                == [(d.span, d.entity, d.method, d.ranking) for d in alone])
+        np.testing.assert_allclose([d.score for d in decisions], [d.score for d in alone],
+                                   rtol=0, atol=1e-12 if float64 else 1e-6)
+
+
+GAZETTEER_WORDS = ["a", "b", "c", "d", "x"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gazetteer_pass_is_the_same_with_vectors_and_knn(data):
+    # the pipeline shares one gazetteer pass without vectors between stages
+    # that would run it with the embedding table and a knn_k: every span the
+    # gazetteer proposes is an alias, so its candidates are its dictionary
+    # hits either way
+    n = data.draw(st.integers(2, 7))
+    ids = [f"e{i}" for i in range(n)]
+    alias_lists = data.draw(st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "a b", "b c", "d"]), max_size=2, unique=True),
+        min_size=n, max_size=n))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] != p[1]), max_size=12, unique=True))
+    kb = KnowledgeBase([Entity(e, e, tuple(aliases), "t") for e, aliases in zip(ids, alias_lists)],
+                       [Triple(ids[a], "r", ids[b]) for a, b in pairs])
+    word_lists = data.draw(st.lists(st.lists(st.sampled_from(GAZETTEER_WORDS), min_size=1,
+                                             max_size=8), min_size=1, max_size=6))
+    corpus = [mk_sentence(words, f"s{i}") for i, words in enumerate(word_lists)]
+    table = small_table(GAZETTEER_WORDS, ids, seed=data.draw(st.integers(0, 3)))
+    k = data.draw(st.integers(1, n))
+    recognizer = GazetteerRecognizer(kb)
+    assert (link_sentences(corpus, kb, recognizer, table, k)
+            == link_sentences(corpus, kb, recognizer, None, 0))
 
 
 class OneSpanRecognizer:

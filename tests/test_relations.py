@@ -116,6 +116,34 @@ def test_encode_tokens_shape_and_overlap_guard():
         m.encode_tokens([(s, subj, Span(0, 1, "Tony knows"))])
 
 
+def test_encode_tokens_nearest_other_span_positions(monkeypatch):
+    # pos3 of a token: 1 + its distance to the nearest linked span other
+    # than the subject and the object, capped at max_pos (5 here); 0 when
+    # the sentence has no such span
+    m = tiny_model()
+    words = ["Tony", "knows", "Pepper", "w", "w", "w", "w", "w", "Mark", "Two", "w", "w", "w",
+             "Happy"]
+    s = mk_sentence(words, [-1] + [0] * 13, "four")
+    subj = Span(0, 0, "Tony", "person", linked="e1")
+    obj = Span(2, 2, "Pepper", "person", linked="e2")
+    s.spans = [subj, obj, Span(4, 4, "w"), Span(8, 9, "Mark Two", "suit", linked="e3"),
+               Span(13, 13, "Happy", "person", linked="e2")]
+    pair, pair_subj, pair_obj = pair_sentence()
+    indices = []
+    embed_columns = nn.embed_columns
+
+    def capturing(tables, columns):
+        indices.append([list(c) for c in columns])
+        return embed_columns(tables, columns)
+
+    monkeypatch.setattr(nn, "embed_columns", capturing)
+    m.encode_tokens([(s, subj, obj), (pair, pair_subj, pair_obj)])
+    # to tokens 8-9:  8 7 6 5 4 3 2 1 0 0 1 2 3 4
+    # to token 13:   13 12 11 10 9 8 7 6 5 4 3 2 1 0
+    # the minimum, capped at 5, plus 1; the unlinked span at 4 does not count
+    assert indices[0][3] == [6, 6, 6, 6, 5, 4, 3, 2, 1, 1, 2, 3, 2, 1] + [0, 0, 0]
+
+
 def test_pcnn_leading_anchor_zeroes_first_segment():
     m = tiny_model()
     s, subj, obj = pair_sentence()
