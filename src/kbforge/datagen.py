@@ -78,29 +78,28 @@ def _extract_once(raw_corpus: list[Sentence], kb: KnowledgeBase,
             if len(s.spans) >= 2]
 
 
-def bootstrap_linked_corpus(linked: list[Sentence], kb: KnowledgeBase,
+def bootstrap_linked_corpus(raw_corpus: list[Sentence], kb: KnowledgeBase,
                             table: EmbeddingTable | None, cfg: BootstrapConfig
                             ) -> tuple[list[Sentence], list[dict]]:
     """The linked corpus, and per round its ``rounds.json`` record: the
     1-based ``round``, the number of sentences it ``extracted`` and the
-    ``recognizer`` that tagged them. ``linked`` is the raw corpus as
-    ``gazetteer_linked`` links it; round 1 keeps its sentences with >= 2
-    links. Later rounds retrain a span classifier on the previous round's
-    sentences and re-extract from the tokens of ``linked``. Stops when the
-    extracted-sentence count drops (previous corpus wins) or at the round
-    cap; equal counts keep going. Every sentence's n-grams are hashed once,
-    into a feature table the classifier rounds share by sentence id."""
-    if not linked:
+    ``recognizer`` that tagged them. Round 1 extracts with the alias
+    gazetteer; later rounds retrain a span classifier on the previous round's
+    labels and re-extract. Stops when the extracted-sentence count drops
+    (previous corpus wins) or at the round cap; equal counts keep going.
+    Every sentence's n-grams are hashed once, into a feature table the
+    classifier rounds share by sentence id."""
+    if not raw_corpus:
         raise DataGenError("bootstrap needs a non-empty corpus")
     seen: set[str] = set()
-    for sentence in linked:
+    for sentence in raw_corpus:
         if sentence.id in seen:
             raise DataGenError(f"duplicate sentence id {sentence.id!r}")
         seen.add(sentence.id)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     feature_table: dict[str, np.ndarray] = {}
 
-    best = [s for s in linked if len(s.spans) >= 2]
+    best = _extract_once(raw_corpus, kb, table, GazetteerRecognizer(kb), cfg)
     rounds = [{"round": 1, "extracted": len(best), "recognizer": "gazetteer"}]
     for round_index in range(2, cfg.max_rounds + 1):
         student = TrainableSpanClassifier(kb, cfg, feature_table)
@@ -108,7 +107,7 @@ def bootstrap_linked_corpus(linked: list[Sentence], kb: KnowledgeBase,
             student.train(best, rng)
         except Exception as exc:
             raise DataGenError(f"round {round_index}: recognizer training failed: {exc}") from exc
-        current = _extract_once(linked, kb, table, student, cfg)
+        current = _extract_once(raw_corpus, kb, table, student, cfg)
         rounds.append({"round": round_index, "extracted": len(current),
                        "recognizer": f"classifier-round-{round_index}"})
         if len(current) < len(best):

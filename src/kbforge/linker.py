@@ -414,7 +414,7 @@ def hinge_loss(s: float, s_neg: float, margin: float) -> float:
 
 # Sentences per encoder pass of the context step in link_sentences; the
 # last chunk may hold fewer.
-LINK_CHUNK = 256
+LINK_CHUNK = 64
 
 
 def _decision(kb: KnowledgeBase, span: Span, entity: str, method: str, score: float,

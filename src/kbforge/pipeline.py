@@ -249,24 +249,19 @@ def _cfg_digest(obj) -> str:
 # paths in the order the stage table declares them.
 
 
-# the runner's memo key of the gazetteer pass (PipelineRunner.gazetteer_linked)
-GAZETTEER_PASS = "gazetteer pass"
-
-
 def _build_embeddings(r: PipelineRunner, vec) -> None:
     """Node vectors from KB neighborhoods, then joint word+entity training
     over the corpus as the gazetteer sub-graph pass links it (sub-graph
     decisions never depend on vectors, so this is sound)."""
     kb = r.kb()
     node = train_node_embeddings(kb, r.cfg.embeddings)
-    save_table(train_joint_embeddings(r.gazetteer_linked(), kb, node, r.cfg.embeddings), vec)
+    save_table(train_joint_embeddings(gazetteer_linked(r.corpus(), kb), kb, node,
+                                      r.cfg.embeddings), vec)
 
 
 def _build_bootstrap(r: PipelineRunner, linked, report) -> None:
-    corpus, rounds = bootstrap_linked_corpus(r.gazetteer_linked(), r.kb(), r.embeddings(),
+    corpus, rounds = bootstrap_linked_corpus(r.corpus(), r.kb(), r.embeddings(),
                                              r.cfg.bootstrap)
-    # no later stage reads the gazetteer pass
-    del r._mem[GAZETTEER_PASS]
     write_corpus(corpus, linked)
     write_generation_report(rounds, report)
 
@@ -554,14 +549,6 @@ class PipelineRunner:
         if not self.cfg.corpus_path:
             raise PipelineError("config lacks [paths] corpus")
         return self._memo("input corpus", ingest_corpus, self.cfg.corpus_path)
-
-    def gazetteer_linked(self) -> list[Sentence]:
-        """The corpus as ``gazetteer_linked`` links it, computed once per
-        runner and dropped once the bootstrap stage is built: the
-        embeddings stage trains on it and bootstrap round 1 keeps its
-        sentences with >= 2 links. It reads only the KB and the corpus,
-        inputs of both stages."""
-        return self._memo(GAZETTEER_PASS, gazetteer_linked, self.corpus(), self.kb())
 
     def embeddings(self) -> EmbeddingTable:
         return self._loaded("embeddings")

@@ -14,7 +14,6 @@ from kbforge.datagen import (
     bootstrap_linked_corpus,
     collect_pair_sentences,
     distant_supervision,
-    gazetteer_linked,
     load_bags,
     load_generation_report,
     save_bags,
@@ -45,7 +44,7 @@ def test_gazetteer_round_keeps_doubly_linked_sentences():
     kb = pair_kb()
     corpus = [mk_sentence(["Tony", "met", "Pepper"], "a"),
               mk_sentence(["Tony", "slept"], "b")]
-    linked, rounds = bootstrap_linked_corpus(gazetteer_linked(corpus, kb), kb, None,
+    linked, rounds = bootstrap_linked_corpus(corpus, kb, None,
                                              BootstrapConfig(max_rounds=1, knn_k=0))
     assert [s.id for s in linked] == ["a"]
     assert [(sp.surface, sp.linked, sp.span_type, sp.method)
@@ -80,8 +79,7 @@ def test_bootstrap_hashes_each_ngram_at_most_once(fixture_dir, monkeypatch):
         return hash_widths(self, sentence, widths)
 
     monkeypatch.setattr(TrainableSpanClassifier, "_hash_widths", counting)
-    _, rounds = bootstrap_linked_corpus(gazetteer_linked(raw, kb), kb, None,
-                                        BootstrapConfig(max_rounds=3, knn_k=0))
+    _, rounds = bootstrap_linked_corpus(raw, kb, None, BootstrapConfig(max_rounds=3, knn_k=0))
     assert [r["recognizer"] for r in rounds][1:] == ["classifier-round-2", "classifier-round-3"]
     # every n-gram up to the widest trained span of every raw sentence
     assert len(hashed) == sum(2 * len(s.tokens) - 1 for s in raw)
@@ -102,13 +100,11 @@ class _NoopClassifier:
 
 
 def scripted_rounds(monkeypatch, lengths, max_rounds):
-    """Drive the round loop: round 1 keeps `lengths[0]` doubly linked
-    sentences, and a fake extraction's per-call corpus sizes follow
-    `lengths[1:]`."""
-    two_links = [Span(0, 0, "w", linked="e1"), Span(1, 1, "w", linked="e2")]
-    corpora = [[mk_sentence(["w", "w"], f"r{i}s{j}", two_links) for j in range(n)]
+    """Drive the round loop with a fake extraction whose per-call corpus
+    sizes follow `lengths`."""
+    corpora = [[mk_sentence(["w"], f"r{i}s{j}") for j in range(n)]
                for i, n in enumerate(lengths)]
-    calls = {"n": 1}
+    calls = {"n": 0}
 
     def fake_extract(raw, kb, table, recognizer, cfg):
         out = corpora[calls["n"]]
@@ -118,7 +114,7 @@ def scripted_rounds(monkeypatch, lengths, max_rounds):
     monkeypatch.setattr(datagen, "_extract_once", fake_extract)
     monkeypatch.setattr(datagen, "TrainableSpanClassifier", _NoopClassifier)
     kb = pair_kb()
-    return bootstrap_linked_corpus(corpora[0] + [mk_sentence(["w"], "unlinked")], kb, None,
+    return bootstrap_linked_corpus([mk_sentence(["w"])], kb, None,
                                    BootstrapConfig(max_rounds=max_rounds))
 
 

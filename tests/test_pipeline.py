@@ -702,10 +702,9 @@ def test_every_config_field_a_stage_reads_is_in_its_config_slice(tiny_fixture, t
         assert config_slice <= reads[name], name
 
 
-def test_embeddings_and_bootstrap_share_one_gazetteer_pass(tiny_fixture, tmp_path, monkeypatch):
-    # the embeddings stage runs the gazetteer sub-graph pass and bootstrap
-    # round 1 reuses it; each classifier round runs one pass, and the link
-    # stage runs its own ahead of the context step
+def test_each_linking_stage_runs_one_subgraph_pass(tiny_fixture, tmp_path, monkeypatch):
+    # one sub-graph pass over the corpus in the embeddings stage, one per
+    # bootstrap round and one in the link stage ahead of the context step
     calls = Counter()
     running = ["runner"]
     subgraph = linker.subgraph_link
@@ -730,11 +729,9 @@ def test_embeddings_and_bootstrap_share_one_gazetteer_pass(tiny_fixture, tmp_pat
     runner = PipelineRunner(load_config(write_tiny_config(tiny_fixture, tmp_path / "out")))
     runner.evaluate()
     n = len(runner.corpus())
-    classifier_rounds = len(runner.bootstrap()[1]) - 1
-    assert classifier_rounds >= 1
-    assert calls == {"embeddings": n, "bootstrap": n * classifier_rounds, "link": n}
-    # no stage after bootstrap reads the pass, so the runner does not hold it
-    assert pipeline.GAZETTEER_PASS not in runner._mem
+    rounds = len(runner.bootstrap()[1])
+    assert rounds >= 2
+    assert calls == {"embeddings": n, "bootstrap": n * rounds, "link": n}
 
 
 def test_code_digest_is_computed_once_per_process(monkeypatch):
@@ -775,26 +772,25 @@ def test_link_sentence_keeps_each_former_callers_contract(tiny_run):
     assert [(s.id, spans(s)) for s in got] == want
 
     # full linking: the context model ranks what the sub-graph step leaves
-    # open, with scores equal to encoding the sentence for each span; a
-    # sentence's open spans are scored in one float32 pass, so a score may
-    # differ from scoring its span alone in the last bits
+    # open, with scores equal to encoding the sentence once and scoring its
+    # open spans in one pass
     open_spans = 0
     for sentence in corpus:
         cands, decisions = subgraph_step(sentence)
+        left = [cand for cand, decision in zip(cands, decisions) if decision is None]
+        with no_grad():
+            v_c = model._context_vec(sentence)
+        scores = iter(model.score_candidates(v_c, [(0, c.span, c.entities) for c in left]))
         want = []
         for cand, decision in zip(cands, decisions):
             if decision is None:
-                with no_grad():
-                    v_c = model._context_vec(sentence)
-                (scores,) = model.score_candidates(v_c, [(0, cand.span, cand.entities)])
-                ranked = sorted(zip(cand.entities, scores), key=lambda p: (-p[1], p[0]))
+                ranked = sorted(zip(cand.entities, next(scores)), key=lambda p: (-p[1], p[0]))
                 want.append((ranked[0][0], "context", ranked[0][1],
                              tuple(e for e, _ in ranked)))
             else:
                 want.append((decision.entity, "subgraph", decision.score, ()))
         got = link(sentence, kb, None, model, recognizer, knn_k=0)
-        assert [(d.entity, d.method, d.ranking) for d in got] == [(e, m, r) for e, m, _, r in want]
-        assert [d.score for d in got] == pytest.approx([w[2] for w in want], rel=0, abs=1e-6)
+        assert [(d.entity, d.method, d.score, d.ranking) for d in got] == want
         open_spans += decisions.count(None)
         if None in decisions:
             with pytest.raises(LinkError):
