@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -178,8 +179,8 @@ def split_dataset(bags: list[Bag], ratios: tuple[float, float, float],
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(len(bags))
     n = len(bags)
-    cut1 = int(n * ratios[0])
-    cut2 = int(n * (ratios[0] + ratios[1]))
+    p_train, p_valid = (Fraction(str(r)) for r in ratios[:2])  # exact for the INI's decimals
+    cut1, cut2 = int(n * p_train), int(n * (p_train + p_valid))
     train = [bags[i] for i in order[:cut1]]
     valid = [bags[i] for i in order[cut1:cut2]]
     test = [bags[i] for i in order[cut2:]]

@@ -36,11 +36,25 @@ class Candidate:
 
 @dataclass(slots=True)
 class LinkDecision:
-    span: Span
-    entity: str
-    method: str  # subgraph | context
+    span: Span  # linked: carries the entity, its KB type and the method
     score: float
     ranking: tuple[str, ...] = ()  # context decisions: candidates by descending score
+
+    @property
+    def entity(self) -> str:
+        return self.span.linked
+
+    @property
+    def method(self) -> str:  # subgraph | context
+        return self.span.method
+
+
+def _decision(kb: KnowledgeBase, span: Span, entity: str, method: str, score: float,
+              ranking: tuple[str, ...] = ()) -> LinkDecision:
+    """The decision linking ``span`` to ``entity``; its span is ``span``
+    linked, typed by the KB and tagged with ``method``."""
+    return LinkDecision(Span(span.start, span.end, span.surface, kb.entity_type(entity),
+                             entity, method), score, ranking)
 
 
 class GazetteerRecognizer:
@@ -234,7 +248,7 @@ def subgraph_link(sentence_candidates: list[Candidate],
         best = max(count.values())
         top = [e for e in cand.entities if count[e] == best]
         if best > 0 and len(top) == 1:
-            decisions.append(LinkDecision(cand.span, top[0], "subgraph", best))
+            decisions.append(_decision(kb, cand.span, top[0], "subgraph", best))
         else:
             decisions.append(None)
     return decisions
@@ -417,14 +431,6 @@ def hinge_loss(s: float, s_neg: float, margin: float) -> float:
 LINK_CHUNK = 64
 
 
-def _decision(kb: KnowledgeBase, span: Span, entity: str, method: str, score: float,
-              ranking: tuple[str, ...] = ()) -> LinkDecision:
-    """The decision linking ``span`` to ``entity``; its span is ``span``
-    linked, typed by the KB and tagged with ``method``."""
-    return LinkDecision(Span(span.start, span.end, span.surface, kb.entity_type(entity),
-                             entity, method), entity, method, score, ranking)
-
-
 def link_sentences(sentences: list[Sentence], kb: KnowledgeBase, recognizer,
                    table: EmbeddingTable | None, knn_k: int,
                    model: ContextLinkerModel | None = None) -> list[list[LinkDecision | None]]:
@@ -442,8 +448,7 @@ def link_sentences(sentences: list[Sentence], kb: KnowledgeBase, recognizer,
         cands = [c for c in (generate_candidates(sp, kb, table, knn_k)
                              for sp in recognizer.recognize(sentence)) if c is not None]
         decisions = subgraph_link(cands, kb)
-        out.append([None if d is None else _decision(kb, d.span, d.entity, "subgraph", d.score)
-                    for d in decisions])
+        out.append(decisions)
         open_spans = [(j, c) for j, (c, d) in enumerate(zip(cands, decisions)) if d is None]
         if open_spans and model is not None:
             pending.append((i, open_spans))
@@ -462,19 +467,12 @@ def link_sentences(sentences: list[Sentence], kb: KnowledgeBase, recognizer,
     return out
 
 
-def link_sentence(sentence: Sentence, kb: KnowledgeBase, recognizer,
-                  table: EmbeddingTable | None, knn_k: int,
-                  model: ContextLinkerModel | None = None) -> list[LinkDecision | None]:
-    """``link_sentences`` of one sentence."""
-    return link_sentences([sentence], kb, recognizer, table, knn_k, model)[0]
-
-
 def link(sentence: Sentence, kb: KnowledgeBase, table: EmbeddingTable | None,
          model: ContextLinkerModel | None, recognizer, knn_k: int) -> list[LinkDecision]:
-    """``link_sentence`` that must decide every span: the context model is
-    only touched when the sub-graph step leaves something open, and a span
-    left open without one raises LinkError."""
-    decisions = link_sentence(sentence, kb, recognizer, table, knn_k, model)
+    """``link_sentences`` of one sentence that must decide every span: the
+    context model is only touched when the sub-graph step leaves something
+    open, and a span left open without one raises LinkError."""
+    decisions = link_sentences([sentence], kb, recognizer, table, knn_k, model)[0]
     if any(d is None for d in decisions):
         raise LinkError("context step needed but no trained model supplied")
     return decisions

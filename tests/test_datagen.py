@@ -1,8 +1,12 @@
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kbforge import datagen
 from kbforge.corpus import Sentence, Span, Token, ingest_corpus
@@ -265,6 +269,21 @@ def test_split_deterministic_and_seed_sensitive():
     c = split_dataset(bags, (0.8, 0.1, 0.1), seed=5)
     assert a == b
     assert a != c
+
+
+# a bag count that is a multiple of 100 makes every exact cut a whole number,
+# where a float product that falls just short of it floors one too low
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5000) | st.integers(0, 50).map(lambda k: 100 * k),
+       st.integers(0, 100).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, 100 - a))))
+@example(10, (70, 10))  # 0.7 + 0.1 == 0.7999999999999999 in floats
+def test_split_cuts_are_exact_for_hundredth_ratios(n, hundredths):
+    a, b = hundredths
+    train, valid, test = split_dataset(list(range(n)), (a / 100, b / 100, (100 - a - b) / 100),
+                                       seed=0)
+    cut1, cut2 = n * Fraction(a, 100), n * Fraction(a + b, 100)
+    assert (len(train), len(valid), len(test)) == (
+        math.floor(cut1), math.floor(cut2) - math.floor(cut1), n - math.floor(cut2))
 
 
 def test_split_rejects_bad_ratios():

@@ -20,12 +20,12 @@ from kbforge.linker import (
     ContextLinkerModel,
     ELConfig,
     GazetteerRecognizer,
+    LinkDecision,
     LinkError,
     TrainableSpanClassifier,
     generate_candidates,
     hinge_loss,
     link,
-    link_sentence,
     link_sentences,
     subgraph_link,
     train_context_linker,
@@ -654,14 +654,14 @@ def test_link_sentence_encodes_each_sentence_once(monkeypatch):
         return encode(self, *sentences)
 
     monkeypatch.setattr(ContextLinkerModel, "_context_vec", counting)
-    got = link_sentence(sent, kb, GazetteerRecognizer(kb), table, 0, model)
+    got = link_sentences([sent], kb, GazetteerRecognizer(kb), table, 0, model)[0]
     assert len(calls) == 1
     assert [d.method for d in got] == ["context", "context"]
     # bit-identical to scoring each span on its own encoding
     for d in got:
         (scores,) = model.score_candidates(encode(model, sent), [(0, d.span, ["e1", "e2"])])
         assert d.score == max(scores)
-    assert link_sentence(sent, kb, GazetteerRecognizer(kb), table, 0) == [None, None]
+    assert link_sentences([sent], kb, GazetteerRecognizer(kb), table, 0)[0] == [None, None]
 
 
 @functools.cache
@@ -671,11 +671,11 @@ def float32_linker():
 
 
 LINK_WORDS = st.sampled_from(["Stark", "Pepper", "met", "built", "suits", "floors"])
+LINK_CORPORA = st.lists(st.lists(LINK_WORDS, min_size=1, max_size=7), min_size=1, max_size=12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(LINK_WORDS, min_size=1, max_size=7), min_size=1, max_size=12),
-       st.randoms(use_true_random=False), st.integers(1, 5), st.booleans())
+@given(LINK_CORPORA, st.randoms(use_true_random=False), st.integers(1, 5), st.booleans())
 def test_link_sentences_equals_each_sentence_linked_alone(word_lists, random, chunk, float64):
     # "Stark" alone stays open between two candidates, "Pepper" alone
     # between one, and the two together are decided by the sub-graph step
@@ -693,11 +693,39 @@ def test_link_sentences_equals_each_sentence_linked_alone(word_lists, random, ch
         got = link_sentences(corpus, kb, recognizer, None, 0, model)
     assert len(got) == len(corpus)
     for sentence, decisions in zip(corpus, got):
-        alone = link_sentence(sentence, kb, recognizer, None, 0, model)
+        alone = link_sentences([sentence], kb, recognizer, None, 0, model)[0]
         assert ([(d.span, d.entity, d.method, d.ranking) for d in decisions]
                 == [(d.span, d.entity, d.method, d.ranking) for d in alone])
         np.testing.assert_allclose([d.score for d in decisions], [d.score for d in alone],
                                    rtol=0, atol=1e-12 if float64 else 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LINK_CORPORA)
+def test_each_decision_is_its_linked_span(word_lists):
+    # a decision holds its entity and method once, in its span, whichever
+    # step decided it and whichever entry point returned it
+    assert LinkDecision.__slots__ == ("span", "score", "ranking")
+    kb = stark_kb()
+    corpus = [mk_sentence(words, f"s{i}") for i, words in enumerate(word_lists)]
+    recognizer = GazetteerRecognizer(kb)
+    cands = [[generate_candidates(sp, kb, None, 0) for sp in recognizer.recognize(s)]
+             for s in corpus]
+    passes = {"subgraph": [subgraph_link(c, kb) for c in cands],
+              "without model": link_sentences(corpus, kb, recognizer, None, 0),
+              "with model": link_sentences(corpus, kb, recognizer, None, 0, float32_linker())}
+    for name, decisions in passes.items():
+        methods = {"context", "subgraph"} if name == "with model" else {"subgraph"}
+        for sentence_cands, ds in zip(cands, decisions, strict=True):
+            for cand, d in zip(sentence_cands, ds, strict=True):
+                if d is None:
+                    assert name != "with model"
+                    continue
+                assert d.method in methods and d.entity in cand.entities
+                assert (d.span.linked, d.span.method) == (d.entity, d.method)
+                assert d.span.span_type == kb.entity_type(d.entity)
+                assert ((d.span.start, d.span.end, d.span.surface)
+                        == (cand.span.start, cand.span.end, cand.span.surface))
 
 
 GAZETTEER_WORDS = ["a", "b", "c", "d", "x"]
@@ -747,13 +775,13 @@ def test_link_sentence_asks_knn_only_for_a_span_outside_the_alias_table():
     recognizer = OneSpanRecognizer(span_at(0, "suits"))
     assert not kb.entities_by_alias("suits")
     nearest = [e for e, _ in knn_candidates(table, "suits", 2)]
-    (got,) = link_sentence(sent, kb, recognizer, table, 2, model)
+    (got,) = link_sentences([sent], kb, recognizer, table, 2, model)[0]
     assert (got.method, got.span.surface) == ("context", "suits")
     assert got.entity == got.ranking[0] and sorted(got.ranking) == sorted(nearest)
     assert got.span.linked == got.entity
-    assert link_sentence(sent, kb, recognizer, table, 2) == [None]
-    assert link_sentence(sent, kb, recognizer, table, 0, model) == []
-    assert link_sentence(sent, kb, recognizer, None, 2, model) == []
+    assert link_sentences([sent], kb, recognizer, table, 2)[0] == [None]
+    assert link_sentences([sent], kb, recognizer, table, 0, model)[0] == []
+    assert link_sentences([sent], kb, recognizer, None, 2, model)[0] == []
 
 
 # -- span classifier ------------------------------------------------------------

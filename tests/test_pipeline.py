@@ -800,6 +800,19 @@ def test_link_sentence_keeps_each_former_callers_contract(tiny_run):
     assert open_spans
 
 
+def test_final_linked_spans_are_the_link_eval_records(tiny_run):
+    # the link stage's two outputs hold the same decisions in the same
+    # order, as the build loads them and as a fresh runner reads them back
+    fresh = PipelineRunner(load_config(tiny_run["cfg_path"]))
+    for runner in (tiny_run["runner"], fresh):
+        linked, items = runner.link_corpus()
+        spans = [(s.id, sp.start, sp.end, sp.linked, sp.method)
+                 for s in linked for sp in s.spans]
+        assert spans and spans == [(it.sentence_id, it.start, it.end, it.entity, it.method)
+                                   for it in items]
+    assert tiny_run["runner"].stage_ran["link"] and not fresh.stage_ran["link"]
+
+
 def test_reloaded_artifacts_hold_interned_ids(tiny_run):
     # a fresh runner reads every artifact back from disk
     runner = PipelineRunner(load_config(tiny_run["cfg_path"]))
