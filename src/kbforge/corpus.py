@@ -1,4 +1,4 @@
-"""Tokenized, parsed sentences: ingestion and dependency paths.
+"""Tokenized, parsed sentences: their validation, ingestion and writing.
 
 All operations here are pure value transforms.
 """
@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .files import json_int, json_ints, json_list, read_jsonl, write_jsonl
 
@@ -183,49 +181,3 @@ def ingest_corpus(path) -> list[Sentence]:
 def write_corpus(sentences, path) -> None:
     write_jsonl(path, map(sentence_to_record, sentences))
 
-
-# -- dependency paths ------------------------------------------------------
-
-def shortest_dependency_path(sentence: Sentence, a: Span, b: Span) -> list[int]:
-    """Unique tree path between the last tokens of the two spans, both
-    included, ordered from a's last token to b's."""
-    if a.overlaps(b):
-        raise CorpusError(f"sentence {sentence.id!r}: spans overlap, no dependency path")
-    heads = sentence.heads()
-
-    def chain(t: int) -> list[int]:
-        out = [t]
-        while heads[out[-1]] != -1:
-            out.append(heads[out[-1]])
-        return out
-
-    ca = chain(a.end)
-    cb = chain(b.end)
-    pos_in_a = {t: i for i, t in enumerate(ca)}
-    lca = None
-    b_prefix: list[int] = []
-    for t in cb:
-        if t in pos_in_a:
-            lca = t
-            break
-        b_prefix.append(t)
-    assert lca is not None  # a tree always has an LCA
-    return ca[: pos_in_a[lca] + 1] + list(reversed(b_prefix))
-
-
-def sdp_adjacency(sentence: Sentence, path) -> np.ndarray:
-    """Normalized adjacency over the whole sentence: dependency edges with
-    both endpoints in ``path`` plus self-loops, symmetrically normalized
-    D^(-1/2) (A+I) D^(-1/2). Tokens off the path keep identity rows."""
-    n = len(sentence.tokens)
-    on_path = set(path)
-    a = np.zeros((n, n), dtype=np.float64)
-    for t, h in enumerate(sentence.heads()):
-        if h == -1:
-            continue
-        if t in on_path and h in on_path:
-            a[t, h] = 1.0
-            a[h, t] = 1.0
-    a_hat = a + np.eye(n)
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]

@@ -114,16 +114,16 @@ class TrainableSpanClassifier:
     def _bucket(self, feat: str) -> int:
         return zlib.crc32(feat.encode("utf-8")) % self.feature_dim
 
-    def _hash_widths(self, sentence: Sentence, widths) -> np.ndarray:
-        """(n-grams, 7) feature buckets of the sentence's n-grams of the
-        given widths, rows in _ngrams order. The features are surface,
+    def _hash_widths(self, sentence: Sentence, top: int) -> np.ndarray:
+        """(n-grams, 7) feature buckets of the sentence's n-grams up to
+        `top` tokens wide, rows in _ngrams order. The features are surface,
         length, gazetteer membership and the words at -1, -2, +1 and +2
         ("<s>" past either end)."""
         words = [t.surface for t in sentence.tokens]
         padded = ["<s>", "<s>"] + words + ["<s>", "<s>"]
         b = self._bucket
         rows = []
-        for width in widths:
+        for width in range(1, top + 1):
             for start in range(len(words) - width + 1):
                 end = start + width - 1
                 surface = " ".join(words[start:end + 1])
@@ -141,16 +141,16 @@ class TrainableSpanClassifier:
 
     def _feature_rows(self, sentence: Sentence) -> np.ndarray:
         """(n-grams, 7) feature buckets of the sentence's n-grams, rows in
-        _ngrams order; hashes only the rows the feature table lacks."""
+        _ngrams order; hashes the sentence unless the feature table holds
+        them. Bootstrap round r asks for widths no wider than round r-1's
+        classifier did, so the table never holds only some of them."""
         n = len(sentence.tokens)
         top = min(self.max_span_len, n)
         m = _ngram_rows(n, top + 1)
         table = self.feature_table
         rows = _NO_ROWS if table is None else table.get(sentence.id, _NO_ROWS)
         if len(rows) < m:
-            # the table holds whole widths: hash those that start past its end
-            missing = [w for w in range(1, top + 1) if _ngram_rows(n, w) >= len(rows)]
-            rows = np.concatenate([rows, self._hash_widths(sentence, missing)])
+            rows = self._hash_widths(sentence, top)
             if table is not None:
                 table[sentence.id] = rows
         return rows[:m]

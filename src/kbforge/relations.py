@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .bounds import bounded, check_bounds
-from .corpus import Sentence, Span, sdp_adjacency, shortest_dependency_path
+from .corpus import Sentence, Span
 from .datagen import Bag, collect_pair_sentences
 from .embeddings import init_vectors
 from .files import json_list, read_rows, write_rows
@@ -64,10 +64,9 @@ def span_distance(token_index, start, end):
 
 
 def segment_anchors(subject_span: Span, object_span: Span) -> tuple[int, int, int]:
-    """(i, j, direction) with i < j; direction 1 when the subject follows
-    the object in surface order."""
-    if subject_span.overlaps(object_span):
-        raise RelationError("subject and object spans overlap")
+    """(i, j, direction) with i < j for spans apart (encode_tokens rejects
+    overlapping ones); direction 1 when the subject follows the object in
+    surface order."""
     if subject_span.end < object_span.start:
         return subject_span.end, object_span.end, 0
     return object_span.end, subject_span.end, 1
@@ -147,7 +146,9 @@ class REModel:
         """(token_dim, N) token columns of the bag's sentences. A column
         stacks the embeddings of the token's word, its distance to the
         subject, to the object and to the nearest other linked span, its
-        span type and its POS tag."""
+        span type and its POS tag. RelationError if an instance's subject
+        and object spans overlap: the one such check that forward_bags
+        makes."""
         cfg = self.cfg
         lengths = np.array([len(s.tokens) for s, _, _ in instances])
         first = np.cumsum(lengths) - lengths
@@ -198,24 +199,45 @@ class REModel:
         return out
 
     def _sdp_matrix(self, instances: list[tuple[Sentence, Span, Span]]) -> np.ndarray:
-        """(B, m, m) stack of each sentence's normalized adjacency over its
-        shortest dependency path plus the tokens of both spans, m the longest
+        """(B, m, m) stack of each sentence's dependency tree pruned to the
+        path between its two spans' last tokens, plus both spans' tokens
+        (Zhang, Qi and Manning, EMNLP 2018): D^(-1/2) (A+I) D^(-1/2) with an
+        edge between a token and its head when both are kept. The path holds
+        the tokens above exactly one of the two last tokens, each above
+        itself, and their lowest common ancestor. m is the longest
         sentence's token count; block b is zero past its sentence's tokens."""
         m = max(len(sentence.tokens) for sentence, _, _ in instances)
         a_hat = np.zeros((len(instances), m, m), dtype=self.dtype)
         for block, (sentence, subject_span, object_span) in zip(a_hat, instances):
-            keep = (shortest_dependency_path(sentence, subject_span, object_span)
-                    + list(range(subject_span.start, subject_span.end + 1))
-                    + list(range(object_span.start, object_span.end + 1)))
+            heads = sentence.heads()
+            above = []
+            for t in (subject_span.end, object_span.end):
+                chain = [t]
+                while heads[t] != -1:
+                    t = heads[t]
+                    chain.append(t)
+                above.append(chain)
+            common = set(above[0]).intersection(above[1])
+            # the common ancestors end the chain: the first of them is the LCA
+            keep = (set(above[0]).symmetric_difference(above[1])
+                    | {above[0][-len(common)]}
+                    | set(range(subject_span.start, subject_span.end + 1))
+                    | set(range(object_span.start, object_span.end + 1)))
             n = len(sentence.tokens)
-            block[:n, :n] = sdp_adjacency(sentence, keep)
+            adj = np.eye(n)
+            for t in keep:
+                if heads[t] in keep:
+                    adj[t, heads[t]] = adj[heads[t], t] = 1.0
+            d_inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
+            block[:n, :n] = adj * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
         return a_hat
 
     def cgcn_encode(self, x: nn.Tensor, a_hat: np.ndarray, lengths,
                     spans: list[tuple[Span, Span]]) -> nn.Tensor:
-        """BiLSTM, then GCN over each sentence's adjacency block of a_hat
-        (see _sdp_matrix), then per sentence the max over all its tokens,
-        its subject span and its object span."""
+        """BiLSTM, then one GCN layer over each sentence's pruned dependency
+        tree, its block of the a_hat that _sdp_matrix builds, then per
+        sentence the max over all its tokens, its subject span and its
+        object span."""
         lengths = np.asarray(lengths)
         if a_hat.shape != (len(lengths),) + (max(lengths),) * 2:
             raise RelationError(f"adjacency {a_hat.shape} for sentence lengths "

@@ -5,6 +5,7 @@ import pytest
 from conftest import tree_heads
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_relations import tiny_model
 
 from kbforge.corpus import (
     CorpusError,
@@ -15,8 +16,6 @@ from kbforge.corpus import (
     make_span,
     sentence_from_record,
     sentence_to_record,
-    shortest_dependency_path,
-    sdp_adjacency,
     validate_tree,
     write_corpus,
 )
@@ -184,40 +183,30 @@ def test_ingest_reports_line_numbers(tmp_path):
 
 # -- dependency paths ---------------------------------------------------------
 
+def sdp_block(s, a, b):
+    """The pruned, normalised tree the relation model builds for spans a, b."""
+    return tiny_model(dtype=np.float64)._sdp_matrix([(s, a, b)])[0]
+
+
 def test_sdp_simple_tree():
+    # the path from "Stark" (1) to "York" (4) is [1, 2, 4]: its edges are
+    # the only ones kept
     s = toy_sentence()
-    a = make_span(s, 0, 1)   # Tony Stark, last token 1
-    b = make_span(s, 3, 4)   # New York, last token 4
-    path = shortest_dependency_path(s, a, b)
-    assert path == [1, 2, 4]
-    assert path[0] == 1 and path[-1] == 4
-
-
-def test_sdp_is_reversible():
-    s = toy_sentence()
-    a = make_span(s, 0, 1)
-    b = make_span(s, 3, 4)
-    assert shortest_dependency_path(s, b, a) == [4, 2, 1]
-
-
-def test_sdp_overlapping_spans_error():
-    s = toy_sentence()
-    with pytest.raises(CorpusError):
-        shortest_dependency_path(s, make_span(s, 0, 2), make_span(s, 2, 4))
+    adj = sdp_block(s, make_span(s, 1, 1), make_span(s, 4, 4))
+    assert {(i, j) for i, j in zip(*np.nonzero(adj)) if i != j} == {(1, 2), (2, 1),
+                                                                    (2, 4), (4, 2)}
 
 
 def test_sdp_adjacency_symmetric_normalized():
     s = toy_sentence()
-    path = [1, 2, 4]
-    adj = sdp_adjacency(s, path)
+    adj = sdp_block(s, make_span(s, 1, 1), make_span(s, 4, 4))
     n = len(s.tokens)
     assert adj.shape == (n, n)
-    assert np.allclose(adj, adj.T)
+    assert np.array_equal(adj, adj.T)
     # off-path tokens keep a self-loop only
-    assert adj[0, 0] == 1.0
-    assert np.count_nonzero(adj[0]) == 1
-    # on-path rows are D^{-1/2}(A+I)D^{-1/2}; degree of token 2 on the path
-    # is 2 neighbors + self = 3
+    assert adj[0, 0] == adj[3, 3] == 1.0
+    assert np.count_nonzero(adj[0]) == np.count_nonzero(adj[3]) == 1
+    # on-path rows are D^(-1/2) (A+I) D^(-1/2); token 2 has two path
+    # neighbours and itself
     assert adj[2, 2] == pytest.approx(1 / 3)
-    eigvals = np.linalg.eigvalsh(adj)
-    assert eigvals.max() <= 1.0 + 1e-9
+    assert np.linalg.eigvalsh(adj).max() <= 1.0 + 1e-9

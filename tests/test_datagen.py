@@ -76,11 +76,11 @@ def test_bootstrap_hashes_each_ngram_at_most_once(fixture_dir, monkeypatch):
     hashed = Counter()
     hash_widths = TrainableSpanClassifier._hash_widths
 
-    def counting(self, sentence, widths):
-        for width in widths:
+    def counting(self, sentence, top):
+        for width in range(1, top + 1):
             for start in range(len(sentence.tokens) - width + 1):
                 hashed[sentence.id, start, start + width - 1] += 1
-        return hash_widths(self, sentence, widths)
+        return hash_widths(self, sentence, top)
 
     monkeypatch.setattr(TrainableSpanClassifier, "_hash_widths", counting)
     _, rounds = bootstrap_linked_corpus(raw, kb, None, BootstrapConfig(max_rounds=3, knn_k=0))

@@ -910,7 +910,7 @@ def test_span_classifier_trains_on_a_span_wider_than_every_alias():
        feature_dim=st.sampled_from([5, 4096]), shared=st.booleans())
 def test_span_feature_rows_match_the_per_ngram_reference(words, widths, feature_dim, shared):
     # the widest span grows and shrinks between calls, so a shared feature
-    # table is extended by whole widths and read back in part
+    # table is hashed again whole when it falls short and read back in part
     kb = KnowledgeBase([Entity("e1", "Tony Stark", ("Tony", "Tony Stark")),
                         Entity("e2", "Pepper")])
     clf = TrainableSpanClassifier(kb, BootstrapConfig(classifier_feature_dim=feature_dim),
@@ -927,11 +927,12 @@ def test_span_feature_rows_match_the_per_ngram_reference(words, widths, feature_
         got = clf._feature_rows(sentence)
         assert got.shape == (len(want), 7)
         assert got.tolist() == want
-        # seven features per new n-gram; none when the table holds every width
-        new = range(done + 1, min(width, n) + 1)
-        assert len(hashed) == 7 * sum(n - w + 1 for w in new)
+        # seven features per n-gram up to `top` wide when the table falls
+        # short of it; none when the table holds every width
+        top = min(width, n)
+        assert len(hashed) == (7 * sum(n - w + 1 for w in range(1, top + 1)) if top > done else 0)
         if shared:
-            done = max(done, min(width, n))
+            done = max(done, top)
 
 
 @pytest.mark.parametrize("feature_dim", [4096, 16])

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -91,8 +92,6 @@ def test_segment_anchors_orientation():
     a, b = Span(0, 1, "s"), Span(3, 4, "o")
     assert segment_anchors(a, b) == (1, 4, 0)
     assert segment_anchors(b, a) == (1, 4, 1)
-    with pytest.raises(RelationError):
-        segment_anchors(Span(0, 2, "s"), Span(2, 3, "o"))
 
 
 def test_config_validation():
@@ -170,6 +169,15 @@ def test_encode_sentence_direction_flag():
     assert directions == [0, 1]
 
 
+def test_forward_bags_rejects_overlapping_spans():
+    # spans sharing a token but not their last one: the segment anchors
+    # and the pruned tree are defined, the instance is still refused
+    m = tiny_model()
+    s, _, _ = pair_sentence()
+    with pytest.raises(RelationError, match="overlap"):
+        m.forward_bags([[(s, Span(0, 1, "Tony knows"), Span(1, 2, "knows Pepper"))]])
+
+
 def test_cgcn_rejects_mismatched_adjacency():
     m = tiny_model()
     s, subj, obj = pair_sentence()
@@ -215,6 +223,52 @@ def instances(draw, sid):
 def bags(draw):
     size = draw(st.integers(1, 6))
     return [draw(instances(f"s{i}")) for i in range(size)]
+
+
+def pruned_tree_reference(sentence, subj, obj):
+    """D^(-1/2) (A+I) D^(-1/2) over the tokens of both spans and of the
+    undirected tree path between their last tokens, found by breadth-first
+    search over the head edges; A holds the edges with both ends kept."""
+    n = len(sentence.tokens)
+    edges = [(t, h) for t, h in enumerate(sentence.heads()) if h != -1]
+    neighbours = {t: [] for t in range(n)}
+    for t, h in edges:
+        neighbours[t].append(h)
+        neighbours[h].append(t)
+    came_from, queue = {subj.end: None}, deque([subj.end])
+    while queue:
+        t = queue.popleft()
+        for u in neighbours[t]:
+            if u not in came_from:
+                came_from[u] = t
+                queue.append(u)
+    keep = set(range(subj.start, subj.end + 1)) | set(range(obj.start, obj.end + 1))
+    t = obj.end
+    while t is not None:
+        keep.add(t)
+        t = came_from[t]
+    a = np.eye(n)
+    for t, h in edges:
+        if t in keep and h in keep:
+            a[t, h] = a[h, t] = 1.0
+    d = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * d[:, None] * d[None, :]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bags())
+def test_sdp_matrix_equals_the_pruned_tree_from_its_definition(bag):
+    model = tiny_model()
+    both_orders = bag + [(s, obj, subj) for s, subj, obj in bag]
+    stack = model._sdp_matrix(both_orders)
+    expected = np.zeros_like(stack)
+    for b, (s, subj, obj) in enumerate(both_orders):
+        n = len(s.tokens)
+        expected[b, :n, :n] = pruned_tree_reference(s, subj, obj)
+        assert (model._sdp_matrix([(s, subj, obj)])[0].tobytes()
+                == stack[b, :n, :n].tobytes())
+    assert stack.tobytes() == expected.tobytes()
+    assert stack[:len(bag)].tobytes() == stack[len(bag):].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
