@@ -6,6 +6,7 @@ All operations here are pure value transforms.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .files import json_int, json_ints, json_list, read_jsonl, write_jsonl
@@ -76,11 +77,15 @@ def validate_tree(sid: str, heads: list[int]) -> None:
             raise CorpusError(f"sentence {sid!r}: cycle in dependency heads at token {i}")
 
 
-def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Sentence:
+def sentence_from_record(rec: dict, shared_tokens: dict | None = None,
+                         base: Mapping[str, Sentence] | None = None) -> Sentence:
     """The validated sentence of one corpus record: spans in range and
     apart, heads a tree (validate_tree). Records read together pass one
     ``shared_tokens`` dict, so equal tokens (same position, word, tag and
-    head) become one Token object."""
+    head) become one Token object. ``base`` holds validated sentences by
+    id: a record whose words, tags and heads equal those of the base
+    sentence with its id takes that sentence's token list, and its tree,
+    which depends on the heads alone, is not checked again."""
     if not isinstance(rec, dict):
         raise CorpusError("sentence record is not a JSON object")
     sid = rec.get("id")
@@ -108,18 +113,24 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
     n = len(words)
     if len(pos) != n or len(heads) != n:
         raise CorpusError(f"sentence {sid!r}: pos/heads length mismatch")
-    # Token is immutable, and a corpus repeats few distinct tokens many
-    # times; a new one interns its word and tag, which repeat even more
-    cache = {} if shared_tokens is None else shared_tokens
-    try:
-        tokens = list(map(cache.get, zip(range(n), words, pos, heads)))
-        if not all(tokens):
-            for i, token in enumerate(tokens):
-                if token is None:
-                    key = i, sys.intern(words[i]), sys.intern(pos[i]), heads[i]
-                    tokens[i] = cache[key] = Token(*key)
-    except TypeError:  # an unhashable or non-string word or tag
-        raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None
+    same = base.get(sid) if base else None
+    if same is not None and [t.surface for t in same.tokens] == words and \
+            [t.pos_tag for t in same.tokens] == pos and same.heads() == heads:
+        tokens = same.tokens
+    else:
+        same = None
+        # Token is immutable, and a corpus repeats few distinct tokens many
+        # times; a new one interns its word and tag, which repeat even more
+        cache = {} if shared_tokens is None else shared_tokens
+        try:
+            tokens = list(map(cache.get, zip(range(n), words, pos, heads)))
+            if not all(tokens):
+                for i, token in enumerate(tokens):
+                    if token is None:
+                        key = i, sys.intern(words[i]), sys.intern(pos[i]), heads[i]
+                        tokens[i] = cache[key] = Token(*key)
+        except TypeError:  # an unhashable or non-string word or tag
+            raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None
     sent = Sentence(sid, tokens)
     # spans usually come sorted and apart; any other order keeps its order
     # and is checked, on sorted offsets, once the tree is
@@ -140,7 +151,8 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None) -> Senten
                                    method and sys.intern(method)))
         except TypeError:
             raise CorpusError(f"sentence {sid!r}: span labels must be strings") from None
-    validate_tree(sid, heads)
+    if same is None:
+        validate_tree(sid, heads)
     if not in_order:
         ordered = sorted((sp.start, sp.end) for sp in sent.spans)
         if any(start <= end for (_, end), (start, _) in zip(ordered, ordered[1:])):
@@ -162,14 +174,16 @@ def sentence_to_record(sent: Sentence) -> dict:
     }
 
 
-def ingest_corpus(path) -> list[Sentence]:
+def ingest_corpus(path, base: Mapping[str, Sentence] | None = None) -> list[Sentence]:
     """Parse a JSONL corpus, applying fallbacks for missing pos/heads and
-    validating every sentence invariant."""
+    validating every sentence invariant. A sentence that repeats the words,
+    tags and heads of the ``base`` sentence with its id shares that
+    sentence's token list (see sentence_from_record)."""
     seen_ids: set[str] = set()
     tokens: dict = {}
 
     def sentence(rec: dict) -> Sentence:
-        sent = sentence_from_record(rec, tokens)
+        sent = sentence_from_record(rec, tokens, base)
         if sent.id in seen_ids:
             raise CorpusError(f"duplicate sentence id {sent.id!r}")
         seen_ids.add(sent.id)

@@ -281,6 +281,15 @@ def _build_bags(r: PipelineRunner, *paths) -> None:
         save_bags(subset, path)
 
 
+def _load_bags(r: PipelineRunner, *paths) -> dict[str, list[Bag]]:
+    """Every split's bags; a train, valid or test bag is the equal bag of
+    ``all`` (a Bag is frozen), so the splits hold no second copy."""
+    all_bags = load_bags(paths[0])
+    same = {bag: bag for bag in all_bags}
+    return {"all": all_bags, **{name: [same.get(bag, bag) for bag in load_bags(path)]
+                                for name, path in zip(BAG_SPLITS[1:], paths[1:])}}
+
+
 def _build_re(r: PipelineRunner, ckpt) -> None:
     sentences_by_id = {s.id: s for s in r.bootstrap()[0]}
     relations.save_model(train_re(r.bags()["train"], sentences_by_id, r.kb(), r.cfg.re), ckpt)
@@ -297,6 +306,12 @@ def _build_link(r: PipelineRunner, linked, evals) -> None:
     write_jsonl(evals, ({"sentence": s.id, "start": d.span.start, "end": d.span.end,
                          "method": d.method, "entity": d.entity, "ranking": list(d.ranking)}
                         for s, ds in zip(corpus, decisions) for d in ds))
+
+
+def _ingest_linked(r: PipelineRunner, path) -> list[Sentence]:
+    """A linked copy of the input corpus, loaded onto it: each sentence
+    that repeats its input sentence's tokens shares their list."""
+    return ingest_corpus(path, {s.id: s for s in r.corpus()})
 
 
 def _link_eval_item(rec: dict) -> LinkEvalItem:
@@ -397,19 +412,19 @@ STAGES = {stage.name: stage for stage in (
           ("embeddings.vec",), _build_embeddings, lambda r, vec: load_table(vec)),
     Stage("bootstrap", _KB + ("corpus", "embeddings.vec"), lambda c: c.bootstrap,
           ("linked.jsonl", "rounds.json"), _build_bootstrap,
-          lambda r, linked, report: (ingest_corpus(linked), load_generation_report(report))),
+          lambda r, linked, report: (_ingest_linked(r, linked),
+                                     load_generation_report(report))),
     Stage("el", ("linked.jsonl", "embeddings.vec") + _KB, lambda c: c.el,
           ("el.ckpt",), _build_el,
           lambda r, ckpt: linker.load_model(ckpt, r.embeddings(), r.cfg.el)),
     Stage("bags", ("linked.jsonl",) + _KB,
           lambda c: {"ds": dataclasses.asdict(c.ds), "split": list(c.split)},
-          _BAGS, _build_bags,
-          lambda r, *paths: {name: load_bags(p) for name, p in zip(BAG_SPLITS, paths)}),
+          _BAGS, _build_bags, _load_bags),
     Stage("re", ("bags_train.jsonl", "linked.jsonl") + _KB, lambda c: c.re,
           ("re.ckpt",), _build_re, lambda r, ckpt: relations.load_model(ckpt)),
     Stage("link", ("corpus", "embeddings.vec", "el.ckpt") + _KB, lambda c: c.el,
           ("final_linked.jsonl", "link_eval.jsonl"), _build_link,
-          lambda r, linked, evals: (ingest_corpus(linked),
+          lambda r, linked, evals: (_ingest_linked(r, linked),
                                     read_jsonl(evals, _link_eval_item, PipelineError))),
     Stage("extract", ("final_linked.jsonl", "re.ckpt") + _KB, lambda c: {},
           ("extracted.tsv", "rejected.tsv"), _build_extract, lambda r, *p: load_extraction(*p)),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from conftest import tree_heads
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_relations import tiny_model
 
@@ -179,6 +179,126 @@ def test_ingest_reports_line_numbers(tmp_path):
     path.write_text("not json\n")
     with pytest.raises(CorpusError, match=f"{path}:1"):
         ingest_corpus(path)
+
+
+# -- loading onto a base corpus ----------------------------------------------
+
+WORDS, TAGS = ("a", "b", "c"), ("N", "V")
+
+
+def token_list(words, tags, heads) -> list[Token]:
+    return [Token(*t) for t in zip(range(len(words)), words, tags, heads)]
+
+
+def token_values(sent: Sentence) -> list[tuple]:
+    return [(t.surface, t.pos_tag, t.dep_head) for t in sent.tokens]
+
+
+@st.composite
+def spans(draw, n: int) -> list[Span]:
+    """Sorted spans that keep apart, with or without labels."""
+    cuts = sorted(draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    bounds = list(zip(cuts[::2], cuts[1::2])) + ([(cuts[-1],) * 2] if len(cuts) % 2 else [])
+    return [Span(start, end, "", draw(st.sampled_from([None, "T"])),
+                 draw(st.sampled_from([None, "e1"])), draw(st.sampled_from([None, "subgraph"])))
+            for start, end in bounds]
+
+
+@st.composite
+def sentences(draw, sid: str) -> Sentence:
+    n = draw(st.integers(1, 5))
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=n, max_size=n))
+    tags = draw(st.lists(st.sampled_from(TAGS), min_size=n, max_size=n))
+    return Sentence(sid, token_list(words, tags, draw(tree_heads(n))))
+
+
+@st.composite
+def copies(draw, sent: Sentence) -> Sentence:
+    """``sent`` with new spans and, maybe, one word, one tag or its whole
+    tree redrawn (which may give back the same value)."""
+    words, tags, heads = map(list, zip(*token_values(sent)))
+    i = draw(st.integers(0, len(words) - 1))
+    change = draw(st.sampled_from(["none", "word", "tag", "tree"]))
+    if change == "word":
+        words[i] = draw(st.sampled_from(WORDS))
+    elif change == "tag":
+        tags[i] = draw(st.sampled_from(TAGS))
+    elif change == "tree":
+        heads = draw(tree_heads(len(words)))
+    return Sentence(sent.id, token_list(words, tags, heads), draw(spans(len(words))))
+
+
+def load_outcome(path, base=None):
+    try:
+        return ingest_corpus(path, base)
+    except CorpusError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loading_onto_a_base_changes_no_value_and_shares_only_equal_tokens(tmp_path, data):
+    write_corpus([data.draw(sentences(f"s{i}")) for i in range(data.draw(st.integers(1, 4)))],
+                 tmp_path / "base.jsonl")
+    base = {s.id: s for s in ingest_corpus(tmp_path / "base.jsonl")}
+    # a linked copy: some of the base's ids, in any order, and some new ones
+    ids = data.draw(st.lists(st.sampled_from(sorted(base) + ["s8", "s9"]), unique=True))
+    overlay = [data.draw(copies(base[sid]) if sid in base else sentences(sid)) for sid in ids]
+    write_corpus(overlay, tmp_path / "overlay.jsonl")
+    plain = ingest_corpus(tmp_path / "overlay.jsonl")
+    onto = ingest_corpus(tmp_path / "overlay.jsonl", base)
+    assert onto == plain
+    for sent in onto:
+        same = sent.id in base and token_values(sent) == token_values(base[sent.id])
+        assert (sent.id in base and sent.tokens is base[sent.id].tokens) == same
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_record_that_differs_from_its_base_sentence_loads_on_its_own(tmp_path, data):
+    write_corpus([data.draw(sentences("s0"))], tmp_path / "base.jsonl")
+    base = {s.id: s for s in ingest_corpus(tmp_path / "base.jsonl")}
+    words, tags, heads = map(list, zip(*token_values(base["s0"])))
+    i = data.draw(st.integers(0, len(words) - 1))
+    change = data.draw(st.sampled_from(["word", "tag", "head", "float head"]))
+    if change == "word":
+        words[i] = data.draw(st.sampled_from(WORDS).filter(lambda w: w != words[i]))
+    elif change == "tag":
+        tags[i] = data.draw(st.sampled_from(TAGS).filter(lambda t: t != tags[i]))
+    elif change == "head":
+        # out of range, a second root, no root, a cycle, or another tree
+        heads[i] = data.draw(st.integers(-2, len(heads)).filter(lambda h: h != heads[i]))
+    else:
+        heads[i] = float(heads[i])  # equal to the base's head, but not a JSON integer
+    write_corpus([Sentence("s0", token_list(words, tags, heads))], tmp_path / "changed.jsonl")
+    onto = load_outcome(tmp_path / "changed.jsonl", base)
+    assert onto == load_outcome(tmp_path / "changed.jsonl")
+    assert isinstance(onto, str) or onto[0].tokens is not base["s0"].tokens
+
+
+def test_a_base_id_does_not_spare_a_cyclic_tree_its_check(tmp_path):
+    base = {"s0": Sentence("s0", token_list("aaaa", "NNNN", [-1, 0, 1, 0]))}
+    write_corpus([Sentence("s0", token_list("aaaa", "NNNN", [-1, 2, 1, 0]))], tmp_path / "c.jsonl")
+    with pytest.raises(CorpusError, match="cycle in dependency heads at token 1"):
+        ingest_corpus(tmp_path / "c.jsonl", base)
+
+
+def test_a_record_that_matches_its_base_sentence_keeps_every_other_check(tmp_path):
+    base = {"s1": toy_sentence()}
+    rec = sentence_to_record(toy_sentence())
+    path = tmp_path / "c.jsonl"
+    for bad, message in ((dict(rec, heads=[1.0, 2, -1, 4, 2]), "expected a list of integers"),
+                         (dict(rec, spans=[{"start": 3, "end": 5}]), r"span \[3,5\] out of range"),
+                         (dict(rec, spans=[{"start": 1, "end": 2}, {"start": 0, "end": 1}]),
+                          "overlapping spans")):
+        path.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(CorpusError, match=message):
+            ingest_corpus(path, base)
+    path.write_text(2 * (json.dumps(rec) + "\n"))
+    with pytest.raises(CorpusError, match="duplicate sentence id 's1'"):
+        ingest_corpus(path, base)
 
 
 # -- dependency paths ---------------------------------------------------------

@@ -8,6 +8,7 @@ import ast
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import tree_heads
@@ -266,6 +267,9 @@ def load_cache(path):
     return PipelineRunner(load_config(None, out_dir=str(out)))
 
 
+# a runner stand-in for a loader that loads onto the input corpus
+NO_CORPUS = SimpleNamespace(corpus=list)
+
 # name -> (its typed error, the loader, valid lines that fuzzing mutates)
 LOADERS = {
     "corpus": (CorpusError, ingest_corpus, [SENTENCE]),
@@ -280,7 +284,7 @@ LOADERS = {
     "gold-links": (KBLoadError, load_gold_links, [("s1", "0", "1", "e1")]),
     "gold-triples": (KBLoadError, load_gold_triples, [("e1", "r", "e2")]),
     "link-eval": (PipelineError,
-                  lambda p: pipeline.STAGES["link"].load(None, p.with_name("empty"), p),
+                  lambda p: pipeline.STAGES["link"].load(NO_CORPUS, p.with_name("empty"), p),
                   [{"sentence": "s1", "start": 0, "end": 0, "method": "context",
                     "entity": "e1", "ranking": ["e1", "e2"]}]),
     "extracted": (RelationError, lambda p: load_extraction(p, p.with_name("empty")),

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kbforge import cli, files, linker, nn, pipeline
-from kbforge.datagen import BootstrapConfig, DistantSupervisionConfig, _extract_once
+from kbforge.datagen import BootstrapConfig, DistantSupervisionConfig, _extract_once, load_bags
 from kbforge.embeddings import SkipGramConfig
 from kbforge.kb import Triple, load_kb
 from kbforge.linker import (
@@ -826,6 +826,22 @@ def test_reloaded_artifacts_hold_interned_ids(tiny_run):
     ids += [x for t in accepted
             for x in (t.subject, t.relation, t.object, *t.sentence_ids)]
     assert all(x is sys.intern(x) for x in ids)
+
+
+def test_linked_corpora_share_the_input_corpus_token_lists(full_run):
+    # the runner that built the artifacts, and a fresh one that reads them back
+    for runner in (full_run["runner"], PipelineRunner(load_config(full_run["config_path"]))):
+        tokens = {s.id: s.tokens for s in runner.corpus()}
+        for linked in (runner.bootstrap()[0], runner.link_corpus()[0]):
+            assert linked and all(s.tokens is tokens[s.id] for s in linked)
+
+
+def test_bag_splits_hold_the_all_split_bags(full_run):
+    bags = PipelineRunner(load_config(full_run["config_path"])).bags()
+    all_bags = {id(bag) for bag in bags["all"]}
+    for name, path in zip(pipeline.BAG_SPLITS, pipeline._BAGS):
+        assert bags[name] and bags[name] == load_bags(full_run["out"] / path)
+        assert all(id(bag) in all_bags for bag in bags[name])
 
 
 def test_every_stage_loader_reads_each_of_its_outputs(tiny_run, monkeypatch):
