@@ -175,19 +175,19 @@ class TrainableSpanClassifier:
                 negs = negs[np.sort(picks)]
             feats += [rows[gold], rows[negs]]
             labels += [1.0] * len(gold) + [0.0] * len(negs)
-        items = np.concatenate(feats)
-        # SGD on Python floats: a left-to-right sum of seven terms and one
-        # subtraction per feature equal numpy's weights[idx].sum() and
-        # np.subtract.at bit for bit, a repeated bucket once per repeat
+        items = np.concatenate(feats).tolist()
+        # SGD on Python floats, whose ops are numpy's double ops: a left-to-right
+        # sum of seven terms and one subtraction per feature equal weights[idx].sum()
+        # and np.subtract.at bit for bit, a repeated bucket once per repeat
         w = self.weights.tolist()
         bias, lr = self.bias, self.lr
         for _ in range(self.epochs):
             for i in rng.permutation(len(items)).tolist():
-                idx = items[i].tolist()
+                idx = items[i]
                 z = 0.0
                 for b in idx:
                     z += w[b]
-                g = float(1.0 / (1.0 + np.exp(-(z + bias)))) - labels[i]
+                g = 1.0 / (1.0 + float(np.exp(-(z + bias)))) - labels[i]
                 step = lr * g
                 for b in idx:
                     w[b] -= step

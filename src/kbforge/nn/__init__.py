@@ -2,11 +2,12 @@ from .autograd import (
     Parameter,
     Tensor,
     add,
+    affine,
+    bilstm_sequence,
     concat,
     conv1d,
     embed_columns,
     grad_enabled,
-    lstm_sequence,
     matmul,
     matmul_blocks,
     max_pool_range,

@@ -132,7 +132,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-# The sequence ops (conv1d, lstm_sequence, matmul_blocks, segment_sum, and
+# The sequence ops (conv1d, bilstm_sequence, matmul_blocks, segment_sum, and
 # softmax along its axis) take the columns of a (d, n) input as one or more
 # sequences laid side by side: ``lengths`` (default: one sequence of all n
 # columns) gives each sequence's column count, in column order.
@@ -177,6 +177,15 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b),
                  lambda g: (g @ b.data.T if a.requires_grad else None,
                             a.data.T @ g if b.requires_grad else None))
+
+
+def affine(w, x, b) -> Tensor:
+    """w @ x + b in one node; b broadcasts over the columns."""
+    w, x, b = _wrap(w), _wrap(x), _wrap(b)
+    return _node(w.data @ x.data + b.data, (w, x, b),
+                 lambda g: (g @ x.data.T if w.requires_grad else None,
+                            w.data.T @ g if x.requires_grad else None,
+                            _unbroadcast(g, b.shape)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -247,9 +256,11 @@ def softmax(a, axis: int = -1, lengths=None) -> Tensor:
 
 def conv1d(x, w, b=None, lengths=None) -> Tensor:
     """Same-length 1-D convolution. x is (d_in, n), w is (d_out, d_in, k),
-    optional bias (d_out, 1); output (d_out, n). Each sequence is zero
-    padded on its own, so no window reaches across a sequence boundary."""
+    optional bias (d_out, 1), added in the same node; output (d_out, n).
+    Each sequence is zero padded on its own, so no window reaches across a
+    sequence boundary."""
     x, w = _wrap(x), _wrap(w)
+    b = None if b is None else _wrap(b)
     d_in, n = x.shape
     d_out, d_in_w, k = w.shape
     if d_in_w != d_in:
@@ -265,7 +276,7 @@ def conv1d(x, w, b=None, lengths=None) -> Tensor:
     xp[:, where] = x.data
     cols = xp[:, taps].reshape(d_in * k, n)
     w2 = w.data.reshape(d_out, d_in * k)
-    out = w2 @ cols
+    out = w2 @ cols if b is None else w2 @ cols + b.data
 
     def back(g):
         gw = (g @ cols.T).reshape(d_out, d_in, k)
@@ -273,12 +284,10 @@ def conv1d(x, w, b=None, lengths=None) -> Tensor:
         gxp = np.zeros_like(xp)
         for j in range(k):
             gxp[:, taps[j]] += gcols[:, j, :]
-        return (gxp[:, where], gw)
+        grads = (gxp[:, where], gw)
+        return grads if b is None else grads + (_unbroadcast(g, b.shape),)
 
-    conv = _node(out, (x, w), back)
-    if b is None:
-        return conv
-    return add(conv, b)
+    return _node(out, (x, w) if b is None else (x, w, b), back)
 
 
 def matmul_blocks(x, blocks, lengths=None) -> Tensor:
@@ -361,68 +370,77 @@ def max_pool_range(a, start: int, end: int) -> Tensor:
 
 def _schedule(sizes: np.ndarray, reverse: bool):
     """How sequences of these lengths, side by side, step together: the
-    number of steps, the batch shape ((B,), or () for a single sequence),
-    cols[t, s], the column that sequence s reads at step t (0, unused, once
-    it has ended), step_of[c], the flat (t, s) index of the step that reads
-    column c, and running[t, s], whether sequence s still runs at step t. A
-    single sequence runs unbatched: its cols and step_of are one slice in
-    step order, and running is True."""
+    number of steps, cols[t, s], the column that sequence s reads at step
+    t (0, unused, once it has ended), step_of[c], the flat (t, s) index of
+    the step that reads column c, and running[t, s], whether sequence s
+    still runs at step t. A single sequence's cols and step_of are one
+    slice in step order, and running is True."""
     if len(sizes) == 1:
         order = slice(None, None, -1 if reverse else 1)
-        return int(sizes[0]), (), order, order, True
+        return int(sizes[0]), order, order, True
     firsts = sizes.cumsum() - sizes
     steps = np.arange(sizes.max())[:, None]
     running = steps < sizes
     cols = (firsts + (sizes - 1 - steps if reverse else steps)) * running
     step_of = np.empty(sizes.sum(), dtype=np.int64)
     step_of[cols[running]] = np.flatnonzero(running)
-    return len(steps), (len(sizes),), cols, step_of, running
+    return len(steps), cols, step_of, running
 
 
-def lstm_sequence(x, wx, wh, b, reverse: bool = False, lengths=None) -> Tensor:
-    """One LSTM direction over each sequence in the columns of a (d_in, n)
-    input, recorded as a single tape node. wx is (4h, d_in), wh is (4h, h),
-    b is (4h, 1), gate blocks in the order input, forget, candidate,
-    output; every sequence's state starts at zero. Output is (h, n): column
-    c is the hidden state after the step that read column c. With
-    reverse=True each sequence is read from its own last column to its
-    first.
+def bilstm_sequence(x, fwd, bwd, lengths=None) -> Tensor:
+    """Both directions of a bidirectional LSTM over each sequence in the
+    columns of a (d_in, n) input, recorded as one tape node that lists x
+    once per direction, forward first. fwd and bwd are each direction's
+    (wx, wh, b): wx is (4h, d_in), wh is (4h, h), b is (4h, 1), gate blocks
+    in the order input, forget, candidate, output; every state starts at
+    zero. Output is (2h, n): column c holds the forward over the backward
+    hidden state after the step that read column c; the backward direction
+    reads each sequence from its own last column to its first.
 
-    All B sequences step together, one (4h, h) @ (h, B) product per step.
-    A sequence that has ended runs on until the longest one ends; those
-    extra steps are never read and pass no gradient. The input projection
-    of every step is one matmul; the backward is hand-written
-    backpropagation through time that collects the gate pre-activation
-    gradients step by step and then forms the weight, bias and input
-    gradients as whole-matrix products."""
-    x, wx, wh, b = (_wrap(t) for t in (x, wx, wh, b))
+    Both directions of all B sequences step together, one stacked
+    (2, 4h, h) @ (2, h, B) product per step. A sequence that has ended
+    runs on until the longest one ends; those extra steps are never read
+    and pass no gradient. Each direction projects the inputs of every step
+    in one matmul; the backward is hand-written backpropagation through
+    time that collects the gate pre-activation gradients step by step and
+    then forms each direction's weight, bias and input gradients as
+    whole-matrix products."""
+    x = _wrap(x)
+    params = [tuple(_wrap(t) for t in ws) for ws in (fwd, bwd)]
     d_in, n = x.shape
-    hd = wh.shape[1]
-    if wx.shape != (4 * hd, d_in) or wh.shape != (4 * hd, hd) or b.shape != (4 * hd, 1):
-        raise ValueError(f"lstm_sequence shapes x{x.shape} wx{wx.shape} "
-                         f"wh{wh.shape} b{b.shape} do not fit")
-    T, batch, cols, step_of, running = _schedule(_lengths(lengths, n), reverse)
-    zx = (wx.data @ x.data)[:, cols]          # (4h, T, *batch)
-    bias = b.data.reshape((4 * hd,) + (1,) * len(batch))
-    dt = zx.dtype
-    acts = np.empty((T, 4 * hd) + batch, dtype=dt)   # sigmoid i, f, o and tanh g
-    cells = np.empty((T, hd) + batch, dtype=dt)
-    tanh_c = np.empty((T, hd) + batch, dtype=dt)
-    hs = np.empty((T, hd) + batch, dtype=dt)
-    h = c = np.zeros((hd,) + batch, dtype=dt)
+    hd = params[0][1].shape[1]
+    shapes = [t.shape for ws in params for t in ws]
+    if shapes != [(4 * hd, d_in), (4 * hd, hd), (4 * hd, 1)] * 2:
+        raise ValueError(f"bilstm_sequence shapes x{x.shape} {shapes} do not fit")
+    sizes = _lengths(lengths, n)
+    B = len(sizes)
+    plans = [_schedule(sizes, reverse) for reverse in (False, True)]
+    T = plans[0][0]
+    dt = np.result_type(params[0][0].data, x.data)   # the dtype of wx @ x
+    # per step t, row block d of every (T, 2, rows, B) array is direction d
+    zx = np.empty((T, 2, 4 * hd, B), dtype=dt)
+    for d, ((wx, _, _), (_, cols, _, _)) in enumerate(zip(params, plans)):
+        zx[:, d] = (wx.data @ x.data)[:, cols].reshape(4 * hd, T, B).swapaxes(0, 1)
+    wh = np.stack([wh.data for _, wh, _ in params])
+    bias = np.stack([b.data for _, _, b in params])
+    acts = np.empty((T, 2, 4 * hd, B), dtype=dt)   # sigmoid i, f, o and tanh g
+    cells = np.empty((T, 2, hd, B), dtype=dt)
+    tanh_c = np.empty((T, 2, hd, B), dtype=dt)
+    hs = np.empty((T, 2, hd, B), dtype=dt)
+    h = c = np.zeros((2, hd, B), dtype=dt)
     for t in range(T):
-        z = zx[:, t] + wh.data @ h + bias
+        z = zx[t] + wh @ h + bias
         a = acts[t]
         a[:] = 1.0 / (1.0 + np.exp(-z))
-        a[2 * hd:3 * hd] = np.tanh(z[2 * hd:3 * hd])
-        c = cells[t] = a[hd:2 * hd] * c + a[:hd] * a[2 * hd:3 * hd]
+        a[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
+        c = cells[t] = a[:, hd:2 * hd] * c + a[:, :hd] * a[:, 2 * hd:3 * hd]
         tanh_c[t] = np.tanh(c)
-        h = hs[t] = a[3 * hd:] * tanh_c[t]
+        h = hs[t] = a[:, 3 * hd:] * tanh_c[t]
 
-    def by_column(per_step):
-        """(n, rows) array whose row c is the (T, rows, *batch) per-step
-        value of the step that read column c."""
-        rows = per_step.swapaxes(1, -1).reshape(-1, per_step.shape[1])[step_of]
+    def by_column(per_step, d):
+        """(n, rows) array whose row c is direction d's (T, 2, rows, B)
+        per-step value of the step that read column c."""
+        rows = per_step[:, d].swapaxes(1, 2).reshape(-1, per_step.shape[2])[plans[d][2]]
         # a single reverse sequence gives a reversed view; in it the weight
         # and bias sums would add the rows in another order and round apart
         return np.ascontiguousarray(rows)
@@ -437,41 +455,53 @@ def lstm_sequence(x, wx, wh, b, reverse: bool = False, lengths=None) -> Tensor:
         # elementwise products associate as the chain rule through the
         # per-step cell would, so only the batched matrix products round
         # differently from a step-by-step tape
-        g = g[:, cols] * running
-        gate_i, gate_f = acts[:, :hd], acts[:, hd:2 * hd]
-        gate_g, gate_o = acts[:, 2 * hd:3 * hd], acts[:, 3 * hd:]
+        gs = np.empty((T, 2, hd, B), dtype=g.dtype)
+        for d, (_, cols, _, running) in enumerate(plans):
+            gs[:, d] = ((g[d * hd:(d + 1) * hd, cols] * running)
+                        .reshape(hd, T, B).swapaxes(0, 1))
+        gate_i, gate_f = acts[:, :, :hd], acts[:, :, hd:2 * hd]
+        gate_g, gate_o = acts[:, :, 2 * hd:3 * hd], acts[:, :, 3 * hd:]
         c_prev = shifted(cells)
         one_m_i, one_m_f, one_m_o = 1.0 - gate_i, 1.0 - gate_f, 1.0 - gate_o
         one_m_g2 = 1.0 - gate_g * gate_g
         one_m_tc2 = 1.0 - tanh_c * tanh_c
+        wh_t = wh.swapaxes(1, 2)
         dz = np.empty_like(acts)
-        dh_next = np.zeros((hd,) + batch, dtype=dt)
-        dc_next = np.zeros((hd,) + batch, dtype=dt)
+        dh_next = np.zeros((2, hd, B), dtype=dt)
+        dc_next = np.zeros((2, hd, B), dtype=dt)
         for t in reversed(range(T)):
-            dh = g[:, t] + dh_next
+            dh = gs[t] + dh_next
             dc = dh * gate_o[t] * one_m_tc2[t] + dc_next
             z = dz[t]
-            z[:hd] = dc * gate_g[t] * gate_i[t] * one_m_i[t]
-            z[hd:2 * hd] = dc * c_prev[t] * gate_f[t] * one_m_f[t]
-            z[2 * hd:3 * hd] = dc * gate_i[t] * one_m_g2[t]
-            z[3 * hd:] = dh * tanh_c[t] * gate_o[t] * one_m_o[t]
+            z[:, :hd] = dc * gate_g[t] * gate_i[t] * one_m_i[t]
+            z[:, hd:2 * hd] = dc * c_prev[t] * gate_f[t] * one_m_f[t]
+            z[:, 2 * hd:3 * hd] = dc * gate_i[t] * one_m_g2[t]
+            z[:, 3 * hd:] = dh * tanh_c[t] * gate_o[t] * one_m_o[t]
             dc_next = dc * gate_f[t]
-            dh_next = wh.data.T @ z
-        dz = by_column(dz)
-        return ((dz @ wx.data).T if x.requires_grad else None,
-                dz.T @ x.data.T,
-                dz.T @ by_column(shifted(hs)),
-                dz.sum(axis=0).reshape(b.shape))
+            dh_next = wh_t @ z
+        h_prev = shifted(hs)
+        grads = []
+        for d, (wx, _, b) in enumerate(params):
+            dz_d = by_column(dz, d)
+            grads += [(dz_d @ wx.data).T if x.requires_grad else None,
+                      dz_d.T @ x.data.T,
+                      dz_d.T @ by_column(h_prev, d),
+                      dz_d.sum(axis=0).reshape(b.shape)]
+        return grads
 
-    return _node(by_column(hs).T, (x, wx, wh, b), back)
+    out = np.concatenate([by_column(hs, d).T for d in (0, 1)], axis=0)
+    return _node(out, (x, *params[0], x, *params[1]), back)
 
 
-def take(a, indices, axis: int = 0) -> Tensor:
-    """Slices of ``a`` at ``indices`` along ``axis``; backward scatter-adds,
-    so repeated indices accumulate."""
+def take(a, indices, axis: int | None = 0) -> Tensor:
+    """Slices of ``a`` at ``indices`` along ``axis``, or with axis=None the
+    elements that the tuple of index arrays ``indices``, one per axis,
+    picks. Backward scatter-adds, so repeated indices accumulate."""
     a = _wrap(a)
-    idx = np.asarray(indices, dtype=np.int64)
-    where = (slice(None),) * axis + (idx,)
+    if axis is None:
+        where = tuple(np.asarray(i, dtype=np.int64) for i in indices)
+    else:
+        where = (slice(None),) * axis + (np.asarray(indices, dtype=np.int64),)
 
     def back(g):
         full = np.zeros_like(a.data)

@@ -25,7 +25,7 @@ class Linear:
         self.b = Parameter(np.zeros((out_dim, 1), dtype=dtype or ag.DEFAULT_DTYPE), f"{name}.b")
 
     def __call__(self, x):
-        return ag.add(ag.matmul(self.w, x), self.b)
+        return ag.affine(self.w, x, self.b)
 
     def parameters(self):
         return [self.w, self.b]
@@ -47,7 +47,7 @@ class TwoLayerScorer:
 
 
 def _lstm_weights(in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
-    """(wx, wh, b) of one LSTM direction, as ag.lstm_sequence takes them.
+    """(wx, wh, b) of one LSTM direction, as ag.bilstm_sequence takes them.
     Gate blocks are ordered input, forget, candidate, output."""
     wx = Parameter(glorot(rng, (4 * hidden_dim, in_dim), in_dim, hidden_dim, dtype), f"{name}.wx")
     wh = Parameter(glorot(rng, (4 * hidden_dim, hidden_dim), hidden_dim, hidden_dim, dtype), f"{name}.wh")
@@ -68,16 +68,16 @@ class BiLSTM:
         self.bwd = _lstm_weights(in_dim, hidden_dim, rng, f"{name}.bwd", dtype)
 
     def __call__(self, x, lengths=None):
-        self._last = (ag.lstm_sequence(x, *self.fwd, lengths=lengths),
-                      ag.lstm_sequence(x, *self.bwd, reverse=True, lengths=lengths))
+        self._last = ag.bilstm_sequence(x, self.fwd, self.bwd, lengths)
         self._lengths = np.asarray([x.shape[1]] if lengths is None else lengths)
-        return ag.concat(self._last, axis=0)
+        return self._last
 
     def final_states(self):
-        f_states, b_states = self._last
+        hd = self._last.shape[0] // 2
         ends = self._lengths.cumsum()
-        return ag.concat([ag.take(f_states, ends - 1, axis=1),
-                          ag.take(b_states, ends - self._lengths, axis=1)], axis=0)
+        rows = np.arange(2 * hd)[:, None]
+        return ag.take(self._last, (rows, np.where(rows < hd, ends - 1, ends - self._lengths)),
+                       axis=None)
 
     def parameters(self):
         return [*self.fwd, *self.bwd]

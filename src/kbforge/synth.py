@@ -19,6 +19,7 @@ Design notes, because the corpus shape carries the learning signal:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -228,8 +229,9 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
 
 def load_gold_links(path) -> dict[tuple[str, int, int], str]:
     return dict(read_rows(path, 4, KBLoadError,
-                          lambda sid, start, end, eid: ((sid, int(start), int(end)), eid)))
+                          lambda sid, start, end, eid: ((sys.intern(sid), int(start), int(end)),
+                                                        sys.intern(eid))))
 
 
 def load_gold_triples(path) -> set[tuple[str, str, str]]:
-    return set(read_rows(path, 3, KBLoadError))
+    return set(read_rows(path, 3, KBLoadError, lambda *ids: tuple(map(sys.intern, ids))))

@@ -66,6 +66,42 @@ def test_elementary_op_gradients(name, case):
         assert gradcheck(lambda: fn(*leaves), leaves) < 1e-4
 
 
+def float32_run(run, arrays, weight):
+    """grads_of on fresh float32 leaves made from ``arrays``, flattened."""
+    out, grads = grads_of(run, [Tensor(a, requires_grad=True) for a in arrays], weight)
+    return [out, *grads]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_affine_equals_matmul_then_add_bit_for_bit(data):
+    rows, cols, n = (data.draw(st.integers(1, 9)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arrays = [rng.standard_normal(shape).astype(np.float32)
+              for shape in ((rows, cols), (cols, n), (rows, 1))]
+    weight = rng.standard_normal((rows, n)).astype(np.float32)
+    fused = float32_run(ag.affine, arrays, weight)
+    reference = float32_run(lambda w, x, b: ag.add(ag.matmul(w, x), b), arrays, weight)
+    for got, want in zip(fused, reference):
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_conv1d_bias_equals_a_separate_add_bit_for_bit(data):
+    d_in, d_out, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+    lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arrays = [rng.standard_normal(shape).astype(np.float32)
+              for shape in ((d_in, sum(lengths)), (d_out, d_in, k), (d_out, 1))]
+    weight = rng.standard_normal((d_out, sum(lengths))).astype(np.float32)
+    fused = float32_run(lambda x, w, b: ag.conv1d(x, w, b, lengths), arrays, weight)
+    reference = float32_run(lambda x, w, b: ag.add(ag.conv1d(x, w, lengths=lengths), b),
+                            arrays, weight)
+    for got, want in zip(fused, reference):
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
 def test_relu_gradient_away_from_kink():
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -188,6 +224,8 @@ def test_bilstm_shapes_and_final_states():
     x = t64(rng, (3, 5))
     out = net(x)
     assert out.shape == (4, 5)
+    # one tape node, x listed once per direction, forward first
+    assert out._parents == (x, *net.fwd, x, *net.bwd)
     final = net.final_states()
     assert final.shape == (4, 1)
     assert np.allclose(final.data[:2, 0], out.data[:2, -1])
@@ -250,7 +288,7 @@ def test_bilstm_gradient():
 
 def stepwise_lstm(x, wx, wh, b, reverse=False):
     """Reference LSTM direction composed step by step from tape primitives:
-    the per-token cell that lstm_sequence replaces."""
+    the per-token cell that bilstm_sequence replaces."""
     hd = wh.shape[1]
     n = x.shape[1]
     h = c = Tensor(np.zeros((hd, 1)), dtype=F64)
@@ -264,25 +302,49 @@ def stepwise_lstm(x, wx, wh, b, reverse=False):
     return ag.concat(states, axis=1)
 
 
+def stepwise_bilstm(x, fwd, bwd, lengths=None):
+    """Reference for bilstm_sequence: each sequence's columns through two
+    single-direction stepwise_lstm runs, forward rows over backward rows."""
+    lengths = [x.shape[1]] if lengths is None else lengths
+    firsts = np.cumsum(lengths) - lengths
+    parts = []
+    for f, n in zip(firsts, lengths):
+        xs = ag.take(x, np.arange(f, f + n), axis=1)
+        parts.append(ag.concat([stepwise_lstm(xs, *fwd), stepwise_lstm(xs, *bwd, reverse=True)],
+                               axis=0))
+    return ag.concat(parts, axis=1)
+
+
 def lstm_leaves(rng, d_in, hd, n):
-    return (t64(rng, (d_in, n)), t64(rng, (4 * hd, d_in)),
-            t64(rng, (4 * hd, hd)), t64(rng, (4 * hd, 1)))
+    """[x, *fwd, *bwd]: a (d_in, n) input and both directions' (wx, wh, b)."""
+    return [t64(rng, (d_in, n))] + [t64(rng, shape) for _ in range(2)
+                                    for shape in ((4 * hd, d_in), (4 * hd, hd), (4 * hd, 1))]
+
+
+def bilstm(x, *weights, lengths=None):
+    """bilstm_sequence over lstm_leaves' flat list."""
+    return ag.bilstm_sequence(x, weights[:3], weights[3:], lengths)
+
+
+def direction_weight(rng, reverse, hd, n):
+    """(2*hd, n) loss weights on one direction's rows, zero on the other's."""
+    weight = np.zeros((2 * hd, n))
+    weight[slice(hd, None) if reverse else slice(None, hd)] = rng.standard_normal((hd, n))
+    return weight
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_matches_stepwise_cell(reverse):
+    # one direction's rows weigh in the loss; the other's gradients are zero
     rng = np.random.default_rng(3)
     for n in range(1, 13):
         leaves = lstm_leaves(rng, 3, 2, n)
-        weight = rng.standard_normal((2, n))
+        weight = direction_weight(rng, reverse, 2, n)
         results = []
-        for run in (ag.lstm_sequence, stepwise_lstm):
-            for leaf in leaves:
-                leaf.grad = None
-            out = run(*leaves, reverse=reverse)
-            ag.tsum(ag.mul(out, weight)).backward()
-            results.append([out.data] + [leaf.grad for leaf in leaves])
-        assert results[0][0].shape == (2, n)
+        for run in (bilstm, lambda x, *w: stepwise_bilstm(x, w[:3], w[3:])):
+            out, grads = grads_of(run, leaves, weight)
+            results.append([out] + grads)
+        assert results[0][0].shape == (4, n)
         for fused, reference in zip(*results):
             np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
 
@@ -293,20 +355,23 @@ def test_lstm_sequence_gradient(reverse, n):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         leaves = lstm_leaves(rng, 3, 2, n)
-        weight = rng.standard_normal((2, n))
+        weight = direction_weight(rng, reverse, 2, n)
 
         def loss():
-            out = ag.lstm_sequence(*leaves, reverse=reverse)
+            out = bilstm(*leaves)
             return ag.tsum(ag.mul(ag.mul(out, out), weight))
 
-        assert gradcheck(loss, list(leaves)) < 1e-4
+        assert gradcheck(loss, leaves) < 1e-4
 
 
 def test_lstm_sequence_rejects_mismatched_shapes():
     rng = np.random.default_rng(0)
-    x, wx, wh, b = lstm_leaves(rng, 3, 2, 4)
-    with pytest.raises(ValueError):
-        ag.lstm_sequence(x, wx, wh, t64(rng, (4, 1)))
+    x, *weights = lstm_leaves(rng, 3, 2, 4)
+    for k in range(6):
+        bad = list(weights)
+        bad[k] = t64(rng, (4, 1))
+        with pytest.raises(ValueError):
+            bilstm(x, *bad)
 
 
 # -- several sequences side by side ------------------------------------------------
@@ -332,15 +397,12 @@ def test_lstm_sequence_batch_equals_each_sequence_alone(reverse):
         rng = np.random.default_rng(seed)
         lengths = [int(k) for k in rng.integers(1, 9, size=int(rng.integers(1, 6)))]
         leaves = lstm_leaves(rng, 3, 2, sum(lengths))
-        weight = rng.standard_normal((2, sum(lengths)))
-        out, grads = grads_of(lambda *t: ag.lstm_sequence(*t, reverse=reverse,
-                                                            lengths=lengths),
-                              leaves, weight)
+        weight = direction_weight(rng, reverse, 2, sum(lengths))
+        out, grads = grads_of(lambda *t: bilstm(*t, lengths=lengths), leaves, weight)
         firsts = np.cumsum(lengths) - lengths
         weight_grads = [np.zeros_like(g) for g in grads[1:]]
         for f, n, x in zip(firsts, lengths, split_columns(leaves[0], lengths)):
-            one, one_grads = grads_of(lambda *t: ag.lstm_sequence(*t, reverse=reverse),
-                                      [x, *leaves[1:]], weight[:, f:f + n])
+            one, one_grads = grads_of(bilstm, [x, *leaves[1:]], weight[:, f:f + n])
             np.testing.assert_allclose(out[:, f:f + n], one, rtol=0, atol=1e-12)
             np.testing.assert_allclose(grads[0][:, f:f + n], one_grads[0], rtol=0, atol=1e-12)
             for total, g in zip(weight_grads, one_grads[1:]):
@@ -355,21 +417,36 @@ def test_lstm_sequence_gradient_unequal_lengths(reverse):
         rng = np.random.default_rng(seed)
         lengths = [3, 1, 5, 2]
         leaves = lstm_leaves(rng, 3, 2, sum(lengths))
-        weight = rng.standard_normal((2, sum(lengths)))
+        weight = direction_weight(rng, reverse, 2, sum(lengths))
 
         def loss():
-            out = ag.lstm_sequence(*leaves, reverse=reverse, lengths=lengths)
+            out = bilstm(*leaves, lengths=lengths)
             return ag.tsum(ag.mul(ag.mul(out, out), weight))
 
-        assert gradcheck(loss, list(leaves)) < 1e-4
+        assert gradcheck(loss, leaves) < 1e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bilstm_sequence_equals_two_stepwise_directions(data):
+    hd, d_in = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    leaves = lstm_leaves(rng, d_in, hd, sum(lengths))
+    weight = rng.standard_normal((2 * hd, sum(lengths)))
+    fused = grads_of(lambda *t: bilstm(*t, lengths=lengths), leaves, weight)
+    reference = grads_of(lambda x, *w: stepwise_bilstm(x, w[:3], w[3:], lengths),
+                         leaves, weight)
+    for got, want in zip([fused[0], *fused[1]], [reference[0], *reference[1]]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_sequence_ops_reject_lengths_that_do_not_split_the_columns():
     rng = np.random.default_rng(0)
-    x, wx, wh, b = lstm_leaves(rng, 3, 2, 5)
+    x, *weights = lstm_leaves(rng, 3, 2, 5)
     for lengths in ([2, 2], [2, 4], [5, 0], []):
         with pytest.raises(ValueError):
-            ag.lstm_sequence(x, wx, wh, b, lengths=lengths)
+            bilstm(x, *weights, lengths=lengths)
         with pytest.raises(ValueError):
             ag.conv1d(x, t64(rng, (2, 3, 3)), lengths=lengths)
         with pytest.raises(ValueError):

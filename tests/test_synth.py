@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 from conftest import FIXTURE_SHAPE
@@ -81,6 +82,16 @@ def test_holdout_is_realized_but_absent_from_kb(small_fixture):
             bags[(rec["subject"], rec["object"])] = set(rec["labels"])
     for s, r, o in held:
         assert r in bags[(s, o)]
+
+
+def test_gold_loaders_intern_their_ids(small_fixture):
+    # sentence and entity ids repeat over rows, so a loader that does not
+    # intern them holds equal strings that are not the interned object
+    paths, _ = small_fixture
+    links = load_gold_links(paths["gold_links"])
+    ids = [x for (sid, _, _), eid in links.items() for x in (sid, eid)]
+    ids += [x for triple in load_gold_triples(paths["gold_triples"]) for x in triple]
+    assert ids and all(x is sys.intern(x) for x in ids)
 
 
 def test_distractor_pairs_become_na_bags(small_fixture):
