@@ -33,9 +33,6 @@ class Span:
     linked: str | None = None
     method: str | None = None
 
-    def overlaps(self, other: "Span") -> bool:
-        return not (self.end < other.start or other.end < self.start)
-
 
 @dataclass(slots=True)
 class Sentence:

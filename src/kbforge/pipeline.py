@@ -208,9 +208,10 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
                 cfg.seed = _number(s, "seed", cfg.seed)
                 check_bounds(cfg)
             elif name == "split":
-                _check_keys(s, ("train", "valid", "test"))
-                cfg.split = (_number(s, "train", 0.8), _number(s, "valid", 0.1),
-                             _number(s, "test", 0.1))
+                keys = ("train", "valid", "test")
+                _check_keys(s, keys)
+                # an absent key keeps its PipelineConfig default
+                cfg.split = tuple(_number(s, key, d) for key, d in zip(keys, cfg.split))
                 check_split(cfg.split)
             elif name in ("embeddings", "bootstrap", "el", "ds", "re"):
                 if "seed" in s:

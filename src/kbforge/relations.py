@@ -63,15 +63,6 @@ def span_distance(token_index, start, end):
     return token_index - np.minimum(np.maximum(token_index, start), end)
 
 
-def segment_anchors(subject_span: Span, object_span: Span) -> tuple[int, int, int]:
-    """(i, j, direction) with i < j for spans apart (encode_tokens rejects
-    overlapping ones); direction 1 when the subject follows the object in
-    surface order."""
-    if subject_span.end < object_span.start:
-        return subject_span.end, object_span.end, 0
-    return object_span.end, subject_span.end, 1
-
-
 class REModel:
     def __init__(self, cfg: REConfig, relations: list[str], word_vocab: list[str],
                  type_vocab: list[str], tag_vocab: list[str], dtype=None):
@@ -137,30 +128,26 @@ class REModel:
 
     # -- encoding ------------------------------------------------------------
     #
-    # A bag of B (sentence, subject span, object span) instances is encoded
+    # A batch of B (sentence, subject span, object span) instances is encoded
     # in one pass: the token columns of its sentences lie side by side in a
-    # (d, N) input, ``lengths`` gives each sentence's token count, and every
-    # layer returns one column per sentence.
+    # (d, N) input, and every layer returns one column per sentence.
+    # forward_bags lays the batch out once: ``lengths`` gives each sentence's
+    # token count and the (4, B) ``offsets`` each instance's subject start,
+    # subject end, object start and object end as columns of that input.
 
-    def encode_tokens(self, instances: list[tuple[Sentence, Span, Span]]) -> nn.Tensor:
-        """(token_dim, N) token columns of the bag's sentences. A column
-        stacks the embeddings of the token's word, its distance to the
-        subject, to the object and to the nearest other linked span, its
-        span type and its POS tag. RelationError if an instance's subject
-        and object spans overlap: the one such check that forward_bags
-        makes."""
+    def encode_tokens(self, instances: list[tuple[Sentence, Span, Span]],
+                      lengths: np.ndarray, offsets: np.ndarray) -> nn.Tensor:
+        """(token_dim, N) token columns of the instances' sentences. A
+        column stacks the embeddings of the token's word, its distance to
+        the subject, to the object and to the nearest other linked span,
+        its span type and its POS tag."""
         cfg = self.cfg
-        lengths = np.array([len(s.tokens) for s, _, _ in instances])
         first = np.cumsum(lengths) - lengths
         owner = np.repeat(np.arange(len(instances)), lengths)
         at = np.arange(len(owner)) - first[owner]       # index in its sentence
-        bounds = np.empty((4, len(instances)), dtype=np.int64)
         nearest = np.full(len(owner), -1)                # -1: no other linked span
         types = np.full(len(owner), self.type_index.get(NO_SPAN_TYPE, 0))
         for b, (sentence, subj, obj) in enumerate(instances):
-            if subj.overlaps(obj):
-                raise RelationError("subject and object spans overlap")
-            bounds[:, b] = subj.start, subj.end, obj.start, obj.end
             mine = slice(first[b], first[b] + lengths[b])
             others = [np.abs(span_distance(at[mine], sp.start, sp.end))
                       for sp in sentence.spans
@@ -170,7 +157,8 @@ class REModel:
             for sp in sentence.spans:
                 types[first[b] + sp.start:first[b] + sp.end + 1] = \
                     self.type_index.get(sp.span_type or UNTYPED, 0)
-        to_pair = span_distance(at, bounds[[0, 2]][:, owner], bounds[[1, 3]][:, owner])
+        to_pair = span_distance(np.arange(len(owner)), offsets[[0, 2]][:, owner],
+                                offsets[[1, 3]][:, owner])
         positions = np.minimum(np.maximum(to_pair, -cfg.max_pos), cfg.max_pos) + cfg.max_pos
         tokens = [tok for s, _, _ in instances for tok in s.tokens]
         x = nn.embed_columns(
@@ -182,16 +170,13 @@ class REModel:
         assert x.shape == (cfg.token_dim, len(tokens))
         return x
 
-    def pcnn_encode(self, x: nn.Tensor, lengths, anchors) -> nn.Tensor:
+    def pcnn_encode(self, x: nn.Tensor, lengths: np.ndarray, offsets: np.ndarray
+                    ) -> nn.Tensor:
         """Three-segment max-pooled convolution per sentence; the segments
-        of a sentence split at its 0-based anchors (i, j) as [0,i), [i,j),
-        [j,n)."""
-        lengths = np.asarray(lengths)
-        if any(not 0 <= i < j < n for (i, j), n in zip(anchors, lengths)):
-            raise RelationError(f"anchors must satisfy 0 <= i < j < n, got {anchors} "
-                                f"for lengths {lengths.tolist()}")
+        split at the last tokens i < j of its two spans as [first,i),
+        [i,j), [j,first+n)."""
         first = np.cumsum(lengths) - lengths
-        i, j = first + np.array(anchors).T
+        i, j = np.minimum(offsets[1], offsets[3]), np.maximum(offsets[1], offsets[3])
         h = nn.conv1d(x, self.conv_w, self.conv_b, lengths)
         out = nn.tanh(nn.max_pool_segments(h, [first, i, j],
                                            [i - 1, j - 1, first + lengths - 1]))
@@ -232,22 +217,16 @@ class REModel:
             block[:n, :n] = adj * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
         return a_hat
 
-    def cgcn_encode(self, x: nn.Tensor, a_hat: np.ndarray, lengths,
-                    spans: list[tuple[Span, Span]]) -> nn.Tensor:
+    def cgcn_encode(self, x: nn.Tensor, a_hat: np.ndarray, lengths: np.ndarray,
+                    offsets: np.ndarray) -> nn.Tensor:
         """BiLSTM, then one GCN layer over each sentence's pruned dependency
         tree, its block of the a_hat that _sdp_matrix builds, then per
         sentence the max over all its tokens, its subject span and its
         object span."""
-        lengths = np.asarray(lengths)
-        if a_hat.shape != (len(lengths),) + (max(lengths),) * 2:
-            raise RelationError(f"adjacency {a_hat.shape} for sentence lengths "
-                                f"{lengths.tolist()}")
         h = self.gcn(self.lstm(x, lengths), a_hat, lengths)
         first = np.cumsum(lengths) - lengths
-        subj, obj = (first + np.array([[sp.start for sp in part], [sp.end for sp in part]])
-                     for part in zip(*spans))
-        out = nn.tanh(nn.max_pool_segments(h, [first, subj[0], obj[0]],
-                                           [first + lengths - 1, subj[1], obj[1]]))
+        out = nn.tanh(nn.max_pool_segments(h, [first, offsets[0], offsets[2]],
+                                           [first + lengths - 1, offsets[1], offsets[3]]))
         assert out.shape == (3 * self.cfg.hidden, len(lengths))
         return out
 
@@ -260,21 +239,6 @@ class REModel:
         assert gate.shape == (6 * self.cfg.hidden, 1 if lengths is None else len(lengths))
         return gate
 
-    def encode_bag(self, instances: list[tuple[Sentence, Span, Span]]
-                   ) -> tuple[nn.Tensor, nn.Tensor, list[int]]:
-        """Sentence vectors (6h, B) and gates (6h, B), one column per
-        instance in the given order, and each instance's direction flag."""
-        if not instances:
-            raise RelationError("cannot encode an empty bag")
-        lengths = [len(sentence.tokens) for sentence, _, _ in instances]
-        x = self.encode_tokens(instances)
-        anchors = [segment_anchors(subj, obj) for _, subj, obj in instances]
-        s_pcnn = self.pcnn_encode(x, lengths, [(i, j) for i, j, _ in anchors])
-        s_gcn = self.cgcn_encode(x, self._sdp_matrix(instances), lengths,
-                                 [(subj, obj) for _, subj, obj in instances])
-        s = nn.concat([s_pcnn, s_gcn], axis=0)
-        return s, self.selective_gate(x, lengths), [d for _, _, d in anchors]
-
     def predict_from_bag_vector(self, v: nn.Tensor, directions) -> nn.Tensor:
         """(R, B) scores of the bag vectors v (6h, B), given each bag's mean
         direction flag (a plain number for a single bag)."""
@@ -286,16 +250,29 @@ class REModel:
     def forward_bags(self, bags: list[list[tuple[Sentence, Span, Span]]]) -> nn.Tensor:
         """(R, B) relation scores, one column per bag. The sentences of all
         bags are encoded in one pass, each bag's instances in a canonical
-        order, so any permutation of a bag scores bit-identically."""
+        order, so any permutation of a bag scores bit-identically. A bag's
+        direction is its share of instances whose subject follows its
+        object. RelationError for an empty bag or for an instance whose
+        subject and object spans overlap."""
         ordered = [sorted(instances, key=lambda inst: (
             inst[0].id, inst[1].start, inst[1].end, inst[2].start, inst[2].end))
             for instances in bags]
-        s, g, directions = self.encode_bag([inst for bag in ordered for inst in bag])
+        instances = [inst for bag in ordered for inst in bag]
+        if not instances:
+            raise RelationError("cannot encode an empty bag")
+        lengths = np.array([len(sentence.tokens) for sentence, _, _ in instances])
+        offsets = np.cumsum(lengths) - lengths + np.array(
+            [(subj.start, subj.end, obj.start, obj.end) for _, subj, obj in instances]).T
+        if np.any((offsets[0] <= offsets[3]) & (offsets[2] <= offsets[1])):
+            raise RelationError("subject and object spans overlap")
+        x = self.encode_tokens(instances, lengths, offsets)
+        s = nn.concat([self.pcnn_encode(x, lengths, offsets),
+                       self.cgcn_encode(x, self._sdp_matrix(instances), lengths, offsets)],
+                      axis=0)
         sizes = [len(bag) for bag in ordered]
-        v = aggregate_bag(s, g, sizes)
-        starts = np.cumsum(sizes) - sizes
-        means = [float(np.mean(directions[a:a + n])) for a, n in zip(starts, sizes)]
-        return self.predict_from_bag_vector(v, means)
+        v = aggregate_bag(s, self.selective_gate(x, lengths), sizes)
+        follows = np.add.reduceat(offsets[0] > offsets[2], np.cumsum(sizes) - sizes)
+        return self.predict_from_bag_vector(v, follows / sizes)
 
     def predict(self, instances: list[tuple[Sentence, Span, Span]]
                 ) -> tuple[np.ndarray, set[str]]:

@@ -22,7 +22,6 @@ from kbforge.relations import (
     extract,
     load_model,
     save_model,
-    segment_anchors,
     sliding_margin_loss,
     span_distance,
     train_re,
@@ -76,6 +75,19 @@ def reversed_sentence(sid="s1"):
     return s, subj, obj
 
 
+def layout(instances):
+    """The lengths and the (4, B) span columns of the instances' sentences
+    laid side by side, counted token by token: each instance's subject
+    start, subject end, object start and object end."""
+    lengths, columns, first = [], [], 0
+    for sentence, subj, obj in instances:
+        columns.append([first + subj.start, first + subj.end,
+                        first + obj.start, first + obj.end])
+        lengths.append(len(sentence.tokens))
+        first += len(sentence.tokens)
+    return np.array(lengths), np.array(columns).T
+
+
 # -- geometry helpers ---------------------------------------------------------
 
 
@@ -86,12 +98,6 @@ def test_span_distance_sign_convention():
     assert span_distance(5, 3, 5) == 0
     assert span_distance(8, 3, 5) == 3
     assert span_distance(np.arange(9), 3, 5).tolist() == [-3, -2, -1, 0, 0, 0, 1, 2, 3]
-
-
-def test_segment_anchors_orientation():
-    a, b = Span(0, 1, "s"), Span(3, 4, "o")
-    assert segment_anchors(a, b) == (1, 4, 0)
-    assert segment_anchors(b, a) == (1, 4, 1)
 
 
 def test_config_validation():
@@ -106,13 +112,17 @@ def test_config_validation():
 # -- encoders -----------------------------------------------------------------
 
 
-def test_encode_tokens_shape_and_overlap_guard():
+def test_encode_tokens_shape_and_overlap_guard(monkeypatch):
     m = tiny_model()
     s, subj, obj = pair_sentence()
-    x = m.encode_tokens([(s, subj, obj)])
+    x = m.encode_tokens([(s, subj, obj)], *layout([(s, subj, obj)]))
     assert x.shape == (m.cfg.token_dim, 3)
-    with pytest.raises(RelationError):
-        m.encode_tokens([(s, subj, Span(0, 1, "Tony knows"))])
+    # forward_bags refuses an overlapping instance before any encoder runs
+    encoded = []
+    monkeypatch.setattr(m, "encode_tokens", lambda *args: encoded.append(args))
+    with pytest.raises(RelationError, match="overlap"):
+        m.forward_bags([[(s, subj, Span(0, 1, "Tony knows"))]])
+    assert encoded == []
 
 
 def test_encode_tokens_nearest_other_span_positions(monkeypatch):
@@ -136,7 +146,8 @@ def test_encode_tokens_nearest_other_span_positions(monkeypatch):
         return embed_columns(tables, columns)
 
     monkeypatch.setattr(nn, "embed_columns", capturing)
-    m.encode_tokens([(s, subj, obj), (pair, pair_subj, pair_obj)])
+    both = [(s, subj, obj), (pair, pair_subj, pair_obj)]
+    m.encode_tokens(both, *layout(both))
     # to tokens 8-9:  8 7 6 5 4 3 2 1 0 0 1 2 3 4
     # to token 13:   13 12 11 10 9 8 7 6 5 4 3 2 1 0
     # the minimum, capped at 5, plus 1; the unlinked span at 4 does not count
@@ -145,45 +156,25 @@ def test_encode_tokens_nearest_other_span_positions(monkeypatch):
 
 def test_pcnn_leading_anchor_zeroes_first_segment():
     m = tiny_model()
-    s, subj, obj = pair_sentence()
-    x = m.encode_tokens([(s, subj, obj)])
-    out = m.pcnn_encode(x, [3], [(0, 2)])
+    lengths, offsets = layout([pair_sentence()])
+    x = m.encode_tokens([pair_sentence()], lengths, offsets)
+    out = m.pcnn_encode(x, lengths, offsets)
     h = m.cfg.hidden
     assert out.shape == (3 * h, 1)
     assert np.all(out.data[:h] == 0.0)          # empty [0,-1] segment
     assert np.any(out.data[h:] != 0.0)
 
 
-def test_pcnn_rejects_bad_anchors():
-    m = tiny_model()
-    s, subj, obj = pair_sentence()
-    x = m.encode_tokens([(s, subj, obj)])
-    for i, j in ((2, 2), (3, 1), (-1, 2)):
-        with pytest.raises(RelationError):
-            m.pcnn_encode(x, [3], [(i, j)])
-
-
-def test_encode_sentence_direction_flag():
-    m = tiny_model()
-    _, _, directions = m.encode_bag([pair_sentence(), reversed_sentence()])
-    assert directions == [0, 1]
-
-
 def test_forward_bags_rejects_overlapping_spans():
-    # spans sharing a token but not their last one: the segment anchors
-    # and the pruned tree are defined, the instance is still refused
+    # spans sharing a token but not their last one (the PCNN's cut points
+    # and the pruned tree are defined, the instance is still refused), and
+    # a span inside the other
     m = tiny_model()
-    s, _, _ = pair_sentence()
-    with pytest.raises(RelationError, match="overlap"):
-        m.forward_bags([[(s, Span(0, 1, "Tony knows"), Span(1, 2, "knows Pepper"))]])
-
-
-def test_cgcn_rejects_mismatched_adjacency():
-    m = tiny_model()
-    s, subj, obj = pair_sentence()
-    x = m.encode_tokens([(s, subj, obj)])
-    with pytest.raises(RelationError):
-        m.cgcn_encode(x, np.eye(5, dtype=np.float32), [3], [(subj, obj)])
+    s, subj, _ = pair_sentence()
+    for pair in [(Span(0, 1, "Tony knows"), Span(1, 2, "knows Pepper")),
+                 (subj, Span(0, 1, "Tony knows"))]:
+        with pytest.raises(RelationError, match="overlap"):
+            m.forward_bags([[(s, *pair)]])
 
 
 # -- bag batching -------------------------------------------------------------
@@ -271,17 +262,53 @@ def test_sdp_matrix_equals_the_pruned_tree_from_its_definition(bag):
     assert stack[:len(bag)].tobytes() == stack[len(bag):].tobytes()
 
 
+def sentence_columns(model, instances):
+    """Each encoder's output on the instances laid out by ``layout``:
+    token columns, PCNN, C-GCN and gate vectors."""
+    lengths, offsets = layout(instances)
+    x = model.encode_tokens(instances, lengths, offsets)
+    return [x, model.pcnn_encode(x, lengths, offsets),
+            model.cgcn_encode(x, model._sdp_matrix(instances), lengths, offsets),
+            model.selective_gate(x, lengths)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(bags())
 def test_batched_sentence_encoding_equals_bag_of_one(bag):
     model = tiny_model(dtype=np.float64)
-    s, g, directions = model.encode_bag(bag)
-    assert s.shape == g.shape == (6 * model.cfg.hidden, len(bag))
+    x, *batched = sentence_columns(model, bag)
+    h = model.cfg.hidden
+    assert [out.shape for out in batched] == [(3 * h, len(bag))] * 2 + [(6 * h, len(bag))]
+    first = 0
     for b, inst in enumerate(bag):
-        s1, g1, d1 = model.encode_bag([inst])
-        np.testing.assert_allclose(s.data[:, b], s1.data[:, 0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(g.data[:, b], g1.data[:, 0], rtol=0, atol=1e-12)
-        assert directions[b] == d1[0]
+        x1, *alone = sentence_columns(model, [inst])
+        n = x1.shape[1]
+        assert x1.data.tobytes() == x.data[:, first:first + n].copy().tobytes()
+        for out, one in zip(batched, alone):
+            np.testing.assert_allclose(out.data[:, b], one.data[:, 0], rtol=0, atol=1e-12)
+        first += n
+
+
+@settings(max_examples=60, deadline=None)
+@given(bags(), st.integers(0, 2**32 - 1))
+def test_pcnn_segments_split_at_the_spans_last_tokens(bag, seed):
+    # both orders of each pair: the segments do not depend on which span
+    # is the subject
+    model = tiny_model(dtype=np.float64)
+    both_orders = bag + [(s, obj, subj) for s, subj, obj in bag]
+    lengths, offsets = layout(both_orders)
+    rng = np.random.default_rng(seed)
+    x = nn.Tensor(rng.normal(size=(model.cfg.token_dim, lengths.sum())))
+    out = model.pcnn_encode(x, lengths, offsets)
+    first = 0
+    for b, (sentence, subj, obj) in enumerate(both_orders):
+        n = len(sentence.tokens)
+        i, j = sorted((subj.end, obj.end))
+        h = nn.conv1d(nn.Tensor(x.data[:, first:first + n]), model.conv_w, model.conv_b)
+        want = nn.tanh(nn.concat([nn.max_pool_range(h, 0, i - 1), nn.max_pool_range(h, i, j - 1),
+                                  nn.max_pool_range(h, j, n - 1)], axis=0))
+        np.testing.assert_allclose(out.data[:, b], want.data[:, 0], rtol=0, atol=1e-12)
+        first += n
 
 
 @settings(max_examples=30, deadline=None)
@@ -310,6 +337,53 @@ def test_forward_bags_column_is_that_bag_scored_alone(batch):
     for b, bag in enumerate(batch):
         alone = model.forward_bags([bag]).data
         np.testing.assert_allclose(scores.data[:, b:b + 1], alone, rtol=0, atol=1e-5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bag_batches())
+def test_bag_direction_is_its_share_of_subjects_after_objects(batch):
+    model = tiny_model()
+    seen = []
+    head = model.predict_from_bag_vector
+
+    def capturing(v, directions):
+        seen.append(directions)
+        return head(v, directions)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "predict_from_bag_vector", capturing)
+        model.forward_bags(batch)
+    want = [sum(subj.start > obj.start for _, subj, obj in bag) / len(bag) for bag in batch]
+    assert len(seen) == 1 and np.asarray(seen[0]).tolist() == want
+
+
+@st.composite
+def span_pairs(draw):
+    """A sentence of 1-8 tokens and two spans anywhere in it."""
+    n = draw(st.integers(1, 8))
+    spans = []
+    for linked in ("e1", "e2"):
+        start = draw(st.integers(0, n - 1))
+        spans.append(Span(start, draw(st.integers(start, n - 1)), "w", "person", linked))
+    sentence = mk_sentence(["w"] * n, [-1] + [0] * (n - 1), "pair")
+    sentence.spans = sorted(spans, key=lambda sp: (sp.start, sp.end))
+    return sentence, *spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(bag_batches(), span_pairs(), st.data())
+def test_forward_bags_rejects_a_batch_exactly_when_an_instance_overlaps(batch, pair, data):
+    # the one overlap check, made for the whole batch at once, against
+    # the definition: the spans share a token
+    _, subj, obj = pair
+    bag = data.draw(st.integers(0, len(batch) - 1))
+    batch[bag] = batch[bag] + [pair]
+    model = tiny_model()
+    if subj.end < obj.start or obj.end < subj.start:
+        assert model.forward_bags(batch).shape == (2, len(batch))
+    else:
+        with pytest.raises(RelationError, match="overlap"):
+            model.forward_bags(batch)
 
 
 def test_large_bag_memory_grows_linearly():
