@@ -177,31 +177,34 @@ def _scatter_add(table, rows, updates, cap: int) -> None:
     table[named] += sums.astype(table.dtype)
 
 
-def _sgd_pairs(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
-    """One pass of negative-sampling SGD over (center, context) pairs, pair
-    i at rate ``lrs[i]``. Updates vectors/ctx in place; writes pair i's
-    loss to ``loss_out[i]``, a float64 array as long as ``centers``.
+def _sgd_pairs(vectors, ctx, order, pairs, rate, sampler, rng, k, loss_out):
+    """One pass of negative-sampling SGD whose i-th (center, context) pair
+    is ``pairs[order[i]]``, at rate ``rate(i)`` for an array i of positions.
+    Updates vectors/ctx in place; writes pair i's loss to ``loss_out[i]``,
+    a float64 array as long as ``order``.
 
-    Pairs go in blocks of SGD_BLOCK. A block draws its negatives with one
-    ``rng.random((n, k))`` call (the same stream as n calls of k), reads its
-    center and context rows once, scores every pair against that snapshot
-    and adds the updates of all its pairs at the end. A row named more than
-    k+1 times in a block, more often than one pair can name it, moves by
-    k+1 times the mean of its updates: summed uncapped, the updates to the
-    few rows of a small namespace, which every pair names, diverge."""
+    Pairs go in blocks of SGD_BLOCK, each gathered from ``order`` with its
+    rates, so nothing here is as long as the pass. A block draws its
+    negatives with one ``rng.random((n, k))`` call (the same stream as n
+    calls of k), reads its center and context rows once, scores every pair
+    against that snapshot and adds the updates of all its pairs at the end.
+    A row named more than k+1 times in a block, more often than one pair
+    can name it, moves by k+1 times the mean of its updates: summed
+    uncapped, the updates to the few rows of a small namespace, which every
+    pair names, diverge."""
     labels = np.zeros(k + 1)
     labels[0] = 1.0
-    for lo in range(0, len(centers), SGD_BLOCK):
-        block_centers = centers[lo:lo + SGD_BLOCK]
-        block_contexts = contexts[lo:lo + SGD_BLOCK]
-        n = len(block_contexts)
+    for lo in range(0, len(order), SGD_BLOCK):
+        block_centers, block_contexts = pairs[order[lo:lo + SGD_BLOCK]].T
+        n = len(block_centers)
         rows = np.empty((n, k + 1), dtype=np.int64)
         rows[:, 0] = block_contexts
         rows[:, 1:] = sampler.pick(block_contexts, rng.random((n, k)))
         w = vectors[block_centers].astype(np.float64)
         c = ctx[rows].astype(np.float64)
         scores = 1.0 / (1.0 + np.exp(-np.einsum("nkd,nd->nk", c, w)))
-        step = (scores - labels) * lrs[lo:lo + n, None]  # rate times d(loss)/d(score)
+        # rate times d(loss)/d(score)
+        step = (scores - labels) * rate(np.arange(lo, lo + n))[:, None]
         _scatter_add(vectors, block_centers, -np.einsum("nk,nkd->nd", step, c), k + 1)
         ctx_updates = -step[:, :, None] * w[:, None, :]
         _scatter_add(ctx, rows.ravel(), ctx_updates.reshape(n * (k + 1), -1), k + 1)
@@ -224,12 +227,12 @@ def _train_pairs(table: EmbeddingTable, pair_sets, sampler: _NegativeSampler,
     losses = np.empty(sum(sizes))  # the pair losses of one epoch
     for _ in range(cfg.epochs):
         for pairs, pair_losses in zip(pair_sets, np.split(losses, np.cumsum(sizes)[:-1])):
-            n = len(pairs)
-            order = rng.permutation(n)
-            lrs = cfg.learning_rate * np.maximum(1 - np.arange(done, done + n) / total, 1e-4)
-            _sgd_pairs(table.vectors, ctx, pairs[order, 0], pairs[order, 1], lrs,
+            def rate(i, done=done):
+                return cfg.learning_rate * np.maximum(1 - (done + i) / total, 1e-4)
+
+            _sgd_pairs(table.vectors, ctx, rng.permutation(len(pairs)), pairs, rate,
                        sampler, rng, cfg.negatives, pair_losses)
-            done += n
+            done += len(pairs)
         table.epoch_losses.append(float(np.mean(losses)))
 
 

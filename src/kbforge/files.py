@@ -156,7 +156,9 @@ def read_json(path, error, convert=lambda doc: doc):
 def replacing(path, mode: str = "w"):
     """A temporary file beside ``path`` that replaces it when the block ends.
     If the block raises, the file goes and ``path`` keeps what it held, or
-    stays missing. Nothing is fsynced: a power loss may still lose it."""
+    stays missing. A process killed before the rename leaves the temporary
+    behind (see remove_stale_temporaries). Nothing is fsynced: a power
+    loss may still lose it."""
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
     try:
@@ -166,6 +168,22 @@ def replacing(path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def remove_stale_temporaries(directory, names) -> None:
+    """Removes the temporaries that ``replacing`` left in ``directory`` for
+    the files ``names`` in processes that no longer run, as a kill between
+    a write and its rename does. A running writer's temporary may yet be
+    renamed, and stays."""
+    for entry in os.listdir(directory):
+        parts = entry.rsplit(".", 2)  # name, pid, "tmp"
+        if len(parts) == 3 and parts[0] in names and parts[1].isdigit() and parts[2] == "tmp":
+            try:
+                os.kill(int(parts[1]), 0)
+            except ProcessLookupError:
+                os.unlink(os.path.join(directory, entry))
+            except PermissionError:  # it runs, as another user
+                pass
 
 
 def _write(path, lines) -> None:

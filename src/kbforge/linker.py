@@ -161,8 +161,10 @@ class TrainableSpanClassifier:
             raise LinkError("no labeled spans to train the span classifier on")
         self.max_span_len = max(gold_lens)
         # each sentence's gold spans in (start, end) order, then its sampled
-        # negatives in _ngrams order
-        feats: list[np.ndarray] = []
+        # negatives in _ngrams order. An item is a list of its seven buckets,
+        # gathered sentence by sentence as int objects that every item shares.
+        buckets = np.arange(self.feature_dim).astype(object)
+        items: list[list[int]] = []
         labels: list[float] = []
         for sentence in corpus:
             rows = self._feature_rows(sentence)
@@ -173,9 +175,8 @@ class TrainableSpanClassifier:
             if len(negs) > self.negatives_per_sentence:
                 picks = rng.choice(len(negs), size=self.negatives_per_sentence, replace=False)
                 negs = negs[np.sort(picks)]
-            feats += [rows[gold], rows[negs]]
+            items += buckets[rows[gold + negs.tolist()]].tolist()
             labels += [1.0] * len(gold) + [0.0] * len(negs)
-        items = np.concatenate(feats).tolist()
         # SGD on Python floats, whose ops are numpy's double ops: a left-to-right
         # sum of seven terms and one subtraction per feature equal weights[idx].sum()
         # and np.subtract.at bit for bit, a repeated bucket once per repeat

@@ -423,19 +423,24 @@ def bilstm_sequence(x, fwd, bwd, lengths=None) -> Tensor:
         zx[:, d] = (wx.data @ x.data)[:, cols].reshape(4 * hd, T, B).swapaxes(0, 1)
     wh = np.stack([wh.data for _, wh, _ in params])
     bias = np.stack([b.data for _, _, b in params])
-    acts = np.empty((T, 2, 4 * hd, B), dtype=dt)   # sigmoid i, f, o and tanh g
-    cells = np.empty((T, 2, hd, B), dtype=dt)
-    tanh_c = np.empty((T, 2, hd, B), dtype=dt)
+    parents = (x, *params[0], x, *params[1])
+    # only the backward reads past steps' gates, cells and tanh(c): a call
+    # whose node _node will not record keeps one step's, overwritten in place
+    kept = T if _grad_enabled and any(p.requires_grad for p in parents) else 1
+    acts = np.empty((kept, 2, 4 * hd, B), dtype=dt)   # sigmoid i, f, o and tanh g
+    cells = np.empty((kept, 2, hd, B), dtype=dt)
+    tanh_c = np.empty((kept, 2, hd, B), dtype=dt)
     hs = np.empty((T, 2, hd, B), dtype=dt)
     h = c = np.zeros((2, hd, B), dtype=dt)
     for t in range(T):
+        s = t % kept
         z = zx[t] + wh @ h + bias
-        a = acts[t]
+        a = acts[s]
         a[:] = 1.0 / (1.0 + np.exp(-z))
         a[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
-        c = cells[t] = a[:, hd:2 * hd] * c + a[:, :hd] * a[:, 2 * hd:3 * hd]
-        tanh_c[t] = np.tanh(c)
-        h = hs[t] = a[:, 3 * hd:] * tanh_c[t]
+        c = cells[s] = a[:, hd:2 * hd] * c + a[:, :hd] * a[:, 2 * hd:3 * hd]
+        tanh_c[s] = np.tanh(c)
+        h = hs[t] = a[:, 3 * hd:] * tanh_c[s]
 
     def by_column(per_step, d):
         """(n, rows) array whose row c is direction d's (T, 2, rows, B)
@@ -490,7 +495,7 @@ def bilstm_sequence(x, fwd, bwd, lengths=None) -> Tensor:
         return grads
 
     out = np.concatenate([by_column(hs, d).T for d in (0, 1)], axis=0)
-    return _node(out, (x, *params[0], x, *params[1]), back)
+    return _node(out, parents, back)
 
 
 def take(a, indices, axis: int | None = 0) -> Tensor:

@@ -57,6 +57,7 @@ from .files import (
     read_json,
     read_jsonl,
     read_rows,
+    remove_stale_temporaries,
     write_json,
     write_jsonl,
     write_rows,
@@ -509,10 +510,11 @@ class PipelineRunner:
     def _ensure(self, name: str) -> None:
         """Ensure stage ``name``: first every stage that outputs one of its
         inputs, then this one, which builds unless the cache holds its key
-        and the outputs it recorded. A cache hit loads nothing. A build is
-        recorded only after its outputs load, through the memo the stage's
-        accessor reads, so a build loads nothing twice and an output its
-        loader rejects fails the stage unrecorded."""
+        and the outputs it recorded. A cache hit loads nothing. A build
+        first removes what killed builds left of its outputs and of the
+        manifest. It is recorded only after its outputs load, through the
+        memo the stage's accessor reads, so a build loads nothing twice and
+        an output its loader rejects fails the stage unrecorded."""
         if name in self.stage_ran:
             return
         stage = STAGES[name]
@@ -523,6 +525,7 @@ class PipelineRunner:
         if self._fresh(name, key, outputs):
             self.stage_ran[name] = False
             return
+        remove_stale_temporaries(self.out, {*stage.outputs, self._manifest_path.name})
         try:
             stage.build(self, *outputs)
         except Exception as exc:

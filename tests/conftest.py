@@ -5,6 +5,7 @@ once per session; quality-bar tests and artifact tests all read from it.
 """
 
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,14 @@ def tree_heads(draw, n: int) -> list[int]:
     for k, t in enumerate(order):
         heads[t] = -1 if k == 0 else order[draw(st.integers(0, k - 1))]
     return heads
+
+
+def traced_peak(run) -> int:
+    """tracemalloc peak of ``run()`` over what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -3,6 +3,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -268,13 +269,21 @@ def run_both_sgd(reference, seed, n_words, n_entities, dim, n_pairs, k):
     pairs = gen.integers(0, rows, (n_pairs, 2))
     lrs = 0.05 * np.maximum(1 - np.arange(n_pairs) / max(n_pairs, 1), 1e-4)
     outcomes = []
-    for sgd in (reference, embeddings._sgd_pairs):
+    for sgd in (reference, sgd_pairs_in_order):
         v, c = vectors.copy(), ctx.copy()
         rng = np.random.Generator(np.random.PCG64(seed))
         losses = np.full(n_pairs, np.nan)
         sgd(v, c, pairs[:, 0], pairs[:, 1], lrs, sampler, rng, k, losses)
         outcomes.append((v, c, losses, rng.bit_generator.state))
     return outcomes
+
+
+def sgd_pairs_in_order(vectors, ctx, centers, contexts, lrs, sampler, rng, k, loss_out):
+    """_sgd_pairs over the pairs in the order given, with the reference
+    functions' arguments."""
+    embeddings._sgd_pairs(vectors, ctx, np.arange(len(centers)),
+                          np.stack([centers, contexts], axis=1), lambda i: lrs[i],
+                          sampler, rng, k, loss_out)
 
 
 def assert_close_sgd(ref, blocked):
@@ -390,12 +399,13 @@ def sgd_peak_bytes(n_pairs, dim=64, k=10, rows=500):
     pairs = gen.integers(0, rows, (n_pairs, 2))
     lrs = np.full(n_pairs, 0.05)
     rng, losses = np.random.default_rng(1), np.full(n_pairs, np.nan)
+    order = np.arange(n_pairs)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        embeddings._sgd_pairs(vectors, ctx, pairs[:, 0], pairs[:, 1], lrs, sampler, rng, k,
+        embeddings._sgd_pairs(vectors, ctx, order, pairs, lambda i: lrs[i], sampler, rng, k,
                               losses)
         current, peak = tracemalloc.get_traced_memory()
     finally:
@@ -411,6 +421,55 @@ def test_sgd_peak_memory_is_bounded_and_flat_in_pairs():
     assert large < 2 * 2**20
     # nothing the call allocates scales with pairs
     assert large - small < 64 * 2**10
+
+
+def train_pairs_peak_bytes(n_pairs, dim=64, rows=500):
+    """tracemalloc peak of one _train_pairs epoch over n_pairs pairs, over
+    what was allocated before it."""
+    gen = np.random.default_rng(0)
+    symbols = [f"w{i}" for i in range(rows)]
+    table = EmbeddingTable(symbols, init_vectors(gen, rows, dim))
+    sampler = embeddings._NegativeSampler(table.index,
+                                          [dict(zip(symbols, gen.integers(1, 50, rows)))])
+    pairs = gen.integers(0, rows, (n_pairs, 2))
+    peak = traced_peak(lambda: embeddings._train_pairs(table, [pairs], sampler,
+                                                       np.random.default_rng(1),
+                                                       SkipGramConfig(dim=dim, epochs=1)))
+    assert len(table.epoch_losses) == 1
+    return peak
+
+
+def test_train_pairs_peak_grows_only_by_the_order_and_the_losses():
+    # per pair, a pass keeps its place in the permutation and the epoch
+    # keeps its loss, 8 bytes each; blocks gather their pairs and rates
+    # from the order, so nothing else grows with the pairs
+    small, large = 3 * SGD_BLOCK, 400 * SGD_BLOCK
+    growth = train_pairs_peak_bytes(large) - train_pairs_peak_bytes(small)
+    assert growth - 16 * (large - small) < 64 * 2**10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), n_pairs=st.integers(0, 3 * SGD_BLOCK), k=st.integers(1, 6))
+def test_sgd_pass_in_an_order_equals_the_pairs_laid_out_in_that_order(seed, n_pairs, k):
+    gen = np.random.default_rng(seed)
+    rows, dim = 40, 5
+    symbols = [f"w{i}" for i in range(rows)]
+    vectors = init_vectors(gen, rows, dim)
+    ctx = gen.normal(0.0, 0.3, (rows, dim)).astype(np.float32)
+    sampler = embeddings._NegativeSampler(dict(zip(symbols, range(rows))),
+                                          [dict(zip(symbols, gen.integers(1, 9, rows)))])
+    pairs = gen.integers(0, rows, (n_pairs, 2))
+    order = gen.permutation(n_pairs)
+    rate = lambda i: 0.05 * np.maximum(1 - (7 + i) / (n_pairs + 9), 1e-4)
+    outcomes = []
+    for args in ((order, pairs), (np.arange(n_pairs), pairs[order])):
+        v, c = vectors.copy(), ctx.copy()
+        rng, losses = np.random.Generator(np.random.PCG64(seed)), np.full(n_pairs, np.nan)
+        embeddings._sgd_pairs(v, c, *args, rate, sampler, rng, k, losses)
+        outcomes.append((v, c, losses, rng.bit_generator.state))
+    (v, c, losses, state), (v2, c2, losses2, state2) = outcomes
+    assert v.tobytes() == v2.tobytes() and c.tobytes() == c2.tobytes()
+    assert losses.tobytes() == losses2.tobytes() and state == state2
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,6 +6,9 @@ the same message)."""
 
 import ast
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -130,6 +133,18 @@ def test_writers_reject_a_value_json_cannot_encode(tmp_path):
         files.write_jsonl(tmp_path / "w.jsonl", [{"a": 1}, {"b": {1}}])
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         files.write_json(tmp_path / "w.json", {"a": [{1}]})
+
+
+def test_stale_temporaries_of_dead_processes_go_and_live_ones_stay(tmp_path):
+    dead = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    names = [f"a.json.{dead}.tmp", f"b.tsv.{dead}.tmp",            # dead writers
+             f"a.json.{os.getpid()}.tmp",                           # a live one
+             f"c.json.{dead}.tmp", "a.json", "a.json.x.tmp", "a.tmp"]  # not named
+    for name in names:
+        (tmp_path / name).write_text("x")
+    files.remove_stale_temporaries(tmp_path, {"a.json", "b.tsv"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names[2:])
 
 
 # writer, a strategy for one item it writes, and one for an item it cannot

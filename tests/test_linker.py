@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -889,6 +890,35 @@ def test_span_classifier_training_matches_per_step_conversion(fixture_dir, featu
     assert trained.bias == reference.bias
     assert trained.max_span_len == reference.max_span_len
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def classifier_train_peak(kb, corpus) -> tuple[int, int]:
+    """(tracemalloc peak of one TrainableSpanClassifier.train over what was
+    allocated before it, training items), read from a feature table filled
+    beforehand, as in bootstrap rounds after the first."""
+    table: dict[str, np.ndarray] = {}
+    clf = TrainableSpanClassifier(kb, BootstrapConfig(), table)
+    clf.max_span_len = max(sp.end - sp.start + 1 for s in corpus for sp in s.spans)
+    items = 0
+    for s in corpus:
+        gold = len({(sp.start, sp.end) for sp in s.spans})
+        items += gold + min(len(clf._feature_rows(s)) - gold, clf.negatives_per_sentence)
+    return traced_peak(lambda: clf.train(corpus, np.random.default_rng(0))), items
+
+
+def test_span_classifier_training_peak_per_item_stays_flat(fixture_dir):
+    # an item holds a list of its seven buckets' shared int objects, its
+    # slot in the item and label lists, and its place in an epoch's
+    # permutation: 179 bytes. Items as lists of their own ints, from the
+    # round's concatenated array, took 476 bytes each.
+    kb = load_kb(fixture_dir / "entities.tsv", fixture_dir / "triples.tsv")
+    raw = ingest_corpus(fixture_dir / "corpus.jsonl")
+    corpus = _extract_once(raw, kb, None, GazetteerRecognizer(kb), BootstrapConfig(knn_k=0))
+    (small, n_small), (large, n_large) = (classifier_train_peak(kb, corpus[:n])
+                                          for n in (250, 1000))
+    assert n_large > 3 * n_small
+    assert large / n_large <= small / n_small
+    assert (large - small) / (n_large - n_small) < 256
 
 
 def test_span_classifier_trains_on_a_span_wider_than_every_alias():

@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -905,6 +907,43 @@ def test_stage_outputs_exist(tiny_run):
     assert set(names) == set(pipeline.PRODUCER)
     # and nothing else: no temporary file outlives a build
     assert sorted(p.name for p in tiny_run["out"].iterdir()) == sorted(names + ("cache.json",))
+
+
+# Runs the kbforge command line with os.replace exiting the process, as a
+# kill would, just before the nth rename onto the named file.
+KILLED_BEFORE_RENAME = """\
+import os, sys
+name, nth = sys.argv[1], int(sys.argv[2])
+replace, seen = os.replace, []
+def dying_replace(src, dst):
+    if os.path.basename(dst) == name:
+        seen.append(dst)
+        if len(seen) == nth:
+            os._exit(17)
+    replace(src, dst)
+os.replace = dying_replace
+from kbforge.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def test_a_rerun_after_a_kill_before_a_rename_leaves_what_a_clean_build_does(tiny_run,
+                                                                            tmp_path):
+    # every output is written once; the manifest is rewritten after every
+    # stage, and the kill at its last rename leaves only evaluate unrecorded.
+    # The rerun is a new runner in this process, which the killed one is not.
+    clean = {p.name: p.read_bytes() for p in tiny_run["out"].iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    kills = [(name, 1) for name in sorted(pipeline.PRODUCER)] + [("cache.json", len(STAGES))]
+    for name, nth in kills:
+        out = tmp_path / name
+        cfg = str(write_tiny_config(tiny_run["fixture"], out))
+        killed = subprocess.run([sys.executable, "-c", KILLED_BEFORE_RENAME, name, str(nth),
+                                 "run-all", "--config", cfg], env=env, capture_output=True)
+        assert killed.returncode == 17, (name, killed.stderr)
+        assert [p.name.startswith(f"{name}.") for p in out.glob("*.tmp")] == [True]
+        assert cli.main(["run-all", "--config", cfg]) == 0, name
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == clean, name
 
 
 def test_metrics_file_matches_report(tiny_run):
