@@ -49,9 +49,19 @@ class BootstrapConfig:
 class DistantSupervisionConfig:
     max_bag_size: int = bounded(32, lo=1)
     na_ratio: float = bounded(1.0, lo=0)
+    train: float = bounded(0.8, lo=0, hi=1)  # shares of the bags; test takes the rest
+    valid: float = bounded(0.1, lo=0, hi=1)
     seed: int = 0
 
-    __post_init__ = check_bounds
+    def __post_init__(self):
+        check_bounds(self)
+        if _exact(self.train) + _exact(self.valid) > 1:
+            raise ValueError(f"train + valid must be at most 1, not {self.train} + {self.valid}")
+
+
+def _exact(share: float) -> Fraction:
+    """The decimal an INI file writes for ``share``, exactly."""
+    return Fraction(str(share))
 
 
 def _subgraph_linked(corpus: list[Sentence], kb: KnowledgeBase, recognizer,
@@ -164,23 +174,13 @@ def distant_supervision(corpus: list[Sentence], kb: KnowledgeBase,
     return sorted(positives + negatives, key=lambda b: (b.subject, b.object))
 
 
-def check_split(ratios: tuple[float, float, float]) -> None:
-    """ValueError unless the (train, valid, test) ratios are each in [0, 1]
-    and sum to 1."""
-    if not all(0.0 <= r <= 1.0 for r in ratios):
-        raise ValueError(f"split ratios {list(ratios)} must each lie in [0, 1]")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios sum to {sum(ratios)}, expected 1")
-
-
-def split_dataset(bags: list[Bag], ratios: tuple[float, float, float],
-                  seed: int) -> tuple[list[Bag], list[Bag], list[Bag]]:
-    check_split(ratios)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(bags))
+def split_dataset(bags: list[Bag], cfg: DistantSupervisionConfig
+                  ) -> tuple[list[Bag], list[Bag], list[Bag]]:
+    """(train, valid, test): the bags shuffled with ``cfg.seed + 1`` and cut
+    at the ``cfg.train`` and ``cfg.valid`` shares; test takes the rest."""
+    order = np.random.Generator(np.random.PCG64(cfg.seed + 1)).permutation(len(bags))
     n = len(bags)
-    p_train, p_valid = (Fraction(str(r)) for r in ratios[:2])  # exact for the INI's decimals
-    cut1, cut2 = int(n * p_train), int(n * (p_train + p_valid))
+    cut1, cut2 = int(n * _exact(cfg.train)), int(n * (_exact(cfg.train) + _exact(cfg.valid)))
     train = [bags[i] for i in order[:cut1]]
     valid = [bags[i] for i in order[cut1:cut2]]
     test = [bags[i] for i in order[cut2:]]

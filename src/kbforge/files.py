@@ -15,8 +15,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 
-# Bytes of whole lines that a row or record reader reads and decodes at
-# once: bounded, so a reader never holds a whole large file.
+# Bytes that a reader reads at once, whole lines to decode or a chunk to
+# hash: bounded, so no reader holds a whole large file.
 _BLOCK = 1 << 16
 # the whitespace JSON allows after a value
 _JSON_SPACE = " \t\n\r"
@@ -206,7 +206,7 @@ def write_json(path, doc) -> None:
 
 def _hash_into(h, path):
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(_BLOCK), b""):
             h.update(chunk)
     return h
 

@@ -82,12 +82,6 @@ class GazetteerRecognizer:
 _NO_ROWS = np.empty((0, 7), dtype=np.intp)
 
 
-def _ngram_rows(n: int, width: int) -> int:
-    """Rows of an n-token sentence's feature table holding n-grams narrower
-    than `width`: the row of (start, start + width - 1) is this plus start."""
-    return (width - 1) * n - (width - 1) * (width - 2) // 2
-
-
 class TrainableSpanClassifier:
     """Logistic model over hashed span features (surface, length, gazetteer
     membership, context words within +-2). Student model of the self-training
@@ -114,46 +108,42 @@ class TrainableSpanClassifier:
     def _bucket(self, feat: str) -> int:
         return zlib.crc32(feat.encode("utf-8")) % self.feature_dim
 
-    def _hash_widths(self, sentence: Sentence, top: int) -> np.ndarray:
-        """(n-grams, 7) feature buckets of the sentence's n-grams up to
-        `top` tokens wide, rows in _ngrams order. The features are surface,
-        length, gazetteer membership and the words at -1, -2, +1 and +2
-        ("<s>" past either end)."""
+    def _ngrams(self, sentence: Sentence) -> list[tuple[int, int]]:
+        """(start, end) of the sentence's n-grams up to the longest span seen
+        in training, by width, then start: the order of its feature rows. A
+        wider limit only appends n-grams, so narrower rows are a prefix."""
+        n = len(sentence.tokens)
+        return [(start, start + width - 1) for width in range(1, min(self.max_span_len, n) + 1)
+                for start in range(n - width + 1)]
+
+    def _hash_spans(self, sentence: Sentence, spans) -> np.ndarray:
+        """(spans, 7) feature buckets of the sentence's (start, end) spans:
+        surface, length, gazetteer membership and the words at -1, -2, +1
+        and +2 ("<s>" past either end)."""
         words = [t.surface for t in sentence.tokens]
         padded = ["<s>", "<s>"] + words + ["<s>", "<s>"]
         b = self._bucket
         rows = []
-        for width in range(1, top + 1):
-            for start in range(len(words) - width + 1):
-                end = start + width - 1
-                surface = " ".join(words[start:end + 1])
-                rows.append((b(f"surf={surface}"), b(f"len={width}"),
-                             b(f"gaz={bool(self.kb.entities_by_alias(surface))}"),
-                             b(f"l1={padded[start + 1]}"), b(f"l2={padded[start]}"),
-                             b(f"r1={padded[end + 3]}"), b(f"r2={padded[end + 4]}")))
+        for start, end in spans:
+            surface = " ".join(words[start:end + 1])
+            rows.append((b(f"surf={surface}"), b(f"len={end - start + 1}"),
+                         b(f"gaz={bool(self.kb.entities_by_alias(surface))}"),
+                         b(f"l1={padded[start + 1]}"), b(f"l2={padded[start]}"),
+                         b(f"r1={padded[end + 3]}"), b(f"r2={padded[end + 4]}")))
         return np.array(rows, dtype=np.intp).reshape(-1, 7)
 
-    def _ngrams(self, sentence: Sentence):
-        n = len(sentence.tokens)
-        for width in range(1, min(self.max_span_len, n) + 1):
-            for start in range(n - width + 1):
-                yield start, start + width - 1
-
-    def _feature_rows(self, sentence: Sentence) -> np.ndarray:
-        """(n-grams, 7) feature buckets of the sentence's n-grams, rows in
-        _ngrams order; hashes the sentence unless the feature table holds
-        them. Bootstrap round r asks for widths no wider than round r-1's
-        classifier did, so the table never holds only some of them."""
-        n = len(sentence.tokens)
-        top = min(self.max_span_len, n)
-        m = _ngram_rows(n, top + 1)
+    def _feature_rows(self, sentence: Sentence, ngrams: list[tuple[int, int]]) -> np.ndarray:
+        """(n-grams, 7) feature buckets of the sentence's ``_ngrams``; hashes
+        the sentence unless the feature table holds them. Bootstrap round r
+        asks for widths no wider than round r-1's classifier did, so the
+        table never holds only some of them."""
         table = self.feature_table
         rows = _NO_ROWS if table is None else table.get(sentence.id, _NO_ROWS)
-        if len(rows) < m:
-            rows = self._hash_widths(sentence, top)
+        if len(rows) < len(ngrams):
+            rows = self._hash_spans(sentence, ngrams)
             if table is not None:
                 table[sentence.id] = rows
-        return rows[:m]
+        return rows[:len(ngrams)]
 
     def train(self, corpus: list[Sentence], rng: np.random.Generator) -> None:
         gold_lens = [sp.end - sp.start + 1 for s in corpus for sp in s.spans]
@@ -167,10 +157,10 @@ class TrainableSpanClassifier:
         items: list[list[int]] = []
         labels: list[float] = []
         for sentence in corpus:
-            rows = self._feature_rows(sentence)
-            n = len(sentence.tokens)
-            gold = [_ngram_rows(n, end - start + 1) + start
-                    for start, end in sorted({(sp.start, sp.end) for sp in sentence.spans})]
+            ngrams = self._ngrams(sentence)
+            rows = self._feature_rows(sentence, ngrams)
+            gold = [ngrams.index(span) for span in sorted({(sp.start, sp.end)
+                                                           for sp in sentence.spans})]
             negs = np.delete(np.arange(len(rows)), gold)
             if len(negs) > self.negatives_per_sentence:
                 picks = rng.choice(len(negs), size=self.negatives_per_sentence, replace=False)
@@ -200,10 +190,10 @@ class TrainableSpanClassifier:
     def recognize(self, sentence: Sentence) -> list[Span]:
         if not self.trained:
             raise LinkError("span classifier used before training")
-        p = 1.0 / (1.0 + np.exp(-(self.weights[self._feature_rows(sentence)].sum(axis=1)
+        ngrams = self._ngrams(sentence)
+        p = 1.0 / (1.0 + np.exp(-(self.weights[self._feature_rows(sentence, ngrams)].sum(axis=1)
                                   + self.bias)))
-        scored = [(prob, start, end)
-                  for (start, end), prob in zip(self._ngrams(sentence), p.tolist())
+        scored = [(prob, start, end) for (start, end), prob in zip(ngrams, p.tolist())
                   if prob > 0.5]
         scored.sort(key=lambda t: (-t[0], t[1], t[1] - t[2]))
         taken: list[tuple[int, int]] = []
@@ -305,8 +295,8 @@ class ContextLinkerModel:
         sentences go through the encoder side by side in one pass; a single
         sentence runs as one unbatched sequence."""
         x = np.stack([self._word_vec(t.surface) for s in sentences for t in s.tokens], axis=1)
-        self.encoder(nn.Tensor(x), lengths=[len(s.tokens) for s in sentences])
-        return self.encoder.final_states()
+        lengths = [len(s.tokens) for s in sentences]
+        return nn.final_states(self.encoder(nn.Tensor(x), lengths), lengths)
 
     def _scores(self, v_c, spans: np.ndarray, entities: list[str]) -> nn.Tensor:
         """(1, n) scores in one scorer pass: column i scores [v_c column i;

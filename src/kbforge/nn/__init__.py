@@ -26,6 +26,6 @@ from .autograd import (
     tsum,
 )
 from .checkpoint import CheckpointError, load_checkpoint, restore_parameters, save_checkpoint
-from .layers import BiLSTM, GCNLayer, Linear, TwoLayerScorer, glorot
+from .layers import BiLSTM, GCNLayer, Linear, TwoLayerScorer, final_states, glorot
 from .numeric import numeric_gradient
 from .optim import Adam, GradientError, fit

@@ -59,28 +59,28 @@ def _lstm_weights(in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
 class BiLSTM:
     """Runs both directions over the columns of a (d_in, n) tensor, which
     hold one sequence or, with ``lengths``, several side by side. Output is
-    (2*hidden, n); final_states() of the last run gives, for each of its B
-    sequences, the last forward over the first backward hidden state as a
-    (2*hidden, B) tensor."""
+    (2*hidden, n); see final_states."""
 
     def __init__(self, in_dim: int, hidden_dim: int, rng, name: str, dtype=None):
         self.fwd = _lstm_weights(in_dim, hidden_dim, rng, f"{name}.fwd", dtype)
         self.bwd = _lstm_weights(in_dim, hidden_dim, rng, f"{name}.bwd", dtype)
 
     def __call__(self, x, lengths=None):
-        self._last = ag.bilstm_sequence(x, self.fwd, self.bwd, lengths)
-        self._lengths = np.asarray([x.shape[1]] if lengths is None else lengths)
-        return self._last
-
-    def final_states(self):
-        hd = self._last.shape[0] // 2
-        ends = self._lengths.cumsum()
-        rows = np.arange(2 * hd)[:, None]
-        return ag.take(self._last, (rows, np.where(rows < hd, ends - 1, ends - self._lengths)),
-                       axis=None)
+        return ag.bilstm_sequence(x, self.fwd, self.bwd, lengths)
 
     def parameters(self):
         return [*self.fwd, *self.bwd]
+
+
+def final_states(h, lengths):
+    """For each of the sequences whose BiLSTM output ``h`` lies side by side,
+    ``lengths`` giving their column counts, its last forward over its first
+    backward hidden state: a (2*hidden, B) tensor."""
+    lengths = np.asarray(lengths)
+    hd = h.shape[0] // 2
+    ends = lengths.cumsum()
+    rows = np.arange(2 * hd)[:, None]
+    return ag.take(h, (rows, np.where(rows < hd, ends - 1, ends - lengths)), axis=None)
 
 
 class GCNLayer:

@@ -32,7 +32,6 @@ from .datagen import (
     BootstrapConfig,
     DistantSupervisionConfig,
     bootstrap_linked_corpus,
-    check_split,
     distant_supervision,
     gazetteer_linked,
     load_bags,
@@ -146,7 +145,6 @@ class PipelineConfig:
     el: ELConfig = field(default_factory=ELConfig)
     ds: DistantSupervisionConfig = field(default_factory=DistantSupervisionConfig)
     re: REConfig = field(default_factory=REConfig)
-    split: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     __post_init__ = check_bounds
 
@@ -208,12 +206,6 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
                 _check_keys(s, ("seed", "threads"))
                 cfg.seed = _number(s, "seed", cfg.seed)
                 check_bounds(cfg)
-            elif name == "split":
-                keys = ("train", "valid", "test")
-                _check_keys(s, keys)
-                # an absent key keeps its PipelineConfig default
-                cfg.split = tuple(_number(s, key, d) for key, d in zip(keys, cfg.split))
-                check_split(cfg.split)
             elif name in ("embeddings", "bootstrap", "el", "ds", "re"):
                 if "seed" in s:
                     raise PipelineError(f"[{name}] seed is derived from [pipeline] seed; "
@@ -278,7 +270,7 @@ BAG_SPLITS = ("all", "train", "valid", "test")
 
 def _build_bags(r: PipelineRunner, *paths) -> None:
     all_bags = distant_supervision(r.bootstrap()[0], r.kb(), r.cfg.ds)
-    splits = (all_bags,) + split_dataset(all_bags, r.cfg.split, r.cfg.ds.seed + 1)
+    splits = (all_bags,) + split_dataset(all_bags, r.cfg.ds)
     for subset, path in zip(splits, paths):
         save_bags(subset, path)
 
@@ -419,9 +411,7 @@ STAGES = {stage.name: stage for stage in (
     Stage("el", ("linked.jsonl", "embeddings.vec") + _KB, lambda c: c.el,
           ("el.ckpt",), _build_el,
           lambda r, ckpt: linker.load_model(ckpt, r.embeddings(), r.cfg.el)),
-    Stage("bags", ("linked.jsonl",) + _KB,
-          lambda c: {"ds": dataclasses.asdict(c.ds), "split": list(c.split)},
-          _BAGS, _build_bags, _load_bags),
+    Stage("bags", ("linked.jsonl",) + _KB, lambda c: c.ds, _BAGS, _build_bags, _load_bags),
     Stage("re", ("bags_train.jsonl", "linked.jsonl") + _KB, lambda c: c.re,
           ("re.ckpt",), _build_re, lambda r, ckpt: relations.load_model(ckpt)),
     Stage("link", ("corpus", "embeddings.vec", "el.ckpt") + _KB, lambda c: c.el,

@@ -132,8 +132,9 @@ class REModel:
     # in one pass: the token columns of its sentences lie side by side in a
     # (d, N) input, and every layer returns one column per sentence.
     # forward_bags lays the batch out once: ``lengths`` gives each sentence's
-    # token count and the (4, B) ``offsets`` each instance's subject start,
-    # subject end, object start and object end as columns of that input.
+    # token count and the (6, B) ``offsets`` each instance's first and last
+    # sentence column, subject start and end, and object start and end, as
+    # columns of that input.
 
     def encode_tokens(self, instances: list[tuple[Sentence, Span, Span]],
                       lengths: np.ndarray, offsets: np.ndarray) -> nn.Tensor:
@@ -142,13 +143,13 @@ class REModel:
         the subject, to the object and to the nearest other linked span,
         its span type and its POS tag."""
         cfg = self.cfg
-        first = np.cumsum(lengths) - lengths
+        first = offsets[0]
         owner = np.repeat(np.arange(len(instances)), lengths)
         at = np.arange(len(owner)) - first[owner]       # index in its sentence
         nearest = np.full(len(owner), -1)                # -1: no other linked span
         types = np.full(len(owner), self.type_index.get(NO_SPAN_TYPE, 0))
         for b, (sentence, subj, obj) in enumerate(instances):
-            mine = slice(first[b], first[b] + lengths[b])
+            mine = slice(first[b], offsets[1, b] + 1)
             others = [np.abs(span_distance(at[mine], sp.start, sp.end))
                       for sp in sentence.spans
                       if sp.linked and sp is not subj and sp is not obj]
@@ -157,8 +158,8 @@ class REModel:
             for sp in sentence.spans:
                 types[first[b] + sp.start:first[b] + sp.end + 1] = \
                     self.type_index.get(sp.span_type or UNTYPED, 0)
-        to_pair = span_distance(np.arange(len(owner)), offsets[[0, 2]][:, owner],
-                                offsets[[1, 3]][:, owner])
+        to_pair = span_distance(np.arange(len(owner)), offsets[[2, 4]][:, owner],
+                                offsets[[3, 5]][:, owner])
         positions = np.minimum(np.maximum(to_pair, -cfg.max_pos), cfg.max_pos) + cfg.max_pos
         tokens = [tok for s, _, _ in instances for tok in s.tokens]
         x = nn.embed_columns(
@@ -174,12 +175,10 @@ class REModel:
                     ) -> nn.Tensor:
         """Three-segment max-pooled convolution per sentence; the segments
         split at the last tokens i < j of its two spans as [first,i),
-        [i,j), [j,first+n)."""
-        first = np.cumsum(lengths) - lengths
-        i, j = np.minimum(offsets[1], offsets[3]), np.maximum(offsets[1], offsets[3])
+        [i,j), [j,last]."""
+        i, j = np.minimum(offsets[3], offsets[5]), np.maximum(offsets[3], offsets[5])
         h = nn.conv1d(x, self.conv_w, self.conv_b, lengths)
-        out = nn.tanh(nn.max_pool_segments(h, [first, i, j],
-                                           [i - 1, j - 1, first + lengths - 1]))
+        out = nn.tanh(nn.max_pool_segments(h, [offsets[0], i, j], [i - 1, j - 1, offsets[1]]))
         assert out.shape == (3 * self.cfg.hidden, len(lengths))
         return out
 
@@ -224,9 +223,7 @@ class REModel:
         sentence the max over all its tokens, its subject span and its
         object span."""
         h = self.gcn(self.lstm(x, lengths), a_hat, lengths)
-        first = np.cumsum(lengths) - lengths
-        out = nn.tanh(nn.max_pool_segments(h, [first, offsets[0], offsets[2]],
-                                           [first + lengths - 1, offsets[1], offsets[3]]))
+        out = nn.tanh(nn.max_pool_segments(h, offsets[0::2], offsets[1::2]))
         assert out.shape == (3 * self.cfg.hidden, len(lengths))
         return out
 
@@ -262,8 +259,9 @@ class REModel:
             raise RelationError("cannot encode an empty bag")
         lengths = np.array([len(sentence.tokens) for sentence, _, _ in instances])
         offsets = np.cumsum(lengths) - lengths + np.array(
-            [(subj.start, subj.end, obj.start, obj.end) for _, subj, obj in instances]).T
-        if np.any((offsets[0] <= offsets[3]) & (offsets[2] <= offsets[1])):
+            [(0, len(sentence.tokens) - 1, subj.start, subj.end, obj.start, obj.end)
+             for sentence, subj, obj in instances]).T
+        if np.any((offsets[2] <= offsets[5]) & (offsets[4] <= offsets[3])):
             raise RelationError("subject and object spans overlap")
         x = self.encode_tokens(instances, lengths, offsets)
         s = nn.concat([self.pcnn_encode(x, lengths, offsets),
@@ -271,7 +269,7 @@ class REModel:
                       axis=0)
         sizes = [len(bag) for bag in ordered]
         v = aggregate_bag(s, self.selective_gate(x, lengths), sizes)
-        follows = np.add.reduceat(offsets[0] > offsets[2], np.cumsum(sizes) - sizes)
+        follows = np.add.reduceat(offsets[2] > offsets[4], np.cumsum(sizes) - sizes)
         return self.predict_from_bag_vector(v, follows / sizes)
 
     def predict(self, instances: list[tuple[Sentence, Span, Span]]

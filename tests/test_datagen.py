@@ -74,15 +74,14 @@ def test_bootstrap_hashes_each_ngram_at_most_once(fixture_dir, monkeypatch):
     kb = load_kb(fixture_dir / "entities.tsv", fixture_dir / "triples.tsv")
     raw = ingest_corpus(fixture_dir / "corpus.jsonl")[:200]
     hashed = Counter()
-    hash_widths = TrainableSpanClassifier._hash_widths
+    hash_spans = TrainableSpanClassifier._hash_spans
 
-    def counting(self, sentence, top):
-        for width in range(1, top + 1):
-            for start in range(len(sentence.tokens) - width + 1):
-                hashed[sentence.id, start, start + width - 1] += 1
-        return hash_widths(self, sentence, top)
+    def counting(self, sentence, spans):
+        for start, end in spans:
+            hashed[sentence.id, start, end] += 1
+        return hash_spans(self, sentence, spans)
 
-    monkeypatch.setattr(TrainableSpanClassifier, "_hash_widths", counting)
+    monkeypatch.setattr(TrainableSpanClassifier, "_hash_spans", counting)
     _, rounds = bootstrap_linked_corpus(raw, kb, None, BootstrapConfig(max_rounds=3, knn_k=0))
     assert [r["recognizer"] for r in rounds][1:] == ["classifier-round-2", "classifier-round-3"]
     # every n-gram up to the widest trained span of every raw sentence
@@ -256,7 +255,7 @@ def many_bags(n=50):
 
 def test_split_is_a_partition():
     bags = many_bags()
-    train, valid, test = split_dataset(bags, (0.8, 0.1, 0.1), seed=4)
+    train, valid, test = split_dataset(bags, DistantSupervisionConfig(seed=3))
     assert len(train) == 40 and len(valid) == 5 and len(test) == 5
     combined = sorted(train + valid + test, key=lambda b: b.subject)
     assert combined == sorted(bags, key=lambda b: b.subject)
@@ -264,9 +263,9 @@ def test_split_is_a_partition():
 
 def test_split_deterministic_and_seed_sensitive():
     bags = many_bags()
-    a = split_dataset(bags, (0.8, 0.1, 0.1), seed=4)
-    b = split_dataset(bags, (0.8, 0.1, 0.1), seed=4)
-    c = split_dataset(bags, (0.8, 0.1, 0.1), seed=5)
+    a = split_dataset(bags, DistantSupervisionConfig(seed=3))
+    b = split_dataset(bags, DistantSupervisionConfig(seed=3))
+    c = split_dataset(bags, DistantSupervisionConfig(seed=4))
     assert a == b
     assert a != c
 
@@ -279,19 +278,21 @@ def test_split_deterministic_and_seed_sensitive():
 @example(10, (70, 10))  # 0.7 + 0.1 == 0.7999999999999999 in floats
 def test_split_cuts_are_exact_for_hundredth_ratios(n, hundredths):
     a, b = hundredths
-    train, valid, test = split_dataset(list(range(n)), (a / 100, b / 100, (100 - a - b) / 100),
-                                       seed=0)
+    train, valid, test = split_dataset(list(range(n)),
+                                       DistantSupervisionConfig(train=a / 100, valid=b / 100))
     cut1, cut2 = n * Fraction(a, 100), n * Fraction(a + b, 100)
     assert (len(train), len(valid), len(test)) == (
         math.floor(cut1), math.floor(cut2) - math.floor(cut1), n - math.floor(cut2))
 
 
 def test_split_rejects_bad_ratios():
-    with pytest.raises(ValueError):
-        split_dataset(many_bags(), (0.8, 0.1, 0.2), seed=0)
-    # sums to 1, but would put every bag in train and none in valid or test
-    with pytest.raises(ValueError, match="must each lie in"):
-        split_dataset(many_bags(), (1.2, -0.1, -0.1), seed=0)
+    with pytest.raises(ValueError, match="train \\+ valid must be at most 1"):
+        DistantSupervisionConfig(train=0.8, valid=0.3)
+    # would put every bag in train and none in valid or test
+    with pytest.raises(ValueError, match="train must lie in"):
+        DistantSupervisionConfig(train=1.2, valid=-0.1)
+    with pytest.raises(ValueError, match="valid must lie in"):
+        DistantSupervisionConfig(train=0.8, valid=-0.1)
 
 
 def test_bags_round_trip(tmp_path):

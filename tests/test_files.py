@@ -5,6 +5,7 @@ against a line-by-line reference (same values, or the same typed error with
 the same message)."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -601,6 +602,17 @@ def test_ingest_corpus_matches_the_line_by_line_reader(scratch, data):
     same_outcome(data, scratch / "diff-corpus.jsonl",
                  draw_file(data, with_garbage(sentence_lines())), ingest_corpus,
                  reference_ingest)
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_536, 200_000])
+def test_file_and_tree_hashes_equal_hashlib_over_the_whole_bytes(tmp_path, size):
+    # sizes around and across the read chunk's 64 KiB
+    data = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+    (tmp_path / "tree").mkdir()
+    (tmp_path / "tree" / "f.py").write_bytes(data)
+    assert files.hash_file(tmp_path / "tree" / "f.py") == hashlib.sha256(data).hexdigest()
+    assert files.hash_tree(tmp_path / "tree", "*.py") == hashlib.sha256(
+        f"f.py\0{size}\0".encode() + data).hexdigest()
 
 
 def test_hash_tree_covers_names_and_bytes_but_not_where_the_tree_lives(tmp_path):

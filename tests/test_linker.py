@@ -902,7 +902,8 @@ def classifier_train_peak(kb, corpus) -> tuple[int, int]:
     items = 0
     for s in corpus:
         gold = len({(sp.start, sp.end) for sp in s.spans})
-        items += gold + min(len(clf._feature_rows(s)) - gold, clf.negatives_per_sentence)
+        rows = clf._feature_rows(s, clf._ngrams(s))
+        items += gold + min(len(rows) - gold, clf.negatives_per_sentence)
     return traced_peak(lambda: clf.train(corpus, np.random.default_rng(0))), items
 
 
@@ -934,6 +935,21 @@ def test_span_classifier_trains_on_a_span_wider_than_every_alias():
 
 
 @settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 8), top=st.integers(1, 4))
+def test_span_ngrams_are_ordered_by_width_then_start(n, top):
+    # the one order that hashing, recognition and the gold rows read
+    clf = TrainableSpanClassifier(KnowledgeBase([Entity("e1", "Tony")]),
+                                  BootstrapConfig(classifier_feature_dim=64))
+    clf.max_span_len = top
+    sentence = mk_sentence([f"w{i}" for i in range(n)])
+    want = []
+    for width in range(1, min(top, n) + 1):
+        want += [(start, start + width - 1) for start in range(n - width + 1)]
+    assert clf._ngrams(sentence) == want
+    assert clf._feature_rows(sentence, want).shape == (len(want), 7)
+
+
+@settings(max_examples=60, deadline=None)
 @given(words=st.lists(st.sampled_from(["Tony", "Stark", "Pepper", "met", "<s>", "a b"]),
                       max_size=9),
        widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
@@ -954,7 +970,7 @@ def test_span_feature_rows_match_the_per_ngram_reference(words, widths, feature_
         hashed.clear()
         clf.max_span_len = width
         want = [reference_features(clf, sentence, *se) for se in clf._ngrams(sentence)]
-        got = clf._feature_rows(sentence)
+        got = clf._feature_rows(sentence, clf._ngrams(sentence))
         assert got.shape == (len(want), 7)
         assert got.tolist() == want
         # seven features per n-gram up to `top` wide when the table falls

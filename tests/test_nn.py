@@ -18,6 +18,7 @@ from kbforge.nn import (
     GradientError,
     Parameter,
     Tensor,
+    final_states,
     load_checkpoint,
     no_grad,
     restore_parameters,
@@ -227,7 +228,7 @@ def test_bilstm_shapes_and_final_states():
     assert out.shape == (4, 5)
     # one tape node, x listed once per direction, forward first
     assert out._parents == (x, *net.fwd, x, *net.bwd)
-    final = net.final_states()
+    final = final_states(out, [5])
     assert final.shape == (4, 1)
     assert np.allclose(final.data[:2, 0], out.data[:2, -1])
     assert np.allclose(final.data[2:, 0], out.data[2:, 0])
@@ -237,13 +238,20 @@ def test_bilstm_final_states_of_a_batch_equal_each_sequence_alone():
     rng = np.random.default_rng(4)
     net = BiLSTM(3, 2, rng, "t", dtype=F64)
     seqs = [rng.standard_normal((3, n)) for n in (4, 1, 6)]
-    net(Tensor(np.concatenate(seqs, axis=1), dtype=F64), lengths=[4, 1, 6])
-    batched = net.final_states()
+    out = net(Tensor(np.concatenate(seqs, axis=1), dtype=F64), lengths=[4, 1, 6])
+    batched = final_states(out, [4, 1, 6])
     assert batched.shape == (4, 3)
     for b, x in enumerate(seqs):
-        net(Tensor(x, dtype=F64))
-        np.testing.assert_allclose(batched.data[:, b:b + 1], net.final_states().data,
-                                   rtol=0, atol=1e-12)
+        alone = final_states(net(Tensor(x, dtype=F64)), [x.shape[1]])
+        np.testing.assert_allclose(batched.data[:, b:b + 1], alone.data, rtol=0, atol=1e-12)
+
+
+def test_bilstm_call_keeps_nothing_of_its_input_or_output():
+    rng = np.random.default_rng(4)
+    net = BiLSTM(3, 2, rng, "t", dtype=F64)
+    before = dict(vars(net))
+    net(t64(rng, (3, 5)), lengths=[2, 3])
+    assert vars(net) == before
 
 
 def test_bilstm_batched_final_states_gradient():
@@ -253,8 +261,7 @@ def test_bilstm_batched_final_states_gradient():
     w = Tensor(rng.standard_normal((4, 2)), dtype=F64)
 
     def loss():
-        net(x, lengths=[3, 2])
-        return ag.tsum(ag.mul(net.final_states(), w))
+        return ag.tsum(ag.mul(final_states(net(x, lengths=[3, 2]), [3, 2]), w))
 
     assert gradcheck(loss, [x, *net.parameters()]) < 1e-4
 
@@ -282,7 +289,7 @@ def test_bilstm_gradient():
         def loss():
             out = net(x)
             return ag.add(ag.tsum(ag.mul(out, out)),
-                          ag.tsum(net.final_states()))
+                          ag.tsum(final_states(out, [4])))
 
         assert gradcheck(loss, [x] + net.parameters()) < 1e-4
 
@@ -599,7 +606,7 @@ def test_bilstm_tape_size_independent_of_length():
     sizes = []
     for n in (3, 30):
         out = net(t64(rng, (3, n)))
-        sizes.append((tape_nodes(out), tape_nodes(net.final_states())))
+        sizes.append((tape_nodes(out), tape_nodes(final_states(out, [n]))))
     assert sizes[0] == sizes[1]
 
 

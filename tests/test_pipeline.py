@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter, defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kbforge import cli, files, linker, nn, pipeline
-from kbforge.datagen import BootstrapConfig, DistantSupervisionConfig, _extract_once, load_bags
+from kbforge.datagen import (
+    Bag,
+    BootstrapConfig,
+    DistantSupervisionConfig,
+    _extract_once,
+    load_bags,
+    split_dataset,
+)
 from kbforge.embeddings import SkipGramConfig
 from kbforge.kb import Triple, load_kb
 from kbforge.linker import (
@@ -131,9 +139,8 @@ def test_config_file_sections(tmp_path):
                  "[embeddings]\ndim = 32\n"
                  "[bootstrap]\nmax_rounds = 2\n"
                  "[el]\nmargin = 0.25\n"
-                 "[ds]\nna_ratio = 2.0\n"
-                 "[re]\nepochs = 4\n"
-                 "[split]\ntrain = 0.7\nvalid = 0.2\ntest = 0.1\n")
+                 "[ds]\nna_ratio = 2.0\ntrain = 0.7\nvalid = 0.2\n"
+                 "[re]\nepochs = 4\n")
     cfg = load_config(p)
     assert cfg.entities_path == "e.tsv" and cfg.out_dir == "art"
     assert cfg.seed == 9
@@ -142,7 +149,7 @@ def test_config_file_sections(tmp_path):
     assert cfg.el.margin == 0.25
     assert cfg.ds.na_ratio == 2.0
     assert cfg.re.epochs == 4
-    assert cfg.split == (0.7, 0.2, 0.1)
+    assert (cfg.ds.train, cfg.ds.valid) == (0.7, 0.2)
     # per-stage seeds follow the file's global seed
     assert (cfg.embeddings.seed, cfg.bootstrap.seed, cfg.el.seed,
             cfg.ds.seed, cfg.re.seed) == (10, 12, 13, 14, 16)
@@ -170,6 +177,8 @@ RETIRED_KEYS = [("bootstrap", "count_multiplicity", "yes"), ("re", "sdp_anchor",
                 ("embeddings", "interleave_kb_objective", "no"), ("el", "max_items", "100")]
 RETIRED_KEYS += [(section, "seed", "3") for section in ("embeddings", "bootstrap", "el",
                                                          "ds", "re")]
+# the split shares moved into [ds], where test takes the rest
+RETIRED_KEYS += [("ds", "test", "0.1"), ("split", "train", "0.8")]
 
 
 @pytest.mark.parametrize("section,key,value", RETIRED_KEYS)
@@ -177,14 +186,14 @@ def test_retired_config_key_fails_loudly(tmp_path, section, key, value):
     p = tmp_path / "c.ini"
     p.write_text(f"[pipeline]\nseed = 0\n[{section}]\n{key} = {value}\n")
     expected = (r"\[pipeline\] seed" if key == "seed"
+                else r"unknown config section \[split\]" if section == "split"
                 else f"unknown config key {key!r}")
     with pytest.raises(PipelineError, match=expected):
         load_config(p)
 
 
-@pytest.mark.parametrize("section,key", [("split", "trian"), ("split", "seed"),
-                                         ("pipeline", "sed"), ("pipeline", "epochs"),
-                                         ("paths", "corpse")])
+@pytest.mark.parametrize("section,key", [("ds", "trian"), ("pipeline", "sed"),
+                                         ("pipeline", "epochs"), ("paths", "corpse")])
 def test_unknown_split_or_pipeline_key_fails_loudly(tmp_path, section, key):
     # a misspelt split ratio used to load as its default and fail only in bags
     p = tmp_path / "c.ini"
@@ -195,10 +204,16 @@ def test_unknown_split_or_pipeline_key_fails_loudly(tmp_path, section, key):
 
 def test_pipeline_threads_key_is_still_accepted(tmp_path):
     p = tmp_path / "c.ini"
-    p.write_text("[pipeline]\nseed = 2\nthreads = 1\n[split]\ntrain = 0.6\nvalid = 0.2\n"
-                 "test = 0.2\n")
+    p.write_text("[pipeline]\nseed = 2\nthreads = 1\n[ds]\ntrain = 0.6\nvalid = 0.2\n")
     cfg = load_config(p)
-    assert cfg.seed == 2 and cfg.split == (0.6, 0.2, 0.2)
+    assert cfg.seed == 2 and (cfg.ds.train, cfg.ds.valid) == (0.6, 0.2)
+
+
+def test_train_share_alone_loads_and_test_takes_the_rest(tmp_path):
+    p = tmp_path / "c.ini"
+    p.write_text("[ds]\ntrain = 0.5\n")
+    bags = [Bag(f"s{i}", f"o{i}", (), (f"sid{i}",)) for i in range(10)]
+    assert [len(part) for part in split_dataset(bags, load_config(p).ds)] == [5, 1, 4]
 
 
 def test_config_values_are_taken_literally(tmp_path):
@@ -275,6 +290,8 @@ LEGAL = {
     ("bootstrap", "classifier_negatives"): ints_from(0),
     ("ds", "max_bag_size"): ints_from(1),
     ("ds", "na_ratio"): floats(0, legal=lambda v: v >= 0),
+    ("ds", "train"): floats(0, 1, legal=lambda v: 0 <= v <= 1),
+    ("ds", "valid"): floats(0, 1, legal=lambda v: 0 <= v <= 1),
     ("el", "hidden"): ints_from(1),
     ("el", "mlp_hidden"): ints_from(1),
     ("el", "margin"): floats(0, legal=lambda v: v > 0),
@@ -321,6 +338,11 @@ def near_bounds(kind, bounds) -> list:
             ] + [math.nan, math.inf, -math.inf]
 
 
+# the other share's default, for the one cross-field rule: train + valid,
+# summed exactly as written, is at most 1
+OTHER_SHARE = {("ds", "train"): "0.1", ("ds", "valid"): "0.8"}
+
+
 def assert_loads_exactly_when_legal(path, section, key, value):
     legal = LEGAL[(section, key)][2]
     if section == "synth":
@@ -331,7 +353,11 @@ def assert_loads_exactly_when_legal(path, section, key, value):
                 SynthConfig(**{key: value})
         return
     path.write_text(f"[{section}]\n{key} = {value!r}\n")
-    if legal(value):
+    other = OTHER_SHARE.get((section, key))
+    if legal(value) and other and Fraction(repr(value)) + Fraction(other) > 1:
+        with pytest.raises(PipelineError, match=r"^\[ds\] train \+ valid must be at most 1"):
+            load_config(path)
+    elif legal(value):
         cfg = load_config(path)
         assert getattr(cfg if section == "pipeline" else getattr(cfg, section), key) == value
     else:
@@ -591,7 +617,7 @@ DOWNSTREAM = {
     ("bootstrap", "[bootstrap]", "classifier_lr = 0.4"),
     ("el", "[el]", "margin = 0.25"),
     ("bags", "[ds]", "na_ratio = 0.5"),
-    ("bags", "[split]", "train = 0.7\nvalid = 0.2\ntest = 0.1"),
+    ("bags", "[ds]", "train = 0.7\nvalid = 0.2"),
     ("re", "[re]", "margin = 0.2"),
 ])
 def test_config_slice_edit_reruns_only_that_stage_and_downstream(
@@ -702,6 +728,15 @@ def test_every_config_field_a_stage_reads_is_in_its_config_slice(tiny_fixture, t
         sources = {f"{s}_path" for s in stage.inputs if s in pipeline.SOURCES}
         assert reads[name] - sources <= config_slice, name
         assert config_slice <= reads[name], name
+
+
+def test_every_stage_is_configured_by_one_section_or_none():
+    cfg = pipeline.PipelineConfig()
+    sections = [getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                if dataclasses.is_dataclass(getattr(cfg, f.name))]
+    for name, stage in pipeline.STAGES.items():
+        config_slice = stage.config(cfg)
+        assert config_slice == {} or any(config_slice is s for s in sections), name
 
 
 def test_each_linking_stage_runs_one_subgraph_pass(tiny_fixture, tmp_path, monkeypatch):
@@ -910,40 +945,65 @@ def test_stage_outputs_exist(tiny_run):
 
 
 # Runs the kbforge command line with os.replace exiting the process, as a
-# kill would, just before the nth rename onto the named file.
-KILLED_BEFORE_RENAME = """\
+# kill would, at the nth rename onto the named file: just "before" it, just
+# "after" it, or "mid"-write, with the temporary cut to its first half.
+KILLED_AT_A_RENAME = """\
 import os, sys
-name, nth = sys.argv[1], int(sys.argv[2])
+when, name, nth = sys.argv[1], sys.argv[2], int(sys.argv[3])
 replace, seen = os.replace, []
 def dying_replace(src, dst):
     if os.path.basename(dst) == name:
         seen.append(dst)
         if len(seen) == nth:
+            if when == "mid":
+                os.truncate(src, os.path.getsize(src) // 2)
+            if when == "after":
+                replace(src, dst)
             os._exit(17)
     replace(src, dst)
 os.replace = dying_replace
 from kbforge.cli import main
-sys.exit(main(sys.argv[3:]))
+sys.exit(main(sys.argv[4:]))
 """
+
+# every output is written once; the manifest is rewritten after every
+# stage, and its last write records evaluate
+EVERY_WRITE = [(name, 1) for name in sorted(pipeline.PRODUCER)] + [("cache.json", len(STAGES))]
+
+
+def assert_reruns_after_kills_leave_a_clean_build(tiny_run, tmp_path, when, kills):
+    """Kills a tiny build at each (name, nth) rename as KILLED_AT_A_RENAME
+    does, then reruns it as a new runner in this process, which the killed
+    one is not: the rerun succeeds, and the out dir holds the names and
+    bytes of a clean build."""
+    clean = {p.name: p.read_bytes() for p in tiny_run["out"].iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    for name, nth in kills:
+        out = tmp_path / f"{when}-{name}"
+        cfg = str(write_tiny_config(tiny_run["fixture"], out))
+        killed = subprocess.run([sys.executable, "-c", KILLED_AT_A_RENAME, when, name, str(nth),
+                                 "run-all", "--config", cfg], env=env, capture_output=True)
+        assert killed.returncode == 17, (name, killed.stderr)
+        left = [p.name.startswith(f"{name}.") for p in out.glob("*.tmp")]
+        assert left == ([] if when == "after" else [True]), name
+        assert cli.main(["run-all", "--config", cfg]) == 0, name
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == clean, name
 
 
 def test_a_rerun_after_a_kill_before_a_rename_leaves_what_a_clean_build_does(tiny_run,
                                                                             tmp_path):
-    # every output is written once; the manifest is rewritten after every
-    # stage, and the kill at its last rename leaves only evaluate unrecorded.
-    # The rerun is a new runner in this process, which the killed one is not.
-    clean = {p.name: p.read_bytes() for p in tiny_run["out"].iterdir()}
-    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
-    kills = [(name, 1) for name in sorted(pipeline.PRODUCER)] + [("cache.json", len(STAGES))]
-    for name, nth in kills:
-        out = tmp_path / name
-        cfg = str(write_tiny_config(tiny_run["fixture"], out))
-        killed = subprocess.run([sys.executable, "-c", KILLED_BEFORE_RENAME, name, str(nth),
-                                 "run-all", "--config", cfg], env=env, capture_output=True)
-        assert killed.returncode == 17, (name, killed.stderr)
-        assert [p.name.startswith(f"{name}.") for p in out.glob("*.tmp")] == [True]
-        assert cli.main(["run-all", "--config", cfg]) == 0, name
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == clean, name
+    assert_reruns_after_kills_leave_a_clean_build(tiny_run, tmp_path, "before", EVERY_WRITE)
+
+
+def test_a_rerun_after_a_kill_after_a_rename_or_mid_write_leaves_what_a_clean_build_does(
+        tiny_run, tmp_path):
+    # after a rename: an output whose stage is unrecorded, at times beside
+    # missing siblings, and at the manifest's last write a recorded build
+    # that never printed. Mid-write: a torn temporary of the text writer
+    # and of the checkpoint writer.
+    assert_reruns_after_kills_leave_a_clean_build(tiny_run, tmp_path, "after", EVERY_WRITE)
+    assert_reruns_after_kills_leave_a_clean_build(
+        tiny_run, tmp_path, "mid", [("final_linked.jsonl", 1), ("el.ckpt", 1)])
 
 
 def test_metrics_file_matches_report(tiny_run):
@@ -1049,7 +1109,7 @@ def test_cli_error_is_not_a_traceback(capsys):
 @pytest.mark.parametrize("ini, message", [
     (b"entities = x\n", "File contains no section headers"),
     (b"[el]\nhidden = many\n", "[el] hidden = 'many' is not an integer"),
-    (b"[split]\ntrain = lots\n", "[split] train = 'lots' is not a number"),
+    (b"[ds]\ntrain = lots\n", "[ds] train = 'lots' is not a number"),
     (b"[pipeline]\n# caf\xe9\n", "can't decode byte 0xe9"),
     (b"[re]\nmargin = 2.0\n", "[re] margin must lie in (0,1)"),
     (b"[re]\nhidden = 7\n", "[re] hidden must be even"),
@@ -1060,9 +1120,8 @@ def test_cli_error_is_not_a_traceback(capsys):
     (b"[ds]\nmax_bag_size = 0\n", "[ds] max_bag_size must be at least 1"),
     (b"[ds]\nna_ratio = -1\n", "[ds] na_ratio must be a finite number >= 0"),
     (b"[ds]\nna_ratio = nan\n", "[ds] na_ratio must be a finite number >= 0"),
-    (b"[split]\ntrain = 1.2\nvalid = -0.1\ntest = -0.1\n",
-     "[split] split ratios [1.2, -0.1, -0.1] must each lie in [0, 1]"),
-    (b"[split]\ntrain = 0.5\n", "[split] split ratios sum to 0.7"),
+    (b"[ds]\ntrain = 1.2\nvalid = -0.1\n", "[ds] train must lie in [0,1]"),
+    (b"[ds]\ntrain = 0.95\n", "[ds] train + valid must be at most 1, not 0.95 + 0.1"),
     (b"[bootstrap]\nclassifier_feature_dim = 0\n",
      "[bootstrap] classifier_feature_dim must be at least 1"),
     (b"[bootstrap]\nclassifier_negatives = -1\n",

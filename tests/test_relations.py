@@ -76,15 +76,16 @@ def reversed_sentence(sid="s1"):
 
 
 def layout(instances):
-    """The lengths and the (4, B) span columns of the instances' sentences
-    laid side by side, counted token by token: each instance's subject
-    start, subject end, object start and object end."""
+    """The lengths and the (6, B) columns of the instances' sentences laid
+    side by side, counted token by token: each instance's first and last
+    column, subject start and end, and object start and end."""
     lengths, columns, first = [], [], 0
     for sentence, subj, obj in instances:
-        columns.append([first + subj.start, first + subj.end,
+        n = len(sentence.tokens)
+        columns.append([first, first + n - 1, first + subj.start, first + subj.end,
                         first + obj.start, first + obj.end])
-        lengths.append(len(sentence.tokens))
-        first += len(sentence.tokens)
+        lengths.append(n)
+        first += n
     return np.array(lengths), np.array(columns).T
 
 
@@ -152,6 +153,10 @@ def test_encode_tokens_nearest_other_span_positions(monkeypatch):
     # to token 13:   13 12 11 10 9 8 7 6 5 4 3 2 1 0
     # the minimum, capped at 5, plus 1; the unlinked span at 4 does not count
     assert indices[0][3] == [6, 6, 6, 6, 5, 4, 3, 2, 1, 1, 2, 3, 2, 1] + [0, 0, 0]
+    # pos1 and pos2: the signed distance to the subject and to the object,
+    # capped at 5, plus 5
+    assert indices[0][1] == [5, 6, 7, 8, 9, 10, 10, 10, 10, 10, 10, 10, 10, 10] + [5, 6, 7]
+    assert indices[0][2] == [3, 4, 5, 6, 7, 8, 9, 10, 10, 10, 10, 10, 10, 10] + [3, 4, 5]
 
 
 def test_pcnn_leading_anchor_zeroes_first_segment():
@@ -337,6 +342,24 @@ def test_forward_bags_column_is_that_bag_scored_alone(batch):
     for b, bag in enumerate(batch):
         alone = model.forward_bags([bag]).data
         np.testing.assert_allclose(scores.data[:, b:b + 1], alone, rtol=0, atol=1e-5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bag_batches())
+def test_forward_bags_hands_every_encoder_the_reference_layout(batch):
+    # the instances as forward_bags orders them, laid out by ``layout``
+    model = tiny_model()
+    seen = []
+    for name in ("encode_tokens", "pcnn_encode", "cgcn_encode"):
+        def capturing(*args, encoder=getattr(model, name)):
+            seen.append(args)
+            return encoder(*args)
+        setattr(model, name, capturing)
+    model.forward_bags(batch)
+    (instances, *layout_args), (_, *pcnn_args), (_, _, *cgcn_args) = seen
+    want = layout(instances)
+    for got in (layout_args, pcnn_args, cgcn_args):
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 @settings(max_examples=30, deadline=None)
