@@ -18,7 +18,6 @@ class CorpusError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class Token:
-    index: int
     surface: str
     pos_tag: str = "UNK"
     dep_head: int = -1
@@ -47,8 +46,8 @@ class Sentence:
         return [t.dep_head for t in self.tokens]
 
 
-def make_span(sentence: Sentence, start: int, end: int, span_type=None, linked=None, method=None) -> Span:
-    return Span(start, end, sentence.surface(start, end), span_type, linked, method)
+def make_span(sentence: Sentence, start: int, end: int) -> Span:
+    return Span(start, end, sentence.surface(start, end))
 
 
 def validate_tree(sid: str, heads: list[int]) -> None:
@@ -78,11 +77,11 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None,
                          base: Mapping[str, Sentence] | None = None) -> Sentence:
     """The validated sentence of one corpus record: spans in range and
     apart, heads a tree (validate_tree). Records read together pass one
-    ``shared_tokens`` dict, so equal tokens (same position, word, tag and
-    head) become one Token object. ``base`` holds validated sentences by
-    id: a record whose words, tags and heads equal those of the base
-    sentence with its id takes that sentence's token list, and its tree,
-    which depends on the heads alone, is not checked again."""
+    ``shared_tokens`` dict, so equal tokens (same word, tag and head)
+    become one Token object wherever they sit. ``base`` holds validated
+    sentences by id: a record whose words, tags and heads equal those of
+    the base sentence with its id takes that sentence's token list, and its
+    tree, which depends on the heads alone, is not checked again."""
     if not isinstance(rec, dict):
         raise CorpusError("sentence record is not a JSON object")
     sid = rec.get("id")
@@ -120,11 +119,11 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None,
         # times; a new one interns its word and tag, which repeat even more
         cache = {} if shared_tokens is None else shared_tokens
         try:
-            tokens = list(map(cache.get, zip(range(n), words, pos, heads)))
+            tokens = list(map(cache.get, zip(words, pos, heads)))
             if not all(tokens):
                 for i, token in enumerate(tokens):
                     if token is None:
-                        key = i, sys.intern(words[i]), sys.intern(pos[i]), heads[i]
+                        key = sys.intern(words[i]), sys.intern(pos[i]), heads[i]
                         tokens[i] = cache[key] = Token(*key)
         except TypeError:  # an unhashable or non-string word or tag
             raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None

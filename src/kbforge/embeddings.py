@@ -263,9 +263,9 @@ def _linked_stream(sentence) -> list[tuple[bool, str]]:
     symbols."""
     insert_after = {sp.end: sp.linked for sp in sentence.spans if sp.linked}
     out = []
-    for tok in sentence.tokens:
+    for i, tok in enumerate(sentence.tokens):
         out.append((False, tok.surface))
-        eid = insert_after.get(tok.index)
+        eid = insert_after.get(i)
         if eid is not None:
             out.append((True, entity_symbol(eid)))
     return out

@@ -16,7 +16,6 @@ from .autograd import (
     mul,
     no_grad,
     relu,
-    scale,
     segment_sum,
     sigmoid,
     softmax,

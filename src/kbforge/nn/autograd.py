@@ -167,11 +167,6 @@ def mul(a, b) -> Tensor:
                             _unbroadcast(g * a.data, b.shape)))
 
 
-def scale(a, c: float) -> Tensor:
-    a = _wrap(a)
-    return _node(a.data * c, (a,), lambda g: (g * c,))
-
-
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     return _node(a.data @ b.data, (a, b),
@@ -196,21 +191,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
                  lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
     a = _wrap(a)
-
-    def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
+    return _node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a) -> Tensor:
+    # times 1/size, not divided by size: the EL loss's bits depend on that rounding
     a = _wrap(a)
-    count = a.data.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    c = 1.0 / a.data.size
+    return _node(a.data.sum() * c, (a,), lambda g: (np.broadcast_to(g * c, a.shape).copy(),))
 
 
 # -- nonlinearities ----------------------------------------------------------

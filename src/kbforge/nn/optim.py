@@ -14,6 +14,8 @@ import numpy as np
 
 from .autograd import Parameter
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator floor
+
 
 class GradientError(Exception):
     """Non-finite gradient reached the optimizer."""
@@ -79,16 +81,12 @@ class _FlatGroup:
 
 
 class Adam:
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3):
         self.params: list[Parameter] = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names in optimizer")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         by_dtype: dict[np.dtype, list[Parameter]] = {}
         for p in self.params:
@@ -110,10 +108,10 @@ class Adam:
                        if p.grad is not None and not np.isfinite(p.grad).all())
             raise GradientError(f"non-finite gradient for {bad.name}")
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for group in self._groups:
-            group.update(self.lr, self.beta1, self.beta2, bias1, bias2, self.eps)
+            group.update(self.lr, BETA1, BETA2, bias1, bias2, EPS)
 
 
 def fit(params, lr: float, epochs: int, size: int, batch: int, rng, loss_of) -> list[float]:

@@ -26,7 +26,7 @@ def toy_sentence() -> Sentence:
     # "visited" (index 2).
     words = ["Tony", "Stark", "visited", "New", "York"]
     heads = [1, 2, -1, 4, 2]
-    tokens = [Token(i, w, "NN", h) for i, (w, h) in enumerate(zip(words, heads))]
+    tokens = [Token(w, "NN", h) for w, h in zip(words, heads)]
     return Sentence("s1", tokens, [])
 
 
@@ -110,7 +110,7 @@ def test_span_surface_and_covers():
 
 def test_record_round_trip():
     s = toy_sentence()
-    sp = make_span(s, 0, 1, span_type="Agent", linked="e2", method="subgraph")
+    sp = Span(0, 1, s.surface(0, 1), "Agent", "e2", "subgraph")
     s = Sentence(s.id, s.tokens, [sp])
     rec = sentence_to_record(s)
     back = sentence_from_record(rec)
@@ -187,7 +187,7 @@ WORDS, TAGS = ("a", "b", "c"), ("N", "V")
 
 
 def token_list(words, tags, heads) -> list[Token]:
-    return [Token(*t) for t in zip(range(len(words)), words, tags, heads)]
+    return [Token(*t) for t in zip(words, tags, heads)]
 
 
 def token_values(sent: Sentence) -> list[tuple]:

@@ -29,7 +29,7 @@ from kbforge.linker import TrainableSpanClassifier
 
 
 def mk_sentence(words, sid="s0", spans=None):
-    toks = [Token(i, w) for i, w in enumerate(words)]
+    toks = [Token(w) for w in words]
     return Sentence(sid, toks, spans or [])
 
 

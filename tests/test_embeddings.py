@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbforge import embeddings
-from kbforge.corpus import Sentence, Span, Token, ingest_corpus, make_span
+from kbforge.corpus import Sentence, Span, Token, ingest_corpus
 from kbforge.embeddings import (
     SGD_BLOCK,
     EmbeddingError,
@@ -144,7 +144,7 @@ def test_node_embeddings_deterministic():
 
 
 def linked_sentence(sid, words, links) -> Sentence:
-    tokens = [Token(i, w, "NN", i - 1 if i else -1) for i, w in enumerate(words)]
+    tokens = [Token(w, "NN", i - 1 if i else -1) for i, w in enumerate(words)]
     spans = [Span(i, i, words[i], None, eid, "subgraph") for i, eid in links]
     return Sentence(sid, tokens, spans)
 
@@ -498,7 +498,7 @@ def test_joint_training_traced_peak_is_bounded_on_the_tier1_fixture(fixture_dir)
     gold = defaultdict(list)
     for (sid, start, end), eid in sorted(load_gold_links(fixture_dir / "gold_links.tsv").items()):
         gold[sid].append((start, end, eid))
-    sents = [Sentence(s.id, s.tokens, [make_span(s, start, end, linked=eid)
+    sents = [Sentence(s.id, s.tokens, [Span(start, end, s.surface(start, end), linked=eid)
                                        for start, end, eid in gold[s.id]])
              for s in ingest_corpus(fixture_dir / "corpus.jsonl")]
     cfg = SkipGramConfig(dim=64, epochs=1)

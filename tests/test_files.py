@@ -447,7 +447,7 @@ def reference_sentence(rec: dict, cache: dict) -> Sentence:
     if not all(isinstance(x, str) for x in words + pos):
         raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings")
     tokens = [cache.setdefault(key, Token(*key))
-              for key in zip(range(len(words)), words, pos, heads)]
+              for key in zip(words, pos, heads)]
     sent = Sentence(sid, tokens)
     for raw_span in raw_spans:
         try:

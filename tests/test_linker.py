@@ -34,7 +34,7 @@ from kbforge.linker import (
 
 
 def mk_sentence(words, sid="s0", spans=None):
-    toks = [Token(i, w) for i, w in enumerate(words)]
+    toks = [Token(w) for w in words]
     return Sentence(sid, toks, spans or [])
 
 
@@ -604,7 +604,9 @@ def test_training_step_tape_size_independent_of_batch_size():
     negatives = ["e1" if gold != "e1" else "e2" for _, _, gold, _ in items]
     sizes = [tape_nodes(nn.mean(model._hinges(items[:b], negatives[:b])))
              for b in (1, 5, EL_BATCH)]
-    assert sizes[0] == sizes[1] == sizes[2]
+    # the benchmark's nn.tape_nodes.el_step counts the same nodes; the
+    # mean of the hinges is one of them
+    assert sizes == [28, 28, 28]
 
 
 # -- full two-step linking ----------------------------------------------------

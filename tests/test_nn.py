@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 import struct
@@ -46,10 +47,6 @@ ELEMENTARY = [
                                  [(4, 3), (1, 3)])),
     ("matmul", lambda r: (lambda x, y: ag.tsum(ag.matmul(x, y)),
                           [(3, 4), (4, 2)])),
-    ("scale", lambda r: (lambda x: ag.tsum(ag.scale(x, -1.7)), [(3, 3)])),
-    ("sum_axis", lambda r: (lambda x: ag.tsum(ag.mul(ag.tsum(x, axis=1, keepdims=True),
-                                                     ag.tsum(x, axis=1, keepdims=True))),
-                            [(3, 4)])),
     ("mean", lambda r: (lambda x: ag.mean(ag.mul(x, x)), [(4, 4)])),
     ("sigmoid", lambda r: (lambda x: ag.tsum(ag.sigmoid(x)), [(3, 4)])),
     ("tanh", lambda r: (lambda x: ag.tsum(ag.tanh(x)), [(3, 4)])),
@@ -66,6 +63,23 @@ def test_elementary_op_gradients(name, case):
         fn, shapes = case(rng)
         leaves = [t64(rng, s) for s in shapes]
         assert gradcheck(lambda: fn(*leaves), leaves) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3,), (7,), (2, 5)])
+def test_mean_is_one_node_that_rounds_as_a_sum_then_a_scaling(dtype, shape):
+    # 1/3, 1/7 and 1/10 are inexact, so dividing by the size, or scaling
+    # before the sum, could round apart from the sum times 1/size that the
+    # EL loss, and so every trained linker, depends on
+    x = Tensor(np.random.default_rng(0).standard_normal(shape).astype(dtype),
+               requires_grad=True)
+    out = ag.mean(x)
+    out.backward()
+    c = 1.0 / x.data.size
+    assert out._parents == (x,)
+    assert out.dtype == dtype and out.data.tobytes() == np.asarray(x.data.sum() * c).tobytes()
+    grad = np.broadcast_to(np.ones((), dtype) * c, shape)
+    assert x.grad.dtype == dtype and x.grad.tobytes() == grad.tobytes()
 
 
 def float32_run(run, arrays, weight):
@@ -479,6 +493,27 @@ def test_no_grad_bilstm_peak_holds_one_steps_gates():
     with no_grad():
         peak = traced_peak(lambda: net(x, [12] * 100))
     assert peak <= 2**20
+
+
+@pytest.mark.parametrize("grad_on", [True, False], ids=["grad", "no_grad"])
+@pytest.mark.parametrize("requiring", ["none", "input", "weights"])
+def test_bilstm_keeps_every_step_exactly_when_its_node_is_recorded(grad_on, requiring):
+    # bilstm_sequence sizes its per-step buffers by the rule _node records
+    # by: a recorded backward reads every step's gates, cells and tanh(c),
+    # so keeping one step's there would hand it overwritten values, and
+    # keeping every step's when nothing records peaks past the bound above
+    rng = np.random.default_rng(0)
+    net = BiLSTM(72, 12, rng, "t")
+    for p in net.parameters():
+        p.requires_grad = requiring == "weights"
+    x = Tensor(rng.standard_normal((72, 1200)).astype(np.float32),
+               requires_grad=requiring == "input")
+    outs = []
+    with contextlib.nullcontext() if grad_on else no_grad():
+        peak = traced_peak(lambda: outs.append(net(x, [12] * 100)))
+    recorded = outs[0].requires_grad
+    assert recorded == (grad_on and requiring != "none")
+    assert (peak > 2**20) == recorded, peak
 
 
 def test_sequence_ops_reject_lengths_that_do_not_split_the_columns():

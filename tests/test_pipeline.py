@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -1004,6 +1006,44 @@ def test_a_rerun_after_a_kill_after_a_rename_or_mid_write_leaves_what_a_clean_bu
     assert_reruns_after_kills_leave_a_clean_build(tiny_run, tmp_path, "after", EVERY_WRITE)
     assert_reruns_after_kills_leave_a_clean_build(
         tiny_run, tmp_path, "mid", [("final_linked.jsonl", 1), ("el.ckpt", 1)])
+
+
+# Runs the kbforge command line once its stdin closes, so a runner's start
+# is not delayed by its imports.
+RUN_ALL = """\
+import sys
+from kbforge.cli import main
+sys.stdin.read()
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("gaps", [(0.0,), (0.05, 0.1), (0.15, 0.0, 0.4)],
+                         ids=["2-runners", "3-runners", "4-runners"])
+def test_runners_started_together_on_one_out_dir_leave_a_clean_build(tiny_run, tmp_path,
+                                                                      gaps):
+    # a tiny build takes about 0.2 s, so a runner started ``gaps`` seconds
+    # after another builds stages that the other is building or has just
+    # recorded, or finds them all recorded; each writes the same bytes
+    # atomically, and no runner sweeps a live runner's temporaries
+    out = tmp_path / "out"
+    cfg = str(write_tiny_config(tiny_run["fixture"], out))
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    metrics = (tiny_run["out"] / "metrics.json").read_bytes()
+    with contextlib.ExitStack() as stack:
+        runners = [stack.enter_context(subprocess.Popen(
+                       [sys.executable, "-c", RUN_ALL, "run-all", "--config", cfg], env=env,
+                       stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+                   for _ in range(len(gaps) + 1)]
+        for gap, runner in zip((0.0, *gaps), runners):
+            time.sleep(gap)
+            runner.stdin.close()
+        for runner in runners:
+            # a runner prints less than a pipe holds, so waiting first cannot block
+            assert runner.wait(timeout=120) == 0, runner.stderr.read()
+            assert runner.stdout.read() == metrics
+    clean = {p.name: p.read_bytes() for p in tiny_run["out"].iterdir()}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == clean
 
 
 def test_metrics_file_matches_report(tiny_run):

@@ -32,7 +32,7 @@ from gradcheck import gradcheck
 
 def mk_sentence(words, heads, sid="s0", tags=None):
     tags = tags or ["N"] * len(words)
-    toks = [Token(i, w, tags[i], heads[i]) for i, w in enumerate(words)]
+    toks = [Token(w, tags[i], heads[i]) for i, w in enumerate(words)]
     return Sentence(sid, toks)
 
 
