@@ -22,8 +22,9 @@ _BLOCK = 1 << 16
 _JSON_SPACE = " \t\n\r"
 _decode = json.JSONDecoder().raw_decode
 # what json.dumps(doc, sort_keys=True) and json.dumps(doc, sort_keys=True,
-# indent=2) encode with, made once: json.dumps makes an encoder per call
-_encode_line = json.JSONEncoder(sort_keys=True).encode
+# indent=2) encode with, made once: json.dumps makes an encoder per call.
+# Lines skip the cycle check, which changes no byte: every record is a tree.
+_encode_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 encode_document = json.JSONEncoder(sort_keys=True, indent=2).encode
 
 

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 from conftest import FIXTURE_SHAPE
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kbforge import files
 from kbforge.corpus import ingest_corpus
@@ -82,6 +84,40 @@ def test_holdout_is_realized_but_absent_from_kb(small_fixture):
             bags[(rec["subject"], rec["object"])] = set(rec["labels"])
     for s, r, o in held:
         assert r in bags[(s, o)]
+
+
+@st.composite
+def small_shapes(draw) -> SynthConfig:
+    """Small shapes that the generator can fill: each type holds at least
+    five entities, so every relation has 25 or more distinct pairs, and the
+    190 or more entity pairs leave room for the at most 24 realized pairs
+    and 36 distractor pairs, which the generator draws until each is new."""
+    types = draw(st.integers(2, 4))
+    entities = draw(st.integers(20, 40))
+    return SynthConfig(entities=entities, types=types,
+                       relations=draw(st.integers(1, 4)),
+                       triples_per_relation=draw(st.integers(1, 6)),
+                       sentences_per_triple=draw(st.integers(1, 3)),
+                       distractor_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
+                       holdout_fraction=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+                       seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=small_shapes())
+def test_generated_fixtures_pass_the_reader_checks(tmp_path, shape):
+    # generate_fixture does not check the trees it writes: ingest_corpus
+    # checks every sentence where the corpus is read
+    paths = generate_fixture(shape, tmp_path)
+    kb = load_kb(paths["entities"], paths["triples"])
+    by_id = {s.id: s for s in ingest_corpus(paths["corpus"])}
+    gold = load_gold_links(paths["gold_links"])
+    assert len(gold) == 2 * len(by_id)
+    for (sid, start, end), eid in gold.items():
+        sent = by_id[sid]
+        assert 0 <= start <= end < len(sent.tokens)
+        assert sent.surface(start, end) in kb.entities[eid].aliases
 
 
 def test_gold_loaders_intern_their_ids(small_fixture):
