@@ -97,10 +97,10 @@ def _dispatch(args) -> int:
     if cmd == "synth":
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         try:
-            synth = SynthConfig(seed=cfg.seed, **{n: getattr(args, n) for n in SYNTH_COUNTS})
+            paths = generate_fixture(SynthConfig(seed=cfg.seed, **{
+                n: getattr(args, n) for n in SYNTH_COUNTS}), cfg.out_dir)
         except ValueError as exc:
             raise PipelineError(f"synth {exc}") from None
-        paths = generate_fixture(synth, cfg.out_dir)
         for name in sorted(paths):
             print(f"{name}\t{paths[name]}")
         return 0

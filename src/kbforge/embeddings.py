@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
 from .bounds import bounded, check_bounds
-from .files import read_rows, write_rows
+from .files import json_list
 from .kb import KnowledgeBase
 
 ENT_PREFIX = "ent:"
@@ -61,8 +62,8 @@ class EmbeddingTable:
         self.entity_row_numbers = np.array(
             [self.index[entity_symbol(e)] for e in self.entity_ids], dtype=np.int64)
         self.vectors = np.asarray(vectors, dtype=np.float32)
-        if self.vectors.shape[0] != len(self.symbols):
-            raise EmbeddingError("vector row count does not match vocabulary")
+        if self.vectors.ndim != 2 or len(self.vectors) != len(self.symbols):
+            raise EmbeddingError(f"vectors of shape {self.vectors.shape}, not one row per symbol")
         if not np.all(np.isfinite(self.vectors)):
             raise EmbeddingError("non-finite vector entries")
         self.epoch_losses: list[float] = []
@@ -70,9 +71,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
     def vector(self, symbol: str) -> np.ndarray:
         try:
@@ -87,41 +85,29 @@ def init_vectors(rng: np.random.Generator, count: int, dim: int, dtype=np.float3
 
 
 def save_table(table: EmbeddingTable, path) -> None:
-    """Writes what load_table reads, each value to nine significant digits,
-    which read back as the same float32; refuses, before writing anything,
-    a table that training has left with a non-finite entry."""
+    """Writes what load_table reads, a checkpoint of the symbols (meta) and
+    their rows (tensor ``vectors``); refuses, before writing anything, a
+    table that training has left with a non-finite entry."""
     bad = ~np.isfinite(table.vectors).all(axis=1)
     if bad.any():
         raise EmbeddingError(f"non-finite vector for symbol "
                              f"{table.symbols[int(bad.argmax())]!r}; {path} not written")
-    rows = [(s, *map("%.9g".__mod__, v)) for s, v in zip(table.symbols, table.vectors.tolist())]
-    write_rows(path, [(str(len(table)), str(table.dim))] + rows, sep=" ")
+    nn.save_checkpoint(path, [nn.Parameter(table.vectors, "vectors")],
+                       {"symbols": table.symbols})
 
 
 def load_table(path) -> EmbeddingTable:
-    """The table save_table wrote: a ``count dim`` header, then one
-    ``symbol v1 ... vdim`` row per symbol."""
-    shape: list[int] = []
-
-    def row(symbol, *values):
-        if not shape:
-            (dim,) = values
-            shape.extend((int(symbol), int(dim)))
-            if min(shape) < 0:
-                raise EmbeddingError(f"negative size in header {shape}")
-            return None
-        if len(values) != shape[1]:
-            raise EmbeddingError(f"expected {shape[1]} values, found {len(values)}")
-        return symbol, list(map(float, values))
-
-    rows = read_rows(path, None, EmbeddingError, row, sep=" ")[1:]
-    if not shape or len(rows) != shape[0]:
-        raise EmbeddingError(f"{path}: header row count {shape[:1]} but {len(rows)} rows")
+    """The table save_table wrote; CheckpointError names the path and the
+    meta key, the tensors or the reason for a checkpoint that holds none."""
+    meta, tensors = nn.load_checkpoint(path)
     try:
-        return EmbeddingTable([sym for sym, _ in rows],
-                              np.array([vec for _, vec in rows], dtype=np.float32).reshape(shape))
-    except EmbeddingError as exc:
-        raise EmbeddingError(f"{path}: {exc}") from None
+        if list(tensors) != ["vectors"]:
+            raise ValueError(f"tensors {sorted(tensors)} are not ['vectors']")
+        return EmbeddingTable(json_list(meta["symbols"]), tensors["vectors"])
+    except KeyError as exc:
+        raise nn.CheckpointError(f"{path}: meta lacks key {exc}") from exc
+    except (TypeError, ValueError, EmbeddingError) as exc:
+        raise nn.CheckpointError(f"{path}: {exc}") from exc
 
 
 # -- negative sampling -------------------------------------------------------

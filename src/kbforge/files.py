@@ -112,14 +112,14 @@ def json_ints(value) -> list:
     return value
 
 
-def read_rows(path, columns, error, convert=lambda *fields: fields, sep: str = "\t") -> list:
+def read_rows(path, columns, error, convert=lambda *fields: fields) -> list:
     """``convert(*fields)`` of every row. ``columns`` is the number of fields
-    a row must have, a tuple of the allowed numbers, or None for any."""
+    a row must have, or a tuple of the allowed numbers."""
     allowed = (columns,) if isinstance(columns, int) else columns
 
     def split(line: str, lineno: int) -> list[str]:
-        fields = line.split(sep)
-        if allowed is not None and len(fields) not in allowed:
+        fields = line.split("\t")
+        if len(fields) not in allowed:
             raise error(f"{path}:{lineno}: expected {' or '.join(map(str, allowed))} "
                         f"fields, found {len(fields)}")
         return fields
@@ -192,9 +192,9 @@ def _write(path, lines) -> None:
         fh.writelines(lines)
 
 
-def write_rows(path, rows, sep: str = "\t") -> None:
-    """One line per row of string fields."""
-    _write(path, (sep.join(fields) + "\n" for fields in rows))
+def write_rows(path, rows) -> None:
+    """One tab-separated line per row of string fields."""
+    _write(path, ("\t".join(fields) + "\n" for fields in rows))
 
 
 def write_jsonl(path, records) -> None:

@@ -56,7 +56,15 @@ class SynthConfig:
     holdout_fraction: float = bounded(0.1, lo=0, hi=1)
     seed: int = bounded(0, lo=0)
 
-    __post_init__ = check_bounds
+    def __post_init__(self):
+        check_bounds(self)
+        # entity k has type k % types; relation r joins type r % types to the next
+        pairs = min(len(range(r % self.types, self.entities, self.types))
+                    * len(range((r + 1) % self.types, self.entities, self.types))
+                    for r in range(self.relations))
+        if self.triples_per_relation > pairs:
+            raise ValueError(f"triples_per_relation must be at most {pairs}, the "
+                             f"subject-object pairs of the emptiest relation")
 
 
 @dataclass
@@ -140,9 +148,8 @@ def _build_sentence(subject: SynthEntity, obj: SynthEntity, verb: str, part: str
 
 
 def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
-    """Write KB, corpus, and gold files into out_dir; returns their paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write KB, corpus, and gold files into out_dir; returns their paths.
+    ValueError, and nothing made, for more distractors than free entity pairs."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     entities = _make_entities(cfg)
@@ -177,6 +184,10 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
                                        order_draw < 0.2))
 
     n_distract = int(round(cfg.distractor_rate * len(raw)))
+    free = len(entities) * (len(entities) - 1) // 2 - len(set(map(frozenset, truth_pairs)))
+    if n_distract > free:
+        raise ValueError(f"distractor_rate {cfg.distractor_rate} asks for {n_distract} distractor "
+                         f"pairs, but only {free} unordered entity pairs hold no triple")
     made = 0
     while made < n_distract:
         a = entities[int(rng.integers(len(entities)))]
@@ -204,6 +215,8 @@ def generate_fixture(cfg: SynthConfig, out_dir) -> dict[str, Path]:
         # both sentence sources draw two different entities
         pair_realized.update(((a, b), (b, a)))
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "entities": out / "entities.tsv",
         "triples": out / "triples.tsv",

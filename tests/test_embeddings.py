@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import defaultdict
 
@@ -24,6 +25,7 @@ from kbforge.embeddings import (
     train_node_embeddings,
 )
 from kbforge.kb import Entity, KnowledgeBase, Triple, load_kb
+from kbforge.nn import CheckpointError
 from kbforge.synth import load_gold_links
 
 
@@ -77,9 +79,33 @@ def test_table_round_trips_float32_bit_patterns_in_nine_digits(tmp_path):
     path = tmp_path / "table.vec"
     save_table(table, path)
     assert load_table(path).vectors.tobytes() == values.tobytes()
-    written = [v for line in path.read_text().splitlines()[1:] for v in line.split()[1:]]
-    digits = {len(v.lstrip("-").split("e")[0].replace(".", "").lstrip("0")) for v in written}
-    assert max(digits) <= 9
+
+
+@st.composite
+def small_tables(draw) -> EmbeddingTable:
+    rows, dim = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    values = draw(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                           min_size=rows * dim, max_size=rows * dim))
+    return EmbeddingTable([f"w{i}" for i in range(rows - 1)] + [entity_symbol("e1")][:rows],
+                          np.array(values, dtype=np.float32).reshape(rows, dim))
+
+
+@settings(max_examples=20, deadline=None)
+@given(table=small_tables(), data=st.data())
+def test_every_flipped_byte_and_every_truncation_of_a_table_is_a_checkpoint_error(
+        tmp_path_factory, table, data):
+    path = tmp_path_factory.mktemp("table") / "table.vec"
+    save_table(table, path)
+    saved = path.read_bytes()
+    for i in range(len(saved)):
+        mask = data.draw(st.integers(1, 255))
+        path.write_bytes(saved[:i] + bytes([saved[i] ^ mask]) + saved[i + 1:])
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+            load_table(path)
+    for size in range(len(saved)):
+        path.write_bytes(saved[:size])
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+            load_table(path)
 
 
 def test_save_table_refuses_nonfinite_vectors_naming_the_first(tmp_path):

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from kbforge import files, pipeline
 from kbforge.corpus import CorpusError, Sentence, Span, Token, ingest_corpus, validate_tree
 from kbforge.datagen import DataGenError, load_bags, load_generation_report
-from kbforge.embeddings import EmbeddingError, load_table
 from kbforge.kb import KBLoadError, load_kb
 from kbforge.pipeline import BenchmarkError, PipelineError, PipelineRunner, load_config
 from kbforge.relations import RelationError, load_extraction
@@ -203,16 +202,11 @@ def test_reader_errors_name_file_and_line(tmp_path, content, read, where):
 
 # each leaked an untyped error before the loaders moved onto kbforge.files
 @pytest.mark.parametrize("content, load, error, where", [
-    ("x 2\n", load_table, EmbeddingError, ":1:"),
-    ("1 2\nw 0.5 abc\n", load_table, EmbeddingError, ":2:"),
     ("s1\tx\t3\te1\n", load_gold_links, KBLoadError, ":1:"),
     ("a\tr\tb\thigh\ts1\n", lambda p: load_extraction(p, p), RelationError, ":1:"),
     ('{"el": {}, "extra": 1}\n', lambda p: pipeline.STAGES["evaluate"].load(None, p),
      PipelineError, ":1:"),
-    ("2 2\nw 1 2\nw 3 4\n", load_table, EmbeddingError, ": duplicate symbols"),
-    ("1 2\nw nan 2\n", load_table, EmbeddingError, ": non-finite"),
-], ids=["table-header", "table-value", "gold-offset", "extract-confidence", "metrics-key",
-        "table-duplicate", "table-nan"])
+], ids=["gold-offset", "extract-confidence", "metrics-key"])
 def test_loader_errors_are_typed(tmp_path, content, load, error, where):
     path = tmp_path / "f"
     path.write_text(content)
@@ -241,14 +235,14 @@ SENTENCE = {"id": "s1", "tokens": ["One", "met"], "pos": ["N", "V"], "heads": [-
             "spans": [SPAN]}
 
 
-def mutate(line, sep: str):
-    """A strategy for ``line`` (a JSON object, or a row of ``sep``-split
+def mutate(line):
+    """A strategy for ``line`` (a JSON object, or a row of tab-separated
     fields) with one field replaced by arbitrary data or dropped."""
     if isinstance(line, tuple):
         def row(i, value):
             fields = list(line)
             fields[i:i + 1] = [] if value is None else [value]
-            return sep.join(fields).encode()
+            return "\t".join(fields).encode()
         return st.builds(row, st.integers(0, len(line) - 1), st.none() | FIELD)
 
     keys = sorted(set(line) | (set(SPAN) if "spans" in line else set()))
@@ -300,7 +294,6 @@ LOADERS = {
                     [("e1", "T", "One", "one|One"), ("e2", "", "Two")]),
     "kb-triples": (KBLoadError, lambda p: load_kb(p.with_name("entities.tsv"), p),
                    [("e1", "r", "e2")]),
-    "embedding-table": (EmbeddingError, load_table, [("1", "2"), ("w", "0.5", "-1")]),
     "gold-links": (KBLoadError, load_gold_links, [("s1", "0", "1", "e1")]),
     "gold-triples": (KBLoadError, load_gold_triples, [("e1", "r", "e2")]),
     "link-eval": (PipelineError,
@@ -329,10 +322,9 @@ LOADERS = {
 @given(data=st.data())
 def test_loader_fed_arbitrary_lines_raises_only_its_typed_error(scratch, name, data):
     error, load, valid = LOADERS[name]
-    sep = " " if name == "embedding-table" else "\t"
-    line = ARBITRARY | st.sampled_from(valid).flatmap(lambda v: mutate(v, sep))
+    line = ARBITRARY | st.sampled_from(valid).flatmap(mutate)
     lines = data.draw(st.lists(line | st.sampled_from(valid).map(
-        lambda v: sep.join(v).encode() if isinstance(v, tuple) else json.dumps(v).encode()),
+        lambda v: "\t".join(v).encode() if isinstance(v, tuple) else json.dumps(v).encode()),
         max_size=5))
     path = scratch / f"{name}.txt"
     path.write_bytes(b"\n".join(lines))
@@ -409,12 +401,12 @@ def reference_jsonl(path, convert, error) -> list:
     return reference_read(path, error, parse, convert)
 
 
-def reference_rows(path, columns, error, convert, sep="\t") -> list:
+def reference_rows(path, columns, error, convert) -> list:
     allowed = (columns,) if isinstance(columns, int) else columns
 
     def split(line, lineno):
-        fields = line.split(sep)
-        if allowed is not None and len(fields) not in allowed:
+        fields = line.split("\t")
+        if len(fields) not in allowed:
             raise error(f"{path}:{lineno}: expected {' or '.join(map(str, allowed))} "
                         f"fields, found {len(fields)}")
         return fields
@@ -552,7 +544,7 @@ ROW = st.lists(st.sampled_from(["a", "1", "-2", "x y", "", "é"]), min_size=1,
                max_size=4).map(lambda f: "\t".join(f).encode())
 
 
-@pytest.mark.parametrize("columns", [None, 2, (2, 3)])
+@pytest.mark.parametrize("columns", [2, (2, 3)], ids=["2", "columns2"])
 @differential
 @given(data=st.data())
 def test_read_rows_matches_the_line_by_line_reader(scratch, columns, data):

@@ -27,7 +27,7 @@ from kbforge.datagen import (
     load_bags,
     split_dataset,
 )
-from kbforge.embeddings import SkipGramConfig
+from kbforge.embeddings import SkipGramConfig, load_table
 from kbforge.kb import Triple, load_kb
 from kbforge.linker import (
     ELConfig,
@@ -38,6 +38,7 @@ from kbforge.linker import (
     subgraph_link,
 )
 from kbforge.nn import no_grad
+from kbforge.nn.checkpoint import MAGIC
 from kbforge.relations import ExtractedTriple, REConfig, load_model
 from kbforge.pipeline import (
     BenchmarkError,
@@ -340,15 +341,28 @@ def near_bounds(kind, bounds) -> list:
             ] + [math.nan, math.inf, -math.inf]
 
 
-# the other share's default, for the one cross-field rule: train + valid,
+# the other share's default, for a cross-field rule: train + valid,
 # summed exactly as written, is at most 1
 OTHER_SHARE = {("ds", "train"): "0.1", ("ds", "valid"): "0.8"}
+
+
+def fewest_pairs(entities: int, types: int, relations: int, **_) -> int:
+    """The fewest subject-object pairs of any relation of a synth shape,
+    counted entity by entity: entity k has type k % types, and relation r
+    joins type r % types to the next."""
+    sizes = Counter(k % types for k in range(entities))
+    return min(sizes[r % types] * sizes[(r + 1) % types] for r in range(relations))
 
 
 def assert_loads_exactly_when_legal(path, section, key, value):
     legal = LEGAL[(section, key)][2]
     if section == "synth":
-        if legal(value):
+        # the other cross-field rule: each relation's types hold its triples
+        shape = {**vars(SynthConfig()), key: value}
+        if legal(value) and shape["triples_per_relation"] > fewest_pairs(**shape):
+            with pytest.raises(ValueError, match="^triples_per_relation must be at most"):
+                SynthConfig(**{key: value})
+        elif legal(value):
             assert getattr(SynthConfig(**{key: value}), key) == value
         else:
             with pytest.raises(ValueError, match=f"^{key} must"):
@@ -548,8 +562,17 @@ def test_missing_configured_input_names_stage_and_input(tiny_run, tmp_path):
     ("re.ckpt", lambda meta: meta.update(word_vocab="".join(meta["word_vocab"])),
      "expected a list"),
     ("el.ckpt", lambda meta: meta.pop("trained"), "lacks key 'trained'"),
+    ("embeddings.vec", lambda meta: meta.pop("symbols"), "lacks key 'symbols'"),
+    ("embeddings.vec", lambda meta: meta.update(symbols=" ".join(meta["symbols"])),
+     "expected a list"),
+    ("embeddings.vec", lambda meta: meta["symbols"].__setitem__(1, meta["symbols"][0]),
+     "duplicate symbols"),
+    ("embeddings.vec", lambda meta: meta["symbols"].__setitem__(0, "two words"),
+     "symbol 'two words' is empty or contains whitespace"),
 ], ids=["re-unknown-config-key", "re-no-relations", "re-odd-hidden", "re-negative-rate",
-        "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-trained"])
+        "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-trained",
+        "vec-no-symbols", "vec-symbols-a-string", "vec-duplicate-symbol",
+        "vec-whitespace-symbol"])
 def test_checkpoint_meta_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp_path,
                                                                  ckpt, edit, message):
     assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, lambda meta, _: edit(meta),
@@ -565,7 +588,18 @@ def test_checkpoint_meta_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp_p
      "checkpoint missing parameter 'el.encoder.fwd.wh'"),
     ("re.ckpt", lambda t: t.update(stray=t["re.threshold"]),
      "checkpoint tensor 'stray' names no parameter"),
-], ids=["re-wrong-shape", "el-wrong-shape", "el-missing-tensor", "re-extra-tensor"])
+    ("embeddings.vec", lambda t: t.update(vectors=t["vectors"][1:]),
+     "not one row per symbol"),
+    ("embeddings.vec", lambda t: t.update(vectors=t["vectors"].ravel()),
+     "not one row per symbol"),
+    ("embeddings.vec", lambda t: t.pop("vectors"), "tensors [] are not ['vectors']"),
+    ("embeddings.vec", lambda t: t.update(stray=t["vectors"]),
+     "tensors ['stray', 'vectors'] are not ['vectors']"),
+    ("embeddings.vec", lambda t: t.update(vectors=np.full_like(t["vectors"], np.nan)),
+     "non-finite vector entries"),
+], ids=["re-wrong-shape", "el-wrong-shape", "el-missing-tensor", "re-extra-tensor",
+        "vec-rows-not-symbols", "vec-not-2d", "vec-missing-tensor", "vec-extra-tensor",
+        "vec-nan"])
 def test_checkpoint_tensor_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp_path,
                                                                    ckpt, edit, message):
     assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, lambda _, tensors: edit(tensors),
@@ -585,8 +619,9 @@ def assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, edit, message):
     forged = tmp_path / ckpt
     nn.save_checkpoint(forged, as_parameters(tensors), meta)
     runner = tiny_run["runner"]
-    load = (load_model if ckpt == "re.ckpt"
-            else lambda path: linker.load_model(path, runner.embeddings(), runner.cfg.el))
+    load = {"re.ckpt": load_model, "embeddings.vec": load_table,
+            "el.ckpt": lambda path: linker.load_model(path, runner.embeddings(),
+                                                      runner.cfg.el)}[ckpt]
     with pytest.raises(nn.CheckpointError,
                        match=f"^{re.escape(str(forged))}: .*{re.escape(message)}"):
         load(forged)
@@ -1229,8 +1264,17 @@ def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, ini, messa
     (("synth", "--relations", "40"), "synth relations must lie in [1,12]"),
     (("synth", "--types", "1"), "synth types must be at least 2"),
     (("synth", "--seed", "-1"), "[pipeline] seed must be at least 0"),
+    (("synth", "--entities", "6", "--types", "2", "--relations", "1",
+      "--triples-per-relation", "10"),
+     "synth triples_per_relation must be at most 9, the subject-object pairs of the "
+     "emptiest relation"),
+    (("synth", "--entities", "6", "--types", "2", "--relations", "4",
+      "--triples-per-relation", "6"),
+     "synth distractor_rate 0.2 asks for 14 distractor pairs, but only 6 unordered entity "
+     "pairs hold no triple"),
     (("ingest-kb", "--seed", "-3"), "[pipeline] seed must be at least 0"),
-], ids=["synth-entities", "synth-relations", "synth-types", "synth-seed", "ingest-kb-seed"])
+], ids=["synth-entities", "synth-relations", "synth-types", "synth-seed", "synth-triples",
+        "synth-distractors", "ingest-kb-seed"])
 def test_cli_bad_option_is_an_error_not_a_traceback(tmp_path, capsys, argv, message):
     rc, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "fx"))
     assert rc == 1
@@ -1270,8 +1314,8 @@ def test_diverged_embeddings_fail_their_stage_and_are_not_recorded(tiny_fixture,
 
     def diverged(*args):
         table = train(*args)
-        table.vectors[len(table) // 2] = np.nan
-        bad.append(table.symbols[len(table) // 2])
+        table.vectors[len(table.symbols) // 2] = np.nan
+        bad.append(table.symbols[len(table.symbols) // 2])
         return table
 
     monkeypatch.setattr(pipeline, "train_joint_embeddings", diverged)
@@ -1313,7 +1357,8 @@ def test_a_built_output_its_loader_rejects_fails_the_stage_unrecorded(tiny_fixtu
 def corrupt(path: Path, how: str) -> None:
     """Truncate ``path`` to half, flip one bit of its middle byte, or edit
     one record so that it still loads: a checkpoint's first weight, or the
-    first digit of a text file's last line that has one. An empty file
+    first digit of a text file's last line that has one. A checkpoint is
+    told by its magic bytes, whatever its name. An empty file
     gets a torn row instead: it has no byte to cut, flip or edit."""
     data = path.read_bytes()
     if not data:
@@ -1323,7 +1368,7 @@ def corrupt(path: Path, how: str) -> None:
     elif how == "flipped":
         i = len(data) // 2
         path.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
-    elif path.suffix == ".ckpt":
+    elif data.startswith(MAGIC):
         meta, tensors = nn.load_checkpoint(path)
         name = min(tensors)
         tensors[name] = tensors[name].copy()

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import itertools
 import json
+import signal
 import sys
 
 import pytest
@@ -87,29 +90,75 @@ def test_holdout_is_realized_but_absent_from_kb(small_fixture):
 
 
 @st.composite
-def small_shapes(draw) -> SynthConfig:
-    """Small shapes that the generator can fill: each type holds at least
-    five entities, so every relation has 25 or more distinct pairs, and the
-    190 or more entity pairs leave room for the at most 24 realized pairs
-    and 36 distractor pairs, which the generator draws until each is new."""
-    types = draw(st.integers(2, 4))
-    entities = draw(st.integers(20, 40))
-    return SynthConfig(entities=entities, types=types,
-                       relations=draw(st.integers(1, 4)),
-                       triples_per_relation=draw(st.integers(1, 6)),
-                       sentences_per_triple=draw(st.integers(1, 3)),
-                       distractor_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
-                       holdout_fraction=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
-                       seed=draw(st.integers(0, 2**32)))
+def small_shapes(draw) -> dict:
+    """The fields of small shapes, some of which the generator cannot fill:
+    a type may hold no entity, a relation may ask for more triples than its
+    two types hold pairs, and the distractors for more entity pairs than
+    the triples leave free."""
+    return dict(entities=draw(st.integers(1, 10) | st.integers(11, 40)),
+                types=draw(st.integers(2, 6)),
+                relations=draw(st.integers(1, 4)),
+                triples_per_relation=draw(st.integers(1, 12)),
+                sentences_per_triple=draw(st.integers(1, 3)),
+                distractor_rate=draw(st.sampled_from([0.0, 0.2, 0.5, 2.0, 20.0])),
+                holdout_fraction=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+                seed=draw(st.integers(0, 2**32)))
 
 
-@settings(max_examples=50, deadline=None,
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """TimeoutError in the block once it has run ``seconds``: a generator
+    that draws forever fails the test instead of stalling it."""
+    def expired(signum, frame):
+        raise TimeoutError(f"no fixture after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fillable(shape: dict, tmp_path) -> bool:
+    """Whether the generator can fill ``shape``, counted pair by pair. Each
+    relation needs triples_per_relation pairs of different entities, the
+    subject of type r % types and the object of the next (entity k has
+    type k % types). The distractors need as many unordered entity pairs
+    that no triple holds, the triples read from the fixture of the same
+    shape without distractors."""
+    n, t = shape["entities"], shape["types"]
+    for r in range(shape["relations"]):
+        pairs = sum(a != b and a % t == r % t and b % t == (r + 1) % t
+                    for a in range(n) for b in range(n))
+        if pairs < shape["triples_per_relation"]:
+            return False
+    with deadline(10):
+        paths = generate_fixture(SynthConfig(**{**shape, "distractor_rate": 0.0}),
+                                 tmp_path / "plain")
+    triples = load_gold_triples(paths["triples"]) | load_gold_triples(paths["gold_triples"])
+    taken = {frozenset((s, o)) for s, _, o in triples}
+    ids = load_kb(paths["entities"], paths["triples"]).entities
+    free = sum(frozenset(pair) not in taken for pair in itertools.combinations(ids, 2))
+    distractors = round(shape["distractor_rate"]
+                        * (len(triples) * shape["sentences_per_triple"]))
+    return distractors <= free
+
+
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(shape=small_shapes())
 def test_generated_fixtures_pass_the_reader_checks(tmp_path, shape):
+    # a shape the generator cannot fill is a ValueError, never a hang
+    if not fillable(shape, tmp_path):
+        with deadline(10), pytest.raises(ValueError):
+            generate_fixture(SynthConfig(**shape), tmp_path / "fixture")
+        return
+    with deadline(10):
+        paths = generate_fixture(SynthConfig(**shape), tmp_path / "fixture")
     # generate_fixture does not check the trees it writes: ingest_corpus
     # checks every sentence where the corpus is read
-    paths = generate_fixture(shape, tmp_path)
     kb = load_kb(paths["entities"], paths["triples"])
     by_id = {s.id: s for s in ingest_corpus(paths["corpus"])}
     gold = load_gold_links(paths["gold_links"])
