@@ -31,7 +31,7 @@ def is_entity_symbol(symbol: str) -> bool:
     return symbol.startswith(ENT_PREFIX)
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(ValueError):
     pass
 
 
@@ -52,6 +52,8 @@ class EmbeddingTable:
         if len(symbols) != len(set(symbols)):
             raise EmbeddingError("duplicate symbols")
         for s in symbols:
+            if not isinstance(s, str):
+                raise EmbeddingError(f"symbol {s!r} is not a string")
             if not s or any(ch.isspace() for ch in s):
                 raise EmbeddingError(f"symbol {s!r} is empty or contains whitespace")
         self.symbols = list(symbols)
@@ -97,17 +99,12 @@ def save_table(table: EmbeddingTable, path) -> None:
 
 
 def load_table(path) -> EmbeddingTable:
-    """The table save_table wrote; CheckpointError names the path and the
-    meta key, the tensors or the reason for a checkpoint that holds none."""
-    meta, tensors = nn.load_checkpoint(path)
-    try:
+    """The table save_table wrote."""
+    def fit(meta, tensors):
         if list(tensors) != ["vectors"]:
             raise ValueError(f"tensors {sorted(tensors)} are not ['vectors']")
         return EmbeddingTable(json_list(meta["symbols"]), tensors["vectors"])
-    except KeyError as exc:
-        raise nn.CheckpointError(f"{path}: meta lacks key {exc}") from exc
-    except (TypeError, ValueError, EmbeddingError) as exc:
-        raise nn.CheckpointError(f"{path}: {exc}") from exc
+    return nn.load_checkpoint(path, fit)
 
 
 # -- negative sampling -------------------------------------------------------

@@ -389,15 +389,13 @@ def save_model(model: ContextLinkerModel, path) -> None:
 
 
 def load_model(path, table: EmbeddingTable, cfg: ELConfig) -> ContextLinkerModel:
-    """The model save_model wrote, over ``table``; CheckpointError names the
-    path, and the meta key or tensor, for a checkpoint that does not fit."""
-    meta, tensors = nn.load_checkpoint(path)
-    if "trained" not in meta:
-        raise nn.CheckpointError(f"{path}: meta lacks key 'trained'")
-    model = ContextLinkerModel(table, cfg)
-    nn.restore_parameters(model.parameters(), tensors, path)
-    model.trained = bool(meta["trained"])
-    return model
+    """The model save_model wrote, over ``table``."""
+    def fit(meta, tensors):
+        model = ContextLinkerModel(table, cfg)
+        model.trained = bool(meta["trained"])
+        nn.restore_parameters(model.parameters(), tensors)
+        return model
+    return nn.load_checkpoint(path, fit)
 
 
 def _draw_negative(rng: np.random.Generator, gold: str, cand_ids: list[str],

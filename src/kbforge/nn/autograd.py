@@ -132,10 +132,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-# The sequence ops (conv1d, bilstm_sequence, matmul_blocks, segment_sum, and
-# softmax along its axis) take the columns of a (d, n) input as one or more
-# sequences laid side by side: ``lengths`` (default: one sequence of all n
-# columns) gives each sequence's column count, in column order.
+# The sequence ops (conv1d, bilstm_sequence, matmul_blocks, segment_sum and
+# softmax) take the columns of a (d, n) input as one or more sequences laid
+# side by side: ``lengths`` (default: one sequence of all n columns) gives
+# each sequence's column count, in column order.
 
 def _lengths(lengths, n: int) -> np.ndarray:
     """The lengths as an integer array, checked to be positive and to
@@ -223,15 +223,15 @@ def relu(a) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def softmax(a, axis: int = -1, lengths=None) -> Tensor:
-    """Softmax along ``axis``. With ``lengths`` that axis is cut into
+def softmax(a, lengths=None) -> Tensor:
+    """Softmax along axis 1. With ``lengths`` that axis is cut into
     consecutive segments of those lengths, each normalised on its own."""
     a = _wrap(a)
-    lengths = _lengths(lengths, a.shape[axis])
+    lengths = _lengths(lengths, a.shape[1])
     starts = lengths.cumsum() - lengths
 
     def per_segment(ufunc, v):
-        return np.repeat(ufunc.reduceat(v, starts, axis=axis), lengths, axis=axis)
+        return np.repeat(ufunc.reduceat(v, starts, axis=1), lengths, axis=1)
 
     e = np.exp(a.data - per_segment(np.maximum, a.data))
     out = e / per_segment(np.add, e)

@@ -4,7 +4,7 @@ Layout (all multi-byte integers little-endian):
 
     bytes 0..4   magic "KBFC" + format version byte (currently 0x02)
     bytes 5..13  uint64 header length in bytes
-    header       UTF-8 JSON, keys sorted: {"meta": {...}, "tensors": [
+    header       UTF-8 JSON, keys sorted: {"meta": ..., "tensors": [
                      {"name", "dtype", "shape"} ...]} with tensors sorted
                      by name
     payload      raw buffers in tensor-list order; float32 as '<f4',
@@ -46,7 +46,7 @@ def _tensor_dict(params) -> dict[str, np.ndarray]:
     return out
 
 
-def save_checkpoint(path, params, meta: dict | None = None) -> None:
+def save_checkpoint(path, params, meta) -> None:
     tensors = _tensor_dict(params)
     entries = []
     for name in sorted(tensors):
@@ -55,8 +55,7 @@ def save_checkpoint(path, params, meta: dict | None = None) -> None:
         if dtype not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {dtype} for {name!r}")
         entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-    header = json.dumps({"meta": meta or {}, "tensors": entries},
-                        sort_keys=True).encode("utf-8")
+    header = json.dumps({"meta": meta, "tensors": entries}, sort_keys=True).encode("utf-8")
     chunks = [MAGIC, struct.pack("<Q", len(header)), header]
     chunks += [np.ascontiguousarray(tensors[e["name"]]).astype(_DTYPES[e["dtype"]]).tobytes()
                for e in entries]
@@ -68,9 +67,11 @@ def save_checkpoint(path, params, meta: dict | None = None) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-def load_checkpoint(path):
-    """Returns (meta, {name: array}); raises CheckpointError for any file
-    that is not an intact checkpoint of the current version."""
+def load_checkpoint(path, fit):
+    """``fit(meta, {name: array})`` of the checkpoint at ``path``. A file that
+    is not an intact checkpoint of the current version, and a KeyError (a
+    missing key), TypeError or ValueError from ``fit``, such as a model's
+    refusal of its meta or tensors, raise CheckpointError naming ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _PREFIX + _TRAILER:
@@ -82,9 +83,11 @@ def load_checkpoint(path):
     if zlib.crc32(body) != crc:
         raise CheckpointError(f"{path}: CRC mismatch (truncated or corrupted)")
     try:
-        return _parse(body)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") from exc
+        return fit(*_parse(body))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def _parse(body: bytes):
@@ -93,6 +96,8 @@ def _parse(body: bytes):
     header = json.loads(body[_PREFIX:end].decode("utf-8"))
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
+        if entry["dtype"] not in _DTYPES:
+            raise ValueError(f"unsupported dtype {entry['dtype']!r}")
         dtype = np.dtype(_DTYPES[entry["dtype"]])
         shape = tuple(int(d) for d in entry["shape"])
         count = int(np.prod(shape))
@@ -106,19 +111,17 @@ def _parse(body: bytes):
     return header["meta"], tensors
 
 
-def restore_parameters(params, tensors: dict[str, np.ndarray], path) -> None:
-    """Load ``tensors``, read from the checkpoint at ``path``, into
-    ``params``; the two must name the same tensors with the same shapes,
-    and CheckpointError names ``path`` when they do not."""
+def restore_parameters(params, tensors: dict[str, np.ndarray]) -> None:
+    """Load ``tensors`` into ``params``; ValueError when the two do not name
+    the same tensors with the same shapes."""
     params = list(params)
     extra = sorted(set(tensors) - {p.name for p in params})
     if extra:
-        raise CheckpointError(f"{path}: checkpoint tensor {extra[0]!r} names no parameter")
+        raise ValueError(f"checkpoint tensor {extra[0]!r} names no parameter")
     for p in params:
         if p.name not in tensors:
-            raise CheckpointError(f"{path}: checkpoint missing parameter {p.name!r}")
+            raise ValueError(f"checkpoint missing parameter {p.name!r}")
         arr = tensors[p.name]
         if arr.shape != p.data.shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch for {p.name!r}: {arr.shape} vs {p.data.shape}")
+            raise ValueError(f"shape mismatch for {p.name!r}: {arr.shape} vs {p.data.shape}")
         p.data = arr.astype(p.data.dtype)

@@ -27,7 +27,7 @@ UNK = "<unk>"
 RE_BATCH = 8
 
 
-class RelationError(Exception):
+class RelationError(ValueError):
     pass
 
 
@@ -230,7 +230,7 @@ class REModel:
     def selective_gate(self, x: nn.Tensor, lengths=None) -> nn.Tensor:
         """Per sentence: attention over its own tokens, then the gate MLP;
         (6h, B)."""
-        p = nn.softmax(self.att2(nn.relu(self.att1(x))), axis=1, lengths=lengths)
+        p = nn.softmax(self.att2(nn.relu(self.att1(x))), lengths=lengths)
         s_att = nn.matmul(self.att_proj, nn.segment_sum(nn.mul(p, x), lengths))
         gate = self.gate(s_att)
         assert gate.shape == (6 * self.cfg.hidden, 1 if lengths is None else len(lengths))
@@ -384,9 +384,10 @@ def validate_triple(triple: Triple, entity_types: dict[str, str],
 
 
 def extract(corpus: list[Sentence], kb: KnowledgeBase, model: REModel,
-            rejected_log: list | None = None) -> list[ExtractedTriple]:
+            rejected_log: list) -> list[ExtractedTriple]:
     """Group linked sentences into ordered-pair bags, predict, expand to
-    triples, and keep only template-valid ones."""
+    triples, and keep only template-valid ones; the others go to
+    ``rejected_log`` with their reasons."""
     if not model.trained:
         raise RelationError("extraction requires a trained model")
     template = build_fact_type_templates(kb)
@@ -403,7 +404,7 @@ def extract(corpus: list[Sentence], kb: KnowledgeBase, model: REModel,
             ok, reason = validate_triple(t.triple(), entity_types, template)
             if ok:
                 accepted.append(t)
-            elif rejected_log is not None:
+            else:
                 rejected_log.append((t, reason))
     return accepted
 
@@ -439,16 +440,11 @@ def save_model(model: REModel, path) -> None:
 
 
 def load_model(path) -> REModel:
-    """The model save_model wrote; CheckpointError names the path and the
-    meta key, tensor or reason for a checkpoint that does not fit REModel."""
-    meta, tensors = nn.load_checkpoint(path)
-    try:
+    """The model save_model wrote."""
+    def fit(meta, tensors):
         model = REModel(REConfig(**meta["config"]), json_list(meta["relations"]),
                         *(json_list(meta[k]) for k in ("word_vocab", "type_vocab", "tag_vocab")))
         model.trained = bool(meta["trained"])
-    except KeyError as exc:
-        raise nn.CheckpointError(f"{path}: meta lacks key {exc}") from exc
-    except (TypeError, ValueError, RelationError) as exc:
-        raise nn.CheckpointError(f"{path}: meta does not fit REModel: {exc}") from exc
-    nn.restore_parameters(model.parameters(), tensors, path)
-    return model
+        nn.restore_parameters(model.parameters(), tensors)
+        return model
+    return nn.load_checkpoint(path, fit)

@@ -50,8 +50,7 @@ ELEMENTARY = [
     ("mean", lambda r: (lambda x: ag.mean(ag.mul(x, x)), [(4, 4)])),
     ("sigmoid", lambda r: (lambda x: ag.tsum(ag.sigmoid(x)), [(3, 4)])),
     ("tanh", lambda r: (lambda x: ag.tsum(ag.tanh(x)), [(3, 4)])),
-    ("softmax", lambda r: (lambda x: ag.tsum(ag.mul(ag.softmax(x, axis=1),
-                                                    ag.softmax(x, axis=1))),
+    ("softmax", lambda r: (lambda x: ag.tsum(ag.mul(ag.softmax(x), ag.softmax(x))),
                            [(3, 5)])),
 ]
 
@@ -525,7 +524,7 @@ def test_sequence_ops_reject_lengths_that_do_not_split_the_columns():
         with pytest.raises(ValueError):
             ag.conv1d(x, t64(rng, (2, 3, 3)), lengths=lengths)
         with pytest.raises(ValueError):
-            ag.softmax(x, axis=1, lengths=lengths)
+            ag.softmax(x, lengths=lengths)
         with pytest.raises(ValueError):
             ag.segment_sum(x, lengths)
         with pytest.raises(ValueError):
@@ -557,14 +556,14 @@ def test_softmax_per_segment():
         rng = np.random.default_rng(seed)
         lengths = [4, 1, 3]
         x = t64(rng, (3, 8))
-        out = ag.softmax(x, axis=1, lengths=lengths).data
+        out = ag.softmax(x, lengths=lengths).data
         firsts = np.cumsum(lengths) - lengths
         for f, n in zip(firsts, lengths):
             np.testing.assert_allclose(
-                out[:, f:f + n], ag.softmax(Tensor(x.data[:, f:f + n]), axis=1).data,
+                out[:, f:f + n], ag.softmax(Tensor(x.data[:, f:f + n])).data,
                 rtol=0, atol=1e-15)
         weight = rng.standard_normal((3, 8))
-        assert gradcheck(lambda: ag.tsum(ag.mul(ag.softmax(x, axis=1, lengths=lengths),
+        assert gradcheck(lambda: ag.tsum(ag.mul(ag.softmax(x, lengths=lengths),
                                                 weight)), [x]) < 1e-4
 
 
@@ -796,8 +795,8 @@ def test_fused_adam_is_bit_identical_to_per_parameter_adam(dtypes):
         if step == 20:
             # rebinds every p.data to a new array, as loading a checkpoint does
             tensors = {p.name: rng.standard_normal(p.data.shape) for p in ref_params}
-            restore_parameters(fused_params, tensors, "drawn")
-            restore_parameters(ref_params, tensors, "drawn")
+            restore_parameters(fused_params, tensors)
+            restore_parameters(ref_params, tensors)
         for i, (a, b) in enumerate(zip(fused_params, ref_params)):
             if (step + i) % 4 == 0:
                 a.grad = b.grad = None
@@ -850,13 +849,18 @@ def test_first_gradient_is_a_fresh_array_laid_out_like_the_data():
 
 # -- checkpointing ----------------------------------------------------------------
 
+def contents(meta, tensors):
+    """A ``fit`` for load_checkpoint that keeps what the file holds."""
+    return meta, tensors
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     params = [Parameter(rng.standard_normal((3, 2)).astype(np.float32), "b.w"),
               Parameter(rng.standard_normal((4, 1)).astype(np.float64), "a.v")]
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, meta={"epoch": 3})
-    meta, tensors = load_checkpoint(path)
+    meta, tensors = load_checkpoint(path, contents)
     assert meta == {"epoch": 3}
     assert set(tensors) == {"a.v", "b.w"}
     assert tensors["b.w"].dtype == np.float32
@@ -864,7 +868,7 @@ def test_checkpoint_round_trip(tmp_path):
 
     fresh = [Parameter(np.zeros((3, 2), dtype=np.float32), "b.w"),
              Parameter(np.zeros((4, 1)), "a.v")]
-    restore_parameters(fresh, tensors, path)
+    restore_parameters(fresh, tensors)
     assert np.array_equal(fresh[0].data, params[0].data)
 
 
@@ -878,18 +882,18 @@ def test_checkpoint_deterministic_bytes(tmp_path):
 
 def test_checkpoint_rejects_trailing_garbage(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, [Parameter(np.zeros((1, 1), dtype=np.float32), "w")])
+    save_checkpoint(path, [Parameter(np.zeros((1, 1), dtype=np.float32), "w")], {})
     with open(path, "ab") as fh:
         fh.write(b"junk")
     with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+        load_checkpoint(path, contents)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+        load_checkpoint(path, contents)
 
 
 def test_checkpoint_rejects_version_1(tmp_path):
@@ -899,7 +903,7 @@ def test_checkpoint_rejects_version_1(tmp_path):
     path.write_bytes(b"KBFC\x01" + struct.pack("<Q", len(header)) + header
                      + np.zeros(1, dtype="<f4").tobytes())
     with pytest.raises(CheckpointError, match="unsupported version"):
-        load_checkpoint(path)
+        load_checkpoint(path, contents)
 
 
 def sealed(body: bytes) -> bytes:
@@ -922,8 +926,35 @@ def sealed(body: bytes) -> bytes:
 def test_checkpoint_malformed_body_with_valid_crc(tmp_path, header, payload):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(sealed(MAGIC + struct.pack("<Q", len(header)) + header + payload))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+        load_checkpoint(path, contents)
+
+
+@pytest.mark.parametrize("exc, message", [
+    (KeyError("config"), "lacks key 'config'"),
+    (TypeError("'int' object is not subscriptable"), "'int' object is not subscriptable"),
+    (ValueError("hidden must be even"), "hidden must be even"),
+])
+def test_what_fit_refuses_is_a_checkpoint_error_naming_the_file(tmp_path, exc, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, [Parameter(np.zeros((1, 1), dtype=np.float32), "w")], {})
+
+    def fit(meta, tensors):
+        raise exc
+
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_checkpoint(path, fit)
+
+
+def test_fit_errors_of_other_kinds_pass_through(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, [Parameter(np.zeros((1, 1), dtype=np.float32), "w")], {})
+
+    def fit(meta, tensors):
+        raise ZeroDivisionError("not a misfit")
+
+    with pytest.raises(ZeroDivisionError):
+        load_checkpoint(path, fit)
 
 
 @pytest.fixture(scope="module")
@@ -944,7 +975,7 @@ def test_checkpoint_truncation_raises_checkpoint_error(ckpt_blob, data):
     path = folder / "truncated.ckpt"
     path.write_bytes(blob[:cut])
     with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+        load_checkpoint(path, contents)
 
 
 @settings(max_examples=200, deadline=None)
@@ -957,24 +988,22 @@ def test_checkpoint_bit_flip_raises_checkpoint_error(ckpt_blob, data):
     path = folder / "flipped.ckpt"
     path.write_bytes(bytes(flipped))
     with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+        load_checkpoint(path, contents)
 
 
 def test_restore_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, [Parameter(np.zeros((2, 2), dtype=np.float32), "w")])
-    _, tensors = load_checkpoint(path)
+    save_checkpoint(path, [Parameter(np.zeros((2, 2), dtype=np.float32), "w")], {})
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: shape mismatch"):
-        restore_parameters([Parameter(np.zeros((3, 3), dtype=np.float32), "w")],
-                           tensors, path)
+        load_checkpoint(path, lambda meta, tensors: restore_parameters(
+            [Parameter(np.zeros((3, 3), dtype=np.float32), "w")], tensors))
 
 
 def test_restore_rejects_tensor_no_parameter_names(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, [Parameter(np.zeros((2, 2), dtype=np.float32), "w"),
-                           Parameter(np.ones((1, 1), dtype=np.float32), "stale.b")])
-    _, tensors = load_checkpoint(path)
+                           Parameter(np.ones((1, 1), dtype=np.float32), "stale.b")], {})
     target = Parameter(np.full((2, 2), 5.0, dtype=np.float32), "w")
-    with pytest.raises(CheckpointError, match="'stale.b'"):
-        restore_parameters([target], tensors, path)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*'stale.b'"):
+        load_checkpoint(path, lambda meta, tensors: restore_parameters([target], tensors))
     assert np.all(target.data == 5.0)

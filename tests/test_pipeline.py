@@ -549,6 +549,13 @@ def test_missing_configured_input_names_stage_and_input(tiny_run, tmp_path):
         PipelineRunner(cfg).evaluate()
 
 
+# JSON values that are not an object, each with what indexing it by a key says
+NOT_AN_OBJECT = {"number": (5, "'int' object is not subscriptable"),
+                 "string": ("trained", "string indices must be integers"),
+                 "list": (["trained"], "list indices must be integers"),
+                 "null": (None, "'NoneType' object is not subscriptable")}
+
+
 @pytest.mark.parametrize("ckpt, edit, message", [
     # an re.ckpt written before REConfig lost freeze_word_vectors
     ("re.ckpt", lambda meta: meta["config"].update(freeze_word_vectors=False),
@@ -569,14 +576,26 @@ def test_missing_configured_input_names_stage_and_input(tiny_run, tmp_path):
      "duplicate symbols"),
     ("embeddings.vec", lambda meta: meta["symbols"].__setitem__(0, "two words"),
      "symbol 'two words' is empty or contains whitespace"),
+    # a non-string symbol used to fail the whitespace check unnamed
+    ("embeddings.vec", lambda meta: meta["symbols"].__setitem__(0, 5),
+     "symbol 5 is not a string"),
+    # a meta that is not a JSON object replaces the whole meta; an el.ckpt
+    # meta that is a number used to escape as a bare TypeError
+    *((ckpt, meta, message) for ckpt in ("re.ckpt", "el.ckpt", "embeddings.vec")
+      for meta, message in NOT_AN_OBJECT.values()),
 ], ids=["re-unknown-config-key", "re-no-relations", "re-odd-hidden", "re-negative-rate",
         "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-trained",
         "vec-no-symbols", "vec-symbols-a-string", "vec-duplicate-symbol",
-        "vec-whitespace-symbol"])
+        "vec-whitespace-symbol", "vec-symbol-a-number",
+        *(f"{kind}-meta-a-{shape}" for kind in ("re", "el", "vec") for shape in NOT_AN_OBJECT)])
 def test_checkpoint_meta_that_does_not_fit_is_a_checkpoint_error(tiny_run, tmp_path,
                                                                  ckpt, edit, message):
-    assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, lambda meta, _: edit(meta),
-                                   message)
+    if callable(edit):
+        assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, lambda meta, _: edit(meta),
+                                       message)
+    else:
+        assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, lambda *_: None, message,
+                                       meta=edit)
 
 
 @pytest.mark.parametrize("ckpt, edit, message", [
@@ -611,13 +630,18 @@ def as_parameters(tensors: dict) -> list:
     return [nn.Parameter(array, name) for name, array in tensors.items()]
 
 
-def assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, edit, message):
-    """A copy of the built ``ckpt`` after ``edit(meta, tensors)`` fails to
-    load with a CheckpointError that names the copy's path, then ``message``."""
-    meta, tensors = nn.load_checkpoint(tiny_run["out"] / ckpt)
-    edit(meta, tensors)
+KEEP = object()
+
+
+def assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, edit, message, meta=KEEP):
+    """A copy of the built ``ckpt`` after ``edit(meta, tensors)``, with
+    ``meta`` in place of its whole meta unless that is KEEP, fails to load
+    with a CheckpointError that names the copy's path, then ``message``."""
+    saved, tensors = nn.load_checkpoint(tiny_run["out"] / ckpt,
+                                        lambda meta, tensors: (meta, tensors))
+    edit(saved, tensors)
     forged = tmp_path / ckpt
-    nn.save_checkpoint(forged, as_parameters(tensors), meta)
+    nn.save_checkpoint(forged, as_parameters(tensors), saved if meta is KEEP else meta)
     runner = tiny_run["runner"]
     load = {"re.ckpt": load_model, "embeddings.vec": load_table,
             "el.ckpt": lambda path: linker.load_model(path, runner.embeddings(),
@@ -1369,7 +1393,7 @@ def corrupt(path: Path, how: str) -> None:
         i = len(data) // 2
         path.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
     elif data.startswith(MAGIC):
-        meta, tensors = nn.load_checkpoint(path)
+        meta, tensors = nn.load_checkpoint(path, lambda meta, tensors: (meta, tensors))
         name = min(tensors)
         tensors[name] = tensors[name].copy()
         tensors[name].flat[0] += 1

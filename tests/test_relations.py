@@ -666,7 +666,7 @@ def test_extract_requires_trained_model():
     kb = re_kb()
     model = tiny_model()
     with pytest.raises(RelationError):
-        extract([], kb, model)
+        extract([], kb, model, rejected_log=[])
 
 
 def test_templates_mined_from_kb():
