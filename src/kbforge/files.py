@@ -104,6 +104,13 @@ def json_int(value) -> int:
     return value
 
 
+def json_bool(value) -> bool:
+    """``value`` if it is a JSON boolean, else TypeError ("false" is truthy)."""
+    if type(value) is not bool:
+        raise TypeError(f"expected a boolean, found {value!r}")
+    return value
+
+
 def json_ints(value) -> list:
     """``value`` if it is a JSON array of integers, else TypeError; one
     check over the array, for arrays as long as a sentence."""

@@ -14,6 +14,7 @@ from . import nn
 from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span, make_span
 from .embeddings import EmbeddingTable, entity_symbol, knn_candidates
+from .files import json_bool
 from .kb import KnowledgeBase
 
 
@@ -392,7 +393,7 @@ def load_model(path, table: EmbeddingTable, cfg: ELConfig) -> ContextLinkerModel
     """The model save_model wrote, over ``table``."""
     def fit(meta, tensors):
         model = ContextLinkerModel(table, cfg)
-        model.trained = bool(meta["trained"])
+        model.trained = json_bool(meta["trained"])
         nn.restore_parameters(model.parameters(), tensors)
         return model
     return nn.load_checkpoint(path, fit)

@@ -421,16 +421,23 @@ def bilstm_sequence(x, fwd, bwd, lengths=None) -> Tensor:
     cells = np.empty((kept, 2, hd, B), dtype=dt)
     tanh_c = np.empty((kept, 2, hd, B), dtype=dt)
     hs = np.empty((T, 2, hd, B), dtype=dt)
+    # every step writes into these buffers and views, made once per call;
+    # each ufunc takes its out positionally, which costs less than out=
+    z = np.empty((2, 4 * hd, B), dtype=dt)   # gate pre-activations
+    z_g = z[:, 2 * hd:3 * hd]
+    ig = np.empty((2, hd, B), dtype=dt)      # input gate times candidate
+    slots = [(a, a[:, :hd], a[:, hd:2 * hd], a[:, 2 * hd:3 * hd], a[:, 3 * hd:], c, tc)
+             for a, c, tc in zip(acts, cells, tanh_c)]
     h = c = np.zeros((2, hd, B), dtype=dt)
     for t in range(T):
-        s = t % kept
-        z = zx[t] + wh @ h + bias
-        a = acts[s]
-        a[:] = 1.0 / (1.0 + np.exp(-z))
-        a[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
-        c = cells[s] = a[:, hd:2 * hd] * c + a[:, :hd] * a[:, 2 * hd:3 * hd]
-        tanh_c[s] = np.tanh(c)
-        h = hs[t] = a[:, 3 * hd:] * tanh_c[s]
+        a, gate_i, gate_f, gate_g, gate_o, c_t, tc = slots[t % kept]
+        np.add(np.add(zx[t], np.matmul(wh, h, z), z), bias, z)   # (zx[t] + wh @ h) + bias
+        np.divide(1.0, np.add(1.0, np.exp(np.negative(z, a), a), a), a)
+        np.tanh(z_g, gate_g)
+        np.multiply(gate_f, c, c_t)                 # f * c + i * g
+        np.add(c_t, np.multiply(gate_i, gate_g, ig), c_t)
+        np.tanh(c_t, tc)
+        c, h = c_t, np.multiply(gate_o, tc, hs[t])
 
     def by_column(per_step, d):
         """(n, rows) array whose row c is direction d's (T, 2, rows, B)

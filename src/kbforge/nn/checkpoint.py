@@ -93,7 +93,10 @@ def load_checkpoint(path, fit):
 def _parse(body: bytes):
     (hlen,) = struct.unpack("<Q", body[len(MAGIC):_PREFIX])
     end = _PREFIX + hlen
-    header = json.loads(body[_PREFIX:end].decode("utf-8"))
+    try:
+        header = json.loads(body[_PREFIX:end].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("invalid header JSON (nested too deeply)") from None
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         if entry["dtype"] not in _DTYPES:

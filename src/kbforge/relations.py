@@ -17,7 +17,7 @@ from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span
 from .datagen import Bag, collect_pair_sentences
 from .embeddings import init_vectors
-from .files import json_list, read_rows, write_rows
+from .files import json_bool, json_list, read_rows, write_rows
 from .kb import UNTYPED, KnowledgeBase, Triple, build_fact_type_templates
 
 NO_SPAN_TYPE = "O"
@@ -189,32 +189,35 @@ class REModel:
         edge between a token and its head when both are kept. The path holds
         the tokens above exactly one of the two last tokens, each above
         itself, and their lowest common ancestor. m is the longest
-        sentence's token count; block b is zero past its sentence's tokens."""
+        sentence's token count; block b is zero past its sentence's tokens.
+        One walk per instance lists its kept edges and self-loops; the
+        adjacency and its normalisation are built for the whole stack."""
         m = max(len(sentence.tokens) for sentence, _, _ in instances)
-        a_hat = np.zeros((len(instances), m, m), dtype=self.dtype)
-        for block, (sentence, subject_span, object_span) in zip(a_hat, instances):
+        ones = []   # flat (b, row, column) index of every 1 in the adjacency
+        for b, (sentence, subject_span, object_span) in enumerate(instances):
             heads = sentence.heads()
-            above = []
-            for t in (subject_span.end, object_span.end):
-                chain = [t]
-                while heads[t] != -1:
-                    t = heads[t]
-                    chain.append(t)
-                above.append(chain)
-            common = set(above[0]).intersection(above[1])
-            # the common ancestors end the chain: the first of them is the LCA
-            keep = (set(above[0]).symmetric_difference(above[1])
-                    | {above[0][-len(common)]}
-                    | set(range(subject_span.start, subject_span.end + 1))
-                    | set(range(object_span.start, object_span.end + 1)))
-            n = len(sentence.tokens)
-            adj = np.eye(n)
+            up = [subject_span.end]
+            while heads[up[-1]] != -1:
+                up.append(heads[up[-1]])
+            t, above, keep = object_span.end, set(up), set()
+            while t not in above:
+                keep.add(t)
+                t = heads[t]
+            # t is the lowest common ancestor, where the subject's chain stops
+            keep.update(up[:up.index(t) + 1], range(subject_span.start, subject_span.end + 1),
+                        range(object_span.start, object_span.end + 1))
+            base = b * m * m
             for t in keep:
                 if heads[t] in keep:
-                    adj[t, heads[t]] = adj[heads[t], t] = 1.0
-            d_inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
-            block[:n, :n] = adj * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-        return a_hat
+                    ones += (base + t * m + heads[t], base + heads[t] * m + t)
+            ones += range(base, base + len(heads) * (m + 1), m + 1)
+        adj = np.zeros((len(instances), m, m))
+        adj.reshape(-1)[ones] = 1.0
+        # a row past its sentence's tokens is zero: its degree is taken as 1
+        d_inv_sqrt = 1.0 / np.sqrt(np.maximum(adj.sum(axis=2), 1.0))
+        adj *= d_inv_sqrt[:, :, None]
+        adj *= d_inv_sqrt[:, None, :]
+        return adj.astype(self.dtype, copy=False)
 
     def cgcn_encode(self, x: nn.Tensor, a_hat: np.ndarray, lengths: np.ndarray,
                     offsets: np.ndarray) -> nn.Tensor:
@@ -444,7 +447,7 @@ def load_model(path) -> REModel:
     def fit(meta, tensors):
         model = REModel(REConfig(**meta["config"]), json_list(meta["relations"]),
                         *(json_list(meta[k]) for k in ("word_vocab", "type_vocab", "tag_vocab")))
-        model.trained = bool(meta["trained"])
+        model.trained = json_bool(meta["trained"])
         nn.restore_parameters(model.parameters(), tensors)
         return model
     return nn.load_checkpoint(path, fit)

@@ -483,6 +483,54 @@ def test_bilstm_sequence_under_no_grad_returns_the_recording_calls_output(data):
     assert forward_only.dtype == dtype and np.array_equal(forward_only.data, recorded.data)
 
 
+def bilstm_step_reference(x, fwd, bwd, lengths):
+    """bilstm_sequence's output from its step written as whole-array
+    expressions: z = (zx + wh @ h) + b, the gates' sigmoid as
+    1 / (1 + exp(-z)), c = f * c + i * g and h = o * tanh(c), both
+    directions of all sequences stepping together; step t of a sequence
+    of n columns reads its column t forwards and n - 1 - t backwards."""
+    firsts = np.cumsum(lengths) - lengths
+    T, B, hd = max(lengths), len(lengths), fwd[1].shape[1]
+    zx = np.zeros((T, 2, 4 * hd, B), dtype=x.dtype)
+    for d, (wx, _, _) in enumerate((fwd, bwd)):
+        projected = wx @ x
+        for s, (f, n) in enumerate(zip(firsts, lengths)):
+            zx[:n, d, :, s] = projected[:, f:f + n].T[::-1 if d else 1]
+    wh, bias = np.stack([fwd[1], bwd[1]]), np.stack([fwd[2], bwd[2]])
+    hs = np.empty((T, 2, hd, B), dtype=x.dtype)
+    h = c = np.zeros((2, hd, B), dtype=x.dtype)
+    for t in range(T):
+        z = zx[t] + wh @ h + bias
+        a = 1.0 / (1.0 + np.exp(-z))
+        a[:, 2 * hd:3 * hd] = np.tanh(z[:, 2 * hd:3 * hd])
+        c = a[:, hd:2 * hd] * c + a[:, :hd] * a[:, 2 * hd:3 * hd]
+        h = hs[t] = a[:, 3 * hd:] * np.tanh(c)
+    out = np.empty((2 * hd, x.shape[1]), dtype=x.dtype)
+    for s, (f, n) in enumerate(zip(firsts, lengths)):
+        out[:hd, f:f + n] = hs[:n, 0, :, s].T
+        out[hd:, f:f + n] = hs[:n, 1, :, s][::-1].T
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bilstm_sequence_float32_bits_equal_its_step_expressions(data):
+    # a single sequence without lengths runs its backward direction over a
+    # reversed view, so it is drawn on its own
+    hd, d_in = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    single = data.draw(st.booleans())
+    lengths = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=1 if single else 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    leaves = [Tensor(leaf.data.astype(np.float32), requires_grad=True)
+              for leaf in lstm_leaves(rng, d_in, hd, sum(lengths))]
+    x, *weights = (leaf.data for leaf in leaves)
+    want = bilstm_step_reference(x, weights[:3], weights[3:], lengths).tobytes()
+    run = lambda: bilstm(*leaves, lengths=None if single else lengths)
+    assert run().data.tobytes() == want
+    with no_grad():
+        assert run().data.tobytes() == want
+
+
 def test_no_grad_bilstm_peak_holds_one_steps_gates():
     # 100 sentences of 12 tokens: keeping every step's gates, cells and
     # tanh(c) for a backward that never runs peaked at 1.53 MiB
@@ -927,6 +975,17 @@ def test_checkpoint_malformed_body_with_valid_crc(tmp_path, header, payload):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(sealed(MAGIC + struct.pack("<Q", len(header)) + header + payload))
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+        load_checkpoint(path, contents)
+
+
+def test_checkpoint_header_nested_too_deeply_is_a_checkpoint_error(tmp_path):
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    depth = 100_000
+    header = b'{"meta": ' + b"[" * depth + b"]" * depth + b', "tensors": []}'
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(sealed(MAGIC + struct.pack("<Q", len(header)) + header))
+    message = "invalid header JSON (nested too deeply)"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_checkpoint(path, contents)
 
 

@@ -569,6 +569,9 @@ NOT_AN_OBJECT = {"number": (5, "'int' object is not subscriptable"),
     ("re.ckpt", lambda meta: meta.update(word_vocab="".join(meta["word_vocab"])),
      "expected a list"),
     ("el.ckpt", lambda meta: meta.pop("trained"), "lacks key 'trained'"),
+    # a truthy non-boolean used to load as a trained model
+    *((ckpt, lambda meta, v=value: meta.update(trained=v), f"expected a boolean, found {value!r}")
+      for ckpt in ("el.ckpt", "re.ckpt") for value in ("false", ["false"])),
     ("embeddings.vec", lambda meta: meta.pop("symbols"), "lacks key 'symbols'"),
     ("embeddings.vec", lambda meta: meta.update(symbols=" ".join(meta["symbols"])),
      "expected a list"),
@@ -585,6 +588,7 @@ NOT_AN_OBJECT = {"number": (5, "'int' object is not subscriptable"),
       for meta, message in NOT_AN_OBJECT.values()),
 ], ids=["re-unknown-config-key", "re-no-relations", "re-odd-hidden", "re-negative-rate",
         "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-trained",
+        "el-trained-a-string", "el-trained-a-list", "re-trained-a-string", "re-trained-a-list",
         "vec-no-symbols", "vec-symbols-a-string", "vec-duplicate-symbol",
         "vec-whitespace-symbol", "vec-symbol-a-number",
         *(f"{kind}-meta-a-{shape}" for kind in ("re", "el", "vec") for shape in NOT_AN_OBJECT)])

@@ -217,7 +217,7 @@ def instances(draw, sid):
 
 @st.composite
 def bags(draw):
-    size = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 24))
     return [draw(instances(f"s{i}")) for i in range(size)]
 
 
