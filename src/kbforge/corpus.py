@@ -124,6 +124,10 @@ def sentence_from_record(rec: dict, shared_tokens: dict | None = None,
                 for i, token in enumerate(tokens):
                     if token is None:
                         key = sys.intern(words[i]), sys.intern(pos[i]), heads[i]
+                        # a span's surface is its words joined by single spaces
+                        if key[0].split() != [key[0]]:
+                            raise CorpusError(f"sentence {sid!r}: token {i} {key[0]!r} "
+                                              "is empty or contains whitespace")
                         tokens[i] = cache[key] = Token(*key)
         except TypeError:  # an unhashable or non-string word or tag
             raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings") from None

@@ -13,7 +13,7 @@ import numpy as np
 from .bounds import bounded, check_bounds
 from .corpus import Sentence
 from .embeddings import EmbeddingTable
-from .files import json_int, json_list, read_json, read_jsonl, write_json, write_jsonl
+from .files import json_int, json_list, json_str, read_json, read_jsonl, write_json, write_jsonl
 from .kb import KnowledgeBase
 from .linker import GazetteerRecognizer, TrainableSpanClassifier, link_sentences
 # unused here, but bench/test_bench.py patches it at this import site
@@ -136,7 +136,7 @@ def load_generation_report(path) -> list[dict]:
     """The records write_generation_report wrote; DataGenError names the file."""
     return read_json(path, DataGenError, lambda doc: [
         {"round": json_int(r["round"]), "extracted": json_int(r["extracted"]),
-         "recognizer": r["recognizer"]} for r in json_list(doc["rounds"])])
+         "recognizer": json_str(r["recognizer"])} for r in json_list(doc["rounds"])])
 
 
 def collect_pair_sentences(corpus: list[Sentence]) -> dict[tuple[str, str], list[str]]:

@@ -104,6 +104,13 @@ def json_int(value) -> int:
     return value
 
 
+def json_str(value) -> str:
+    """``value`` if it is a JSON string, else TypeError."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, found {value!r}")
+    return value
+
+
 def json_bool(value) -> bool:
     """``value`` if it is a JSON boolean, else TypeError ("false" is truthy)."""
     if type(value) is not bool:

@@ -1,18 +1,15 @@
-"""Typed triple store: loading, neighbour and type indexes, and enrichment.
-
-The store is immutable by convention after load and safe to share between
-threads for reads; ``add_triples`` is the only mutator and callers must
-serialize it.
-"""
+"""Typed triple store: loading, and neighbour and type indexes. A KB is
+built once and never changes: an enriched KB is a new one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .files import read_rows, write_rows
 
 UNTYPED = "UNTYPED"
-_NO_IDS: frozenset[str] = frozenset()
+_EMPTY: frozenset[str] = frozenset()
 
 
 class KBError(Exception):
@@ -53,36 +50,45 @@ class Triple:
 
 class KnowledgeBase:
     """Entities plus triples, with each entity's neighbour set and the
-    relations between each ordered pair."""
+    relations between each ordered pair. Every triple is checked and every
+    index built once, here; the indexes are frozen and shared, not copied."""
 
     def __init__(self, entities, triples=()):
-        self._entities: dict[str, Entity] = {}
+        ents: dict[str, Entity] = {}
         for ent in entities:
-            if ent.id in self._entities:
+            if ent.id in ents:
                 raise KBError(f"duplicate entity id {ent.id!r}")
-            self._entities[ent.id] = ent
-        self._triples: set[Triple] = set()
-        self._neighbors: dict[str, set[str]] = {eid: set() for eid in self._entities}
-        self._pair_relations: dict[tuple[str, str], set[str]] = {}
+            ents[ent.id] = ent
+        self.entities = MappingProxyType(ents)
+        seen: set[Triple] = set()
+        neighbors: dict[str, set[str]] = {eid: set() for eid in ents}
+        pairs: dict[tuple[str, str], set[str]] = {}
+        for t in triples:
+            for eid in (t.subject, t.object):
+                if eid not in ents:
+                    raise UnknownEntityError(f"unknown entity id {eid!r} in triple {t}")
+            if t.subject == t.object:
+                raise KBError(f"reflexive triple {t} rejected")
+            seen.add(t)
+            neighbors[t.subject].add(t.object)
+            neighbors[t.object].add(t.subject)
+            pairs.setdefault((t.subject, t.object), set()).add(t.relation)
+        self._triples = frozenset(seen)
+        self._neighbors = {eid: frozenset(ids) for eid, ids in neighbors.items()}
+        self._pair_relations = {pair: frozenset(rels) for pair, rels in pairs.items()}
         by_alias: dict[str, set[str]] = {}
-        for ent in self._entities.values():
+        for ent in ents.values():
             for alias in ent.aliases:
                 by_alias.setdefault(alias, set()).add(ent.id)
         self._alias_index = {alias: frozenset(ids) for alias, ids in by_alias.items()}
         # the most tokens any alias has: the widest mention worth matching
         self.max_alias_tokens = max((len(a.split()) for a in self._alias_index), default=1)
-        self.add_triples(triples)
 
     # -- lookups ---------------------------------------------------------
 
-    @property
-    def entities(self) -> dict[str, Entity]:
-        """Read-only by convention."""
-        return self._entities
-
     def entity(self, entity_id: str) -> Entity:
         try:
-            return self._entities[entity_id]
+            return self.entities[entity_id]
         except KeyError:
             raise UnknownEntityError(f"unknown entity id {entity_id!r}") from None
 
@@ -91,7 +97,7 @@ class KnowledgeBase:
 
     @property
     def types(self) -> list[str]:
-        return sorted({e.entity_type for e in self._entities.values()})
+        return sorted({e.entity_type for e in self.entities.values()})
 
     @property
     def relations(self) -> list[str]:
@@ -111,47 +117,23 @@ class KnowledgeBase:
     def entities_by_alias(self, surface: str) -> frozenset[str]:
         """The ids of the entities with this alias; the index's own set,
         not a copy."""
-        return self._alias_index.get(surface, _NO_IDS)
+        return self._alias_index.get(surface, _EMPTY)
 
     # -- connectivity ----------------------------------------------------
 
-    def neighbors(self, entity_id: str) -> set[str]:
+    def neighbors(self, entity_id: str) -> frozenset[str]:
         """The ids some triple links to entity_id, in either direction;
         the index's own set, not a copy."""
         self.entity(entity_id)
         return self._neighbors[entity_id]
 
-    def relations_between(self, subject: str, object_: str) -> set[str]:
-        """Relations r with (subject, r, object) in the triple set. Ordered:
-        relations_between(s, o) says nothing about (o, s)."""
+    def relations_between(self, subject: str, object_: str) -> frozenset[str]:
+        """Relations r with (subject, r, object) in the triple set; the
+        index's own set, not a copy. Ordered: relations_between(s, o) says
+        nothing about (o, s)."""
         self.entity(subject)
         self.entity(object_)
-        return set(self._pair_relations.get((subject, object_), ()))
-
-    # -- enrichment ------------------------------------------------------
-
-    def add_triples(self, new_triples) -> int:
-        """Add triples, updating all indexes. All-or-nothing: any bad id or
-        reflexive triple raises before the KB is touched. Returns the number
-        of genuinely new triples."""
-        batch = list(new_triples)
-        for t in batch:
-            if t.subject not in self._entities:
-                raise UnknownEntityError(f"unknown entity id {t.subject!r} in triple {t}")
-            if t.object not in self._entities:
-                raise UnknownEntityError(f"unknown entity id {t.object!r} in triple {t}")
-            if t.subject == t.object:
-                raise KBError(f"reflexive triple {t} rejected")
-        added = 0
-        for t in batch:
-            if t in self._triples:
-                continue
-            self._triples.add(t)
-            self._neighbors[t.subject].add(t.object)
-            self._neighbors[t.object].add(t.subject)
-            self._pair_relations.setdefault((t.subject, t.object), set()).add(t.relation)
-            added += 1
-        return added
+        return self._pair_relations.get((subject, object_), _EMPTY)
 
 
 def build_fact_type_templates(kb: KnowledgeBase) -> dict[str, tuple[frozenset[str], frozenset[str]]]:

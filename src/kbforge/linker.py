@@ -281,7 +281,6 @@ class ContextLinkerModel:
     def _word_vec(self, surface: str) -> np.ndarray:
         if surface in self.table.index:
             return self.table.vector(surface)
-        self.oov_count += 1
         return np.zeros(self.table.dim, dtype=np.float32)
 
     def _span_vec(self, span: Span) -> np.ndarray:
@@ -354,6 +353,8 @@ def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
     Adam step on the mean hinge of every EL_BATCH consecutive items; a
     batch whose hinges are all 0 takes none."""
     model = ContextLinkerModel(table, cfg)
+    # the training corpus's tokens that have no table row
+    model.oov_count = sum(t.surface not in table.index for s in corpus for t in s.tokens)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     items = []
     for sentence in corpus:

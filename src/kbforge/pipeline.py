@@ -201,9 +201,10 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
                 for key, value in s.items():
                     setattr(cfg, key if key == "out_dir" else f"{key}_path", value)
             elif name == "pipeline":
-                # threads sets nothing; it is accepted because bench/run.py's
-                # config template still sets it
+                # threads sets nothing; it is accepted, as an integer, because
+                # bench/run.py's config template still sets it
                 _check_keys(s, ("seed", "threads"))
+                _number(s, "threads", 0)
                 cfg.seed = _number(s, "seed", cfg.seed)
                 check_bounds(cfg)
             elif name in ("embeddings", "bootstrap", "el", "ds", "re"):
@@ -322,12 +323,12 @@ def _build_extract(r: PipelineRunner, accepted_path, rejected_path) -> None:
 
 
 def _build_enrich(r: PipelineRunner, path, added_path) -> None:
-    """The KB plus the accepted triples it lacks; add_triples refuses a reflexive one."""
-    kb = load_kb(r.cfg.entities_path, r.cfg.triples_path)
+    """A new KB: the runner's plus the accepted triples it lacks, checked as any KB's."""
+    kb = r.kb()
     added = sorted((t for t in r.extracted()[0] if t.triple() not in kb),
                    key=ExtractedTriple.triple)
-    kb.add_triples(t.triple() for t in added)
-    save_triples(kb, path)
+    save_triples(KnowledgeBase(kb.entities.values(),
+                               [*kb.iter_triples(), *(t.triple() for t in added)]), path)
     write_rows(added_path, ((t.subject, t.relation, t.object, ",".join(sorted(t.sentence_ids)))
                             for t in added))
 

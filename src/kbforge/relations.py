@@ -7,6 +7,7 @@ triples.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 
@@ -422,7 +423,10 @@ def save_extraction(accepted, rejected, accepted_path, rejected_path) -> None:
 
 
 def _accepted_triple(s, rel, o, conf, sids) -> ExtractedTriple:
-    return ExtractedTriple(sys.intern(s), sys.intern(rel), sys.intern(o), float(conf),
+    # a sigmoid score is finite: anything else is a corrupted file
+    if not math.isfinite(confidence := float(conf)):
+        raise RelationError(f"confidence {conf!r} is not finite")
+    return ExtractedTriple(sys.intern(s), sys.intern(rel), sys.intern(o), confidence,
                            tuple(map(sys.intern, sids.split(","))) if sids else ())
 
 

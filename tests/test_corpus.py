@@ -136,6 +136,16 @@ def test_records_share_interned_strings_and_reject_non_strings():
             sentence_from_record(bad)
 
 
+@pytest.mark.parametrize("word", ["", "New York", " York", "York\t", "New\u00a0York"],
+                         ids=["empty", "space", "leading-space", "tab", "no-break-space"])
+def test_records_reject_a_token_that_is_empty_or_holds_whitespace(word):
+    # a span's surface is its tokens joined by single spaces
+    rec = {"id": "a", "tokens": ["Tony", "met", word]}
+    with pytest.raises(CorpusError) as err:
+        sentence_from_record(rec)
+    assert str(err.value) == f"sentence 'a': token 2 {word!r} is empty or contains whitespace"
+
+
 def test_corpus_file_round_trip(tmp_path):
     s = toy_sentence()
     path = tmp_path / "c.jsonl"

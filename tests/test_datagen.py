@@ -158,8 +158,10 @@ def test_generation_report_schema(tmp_path):
 @pytest.mark.parametrize("doc", [
     {"rounds": "gazetteer"}, {"rounds": [{"round": "1", "extracted": 7, "recognizer": "g"}]},
     {"rounds": [{"round": 1, "extracted": 7}]}, {"rounds": [[1, 7, "g"]]}, {},
+    {"rounds": [{"round": 1, "extracted": 7, "recognizer": [1, 2]}]},
+    {"rounds": [{"round": 1, "extracted": 7, "recognizer": None}]},
 ], ids=["rounds-not-a-list", "round-not-an-int", "no-recognizer", "record-not-an-object",
-        "no-rounds"])
+        "no-rounds", "recognizer-a-list", "recognizer-null"])
 def test_generation_report_that_does_not_fit_is_a_datagen_error(tmp_path, doc):
     path = tmp_path / "rounds.json"
     path.write_text(json.dumps(doc))

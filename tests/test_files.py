@@ -200,13 +200,21 @@ def test_reader_errors_name_file_and_line(tmp_path, content, read, where):
     assert str(err.value).startswith(f"{path}{where}")
 
 
-# each leaked an untyped error before the loaders moved onto kbforge.files
+# each leaked an untyped error before the loaders moved onto kbforge.files, or
+# (a non-finite confidence, a token with a space) loaded as it was
 @pytest.mark.parametrize("content, load, error, where", [
     ("s1\tx\t3\te1\n", load_gold_links, KBLoadError, ":1:"),
     ("a\tr\tb\thigh\ts1\n", lambda p: load_extraction(p, p), RelationError, ":1:"),
+    ("a\tr\tb\tnan\ts1\n", lambda p: load_extraction(p, p), RelationError,
+     ":1: confidence 'nan' is not finite"),
+    ("a\tr\tb\t0.5\ts1\na\tr\tc\t-inf\ts1\n", lambda p: load_extraction(p, p), RelationError,
+     ":2: confidence '-inf' is not finite"),
     ('{"el": {}, "extra": 1}\n', lambda p: pipeline.STAGES["evaluate"].load(None, p),
      PipelineError, ":1:"),
-], ids=["gold-offset", "extract-confidence", "metrics-key"])
+    ('{"id": "s1", "tokens": ["New York", "is", ""]}\n', ingest_corpus, CorpusError,
+     ":1: sentence 's1': token 0 'New York' is empty or contains whitespace"),
+], ids=["gold-offset", "extract-confidence", "extract-confidence-nan",
+        "extract-confidence-inf", "metrics-key", "corpus-token-whitespace"])
 def test_loader_errors_are_typed(tmp_path, content, load, error, where):
     path = tmp_path / "f"
     path.write_text(content)

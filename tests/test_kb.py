@@ -87,16 +87,45 @@ def test_relations_between_directional():
     assert kb.relations_between("e1", "e2") == set()
 
 
-def test_add_triples_all_or_nothing():
+@pytest.mark.parametrize("bad, error", [
+    (Triple("e1", "r", "nope"), UnknownEntityError),
+    (Triple("nope", "r", "e1"), UnknownEntityError),
+    (Triple("e1", "r", "e1"), KBError),
+], ids=["unknown-object", "unknown-subject", "reflexive"])
+def test_constructor_refuses_a_bad_triple_among_good_ones(bad, error):
     kb = small_kb()
-    before = kb.triple_count
-    with pytest.raises(UnknownEntityError):
-        kb.add_triples([Triple("e1", "r", "e3"), Triple("e1", "r", "nope")])
-    assert kb.triple_count == before
-    added = kb.add_triples([Triple("e1", "r", "e3"),
-                            Triple("e2", "stars_in", "e1")])
-    assert added == 1
-    assert kb.triple_count == before + 1
+    with pytest.raises(error):
+        KnowledgeBase(kb.entities.values(), [*kb.iter_triples(), Triple("e1", "r", "e3"), bad])
+
+
+def test_constructor_collapses_a_repeated_triple():
+    kb = small_kb()
+    enriched = KnowledgeBase(kb.entities.values(), [*kb.iter_triples(), Triple("e1", "r", "e3"),
+                                                    Triple("e2", "stars_in", "e1"),
+                                                    Triple("e1", "r", "e3")])
+    assert enriched.triple_count == kb.triple_count + 1
+    assert enriched.neighbors("e1") == {"e2", "e3"}
+    assert enriched.relations_between("e1", "e3") == {"r"}
+    # the KB it was built from is as it was
+    assert Triple("e1", "r", "e3") not in kb and kb.neighbors("e1") == {"e2"}
+
+
+def test_a_kb_cannot_be_changed_through_what_it_returns():
+    kb = small_kb()
+    with pytest.raises(TypeError):
+        kb.entities["e4"] = Entity("e4", "Jarvis")
+    with pytest.raises(TypeError):
+        del kb.entities["e1"]
+    with pytest.raises(AttributeError):
+        kb.neighbors("e2").add("e3")
+    with pytest.raises(AttributeError):
+        kb.relations_between("e2", "e1").add("r")
+    with pytest.raises(AttributeError):
+        kb.relations_between("e1", "e2").add("r")
+    assert not hasattr(kb, "add_triples")
+    # lookups return the index's own sets
+    assert kb.neighbors("e2") is kb.neighbors("e2")
+    assert kb.relations_between("e2", "e1") is kb.relations_between("e2", "e1")
 
 
 def test_iter_triples_sorted():

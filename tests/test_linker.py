@@ -405,6 +405,20 @@ def trained_model(kb=None):
     return table, train_context_linker(linked_corpus(), kb, table, cfg)
 
 
+def test_oov_count_is_the_training_tokens_without_a_row_and_linking_leaves_it():
+    kb = stark_kb()
+    # "floors" has no table row, and the training corpus holds it once
+    table = small_table(["Stark", "built", "suits", "has", "met", "Pepper"], ["e1", "e2", "e3"])
+    model = train_context_linker(linked_corpus(), kb, table,
+                                 ELConfig(hidden=4, mlp_hidden=8, epochs=2, knn_k=0, seed=3))
+    assert model.oov_count == 1
+    # "Zorro" has no row either; the context step reads its vector
+    (decision,) = link(mk_sentence(["Stark", "met", "Zorro"]), kb, table, model,
+                       GazetteerRecognizer(kb), 0)
+    assert decision.method == "context"
+    assert model.oov_count == 1
+
+
 def test_context_scores_are_pure_and_bounded():
     table, model = trained_model()
     sent = mk_sentence(["Stark", "met", "Pepper"])

@@ -991,6 +991,42 @@ def test_enrich_writes_an_accepted_triple_new_to_the_kb(tiny_run, tmp_path, monk
     assert set(grown.iter_triples()) == set(kb.iter_triples()) | {new.triple()}
 
 
+@pytest.mark.parametrize("other, message", [(None, "reflexive triple"),
+                                             ("ghost", "unknown entity id 'ghost'")],
+                         ids=["reflexive", "unknown-entity"])
+def test_enrich_refuses_a_bad_triple_and_leaves_the_runners_kb(tiny_run, tmp_path,
+                                                              monkeypatch, other, message):
+    out = tmp_path / "artifacts"
+    shutil.copytree(tiny_run["out"], out)
+    (out / "enriched_triples.tsv").unlink()
+    runner = PipelineRunner(load_config(write_tiny_config(tiny_run["fixture"], out)))
+    kb, (accepted, rejected) = runner.kb(), runner.extracted()
+    before = list(kb.iter_triples())
+    subject, relation = accepted[0].subject, accepted[0].relation
+    bad = ExtractedTriple(subject, relation, other or subject, 0.9, ("s1",))
+    monkeypatch.setattr(runner, "extracted", lambda: (accepted + [bad], rejected))
+    with pytest.raises(PipelineError, match=f"^stage enrich: {message}"):
+        runner.enriched()
+    assert runner.kb() is kb and list(kb.iter_triples()) == before
+
+
+def test_a_build_loads_the_kb_once_and_leaves_it_as_loaded(tiny_fixture, tmp_path,
+                                                           monkeypatch):
+    loads = []
+    real = pipeline.load_kb
+    monkeypatch.setattr(pipeline, "load_kb", lambda *paths: loads.append(paths) or real(*paths))
+    runner = PipelineRunner(load_config(write_tiny_config(tiny_fixture, tmp_path / "artifacts")))
+    runner.evaluate()
+    assert all(runner.stage_ran.values()) and len(loads) == 1
+    kb, fresh = runner.kb(), real(*loads[0])
+    assert list(kb.iter_triples()) == list(fresh.iter_triples())
+    ids = sorted(fresh.entities)
+    assert sorted(kb.entities) == ids
+    assert all(kb.neighbors(e) == fresh.neighbors(e) for e in ids)
+    assert all(kb.relations_between(s, o) == fresh.relations_between(s, o)
+               for s in ids for o in ids)
+
+
 def test_extracted_triples_hold_no_repeat_and_no_reflexive_triple(tiny_run):
     accepted, rejected = tiny_run["runner"].extracted()
     triples = [t.triple() for t in accepted] + [t for t, _ in rejected]
@@ -1260,6 +1296,7 @@ def test_cli_error_is_not_a_traceback(capsys):
     (b"[re]\nthreshold_init = nan\n", "[re] threshold_init must be a finite number"),
     (b"[re]\ndown_weight = inf\n", "[re] down_weight must be a finite number > 0"),
     (b"[pipeline]\nseed = -3\n", "[pipeline] seed must be at least 0"),
+    (b"[pipeline]\nthreads = banana\n", "[pipeline] threads = 'banana' is not an integer"),
     # a misspelt section used to be skipped, leaving its stage at the defaults
     (b"[embedding]\ndim = 8\n", "unknown config section [embedding]"),
     (b"[relations]\nepochs = 1\n", "unknown config section [relations]"),
@@ -1276,6 +1313,7 @@ def test_cli_error_is_not_a_traceback(capsys):
         "bootstrap-classifier-lr-nan", "el-hidden-zero", "el-mlp-hidden-zero",
         "re-conv-width-zero", "re-max-pos-negative", "el-margin-nan", "el-margin-negative",
         "re-threshold-init-nan", "re-down-weight-inf", "pipeline-seed-negative",
+        "pipeline-threads",
         "section-embedding", "section-relations", "section-default"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, ini, message):
     path = tmp_path / "c.ini"
