@@ -7,6 +7,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -145,11 +146,8 @@ def collect_pair_sentences(corpus: list[Sentence]) -> dict[tuple[str, str], list
     pairs: dict[tuple[str, str], list[str]] = {}
     for sentence in corpus:
         linked = sorted({sp.linked for sp in sentence.spans if sp.linked})
-        for s in linked:
-            for o in linked:
-                if s == o:
-                    continue
-                pairs.setdefault((s, o), []).append(sentence.id)
+        for pair in permutations(linked, 2):
+            pairs.setdefault(pair, []).append(sentence.id)
     return pairs
 
 

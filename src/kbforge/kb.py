@@ -48,39 +48,44 @@ class Triple:
     object: str
 
 
+def _admit(ents: dict[str, Entity], ent: Entity) -> None:
+    if ent.id in ents:
+        raise KBError(f"duplicate entity id {ent.id!r}")
+    ents[ent.id] = ent
+
+
+def _checked(ents: dict[str, Entity], t: Triple) -> Triple:
+    for eid in (t.subject, t.object):
+        if eid not in ents:
+            raise UnknownEntityError(f"unknown entity id {eid!r}")
+    if t.subject == t.object:
+        raise KBError(f"reflexive triple {t.subject!r} -> {t.object!r}")
+    return t
+
+
 class KnowledgeBase:
     """Entities plus triples, with each entity's neighbour set and the
-    relations between each ordered pair. Every triple is checked and every
-    index built once, here; the indexes are frozen and shared, not copied."""
+    relations between each ordered pair, checked by ``_admit`` and ``_checked``;
+    every index is built once, here, frozen and shared, not copied."""
 
     def __init__(self, entities, triples=()):
         ents: dict[str, Entity] = {}
+        by_alias: dict[str, set[str]] = {}
         for ent in entities:
-            if ent.id in ents:
-                raise KBError(f"duplicate entity id {ent.id!r}")
-            ents[ent.id] = ent
+            _admit(ents, ent)
+            for alias in ent.aliases:
+                by_alias.setdefault(alias, set()).add(ent.id)
         self.entities = MappingProxyType(ents)
-        seen: set[Triple] = set()
+        self._alias_index = {alias: frozenset(ids) for alias, ids in by_alias.items()}
+        self._triples = frozenset(_checked(ents, t) for t in triples)
         neighbors: dict[str, set[str]] = {eid: set() for eid in ents}
         pairs: dict[tuple[str, str], set[str]] = {}
-        for t in triples:
-            for eid in (t.subject, t.object):
-                if eid not in ents:
-                    raise UnknownEntityError(f"unknown entity id {eid!r} in triple {t}")
-            if t.subject == t.object:
-                raise KBError(f"reflexive triple {t} rejected")
-            seen.add(t)
+        for t in self._triples:
             neighbors[t.subject].add(t.object)
             neighbors[t.object].add(t.subject)
             pairs.setdefault((t.subject, t.object), set()).add(t.relation)
-        self._triples = frozenset(seen)
         self._neighbors = {eid: frozenset(ids) for eid, ids in neighbors.items()}
         self._pair_relations = {pair: frozenset(rels) for pair, rels in pairs.items()}
-        by_alias: dict[str, set[str]] = {}
-        for ent in ents.values():
-            for alias in ent.aliases:
-                by_alias.setdefault(alias, set()).add(ent.id)
-        self._alias_index = {alias: frozenset(ids) for alias, ids in by_alias.items()}
         # the most tokens any alias has: the widest mention worth matching
         self.max_alias_tokens = max((len(a.split()) for a in self._alias_index), default=1)
 
@@ -148,32 +153,27 @@ def build_fact_type_templates(kb: KnowledgeBase) -> dict[str, tuple[frozenset[st
 
 
 def load_kb(entity_file, triple_file) -> KnowledgeBase:
-    """Load a KB from the two TSV files.
+    """Load a KB from the two TSV files; a row the KB refuses names its FILE:LINE.
 
     entity file rows: id<TAB>type<TAB>canonical_name[<TAB>alias1|alias2|...]
     triple file rows: subject_id<TAB>relation_id<TAB>object_id
     """
-    seen: set[str] = set()
+    ents: dict[str, Entity] = {}
+
+    def row(rule, make):
+        def convert(*fields):
+            try:
+                return rule(ents, make(*fields))
+            except KBError as exc:
+                raise KBLoadError(str(exc)) from None
+        return convert
 
     def entity(eid, etype, name, aliases="") -> Entity:
-        if eid in seen:
-            raise KBLoadError(f"duplicate entity id {eid!r}")
-        seen.add(eid)
-        try:
-            return Entity(eid, name, tuple(a for a in aliases.split("|") if a), etype or UNTYPED)
-        except KBError as exc:
-            raise KBLoadError(str(exc)) from None
+        return Entity(eid, name, tuple(a for a in aliases.split("|") if a), etype or UNTYPED)
 
-    def triple(s, r, o) -> Triple:
-        for eid in (s, o):
-            if eid not in seen:
-                raise KBLoadError(f"unknown entity id {eid!r}")
-        if s == o:
-            raise KBLoadError(f"reflexive triple {s!r} -> {o!r}")
-        return Triple(s, r, o)
-
-    entities = read_rows(entity_file, (3, 4), KBLoadError, entity)
-    return KnowledgeBase(entities, read_rows(triple_file, 3, KBLoadError, triple))
+    read_rows(entity_file, (3, 4), KBLoadError, row(_admit, entity))
+    triples = read_rows(triple_file, 3, KBLoadError, row(_checked, Triple))
+    return KnowledgeBase(ents.values(), triples)
 
 
 def save_triples(kb: KnowledgeBase, path) -> None:

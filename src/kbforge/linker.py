@@ -14,7 +14,7 @@ from . import nn
 from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span, make_span
 from .embeddings import EmbeddingTable, entity_symbol, knn_candidates
-from .files import json_bool
+from .files import json_bool, json_int
 from .kb import KnowledgeBase
 
 
@@ -387,14 +387,15 @@ def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
 
 
 def save_model(model: ContextLinkerModel, path) -> None:
-    nn.save_checkpoint(path, model.parameters(), {"trained": model.trained})
+    nn.save_checkpoint(path, model.parameters(),
+                       {"trained": model.trained, "oov_count": model.oov_count})
 
 
 def load_model(path, table: EmbeddingTable, cfg: ELConfig) -> ContextLinkerModel:
     """The model save_model wrote, over ``table``."""
     def fit(meta, tensors):
         model = ContextLinkerModel(table, cfg)
-        model.trained = json_bool(meta["trained"])
+        model.trained, model.oov_count = json_bool(meta["trained"]), json_int(meta["oov_count"])
         nn.restore_parameters(model.parameters(), tensors)
         return model
     return nn.load_checkpoint(path, fit)

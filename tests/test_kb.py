@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kbforge.kb import (
     Entity,
@@ -180,3 +182,103 @@ def test_load_kb_duplicate_entity_id(tmp_path):
     with pytest.raises(KBLoadError) as err:
         load_kb(ents, trip)
     assert f"{ents}:2" in str(err.value)
+
+
+# -- the loader against the constructor, one fault at a time ------------------
+
+IDS = [f"e{i}" for i in range(6)]
+# lines the reader skips, each counted by FILE:LINE all the same
+BLANKS = st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2)
+
+
+@st.composite
+def entity_row(draw, eid):
+    row = (eid, draw(st.sampled_from(["", "T", "U"])),
+           draw(st.text("ab ", min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        row += ("|".join(draw(st.lists(st.sampled_from(["", "a", "b c"]), max_size=3))),)
+    return row
+
+
+def render(draw, rows) -> tuple[str, list[int]]:
+    """The file text of ``rows`` with skipped lines around them, and the
+    line number of each row."""
+    lines, numbers = [], []
+    for row in rows:
+        lines += draw(BLANKS)
+        lines.append("\t".join(row))
+        numbers.append(len(lines))
+    lines += draw(BLANKS)
+    return "".join(line + "\n" for line in lines), numbers
+
+
+def faulty_row(draw, fault, ents, trips, ids):
+    """(file, index, row, message) of one row that breaks ``fault``'s rule,
+    to go in at ``index`` among that file's rows."""
+    if fault == "duplicate-id":
+        at = draw(st.integers(1, len(ents)))
+        eid = draw(st.sampled_from([row[0] for row in ents[:at]]))
+        return "entities", at, draw(entity_row(eid)), f"duplicate entity id {eid!r}"
+    if fault == "empty-name":
+        row = ("x", draw(st.sampled_from(["", "T"])), "") + draw(st.sampled_from([(), ("a",)]))
+        return ("entities", draw(st.integers(0, len(ents))), row,
+                "entity 'x' has an empty canonical name")
+    if fault == "field-count":
+        which = draw(st.sampled_from(["entities", "triples"]))
+        width = draw(st.sampled_from([1, 2, 5] if which == "entities" else [1, 2, 4]))
+        expected = "3 or 4" if which == "entities" else "3"
+        return (which, draw(st.integers(0, len(ents if which == "entities" else trips))),
+                ("x",) * width, f"expected {expected} fields, found {width}")
+    at = draw(st.integers(0, len(trips)))
+    if fault == "unknown-id":
+        known = draw(st.sampled_from(ids))
+        row = draw(st.sampled_from([("ghost", "r", known), (known, "r", "ghost")]))
+        return "triples", at, row, "unknown entity id 'ghost'"
+    eid = draw(st.sampled_from(ids))  # reflexive
+    return "triples", at, (eid, "r", eid), f"reflexive triple {eid!r} -> {eid!r}"
+
+
+def kb_view(kb: KnowledgeBase):
+    """Everything a KB answers, in comparable form."""
+    ids = sorted(kb.entities)
+    return (dict(kb.entities), list(kb.iter_triples()), kb.max_alias_tokens,
+            {e: kb.neighbors(e) for e in ids},
+            {(s, o): kb.relations_between(s, o) for s in ids for o in ids},
+            {a: kb.entities_by_alias(a) for e in kb.entities.values() for a in e.aliases})
+
+
+@pytest.mark.parametrize("fault", [None, "duplicate-id", "unknown-id", "reflexive",
+                                   "empty-name", "field-count"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_kb_names_the_line_and_rule_of_a_bad_row_and_else_equals_the_constructor(
+        tmp_path, fault, data):
+    draw = data.draw
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=2, max_size=5, unique=True))
+    ents = [draw(entity_row(eid)) for eid in ids]
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(["r", "s"]), st.sampled_from(ids))
+    trips = draw(st.lists(pair.filter(lambda t: t[0] != t[2]), max_size=5))
+    rows = {"entities": ents, "triples": trips}
+    bad = None
+    if fault is not None:
+        which, at, row, message = faulty_row(draw, fault, ents, trips, ids)
+        rows[which] = rows[which][:at] + [row] + rows[which][at:]
+        bad = which, at
+    paths = {}
+    for which in ("entities", "triples"):
+        text, numbers = render(draw, rows[which])
+        paths[which] = tmp_path / f"{which}.tsv"
+        paths[which].write_text(text)
+        if bad and bad[0] == which:
+            bad_line = numbers[bad[1]]
+    if fault is None:
+        built = KnowledgeBase(
+            [Entity(eid, name, tuple(a for a in (more or [""])[0].split("|") if a),
+                    etype or UNTYPED) for eid, etype, name, *more in ents],
+            [Triple(*t) for t in trips])
+        assert kb_view(load_kb(paths["entities"], paths["triples"])) == kb_view(built)
+    else:
+        with pytest.raises(KBLoadError) as err:
+            load_kb(paths["entities"], paths["triples"])
+        assert str(err.value) == f"{paths[bad[0]]}:{bad_line}: {message}"

@@ -419,6 +419,16 @@ def test_oov_count_is_the_training_tokens_without_a_row_and_linking_leaves_it():
     assert model.oov_count == 1
 
 
+def test_oov_count_survives_a_save_and_load(tmp_path):
+    kb = stark_kb()
+    # "floors" has no table row, and the training corpus holds it once
+    table = small_table(["Stark", "built", "suits", "has", "met", "Pepper"], ["e1", "e2", "e3"])
+    cfg = ELConfig(hidden=4, mlp_hidden=8, epochs=1, knn_k=0, seed=3)
+    linker.save_model(train_context_linker(linked_corpus(), kb, table, cfg), tmp_path / "el.ckpt")
+    loaded = linker.load_model(tmp_path / "el.ckpt", table, cfg)
+    assert loaded.oov_count == 1 and loaded.trained
+
+
 def test_context_scores_are_pure_and_bounded():
     table, model = trained_model()
     sent = mk_sentence(["Stark", "met", "Pepper"])

@@ -27,7 +27,7 @@ from kbforge.datagen import (
     load_bags,
     split_dataset,
 )
-from kbforge.embeddings import SkipGramConfig, load_table
+from kbforge.embeddings import EmbeddingTable, SkipGramConfig, load_table
 from kbforge.kb import Triple, load_kb
 from kbforge.linker import (
     ELConfig,
@@ -572,6 +572,9 @@ NOT_AN_OBJECT = {"number": (5, "'int' object is not subscriptable"),
     # a truthy non-boolean used to load as a trained model
     *((ckpt, lambda meta, v=value: meta.update(trained=v), f"expected a boolean, found {value!r}")
       for ckpt in ("el.ckpt", "re.ckpt") for value in ("false", ["false"])),
+    ("el.ckpt", lambda meta: meta.pop("oov_count"), "lacks key 'oov_count'"),
+    *(("el.ckpt", lambda meta, v=value: meta.update(oov_count=v),
+       f"expected an integer, found {value!r}") for value in ("1", 1.0, True)),
     ("embeddings.vec", lambda meta: meta.pop("symbols"), "lacks key 'symbols'"),
     ("embeddings.vec", lambda meta: meta.update(symbols=" ".join(meta["symbols"])),
      "expected a list"),
@@ -589,6 +592,7 @@ NOT_AN_OBJECT = {"number": (5, "'int' object is not subscriptable"),
 ], ids=["re-unknown-config-key", "re-no-relations", "re-odd-hidden", "re-negative-rate",
         "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-trained",
         "el-trained-a-string", "el-trained-a-list", "re-trained-a-string", "re-trained-a-list",
+        "el-no-oov-count", "el-oov-count-a-string", "el-oov-count-a-float", "el-oov-count-a-bool",
         "vec-no-symbols", "vec-symbols-a-string", "vec-duplicate-symbol",
         "vec-whitespace-symbol", "vec-symbol-a-number",
         *(f"{kind}-meta-a-{shape}" for kind in ("re", "el", "vec") for shape in NOT_AN_OBJECT)])
@@ -653,6 +657,26 @@ def assert_forged_checkpoint_fails(tiny_run, tmp_path, ckpt, edit, message, meta
     with pytest.raises(nn.CheckpointError,
                        match=f"^{re.escape(str(forged))}: .*{re.escape(message)}"):
         load(forged)
+
+
+def test_fresh_and_cache_hit_runners_report_the_trained_oov_count(tiny_run, tmp_path,
+                                                                    monkeypatch):
+    # the pipeline's table holds every corpus word; train EL on one that lacks
+    # a word, then read the count back from a runner that hits the cache
+    out = tmp_path / "artifacts"
+    shutil.copytree(tiny_run["out"], out)
+    (out / "el.ckpt").unlink()
+    cfg = load_config(write_tiny_config(tiny_run["fixture"], out))
+    runner = PipelineRunner(cfg)
+    table, corpus = runner.embeddings(), runner.bootstrap()[0]
+    word = corpus[0].tokens[0].surface
+    rows = [i for i, symbol in enumerate(table.symbols) if symbol != word]
+    lacking = EmbeddingTable([table.symbols[i] for i in rows], table.vectors[rows])
+    monkeypatch.setattr(runner, "embeddings", lambda: lacking)
+    count = sum(t.surface == word for s in corpus for t in s.tokens)
+    assert runner.el_model().oov_count == count > 0 and runner.stage_ran["el"]
+    again = PipelineRunner(cfg)
+    assert again.el_model().oov_count == count and not again.stage_ran["el"]
 
 
 def rerun_on_copy(tiny_run, tmp_path, edit):
