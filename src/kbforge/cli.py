@@ -72,10 +72,9 @@ SUMMARIES = {
     "bootstrap": lambda r: [("round", e["round"], e["extracted"], e["recognizer"])
                             for e in r.bootstrap()[1]]
                            + [("sentences", len(r.bootstrap()[0]))],
-    "train-el": lambda r: [("trained", r.el_model().trained)],
+    "train-el": lambda r: [("oov_count", r.el_model().oov_count)],
     "gen-bags": lambda r: [(name, len(r.bags()[name])) for name in BAG_SPLITS],
-    "train-re": lambda r: [("relations", len(r.re_model().relations)),
-                           ("trained", r.re_model().trained)],
+    "train-re": lambda r: [("relations", len(r.re_model().relations))],
     "extract": lambda r: [("accepted", len(r.extracted()[0])),
                           ("rejected", len(r.extracted()[1]))],
     "enrich": lambda r: [("added", r.enriched())],

@@ -14,7 +14,7 @@ from . import nn
 from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span, make_span
 from .embeddings import EmbeddingTable, entity_symbol, knn_candidates
-from .files import json_bool, json_int
+from .files import json_int
 from .kb import KnowledgeBase
 
 
@@ -104,7 +104,6 @@ class TrainableSpanClassifier:
         self.weights = np.zeros(self.feature_dim, dtype=np.float64)
         self.bias = 0.0
         self.max_span_len = 1
-        self.trained = False
 
     def _bucket(self, feat: str) -> int:
         return zlib.crc32(feat.encode("utf-8")) % self.feature_dim
@@ -186,11 +185,8 @@ class TrainableSpanClassifier:
                 bias -= step
         self.weights[:] = w
         self.bias = bias
-        self.trained = True
 
     def recognize(self, sentence: Sentence) -> list[Span]:
-        if not self.trained:
-            raise LinkError("span classifier used before training")
         ngrams = self._ngrams(sentence)
         p = 1.0 / (1.0 + np.exp(-(self.weights[self._feature_rows(sentence, ngrams)].sum(axis=1)
                                   + self.bias)))
@@ -271,7 +267,6 @@ class ContextLinkerModel:
         self.encoder = nn.BiLSTM(d, cfg.hidden, rng, "el.encoder")
         self.scorer = nn.TwoLayerScorer(2 * cfg.hidden + 2 * d, cfg.mlp_hidden, 1,
                                         rng, "el.scorer")
-        self.trained = False
         self.oov_count = 0
         self.epoch_losses: list[float] = []
 
@@ -326,8 +321,6 @@ class ContextLinkerModel:
         pass. ``open_spans`` holds (column, span, entities), where column
         ``column`` of ``v_c``, from ``_context_vec``, encodes the span's
         sentence; that column and the span vector repeat once per entity."""
-        if not self.trained:
-            raise LinkError("context linker used before training")
         columns = [col for col, _, entities in open_spans for _ in entities]
         if not columns:
             return [[] for _ in open_spans]
@@ -382,20 +375,18 @@ def train_context_linker(corpus: list[Sentence], kb: KnowledgeBase,
 
     model.epoch_losses = nn.fit(model.parameters(), cfg.learning_rate, cfg.epochs,
                                 len(items), EL_BATCH, rng, loss_of)
-    model.trained = True
     return model
 
 
 def save_model(model: ContextLinkerModel, path) -> None:
-    nn.save_checkpoint(path, model.parameters(),
-                       {"trained": model.trained, "oov_count": model.oov_count})
+    nn.save_checkpoint(path, model.parameters(), {"oov_count": model.oov_count})
 
 
 def load_model(path, table: EmbeddingTable, cfg: ELConfig) -> ContextLinkerModel:
     """The model save_model wrote, over ``table``."""
     def fit(meta, tensors):
         model = ContextLinkerModel(table, cfg)
-        model.trained, model.oov_count = json_bool(meta["trained"]), json_int(meta["oov_count"])
+        model.oov_count = json_int(meta["oov_count"])
         nn.restore_parameters(model.parameters(), tensors)
         return model
     return nn.load_checkpoint(path, fit)

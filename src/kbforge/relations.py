@@ -18,7 +18,7 @@ from .bounds import bounded, check_bounds
 from .corpus import Sentence, Span
 from .datagen import Bag, collect_pair_sentences
 from .embeddings import init_vectors
-from .files import json_bool, json_list, read_rows, write_rows
+from .files import json_list, read_rows, write_rows
 from .kb import UNTYPED, KnowledgeBase, Triple, build_fact_type_templates
 
 NO_SPAN_TYPE = "O"
@@ -109,7 +109,6 @@ class REModel:
                                       self.dtype)
         self.threshold = nn.Parameter(
             np.full((1, 1), cfg.threshold_init, dtype=self.dtype), "re.threshold")
-        self.trained = False
         self.epoch_losses: list[float] = []
 
     @staticmethod
@@ -355,7 +354,6 @@ def train_re(bags: list[Bag], sentences_by_id: dict[str, Sentence],
 
     model.epoch_losses = nn.fit(model.parameters(), cfg.learning_rate, cfg.epochs,
                                 len(bags), RE_BATCH, rng, loss_of)
-    model.trained = True
     return model
 
 
@@ -392,8 +390,6 @@ def extract(corpus: list[Sentence], kb: KnowledgeBase, model: REModel,
     """Group linked sentences into ordered-pair bags, predict, expand to
     triples, and keep only template-valid ones; the others go to
     ``rejected_log`` with their reasons."""
-    if not model.trained:
-        raise RelationError("extraction requires a trained model")
     template = build_fact_type_templates(kb)
     entity_types = {e: kb.entity_type(e) for e in kb.entities}
     sentences_by_id = {s.id: s for s in corpus}
@@ -443,7 +439,7 @@ def save_model(model: REModel, path) -> None:
     nn.save_checkpoint(path, model.parameters(), {
         "config": dataclasses.asdict(model.cfg), "relations": model.relations,
         "word_vocab": list(model.word_index), "type_vocab": list(model.type_index),
-        "tag_vocab": list(model.tag_index), "trained": model.trained})
+        "tag_vocab": list(model.tag_index)})
 
 
 def load_model(path) -> REModel:
@@ -451,7 +447,6 @@ def load_model(path) -> REModel:
     def fit(meta, tensors):
         model = REModel(REConfig(**meta["config"]), json_list(meta["relations"]),
                         *(json_list(meta[k]) for k in ("word_vocab", "type_vocab", "tag_vocab")))
-        model.trained = json_bool(meta["trained"])
         nn.restore_parameters(model.parameters(), tensors)
         return model
     return nn.load_checkpoint(path, fit)

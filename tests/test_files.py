@@ -448,8 +448,16 @@ def reference_sentence(rec: dict, cache: dict) -> Sentence:
         raise CorpusError(f"sentence {sid!r}: tokens, pos, heads or spans: {exc}") from None
     if len(pos) != len(words) or len(heads) != len(words):
         raise CorpusError(f"sentence {sid!r}: pos/heads length mismatch")
-    if not all(isinstance(x, str) for x in words + pos):
+    # a list or object anywhere fails before any token is checked; after
+    # that, tokens are checked in order: strings, then one word each
+    if any(isinstance(x, (list, dict)) for x in words + pos):
         raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings")
+    for i, (word, tag) in enumerate(zip(words, pos)):
+        if not (isinstance(word, str) and isinstance(tag, str)):
+            raise CorpusError(f"sentence {sid!r}: tokens and POS tags must be strings")
+        if word.split() != [word]:
+            raise CorpusError(f"sentence {sid!r}: token {i} {word!r} "
+                              "is empty or contains whitespace")
     tokens = [cache.setdefault(key, Token(*key))
               for key in zip(words, pos, heads)]
     sent = Sentence(sid, tokens)

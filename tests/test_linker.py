@@ -370,13 +370,16 @@ def linked_corpus():
     return [s1, s2]
 
 
-def test_context_model_untrained_raises():
-    kb = stark_kb()
-    table = small_table(["Stark"], ["e1", "e2", "e3"])
-    model = ContextLinkerModel(table, ELConfig(hidden=4, mlp_hidden=8))
-    v_c = model._context_vec(mk_sentence(["Stark"]))
-    with pytest.raises(LinkError):
-        model.score_candidates(v_c, [(0, span_at(0, "Stark"), ["e1"])])
+def test_constructed_model_scores_and_its_saved_copy_scores_the_same_bits(tmp_path):
+    table = small_table(["Stark", "met", "Pepper"], ["e1", "e2", "e3"])
+    cfg = ELConfig(hidden=4, mlp_hidden=8)
+    model = ContextLinkerModel(table, cfg)
+    linker.save_model(model, tmp_path / "el.ckpt")
+    copy = linker.load_model(tmp_path / "el.ckpt", table, cfg)
+    sent = mk_sentence(["Stark", "met", "Pepper"])
+    open_spans = [(0, span_at(0, "Stark"), ["e1", "e2"]), (0, span_at(2, "Pepper"), ["e3"])]
+    got = [m.score_candidates(m._context_vec(sent), open_spans) for m in (model, copy)]
+    assert [len(s) for s in got[0]] == [2, 1] and got[0] == got[1]
 
 
 def test_train_requires_linked_spans():
@@ -426,7 +429,7 @@ def test_oov_count_survives_a_save_and_load(tmp_path):
     cfg = ELConfig(hidden=4, mlp_hidden=8, epochs=1, knn_k=0, seed=3)
     linker.save_model(train_context_linker(linked_corpus(), kb, table, cfg), tmp_path / "el.ckpt")
     loaded = linker.load_model(tmp_path / "el.ckpt", table, cfg)
-    assert loaded.oov_count == 1 and loaded.trained
+    assert loaded.oov_count == 1
 
 
 def test_context_scores_are_pure_and_bounded():
@@ -449,7 +452,6 @@ def test_training_runs_singleton_candidate_negative_path():
     s.spans = [Span(0, 0, "Rhodey", "t", linked="e1")]
     cfg = ELConfig(hidden=4, mlp_hidden=8, epochs=1, knn_k=0, seed=1)
     model = train_context_linker([s], kb, table, cfg)
-    assert model.trained
     assert len(model.epoch_losses) == 1
 
 
@@ -499,7 +501,6 @@ def test_score_candidates_matches_per_candidate_scoring(open_spans):
     # open spans of four sentences encoded side by side, each span scored
     # against its sentence's column
     model = float64_model(ELConfig(hidden=4, mlp_hidden=8, seed=2), SCORED_ENTITIES)
-    model.trained = True
     items = [(col, Span(0, len(surface.split()) - 1, surface), entities)
              for col, surface, entities in open_spans]
     with nn.no_grad():
@@ -709,7 +710,6 @@ def test_link_sentences_equals_each_sentence_linked_alone(word_lists, random, ch
     kb = stark_kb()
     if float64:
         model = float64_model(ELConfig(hidden=4, mlp_hidden=8, seed=2))
-        model.trained = True
     else:
         model = float32_linker()
     corpus = [mk_sentence(words, f"s{i}") for i, words in enumerate(word_lists)]
@@ -853,7 +853,6 @@ def reference_span_train(clf, corpus, rng):
             g = 1.0 / (1.0 + np.exp(-z)) - y
             np.subtract.at(clf.weights, idx, clf.lr * g)
             clf.bias -= clf.lr * g
-    clf.trained = True
 
 
 def reference_recognize(clf, sentence):

@@ -549,6 +549,14 @@ def test_missing_configured_input_names_stage_and_input(tiny_run, tmp_path):
         PipelineRunner(cfg).evaluate()
 
 
+def test_built_checkpoints_hold_exactly_their_meta_keys(tiny_run):
+    keys = {ckpt: set(nn.load_checkpoint(tiny_run["out"] / ckpt, lambda meta, _: meta))
+            for ckpt in ("el.ckpt", "re.ckpt", "embeddings.vec")}
+    assert keys == {"el.ckpt": {"oov_count"},
+                    "re.ckpt": {"config", "relations", "word_vocab", "type_vocab", "tag_vocab"},
+                    "embeddings.vec": {"symbols"}}
+
+
 # JSON values that are not an object, each with what indexing it by a key says
 NOT_AN_OBJECT = {"number": (5, "'int' object is not subscriptable"),
                  "string": ("trained", "string indices must be integers"),
@@ -568,10 +576,6 @@ NOT_AN_OBJECT = {"number": (5, "'int' object is not subscriptable"),
     # a string used to load one character per word
     ("re.ckpt", lambda meta: meta.update(word_vocab="".join(meta["word_vocab"])),
      "expected a list"),
-    ("el.ckpt", lambda meta: meta.pop("trained"), "lacks key 'trained'"),
-    # a truthy non-boolean used to load as a trained model
-    *((ckpt, lambda meta, v=value: meta.update(trained=v), f"expected a boolean, found {value!r}")
-      for ckpt in ("el.ckpt", "re.ckpt") for value in ("false", ["false"])),
     ("el.ckpt", lambda meta: meta.pop("oov_count"), "lacks key 'oov_count'"),
     *(("el.ckpt", lambda meta, v=value: meta.update(oov_count=v),
        f"expected an integer, found {value!r}") for value in ("1", 1.0, True)),
@@ -590,9 +594,8 @@ NOT_AN_OBJECT = {"number": (5, "'int' object is not subscriptable"),
     *((ckpt, meta, message) for ckpt in ("re.ckpt", "el.ckpt", "embeddings.vec")
       for meta, message in NOT_AN_OBJECT.values()),
 ], ids=["re-unknown-config-key", "re-no-relations", "re-odd-hidden", "re-negative-rate",
-        "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-trained",
-        "el-trained-a-string", "el-trained-a-list", "re-trained-a-string", "re-trained-a-list",
-        "el-no-oov-count", "el-oov-count-a-string", "el-oov-count-a-float", "el-oov-count-a-bool",
+        "re-config-not-an-object", "re-empty-relations", "re-vocab-a-string", "el-no-oov-count",
+        "el-oov-count-a-string", "el-oov-count-a-float", "el-oov-count-a-bool",
         "vec-no-symbols", "vec-symbols-a-string", "vec-duplicate-symbol",
         "vec-whitespace-symbol", "vec-symbol-a-number",
         *(f"{kind}-meta-a-{shape}" for kind in ("re", "el", "vec") for shape in NOT_AN_OBJECT)])
@@ -1215,6 +1218,14 @@ def test_cli_ingest_corpus(tiny_run, capsys):
     stats = dict(line.split("\t") for line in stdout.splitlines())
     lines = (tiny_run["fixture"] / "corpus.jsonl").read_text().splitlines()
     assert int(stats["sentences"]) == len(lines)
+
+
+def test_cli_train_el_prints_the_models_oov_count(tiny_run, capsys):
+    rc, stdout, _ = run_cli(capsys, "train-el", "--config", str(tiny_run["cfg_path"]))
+    runner = tiny_run["runner"]
+    model = linker.load_model(tiny_run["out"] / "el.ckpt", runner.embeddings(), runner.cfg.el)
+    assert rc == 0
+    assert stdout == f"oov_count\t{model.oov_count}\n"
 
 
 def test_cli_validate(tiny_run, tmp_path, capsys):

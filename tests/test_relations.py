@@ -612,7 +612,6 @@ def test_parameter_names_and_order_are_pinned():
 
 def test_predict_applies_threshold():
     model = tiny_model()
-    model.trained = True
     s, subj, obj = pair_sentence()
     scores, predicted = model.predict([(s, subj, obj)])
     assert scores.shape == (2,)
@@ -643,7 +642,6 @@ def test_extract_filters_by_type_template():
     model = REModel(tiny_cfg(), ["ghost"] + kb.relations,
                     ["Tony", "knows", "wears", "Pepper", "Mark"],
                     kb.types, ["N"])
-    model.trained = True
     model.threshold.data[:] = -1.0      # every relation fires for every pair
 
     s1, _, _ = pair_sentence("x1")
@@ -662,11 +660,15 @@ def test_extract_filters_by_type_template():
         assert 0.0 < t.confidence < 1.0
 
 
-def test_extract_requires_trained_model():
+def test_constructed_model_extracts_and_its_saved_copy_extracts_the_same_bits(tmp_path):
     kb = re_kb()
     model = tiny_model()
-    with pytest.raises(RelationError):
-        extract([], kb, model, rejected_log=[])
+    save_model(model, tmp_path / "re.ckpt")
+    copy = load_model(tmp_path / "re.ckpt")
+    s, subj, obj = pair_sentence("x1")
+    a, b = (m.predict([(s, subj, obj)])[0] for m in (model, copy))
+    assert a.tobytes() == b.tobytes()
+    assert extract([s], kb, model, rejected_log=[]) == extract([s], kb, copy, rejected_log=[])
 
 
 def test_templates_mined_from_kb():
@@ -697,7 +699,6 @@ def test_train_re_runs_and_learns_something():
     kb, sentences, bags = small_training_setup()
     cfg = tiny_cfg(epochs=8, learning_rate=0.02)
     model = train_re(bags, sentences, kb, cfg)
-    assert model.trained
     assert len(model.epoch_losses) == 8
     assert model.epoch_losses[-1] < model.epoch_losses[0]
 
@@ -765,7 +766,6 @@ def test_model_round_trip_scores_exactly(tmp_path):
     path = tmp_path / "re.ckpt"
     save_model(model, path)
     back = load_model(path)
-    assert back.trained
     assert back.relations == model.relations
     inst = bag_instances(bags[0], sentences)
     a, pred_a = model.predict(inst)
