@@ -27,58 +27,71 @@ def _add_common(parser) -> None:
     parser.add_argument("--out", default=None, help="artifact directory")
 
 
+def _validate(r, args) -> list[tuple]:
+    kb = r.kb()
+    templates = build_fact_type_templates(kb)
+    entity_types = {e: kb.entity_type(e) for e in kb.entities}
+    rows = read_rows(args.triples, 3, KBLoadError)
+    reasons = [validate_triple(Triple(*fields), entity_types, templates)[1] for fields in rows]
+    rejects = [("reject", *fields, why) for fields, why in zip(rows, reasons) if why is not None]
+    return rejects + [("accepted", len(rows) - len(rejects)), ("rejected", len(rejects))]
+
+
+def _metrics(r, args) -> list[tuple]:
+    # the bytes of the metrics.json that the evaluate stage wrote
+    return [(encode_document(r.evaluate().to_dict()),)]
+
+
+# every command but synth: its help text, and the rows it prints,
+# tab-separated, given the runner and the parsed options
+COMMANDS = {
+    "ingest-kb": ("validate the entity and triple files",
+                  lambda r, a: [("entities", len(r.kb().entities)),
+                                ("triples", r.kb().triple_count),
+                                ("relations", len(r.kb().relations))]),
+    "ingest-corpus": ("validate the sentence corpus",
+                      lambda r, a: [("sentences", len(r.corpus())),
+                                    ("spans", sum(len(s.spans) for s in r.corpus()))]),
+    "train-embeddings": ("train node and joint embeddings",
+                         lambda r, a: [("symbols", len(r.embeddings().symbols)),
+                                       ("dim", r.embeddings().dim)]),
+    "bootstrap": ("self-train the span recognizer and link the corpus",
+                  lambda r, a: [("round", e["round"], e["extracted"], e["recognizer"])
+                                for e in r.bootstrap()[1]]
+                               + [("sentences", len(r.bootstrap()[0]))]),
+    "train-el": ("train the context ranking linker",
+                 lambda r, a: [("oov_count", r.el_model().oov_count)]),
+    "gen-bags": ("build and split entity-pair training bags",
+                 lambda r, a: [(name, len(r.bags()[name])) for name in BAG_SPLITS]),
+    "train-re": ("train the relation extraction model",
+                 lambda r, a: [("relations", len(r.re_model().relations))]),
+    "extract": ("link the full corpus and extract new triples",
+                lambda r, a: [("accepted", len(r.extracted()[0])),
+                              ("rejected", len(r.extracted()[1]))]),
+    "enrich": ("merge accepted triples into the knowledge base",
+               lambda r, a: [("added", r.enriched())]),
+    "eval": ("compute metrics and write metrics.json", _metrics),
+    "run-all": ("run every stage end to end", _metrics),
+    "validate": ("check a triples file against the knowledge base type constraints",
+                 _validate),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kbforge",
         description="knowledge-base population from raw text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-            ("ingest-kb", "validate the entity and triple files"),
-            ("ingest-corpus", "validate the sentence corpus"),
-            ("train-embeddings", "train node and joint embeddings"),
-            ("bootstrap", "self-train the span recognizer and link the corpus"),
-            ("train-el", "train the context ranking linker"),
-            ("gen-bags", "build and split entity-pair training bags"),
-            ("train-re", "train the relation extraction model"),
-            ("extract", "link the full corpus and extract new triples"),
-            ("enrich", "merge accepted triples into the knowledge base"),
-            ("eval", "compute metrics and write metrics.json"),
-            ("run-all", "run every stage end to end")):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text))
+    sub.choices["validate"].add_argument("--triples", required=True,
+                                         help="TSV of subject/relation/object")
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark fixture")
     _add_common(p)
     for name in SYNTH_COUNTS:
         p.add_argument(f"--{name.replace('_', '-')}", type=int, default=getattr(SynthConfig, name))
-
-    p = sub.add_parser("validate", help="check a triples file against the "
-                                        "knowledge base type constraints")
-    _add_common(p)
-    p.add_argument("--triples", required=True, help="TSV of subject/relation/object")
     return parser
-
-
-# command -> the rows it prints, tab-separated, for the runner
-SUMMARIES = {
-    "ingest-kb": lambda r: [("entities", len(r.kb().entities)),
-                            ("triples", r.kb().triple_count),
-                            ("relations", len(r.kb().relations))],
-    "ingest-corpus": lambda r: [("sentences", len(r.corpus())),
-                                ("spans", sum(len(s.spans) for s in r.corpus()))],
-    "train-embeddings": lambda r: [("symbols", len(r.embeddings().symbols)),
-                                   ("dim", r.embeddings().dim)],
-    "bootstrap": lambda r: [("round", e["round"], e["extracted"], e["recognizer"])
-                            for e in r.bootstrap()[1]]
-                           + [("sentences", len(r.bootstrap()[0]))],
-    "train-el": lambda r: [("oov_count", r.el_model().oov_count)],
-    "gen-bags": lambda r: [(name, len(r.bags()[name])) for name in BAG_SPLITS],
-    "train-re": lambda r: [("relations", len(r.re_model().relations))],
-    "extract": lambda r: [("accepted", len(r.extracted()[0])),
-                          ("rejected", len(r.extracted()[1]))],
-    "enrich": lambda r: [("added", r.enriched())],
-}
 
 
 def main(argv=None) -> int:
@@ -91,48 +104,18 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "synth":
-        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
+    cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
+    if args.command == "synth":
         try:
-            paths = generate_fixture(SynthConfig(seed=cfg.seed, **{
-                n: getattr(args, n) for n in SYNTH_COUNTS}), cfg.out_dir)
+            rows = sorted(generate_fixture(SynthConfig(seed=cfg.seed, **{
+                n: getattr(args, n) for n in SYNTH_COUNTS}), cfg.out_dir).items())
         except ValueError as exc:
             raise PipelineError(f"synth {exc}") from None
-        for name in sorted(paths):
-            print(f"{name}\t{paths[name]}")
-        return 0
-
-    runner = PipelineRunner(load_config(args.config, seed=args.seed, out_dir=args.out))
-
-    if cmd in SUMMARIES:
-        for row in SUMMARIES[cmd](runner):
-            print("\t".join(map(str, row)))
-        return 0
-
-    if cmd == "validate":
-        kb = runner.kb()
-        templates = build_fact_type_templates(kb)
-        entity_types = {e: kb.entity_type(e) for e in kb.entities}
-        accepted = rejected = 0
-        for fields in read_rows(args.triples, 3, KBLoadError):
-            ok, reason = validate_triple(Triple(*fields), entity_types, templates)
-            if ok:
-                accepted += 1
-            else:
-                rejected += 1
-                print("reject\t" + "\t".join(fields) + f"\t{reason}")
-        print(f"accepted\t{accepted}")
-        print(f"rejected\t{rejected}")
-        return 0
-
-    if cmd in ("eval", "run-all"):
-        # the bytes of the metrics.json that the evaluate stage wrote
-        print(encode_document(runner.evaluate().to_dict()))
-        return 0
-
-    raise PipelineError(f"unknown command {cmd}")
+    else:
+        rows = COMMANDS[args.command][1](PipelineRunner(cfg), args)
+    for row in rows:
+        print("\t".join(map(str, row)))
+    return 0
 
 
 if __name__ == "__main__":

@@ -176,6 +176,11 @@ def _check_keys(section, allowed) -> None:
             raise PipelineError(f"unknown config key {key!r} in [{section.name}]")
 
 
+# each stage's config section -> its seed's offset from [pipeline] seed, so
+# stages stay decoupled but reproducible
+SEED_OFFSETS = {"embeddings": 1, "bootstrap": 3, "el": 4, "ds": 5, "re": 7}
+
+
 def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
     """The config an INI file sets, or the defaults; ``seed`` and ``out_dir``
     replace its ``[pipeline] seed`` and ``[paths] out_dir``."""
@@ -207,7 +212,7 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
                 _number(s, "threads", 0)
                 cfg.seed = _number(s, "seed", cfg.seed)
                 check_bounds(cfg)
-            elif name in ("embeddings", "bootstrap", "el", "ds", "re"):
+            elif name in SEED_OFFSETS:
                 if "seed" in s:
                     raise PipelineError(f"[{name}] seed is derived from [pipeline] seed; "
                                         "set that instead")
@@ -216,9 +221,7 @@ def load_config(path=None, seed=None, out_dir=None) -> PipelineConfig:
                 raise PipelineError(f"unknown config section [{name}]")
         except ValueError as exc:
             raise PipelineError(f"[{name}] {exc}") from None
-    # per-stage seeds derive from the global one, so stages stay decoupled
-    # but reproducible
-    for name, offset in (("embeddings", 1), ("bootstrap", 3), ("el", 4), ("ds", 5), ("re", 7)):
+    for name, offset in SEED_OFFSETS.items():
         getattr(cfg, name).seed = cfg.seed + offset
     return cfg
 

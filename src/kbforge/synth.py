@@ -12,7 +12,9 @@ Design notes, because the corpus shape carries the learning signal:
   spans must be linked by the context model, and recovering their triples
   genuinely enriches the KB.
 * Distractor sentences mention unrelated entity pairs with non-cue filler
-  verbs; they become NA bags.
+  verbs. Sub-graph linking links no pair without a KB edge, so they make no
+  bags (the NA bags are reversed KB pairs); they reach extraction only
+  through the link stage's context step.
 * All randomness flows through one seeded generator and output files are
   written in a fixed order, so a seed pins every byte.
 """

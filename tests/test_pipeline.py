@@ -1273,6 +1273,58 @@ def test_cli_run_all_emits_metrics_json(tiny_run, capsys):
     assert report["counts"]["sentences"] > 0
 
 
+def expected_cli_stdout(tiny_run, command, good) -> str:
+    """What ``command`` prints for tiny_run's config, written out from the
+    outputs of the runner that built it; validate reads VALIDATE_PROBE of
+    the KB triple ``good``."""
+    r = tiny_run["runner"]
+    if command in ("eval", "run-all"):
+        return (tiny_run["out"] / "metrics.json").read_text()
+    linked, rounds = r.bootstrap()
+    rows = {
+        "ingest-kb": [("entities", len(r.kb().entities)),
+                      ("triples", r.kb().triple_count),
+                      ("relations", len(r.kb().relations))],
+        "ingest-corpus": [("sentences", len(r.corpus())),
+                          ("spans", sum(len(s.spans) for s in r.corpus()))],
+        "train-embeddings": [("symbols", len(r.embeddings().symbols)),
+                             ("dim", r.embeddings().dim)],
+        "bootstrap": [("round", e["round"], e["extracted"], e["recognizer"])
+                      for e in rounds] + [("sentences", len(linked))],
+        "train-el": [("oov_count", r.el_model().oov_count)],
+        "gen-bags": [(split, len(r.bags()[split])) for split in ("all", "train", "valid", "test")],
+        "train-re": [("relations", len(r.re_model().relations))],
+        "extract": [("accepted", len(r.extracted()[0])), ("rejected", len(r.extracted()[1]))],
+        "enrich": [("added", r.enriched())],
+        # one reject row per failing triple, in file order, then the counts
+        "validate": [("reject", good.subject, "zzz", good.object, "unknown-relation"),
+                     ("reject", good.object, good.relation, good.object, "subject-type"),
+                     ("accepted", 1), ("rejected", 2)],
+    }[command]
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+# an unknown relation, a KB triple, and the subject slot given the object's type
+VALIDATE_PROBE = "{0.subject}\tzzz\t{0.object}\n{0.subject}\t{0.relation}\t{0.object}\n" \
+                 "{0.object}\t{0.relation}\t{0.object}\n"
+
+
+@pytest.mark.parametrize("command", [
+    "ingest-kb", "ingest-corpus", "train-embeddings", "bootstrap", "train-el", "gen-bags",
+    "train-re", "extract", "enrich", "eval", "run-all", "validate"])
+def test_cli_command_prints_the_rows_of_the_runners_outputs(tiny_run, tmp_path, capsys,
+                                                            command):
+    # warm: a new runner loads what tiny_run's runner built, and the command
+    # prints its rows tab-joined; eval and run-all print metrics.json's bytes
+    good = next(tiny_run["runner"].kb().iter_triples())
+    probe = tmp_path / "probe.tsv"
+    probe.write_text(VALIDATE_PROBE.format(good))
+    rc, stdout, stderr = run_cli(capsys, command, "--config", str(tiny_run["cfg_path"]),
+                                 *(["--triples", str(probe)] if command == "validate" else []))
+    assert (rc, stderr) == (0, "")
+    assert stdout == expected_cli_stdout(tiny_run, command, good)
+
+
 def test_cli_error_is_not_a_traceback(capsys):
     rc, stdout, stderr = run_cli(capsys, "ingest-kb")
     assert rc == 1
